@@ -151,8 +151,7 @@ def complex_by_name(name: str) -> SimplicialComplex:
     if name in _BUILDERS:
         value = _BUILDERS[name]()
     elif name in _PRODUCTS:
-        a, b = _PRODUCTS[name]
-        value, _, _ = product(complex_by_name(a), complex_by_name(b))
+        value = product_with_projections(*_PRODUCTS[name])[0]
     else:
         raise KeyError(f"unknown corpus complex {name!r}; known: {', '.join(CORPUS_NAMES)}")
     _cache[name] = value
@@ -160,6 +159,8 @@ def complex_by_name(name: str) -> SimplicialComplex:
 
 
 def product_with_projections(name_a: str, name_b: str):
+    """(product, proj1, proj2) of two corpus complexes, built once; a named
+    product such as "rp2xrp2" is this same complex."""
     key = (name_a, name_b)
     cached = _cache.get(key)
     if cached is None:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact_linalg import is_prime
+
 
 @dataclass(frozen=True)
 class Field:
@@ -22,7 +24,7 @@ class Field:
     def __post_init__(self):
         if self.char == 0:
             return
-        if self.char < 2 or any(self.char % d == 0 for d in range(2, self.char)):
+        if not is_prime(self.char):
             raise ValueError("field characteristic must be 0 or a prime")
 
     def of(self, x):
@@ -566,9 +568,6 @@ def homotopy_inverse(fmap: DSVMap):
 
     rows = []
     rhs = []
-
-    def eq_left_right(aname, left, right_name, right_mat, shape, extra=None, sign_left=1, sign_right=-1):
-        """Rows for left*X_a*? ... generic helper unused; kept simple below."""
 
     def add_rows(terms, const, nrows, ncols):
         # terms: list of (coef_fn) adding into coefficient row per entry

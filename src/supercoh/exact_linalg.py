@@ -1,16 +1,18 @@
 """Exact linear algebra over Z and Z/n.
 
 Everything here is arbitrary-precision: Smith normal form with unimodular
-transforms, linear system solving modulo n (n = 0 means "over Z"), and
-cokernel presentations of finitely generated abelian groups.  All functions
-are pure and deterministic; repeated solves against the same matrix reuse a
-cached factorization.
+transforms, sparse matrices with a Markowitz-pivoted elimination that logs
+its row and column operations, linear system solving modulo n (n = 0 means
+"over Z"), and cokernel presentations of finitely generated abelian groups.
+All functions are pure and deterministic; repeated solves against the same
+matrix reuse a cached factorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -163,23 +165,61 @@ class AbelianGroupPresentation:
         return " ⊕ ".join(parts) if parts else "0"
 
 
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the 13 prime bases up to 41: exact for every n below
+    3.3e24 (Sorenson and Webster 2015), a strong probable-prime test above."""
+    if n < 2:
+        return False
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_powers(d: int) -> list[tuple[int, int]]:
+    """[(p, p**e), ...] over the primes p dividing d, ascending; [] for d < 2.
+
+    Trial division, which stops once the cofactor left is prime."""
+    out = []
+    p = 2
+    prime_left = is_prime(d)
+    while not prime_left and p * p <= d:
+        if d % p == 0:
+            power = 1
+            while d % p == 0:
+                d //= p
+                power *= p
+            out.append((p, power))
+            prime_left = is_prime(d)
+        p += 1
+    if d > 1:
+        out.append((d, d))
+    return out
+
+
 def normalize_factors(factors) -> tuple[int, ...]:
     """Rewrite an arbitrary list of cyclic orders as an invariant-factor chain."""
     primes: dict[int, list[int]] = {}
     for d in factors:
-        if d < 2:
-            continue
-        n, p = d, 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                primes.setdefault(p, []).append(p**e)
-            p += 1
-        if n > 1:
-            primes.setdefault(n, []).append(n)
+        for p, power in prime_powers(d):
+            primes.setdefault(p, []).append(power)
     for p in primes:
         primes[p].sort(reverse=True)
     depth = max((len(v) for v in primes.values()), default=0)
@@ -389,53 +429,149 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# Cached factorizations for repeated solves
+# Sparse matrices and cached factorizations for repeated solves
 
 _MAX_CACHED_SOLVERS = 128
 
 
+class SparseMatrix:
+    """Integer matrix kept as one {column: value} dict per row, zeros left out.
+
+    Compared and hashed by identity.  A matrix caches its own factorizations,
+    so whoever keeps the matrix keeps them: a complex keeps its coboundaries.
+    The row dicts must not be changed after construction.
+    """
+
+    __slots__ = ("rows", "cols", "data", "_solvers")
+
+    def __init__(self, rows: int, cols: int, data: list[dict[int, int]]):
+        if len(data) != rows:
+            raise ValueError("row count does not match the row data")
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+        self._solvers: dict = {}
+
+    @classmethod
+    def from_dense(cls, m: IntMatrix) -> "SparseMatrix":
+        c = m.cols
+        return cls(
+            m.rows,
+            c,
+            [{j: x for j, x in enumerate(m.entries[i * c : (i + 1) * c]) if x} for i in range(m.rows)],
+        )
+
+    def to_dense(self) -> IntMatrix:
+        entries = [0] * (self.rows * self.cols)
+        for i, row in enumerate(self.data):
+            base = i * self.cols
+            for j, x in row.items():
+                entries[base + j] = x
+        return IntMatrix(self.rows, self.cols, tuple(entries))
+
+    def transpose(self) -> "SparseMatrix":
+        cols: list[dict[int, int]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, x in row.items():
+                cols[j][i] = x
+        return SparseMatrix(self.cols, self.rows, cols)
+
+    def f2_rows(self) -> list[int]:
+        """Rows reduced mod 2 and packed as bitmasks, bit j = column j."""
+        packed = []
+        for row in self.data:
+            bits = 0
+            for j, x in row.items():
+                if x & 1:
+                    bits |= 1 << j
+            packed.append(bits)
+        return packed
+
+    def solver(self, f2: bool = False):
+        """The F2 echelon (f2=True) or the integer op-log factorization, which
+        answers every other modulus; each is built once."""
+        s = self._solvers.get(f2)
+        if s is None:
+            s = self._solvers[f2] = _F2Solver(self) if f2 else _OpLogSolver(self)
+        return s
+
+
+def _as_sparse(m) -> SparseMatrix:
+    return m if isinstance(m, SparseMatrix) else SparseMatrix.from_dense(m)
+
+
+def _add_scaled(dst: dict, src: dict, q: int):
+    """dst += q * src for sparse vectors, dropping zeros (q != 0)."""
+    for t, x in src.items():
+        new = dst.get(t, 0) + q * x
+        if new:
+            dst[t] = new
+        else:
+            del dst[t]
+
+
 class _OpLogSolver:
-    """Sparse integer diagonalization of A with replayable row/column op logs.
+    """Sparse integer diagonalization U*A*V = D with replayable op logs.
 
     Solves A*x = b (mod n) for any n >= 0 after a single factorization.  Row
     ops replay on the right-hand side in O(1) per op; column ops replay on
     the solution vector.
     """
 
-    def __init__(self, m: IntMatrix):
+    def __init__(self, m):
+        m = _as_sparse(m)
         self.nrows = m.rows
         self.ncols = m.cols
-        rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
+        rows = [dict(row) for row in m.data]
         col_index: list[set[int]] = [set() for _ in range(m.cols)]
-        for i in range(m.rows):
-            base = i * m.cols
-            for j in range(m.cols):
-                x = m.entries[base + j]
-                if x:
-                    rows[i][j] = x
-                    col_index[j].add(i)
+        for i, row in enumerate(rows):
+            for j in row:
+                col_index[j].add(i)
         self.row_ops: list[tuple] = []
         self.col_ops: list[tuple] = []
         self._factor(rows, col_index)
 
     def _factor(self, rows, col_index):
+        """Eliminate with the pivot of least (|x|, Markowitz cost, i, j), the
+        cost of entry (i, j) being (column count - 1) * (row count - 1)
+        (Markowitz, Management Science 1957).
+
+        Candidates wait in a lazy heap.  An axpy re-pushes the entries of every
+        row and column whose keys it may have changed; a popped key that no
+        longer matches its entry is stale and skipped.  Rows and columns that
+        are done hold only their pivot, so live keys only count live entries.
+        """
+        nrows, ncols = self.nrows, self.ncols
         row_ops, col_ops = self.row_ops, self.col_ops
-        active_rows = set(range(self.nrows))
-        active_cols = set(range(self.ncols))
+        active_rows = set(range(nrows))
+        active_cols = set(range(ncols))
         pivots: list[tuple[int, int, int]] = []
+        touched_rows: set[int] = set()
+        touched_cols: set[int] = set()
+        cost_base = nrows * ncols  # exceeds every Markowitz cost
+
+        def key(i, j):
+            # the tuple (|x|, cost, i, j) packed into one int, which compares faster
+            cost = (len(col_index[j]) - 1) * (len(rows[i]) - 1)
+            return ((abs(rows[i][j]) * cost_base + cost) * nrows + i) * ncols + j
 
         def row_axpy(src, dst, q):
             if not q:
                 return
-            rs, rd = rows[src], rows[dst]
-            for j, x in rs.items():
-                new = rd.get(j, 0) - q * x
+            rd = rows[dst]
+            for j, x in rows[src].items():
+                old = rd.get(j, 0)
+                new = old - q * x
                 if new:
                     rd[j] = new
-                    col_index[j].add(dst)
+                    if not old:
+                        col_index[j].add(dst)
+                        touched_cols.add(j)
                 else:
-                    rd.pop(j, None)
+                    del rd[j]
                     col_index[j].discard(dst)
+                    touched_cols.add(j)
+            touched_rows.add(dst)
             row_ops.append(("axpy", src, dst, q))
 
         def row_neg(i):
@@ -446,31 +582,28 @@ class _OpLogSolver:
             if not q:
                 return
             for i in list(col_index[src]):
-                x = rows[i][src]
-                new = rows[i].get(dst, 0) - q * x
+                row = rows[i]
+                old = row.get(dst, 0)
+                new = old - q * row[src]
                 if new:
-                    rows[i][dst] = new
-                    col_index[dst].add(i)
+                    row[dst] = new
+                    if not old:
+                        col_index[dst].add(i)
+                        touched_rows.add(i)
                 else:
-                    rows[i].pop(dst, None)
+                    del row[dst]
                     col_index[dst].discard(i)
+                    touched_rows.add(i)
+            touched_cols.add(dst)
             col_ops.append((src, dst, q))
 
-        while True:
-            best = None
-            pivot = None
-            for i in sorted(active_rows):
-                for j, x in sorted(rows[i].items()):
-                    if j not in active_cols:
-                        continue
-                    key = (abs(x), (len(col_index[j]) - 1) * (len(rows[i]) - 1), i, j)
-                    if best is None or key < best:
-                        best, pivot = key, (i, j)
-                if best is not None and best[0] == 1 and best[1] == 0:
-                    break
-            if pivot is None:
-                break
-            pi, pj = pivot
+        heap = [key(i, j) for i, row in enumerate(rows) for j in row]
+        heapify(heap)
+        while heap:
+            k = heappop(heap)
+            pi, pj = k // ncols % nrows, k % ncols
+            if pi not in active_rows or pj not in rows[pi] or key(pi, pj) != k:
+                continue
             while True:
                 if rows[pi][pj] < 0:
                     row_neg(pi)
@@ -493,6 +626,15 @@ class _OpLogSolver:
             pivots.append((pi, pj, rows[pi][pj]))
             active_rows.discard(pi)
             active_cols.discard(pj)
+            for i in touched_rows & active_rows:
+                for j in rows[i]:
+                    heappush(heap, key(i, j))
+            for j in touched_cols & active_cols:
+                for i in col_index[j]:
+                    if i not in touched_rows:
+                        heappush(heap, key(i, j))
+            touched_rows.clear()
+            touched_cols.clear()
 
         self.pivots = pivots
         self.zero_rows = sorted(active_rows)
@@ -524,31 +666,56 @@ class _OpLogSolver:
             y = [x % n for x in y]
         return y
 
-    def kernel_vector(self, j: int) -> list[int]:
-        """Column V e_j of the diagonalization; a kernel vector for free j."""
+    def kernel_combination(self, coeffs) -> list[int]:
+        """V applied to coeffs placed on the free columns: the combination of
+        kernel_basis() vectors with these coefficients."""
         v = [0] * self.ncols
-        v[j] = 1
+        for j, c in zip(self.free_cols, coeffs):
+            v[j] = c
         for src, dst, q in reversed(self.col_ops):
-            v[src] -= q * v[dst]
+            if v[dst]:
+                v[src] -= q * v[dst]
         return v
 
     def kernel_basis(self) -> list[list[int]]:
-        """Basis of ker(A) over Z, one vector per free column."""
-        return [self.kernel_vector(j) for j in self.free_cols]
+        """Basis of ker(A) over Z: V e_j for each free column j, all from one
+        replay of the column ops."""
+        coords: list[dict[int, int]] = [{} for _ in range(self.ncols)]  # [r][t] = V[r][free t]
+        for t, j in enumerate(self.free_cols):
+            coords[j][t] = 1
+        for src, dst, q in reversed(self.col_ops):
+            if coords[dst]:
+                _add_scaled(coords[src], coords[dst], -q)
+        basis = [[0] * self.ncols for _ in self.free_cols]
+        for r, entries in enumerate(coords):
+            for t, x in entries.items():
+                basis[t][r] = x
+        return basis
+
+    def free_coordinate_rows(self, vecs) -> list[dict[int, int]] | None:
+        """Coordinates of many sparse vectors {index: value} in the kernel basis.
+
+        Computes V^{-1} vec for all of them in one replay of the inverse
+        column ops.  Row r of the result holds coordinate r of vecs[t] at key
+        t.  None when some vector is not in ker(A), i.e. has a nonzero pivot
+        coordinate.
+        """
+        coords: list[dict[int, int]] = [{} for _ in range(self.ncols)]
+        for t, vec in enumerate(vecs):
+            for r, x in vec.items():
+                if x:
+                    coords[r][t] = x
+        for src, dst, q in self.col_ops:
+            if coords[dst]:
+                _add_scaled(coords[src], coords[dst], q)
+        if any(coords[j] for _, j, _ in self.pivots):
+            return None
+        return [coords[j] for j in self.free_cols]
 
     def free_coordinates(self, vec) -> list[int] | None:
-        """Coordinates of vec in the kernel basis; None when vec is not in ker(A).
-
-        Computes V^{-1} vec by replaying inverse column ops and checks that
-        every pivot-column coordinate vanishes.
-        """
-        v = list(vec)
-        for src, dst, q in self.col_ops:
-            v[src] += q * v[dst]
-        for _, j, _ in self.pivots:
-            if v[j]:
-                return None
-        return [v[j] for j in self.free_cols]
+        """Coordinates of vec in the kernel basis; None when vec is not in ker(A)."""
+        rows = self.free_coordinate_rows([dict(enumerate(vec))])
+        return None if rows is None else [row.get(0, 0) for row in rows]
 
     def u_inverse_column(self, i: int) -> list[int]:
         """Column U^{-1} e_i of the diagonalization."""
@@ -585,20 +752,14 @@ def _solve_scalar(d: int, c: int, n: int):
 class _F2Solver:
     """Row echelon of [A | I] over F2 with bitmask rows, for repeated solves."""
 
-    def __init__(self, m: IntMatrix):
+    def __init__(self, m):
+        m = _as_sparse(m)
         self.nrows = m.rows
         self.ncols = m.cols
-        rows = []
-        for i in range(m.rows):
-            bits = 0
-            base = i * m.cols
-            for j in range(m.cols):
-                if m.entries[base + j] & 1:
-                    bits |= 1 << j
-            rows.append((bits, 1 << i))
         echelon: list[tuple[int, int, int]] = []  # (pivot_col, a_bits, u_bits)
         residue: list[tuple[int, int]] = []
-        for a_bits, u_bits in rows:
+        for i, a_bits in enumerate(m.f2_rows()):
+            u_bits = 1 << i
             for pcol, pa, pu in echelon:
                 if (a_bits >> pcol) & 1:
                     a_bits ^= pa
@@ -634,20 +795,16 @@ class _F2Solver:
 
 
 @lru_cache(maxsize=_MAX_CACHED_SOLVERS)
-def _cached_oplog_solver(m: IntMatrix) -> _OpLogSolver:
-    return _OpLogSolver(m)
+def _cached_sparse(m: IntMatrix) -> SparseMatrix:
+    return SparseMatrix.from_dense(m)
 
 
-@lru_cache(maxsize=_MAX_CACHED_SOLVERS)
-def _cached_f2_solver(m: IntMatrix) -> _F2Solver:
-    return _F2Solver(m)
-
-
-def solve_mod(a: IntMatrix, b, n: int):
+def solve_mod(a, b, n: int):
     """One solution x of A*x = b (mod n), or None; n = 0 solves over Z.
 
-    The returned solution verifies exactly; which solution is returned is
-    deterministic for fixed inputs.
+    A is an IntMatrix or a SparseMatrix; repeated solves against the same
+    matrix reuse its factorization.  The returned solution verifies exactly;
+    which solution is returned is deterministic for fixed inputs.
     """
     b = list(b)
     if len(b) != a.rows:
@@ -656,9 +813,11 @@ def solve_mod(a: IntMatrix, b, n: int):
         raise ValueError("modulus must be >= 0")
     if n == 1:
         return [0] * a.cols
+    if isinstance(a, IntMatrix):
+        a = _cached_sparse(a)
     if n == 2:
-        return _cached_f2_solver(a).solve(b)
-    return _cached_oplog_solver(a).solve(b, n)
+        return a.solver(f2=True).solve(b)
+    return a.solver().solve(b, n)
 
 
 def cokernel(a: IntMatrix, n: int) -> AbelianGroupPresentation:
@@ -677,18 +836,6 @@ def cokernel(a: IntMatrix, n: int) -> AbelianGroupPresentation:
 
 # ---------------------------------------------------------------------------
 # F_2 bitset toolkit (rows packed into Python ints, bit j = column j)
-
-
-def f2_pack_rows(m: IntMatrix) -> list[int]:
-    packed = []
-    for i in range(m.rows):
-        bits = 0
-        base = i * m.cols
-        for j in range(m.cols):
-            if m.entries[base + j] & 1:
-                bits |= 1 << j
-        packed.append(bits)
-    return packed
 
 
 def f2_rref(rows: list[int]) -> tuple[list[int], list[int]]:
@@ -786,16 +933,3 @@ def kernel_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
             vec[c] = (-rref[r][free]) % p
         basis.append(vec)
     return basis
-
-
-def solve_mod_p(rows: list[list[int]], b: list[int], p: int):
-    """One solution of the system over F_p, or None (free variables = 0)."""
-    aug = [row + [bv] for row, bv in zip(rows, b)]
-    ncols = len(rows[0]) if rows else 0
-    rref, pivots = rref_mod_p(aug, p)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rref[r][ncols]
-    return x

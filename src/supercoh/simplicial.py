@@ -16,26 +16,17 @@ from .exact_linalg import (
     AbelianGroupPresentation,
     F2Span,
     IntMatrix,
+    SparseMatrix,
+    _OpLogSolver,
     f2_kernel,
-    f2_pack_rows,
     f2_unpack,
+    is_prime,
     kernel_mod_p,
-    smith_decomposition,
+    prime_powers,
     solve_mod,
 )
 
 DEFAULT_DIMENSION_CAP = 6
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
 
 
 class SimplicialComplex:
@@ -70,8 +61,11 @@ class SimplicialComplex:
         self._index = [
             {s: i for i, s in enumerate(level)} for level in self._simplices
         ]
-        self._cobound_cache: dict[int, IntMatrix] = {}
+        # caches live here, declared up front: attributes added later would
+        # turn the _index loads in Cochain.coboundary into slow lookups
+        self._coboundaries: dict[int, SparseMatrix] = {}
         self._cohom_cache: dict = {}
+        self._coordinate_systems: dict = {}
         self._components = None
 
     def simplices(self, q: int) -> tuple:
@@ -265,36 +259,29 @@ class CohomologyClass:
         return self.cochain.modulus
 
 
+def _coboundary(x: SimplicialComplex, q: int) -> SparseMatrix:
+    """delta_q: C^q -> C^{q+1}, cached on the complex; degenerate degrees
+    give empty matrices."""
+    q = max(q, -1)
+    m = x._coboundaries.get(q)
+    if m is None:
+        faces = x._index[q] if 0 <= q <= x.dim else {}
+        data = [
+            {faces[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1 for i in range(q + 2)} if q >= 0 else {}
+            for s in x.simplices(q + 1)
+        ]
+        m = x._coboundaries[q] = SparseMatrix(len(data), x.simplex_count(q), data)
+    return m
+
+
 def coboundary_matrix(x: SimplicialComplex, q: int, n: int = 0) -> IntMatrix:
     """Matrix of delta_q: C^q -> C^{q+1}; entries reduced to [0, n) when n > 0."""
     if q < 0 or q > x.dim:
         raise ValueError(f"degree {q} out of range for complex of dimension {x.dim}")
-    key = q
-    if key not in x._cobound_cache:
-        rows = x.simplex_count(q + 1)
-        cols = x.simplex_count(q)
-        entries = [0] * (rows * cols)
-        for r, s in enumerate(x.simplices(q + 1)):
-            for i in range(q + 2):
-                face = s[:i] + s[i + 1 :]
-                c = x._index[q][face]
-                entries[r * cols + c] += 1 if i % 2 == 0 else -1
-        x._cobound_cache[key] = IntMatrix(rows, cols, tuple(entries))
-    m = x._cobound_cache[key]
+    m = _coboundary(x, q).to_dense()
     if n:
         return IntMatrix(m.rows, m.cols, tuple(v % n for v in m.entries))
     return m
-
-
-def _coboundary_or_empty(x: SimplicialComplex, q: int) -> IntMatrix:
-    """delta_{q}: C^q -> C^{q+1}; degenerate degrees give empty matrices."""
-    if q < 0:
-        return IntMatrix(x.simplex_count(0), 0, ())
-    if q > x.dim:
-        return IntMatrix(0, 0, ())
-    if q == x.dim:
-        return IntMatrix(0, x.simplex_count(q), ())
-    return coboundary_matrix(x, q)
 
 
 def _cohomology_degree_zero(x: SimplicialComplex, n: int):
@@ -338,14 +325,9 @@ class _SpanModP:
 
 def _cohomology_mod_2(x: SimplicialComplex, q: int):
     m0 = x.simplex_count(q)
-    if q < x.dim:
-        kernel = f2_kernel(f2_pack_rows(coboundary_matrix(x, q)), m0)
-    else:
-        kernel = [1 << j for j in range(m0)]
-    dprev = _coboundary_or_empty(x, q - 1)
+    kernel = f2_kernel(_coboundary(x, q).f2_rows(), m0)
     span = F2Span()
-    dprev_t = f2_pack_rows(dprev.transpose())
-    for col_bits in dprev_t:
+    for col_bits in _coboundary(x, q - 1).transpose().f2_rows():
         span.insert(col_bits)
     reps = [bits for bits in kernel if span.insert(bits)]
     basis = [
@@ -360,14 +342,10 @@ def _cohomology_mod_p(x: SimplicialComplex, q: int, p: int):
     if p == 2:
         return _cohomology_mod_2(x, q)
     m0 = x.simplex_count(q)
-    if q < x.dim:
-        kernel = kernel_mod_p(coboundary_matrix(x, q).to_rows(), m0, p)
-    else:
-        kernel = [[1 if i == j else 0 for j in range(m0)] for i in range(m0)]
-    dprev = _coboundary_or_empty(x, q - 1)
+    kernel = kernel_mod_p(_coboundary(x, q).to_dense().to_rows(), m0, p)
     span = _SpanModP(p)
-    for j in range(dprev.cols):
-        span.insert([dprev.at(i, j) for i in range(dprev.rows)])
+    for col in _coboundary(x, q - 1).transpose().data:
+        span.insert([col.get(i, 0) for i in range(m0)])
     reps = [vec for vec in kernel if span.insert(vec)]
     basis = [CohomologyClass(Cochain(x, q, p, tuple(vec))) for vec in reps]
     h = len(basis)
@@ -375,160 +353,53 @@ def _cohomology_mod_p(x: SimplicialComplex, q: int, p: int):
     return pres, basis, [p] * h
 
 
-def _kernel_lattice(x: SimplicialComplex, q: int, n: int) -> IntMatrix:
-    """Columns form a basis of {v : delta_q v = 0 (mod n)} as a lattice in Z^{m_q}."""
-    dq = _coboundary_or_empty(x, q)
-    m0 = x.simplex_count(q)
-    if n == 0:
-        stacked = dq
-        width = m0
-    else:
-        stacked = dq.hstack(IntMatrix.diagonal([n] * dq.rows))
-        width = m0 + dq.rows
-    if stacked.rows == 0:
-        return IntMatrix.identity(m0)
-    dec = smith_decomposition(stacked)
-    rank = dec.rank()
-    cols = []
-    for j in range(rank, width):
-        col = [dec.v.at(i, j) for i in range(width)]
-        cols.append(col[:m0])
-    if not cols:
-        return IntMatrix(m0, 0, ())
-    return IntMatrix.from_rows([[c[i] for c in cols] for i in range(m0)])
-
-
-def _cohomology_integral(x: SimplicialComplex, q: int, n: int):
-    """Integral (n = 0) or composite-modulus cohomology via Smith normal form."""
-    m0 = x.simplex_count(q)
-    kernel = _kernel_lattice(x, q, n)
-    k = kernel.cols
-    if k == 0:
-        return AbelianGroupPresentation.trivial(), [], []
-    kdec = smith_decomposition(kernel)
-    dprev = _coboundary_or_empty(x, q - 1)
-
-    def in_kernel_coords(vec):
-        # solve kernel * w = vec exactly using the cached decomposition
-        c = kdec.u.mul_vector(vec)
-        w = []
-        diag = kdec.diagonal()
-        for i in range(kernel.cols):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0 or c[i] % d:
-                raise ArithmeticError("vector not in kernel lattice")
-            w.append(c[i] // d)
-        for i in range(kernel.cols, kernel.rows):
-            if c[i]:
-                raise ArithmeticError("vector not in kernel lattice")
-        return kdec.v.mul_vector(w)
-
-    relation_cols = []
-    for j in range(dprev.cols):
-        col = [dprev.at(i, j) for i in range(dprev.rows)]
-        relation_cols.append(in_kernel_coords(col))
-    if n:
-        for i in range(m0):
-            vec = [0] * m0
-            vec[i] = n
-            relation_cols.append(in_kernel_coords(vec))
-    if relation_cols:
-        w = IntMatrix.from_rows([[col[i] for col in relation_cols] for i in range(k)])
-    else:
-        w = IntMatrix(k, 0, ())
-    wdec = smith_decomposition(w)
-    diag = wdec.diagonal()
-    rank = sum(1 for d in diag if d)
-    factors = []
-    gens = []
-    orders = []
-    for i, d in enumerate(diag):
-        if d > 1:
-            factors.append(d)
-            gens.append(i)
-            orders.append(d)
-    free_positions = list(range(rank, k))
-    pres = AbelianGroupPresentation(len(free_positions), tuple(factors))
-    basis = []
-    for i in gens + free_positions:
-        coords = [wdec.u_inv.at(r, i) for r in range(k)]
-        vec = kernel.mul_vector(coords)
-        basis.append(CohomologyClass(Cochain(x, q, n, tuple(vec))))
-    orders = orders + [0] * len(free_positions)
-    return pres, basis, orders
-
-
-_SPARSE_COHOMOLOGY_THRESHOLD = 200
-
-
 def _cohomology_integral_sparse(x: SimplicialComplex, q: int, n: int):
-    """Sparse-factorization variant of the integral/composite path.
+    """H^q(X; Z/n) for n = 0 or composite n, from sparse op-log factorizations.
 
-    Same contract as _cohomology_integral; scales to staircase products by
-    replaying logged elimination ops instead of carrying dense transforms.
+    Cocycles mod n are the lattice {v : delta_q v = 0 (mod n)}: the kernel
+    of [delta_q | n I], cut to its first m_q coordinates.  The relations are
+    the columns of delta_{q-1} and, for n > 0, n e_i.  Their coordinates in
+    the lattice form a matrix whose diagonalization gives the group and,
+    through logged transforms, the generators.
     """
-    from .exact_linalg import _cached_oplog_solver, _OpLogSolver
-
     m0 = x.simplex_count(q)
-    dq = _coboundary_or_empty(x, q)
-    stack = dq if n == 0 else dq.hstack(IntMatrix.diagonal([n] * dq.rows))
-    ksolver = _cached_oplog_solver(stack) if stack.rows else None
-    if ksolver is None:
-        kvecs = [[1 if i == j else 0 for i in range(m0)] for j in range(m0)]
+    dq = _coboundary(x, q)
+    if n == 0:
+        ksolver = dq.solver()
     else:
-        kvecs = [v[:m0] for v in ksolver.kernel_basis()]
-    k = len(kvecs)
+        stack = [{**row, m0 + i: n} for i, row in enumerate(dq.data)]
+        ksolver = _OpLogSolver(SparseMatrix(dq.rows, m0 + dq.rows, stack))
+    k = len(ksolver.free_cols)
     if k == 0:
         return AbelianGroupPresentation.trivial(), [], []
 
-    def in_kernel_coords(vec):
-        if ksolver is None:
-            return list(vec)
-        if n == 0:
-            lifted = list(vec)
-        else:
-            image = dq.mul_vector(vec)
-            if any(v % n for v in image):
-                raise ArithmeticError("vector not in the mod-n kernel lattice")
-            lifted = list(vec) + [-(v // n) for v in image]
-        coords = ksolver.free_coordinates(lifted)
-        if coords is None:
-            raise ArithmeticError("vector not in kernel lattice")
-        return coords
-
-    dprev = _coboundary_or_empty(x, q - 1)
-    relation_cols = []
-    for j in range(dprev.cols):
-        relation_cols.append(in_kernel_coords([dprev.at(i, j) for i in range(dprev.rows)]))
+    relations = _coboundary(x, q - 1).transpose().data
     if n:
-        for i in range(m0):
-            vec = [0] * m0
-            vec[i] = n
-            relation_cols.append(in_kernel_coords(vec))
-    if relation_cols:
-        w = IntMatrix.from_rows([[col[i] for col in relation_cols] for i in range(k)])
-    else:
-        w = IntMatrix(k, 0, ())
-    wsolver = _OpLogSolver(w)
+        relations += [{i: n} for i in range(m0)]
+        dq_cols = dq.transpose().data
+        for vec in relations:
+            # lift v to (v, -(delta_q v) / n) in the kernel of the stack
+            image: dict[int, int] = {}
+            for j, v in vec.items():
+                for i, d in dq_cols[j].items():
+                    image[i] = image.get(i, 0) + d * v
+            for i, y in image.items():
+                if y % n:
+                    raise ArithmeticError("vector not in the mod-n kernel lattice")
+                if y:
+                    vec[m0 + i] = -(y // n)
+    coord_rows = ksolver.free_coordinate_rows(relations)
+    if coord_rows is None:
+        raise ArithmeticError("vector not in kernel lattice")
+    wsolver = _OpLogSolver(SparseMatrix(k, len(relations), coord_rows))
     pivots = [(row, abs(d)) for row, _, d in wsolver.pivots]
     free_rows = wsolver.zero_rows
     # invariant-factor chain with matched generators: redistribute the prime
     # powers of the pivot values, largest first per prime, then CRT-combine
     prime_slots: dict[int, list[tuple[int, int]]] = {}
     for row, d in pivots:
-        if d <= 1:
-            continue
-        rem, p = d, 2
-        while p * p <= rem:
-            if rem % p == 0:
-                e = 0
-                while rem % p == 0:
-                    rem //= p
-                    e += 1
-                prime_slots.setdefault(p, []).append((p**e, row))
-            p += 1
-        if rem > 1:
-            prime_slots.setdefault(rem, []).append((rem, row))
+        for p, power in prime_powers(d):
+            prime_slots.setdefault(p, []).append((power, row))
     for p in prime_slots:
         prime_slots[p].sort(reverse=True)
     depth = max((len(v) for v in prime_slots.values()), default=0)
@@ -566,15 +437,10 @@ def _cohomology_integral_sparse(x: SimplicialComplex, q: int, n: int):
         gen_coord_vectors.append(uinv(r))
         orders.append(0)
     pres = AbelianGroupPresentation(len(free_rows), tuple(f for f, _ in chain))
-    basis = []
-    for coords in gen_coord_vectors:
-        vec = [0] * m0
-        for j, c in enumerate(coords):
-            if c:
-                kv = kvecs[j]
-                for i in range(m0):
-                    vec[i] += c * kv[i]
-        basis.append(CohomologyClass(Cochain(x, q, n, tuple(vec))))
+    basis = [
+        CohomologyClass(Cochain(x, q, n, tuple(ksolver.kernel_combination(coords)[:m0])))
+        for coords in gen_coord_vectors
+    ]
     return pres, basis, orders
 
 
@@ -594,12 +460,10 @@ def cohomology(x: SimplicialComplex, q: int, n: int = 0):
         result = (AbelianGroupPresentation.trivial(), [], [])
     elif q == 0:
         result = _cohomology_degree_zero(x, n)
-    elif n != 0 and _is_prime(n):
+    elif n != 0 and is_prime(n):
         result = _cohomology_mod_p(x, q, n)
-    elif x.simplex_count(q) > _SPARSE_COHOMOLOGY_THRESHOLD:
-        result = _cohomology_integral_sparse(x, q, n)
     else:
-        result = _cohomology_integral(x, q, n)
+        result = _cohomology_integral_sparse(x, q, n)
     x._cohom_cache[key] = result
     return result[:2]
 
@@ -624,8 +488,7 @@ def is_cohomologous(a: Cochain, b: Cochain) -> bool:
         if a.modulus:
             return all(v % a.modulus == 0 for v in diff.values)
         return diff.is_zero()
-    dprev = _coboundary_or_empty(a.complex, q - 1)
-    return solve_mod(dprev, list(diff.values), a.modulus) is not None
+    return solve_mod(_coboundary(a.complex, q - 1), list(diff.values), a.modulus) is not None
 
 
 def class_coordinates(xc: Cochain, basis, orders) -> list[int] | None:
@@ -639,11 +502,17 @@ def class_coordinates(xc: Cochain, basis, orders) -> list[int] | None:
     x = xc.complex
     q = xc.degree
     n = xc.modulus
-    dprev = _coboundary_or_empty(x, q - 1)
-    rep_cols = IntMatrix.from_rows(
-        [[cls.cochain.values[i] for cls in basis] for i in range(x.simplex_count(q))]
-    )
-    system = dprev.hstack(rep_cols)
+    dprev = _coboundary(x, q - 1)
+    # the system [delta_{q-1} | basis] is built and factored once per basis
+    key = (q, n, tuple(cls.cochain.values for cls in basis))
+    system = x._coordinate_systems.get(key)
+    if system is None:
+        data = [dict(row) for row in dprev.data]
+        for t, cls in enumerate(basis):
+            for i, v in enumerate(cls.cochain.values):
+                if v:
+                    data[i][dprev.cols + t] = v
+        system = x._coordinate_systems[key] = SparseMatrix(dprev.rows, dprev.cols + len(basis), data)
     sol = solve_mod(system, list(xc.values), n)
     if sol is None:
         return None

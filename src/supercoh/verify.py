@@ -73,14 +73,11 @@ def suite_simplicial():
     ok = True
     for name in CORPUS:
         x = corpus.complex_by_name(name)
-        for n in (0, 2, 3, 4, 8):
-            for q in range(x.dim):
-                a = simplicial.coboundary_matrix(x, q)
-                b = simplicial.coboundary_matrix(x, q + 1) if q + 1 < x.dim else None
-                if b is not None:
-                    prod = b.mul(a)
-                    if not prod.is_zero():
-                        ok = False
+        for q in range(x.dim - 1):
+            a = simplicial.coboundary_matrix(x, q)
+            b = simplicial.coboundary_matrix(x, q + 1)
+            if not b.mul(a).is_zero():
+                ok = False
     out.append(_result("delta-squared-zero", ok))
     ok = True
     for name in ("s1", "rp2", "t2"):

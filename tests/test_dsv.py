@@ -41,6 +41,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Field(6)
 
+    def test_large_prime_field(self):
+        # a primality test by trial division took minutes at this size
+        p = 1_000_000_007
+        f = Field(p)
+        assert f.mul(f.inv(f.of(2)), 2) == 1
+        with pytest.raises(ValueError):
+            Field(p * 1_000_000_009)
+
     def test_unit(self):
         u = DSV.unit(QQ)
         assert (u.dim0, u.dim1) == (1, 0)

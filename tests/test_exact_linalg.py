@@ -4,21 +4,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ScanOpLogSolver
+
+from supercoh import corpus
 from supercoh.exact_linalg import (
     AbelianGroupPresentation,
     IntMatrix,
+    SparseMatrix,
+    _OpLogSolver,
     cokernel,
     direct_sum,
+    is_prime,
     normalize_factors,
+    prime_powers,
     smith_decomposition,
     smith_normal_form,
     solve_mod,
 )
+from supercoh.simplicial import coboundary_matrix
 
 
 def mat(rows):
     return IntMatrix.from_rows(rows)
 
+
+# mostly zeros, so that Markowitz costs differ and pivots cause fill-in
+sparse_matrices = st.integers(0, 9).flatmap(
+    lambda r: st.integers(0, 9).flatmap(
+        lambda c: st.lists(
+            st.sampled_from((0, 0, 0, 0, 1, -1, 2, -2, 3, 4, -6)), min_size=r * c, max_size=r * c
+        ).map(lambda e: IntMatrix(r, c, tuple(e)))
+    )
+)
 
 small_matrices = st.integers(0, 4).flatmap(
     lambda r: st.integers(0, 4).flatmap(
@@ -179,6 +196,79 @@ class TestOpLogFactorization:
                     assert mx == b
                 else:
                     assert all((p - q) % n == 0 for p, q in zip(mx, b))
+
+
+class TestHeapPivoting:
+    """The heap picks the pivot the full scan picks, so the op logs agree."""
+
+    @staticmethod
+    def assert_same_factorization(m):
+        heap, scan = _OpLogSolver(m), ScanOpLogSolver(m)
+        assert heap.pivots == scan.pivots
+        assert heap.row_ops == scan.row_ops
+        assert heap.col_ops == scan.col_ops
+        assert (heap.zero_rows, heap.free_cols) == (scan.zero_rows, scan.free_cols)
+
+    @given(sparse_matrices)
+    @settings(max_examples=200, deadline=None)
+    def test_random_sparse(self, m):
+        self.assert_same_factorization(m)
+
+    @given(small_matrices)
+    @settings(max_examples=60, deadline=None)
+    def test_random_dense(self, m):
+        self.assert_same_factorization(m)
+
+    @pytest.mark.parametrize("name", ["s1", "t2", "klein", "rp2", "s1xs1"])
+    def test_coboundaries_and_mod_n_stacks(self, name):
+        x = corpus.complex_by_name(name)
+        for q in range(x.dim):
+            d = coboundary_matrix(x, q)
+            self.assert_same_factorization(d)
+            self.assert_same_factorization(d.hstack(IntMatrix.diagonal([4] * d.rows)))
+
+
+class TestSparseMatrix:
+    @given(small_matrices)
+    @settings(max_examples=40, deadline=None)
+    def test_dense_roundtrip_and_transpose(self, m):
+        s = SparseMatrix.from_dense(m)
+        assert s.to_dense() == m
+        assert s.transpose().to_dense() == m.transpose()
+
+    @given(small_matrices, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_solves_like_the_dense_matrix(self, m, data):
+        b = data.draw(st.lists(st.integers(-5, 5), min_size=m.rows, max_size=m.rows))
+        s = SparseMatrix.from_dense(m)
+        for n in (0, 2, 4, 6):
+            assert solve_mod(s, b, n) == solve_mod(m, b, n)
+
+    def test_factorization_is_cached_on_the_matrix(self):
+        s = SparseMatrix.from_dense(mat([[2, 1], [0, 3]]))
+        assert s.solver() is s.solver()
+        assert s.solver(f2=True) is s.solver(f2=True)
+
+
+class TestPrimes:
+    def test_agrees_with_trial_division(self):
+        def slow(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if slow(n)]
+
+    def test_large_and_adversarial(self):
+        assert is_prime(2**61 - 1)
+        assert is_prime(1_000_000_007)
+        assert not is_prime((2**31 - 1) * (2**61 - 1))
+        # Carmichael numbers and strong pseudoprimes to many small bases
+        for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n)
+
+    def test_prime_powers(self):
+        assert prime_powers(360) == [(2, 8), (3, 9), (5, 5)]
+        assert prime_powers(2**61 - 1) == [(2**61 - 1, 2**61 - 1)]
+        assert prime_powers(1) == []
 
 
 class TestCokernel:

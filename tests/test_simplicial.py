@@ -1,9 +1,14 @@
+import time
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cohomology_integral_dense
 
 from supercoh import corpus
 from supercoh.exact_linalg import AbelianGroupPresentation as G
+from supercoh.exact_linalg import normalize_factors
 from supercoh.simplicial import (
     Cochain,
     CohomologyClass,
@@ -121,12 +126,12 @@ def test_degree_beyond_dimension(rp2):
 
 
 def test_sparse_path_agrees_with_dense(all_surfaces):
-    from supercoh.simplicial import _cohomology_integral, _cohomology_integral_sparse
+    from supercoh.simplicial import _cohomology_integral_sparse
 
     for x in all_surfaces.values():
         for q in range(1, x.dim + 1):
             for n in (0, 4, 6, 8):
-                dense = _cohomology_integral(x, q, n)
+                dense = cohomology_integral_dense(x, q, n)
                 sparse = _cohomology_integral_sparse(x, q, n)
                 assert dense[0] == sparse[0]
                 assert dense[2] == sparse[2]
@@ -160,8 +165,8 @@ def test_moore_space_torsion():
 
 def test_coprime_torsion_merges_to_invariant_factors(rp2):
     # RP2 disjoint union Moore(Z/3): H^2 = Z/2 + Z/3, i.e. invariant factor 6;
-    # exercises the CRT generator merge in both integral paths
-    from supercoh.simplicial import _cohomology_integral, _cohomology_integral_sparse
+    # exercises the CRT generator merge in the integral path and its dense oracle
+    from supercoh.simplicial import _cohomology_integral_sparse
 
     shift = rp2.vertex_count
     mixed = SimplicialComplex(
@@ -169,7 +174,7 @@ def test_coprime_torsion_merges_to_invariant_factors(rp2):
         list(rp2.maximal_simplices)
         + [tuple(v + shift for v in s) for s in moore3().maximal_simplices],
     )
-    for path in (_cohomology_integral, _cohomology_integral_sparse):
+    for path in (cohomology_integral_dense, _cohomology_integral_sparse):
         pres, basis, orders = path(mixed, 2, 0)
         assert pres == G(0, (6,)), path.__name__
         assert orders == [6]
@@ -179,6 +184,57 @@ def test_coprime_torsion_merges_to_invariant_factors(rp2):
         for k in (2, 3):
             assert not is_cohomologous(gen.scale(k), zero)
         assert is_cohomologous(gen.scale(6), zero)
+
+
+def _universal_coefficients(x, q, n):
+    """H^q(X;Z) (x) Z/n + Tor(H^{q+1}(X;Z), Z/n), from the integral groups."""
+    hq = cohomology(x, q, 0)[0]
+    torsion_above = cohomology(x, q + 1, 0)[0].invariant_factors
+    factors = [n] * hq.free_rank + [gcd(d, n) for d in hq.invariant_factors + torsion_above]
+    return G(0, normalize_factors(factors))
+
+
+def _product_with_s1(name):
+    return corpus.product(corpus.complex_by_name(name), corpus.complex_by_name("s1"))[0]
+
+
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES + ("rp2xs1", "kleinxs1"))
+def test_universal_coefficients(name):
+    x = _product_with_s1(name[: -len("xs1")]) if name.endswith("xs1") else corpus.complex_by_name(name)
+    for n in (4, 6, 8, 9):
+        for q in range(x.dim + 1):
+            assert cohomology(x, q, n)[0] == _universal_coefficients(x, q, n), (q, n)
+
+
+def test_cohomology_adds_no_attributes_to_the_complex():
+    # caches are declared in SimplicialComplex.__init__; attributes added
+    # later slow down every attribute load on the complex
+    x = _product_with_s1("rp2")
+    keys = set(vars(x))
+    for n in (0, 2, 3, 4):
+        for q in range(x.dim + 1):
+            _, basis = cohomology(x, q, n)
+            orders = generator_orders(x, q, n)
+            for cls in basis:
+                assert class_coordinates(cls.cochain, basis, orders) is not None
+                assert not is_cohomologous(cls.cochain, Cochain.zero(x, q, n))
+    coboundary_matrix(x, 1)
+    assert set(vars(x)) == keys
+
+
+def test_huge_prime_modulus(rp2):
+    p = 2**61 - 1
+    start = time.perf_counter()
+    assert cohomology(rp2, 0, p)[0] == G(0, (p,))
+    assert cohomology(rp2, 1, p)[0].is_trivial()
+    assert cohomology(rp2, 2, p)[0].is_trivial()
+    assert time.perf_counter() - start < 10
+
+
+def test_named_product_is_the_projected_product():
+    prod, p1, p2 = corpus.product_with_projections("rp2", "rp2")
+    assert corpus.complex_by_name("rp2xrp2") is prod
+    assert p1.source is prod and p2.source is prod
 
 
 def test_class_coordinates_roundtrip():
