@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import is_prime
+from .exact_linalg import is_prime, kernel_mod_p, rref
 
 
 @dataclass(frozen=True)
@@ -145,24 +145,7 @@ def block(f: Field, grid):
 
 
 def rank(f: Field, a) -> int:
-    rows = [list(r) for r in a]
-    nr, nc = _shape(a)
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if not f.is_zero(rows[i][c])), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(nr):
-            if i != r and not f.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == nr:
-            break
-    return r
+    return len(rref(a, _shape(a)[1], f.char)[1])
 
 
 def kernel_basis(f: Field, a, ncols: int | None = None):
@@ -170,89 +153,28 @@ def kernel_basis(f: Field, a, ncols: int | None = None):
 
     ncols must be given when a has no rows (the shape is not recoverable).
     """
-    nr, nc = _shape(a)
-    if ncols is not None:
-        nc = ncols
-    rows = [list(r) for r in a]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if not f.is_zero(rows[i][c])), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(nr):
-            if i != r and not f.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(nc):
-        if free in pivot_set:
-            continue
-        vec = [f.zero()] * nc
-        vec[free] = f.one()
-        for rr, c in enumerate(pivots):
-            vec[c] = f.neg(rows[rr][free])
-        basis.append(vec)
-    return basis
+    return kernel_mod_p(a, _shape(a)[1] if ncols is None else ncols, f.char)
 
 
 def invert(f: Field, a):
     """Inverse of a square matrix, or None if singular."""
     n = len(a)
-    aug = [list(row) + [f.one() if i == j else f.zero() for j in range(n)] for i, row in enumerate(a)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if not f.is_zero(aug[i][c])), None)
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = f.inv(aug[r][c])
-        aug[r] = [f.mul(inv, x) for x in aug[r]]
-        for i in range(n):
-            if i != r and not f.is_zero(aug[i][c]):
-                factor = aug[i][c]
-                aug[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return tuple(tuple(row[n:]) for row in aug)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    rows, pivots = rref(aug, n, f.char)
+    if len(pivots) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def solve(f: Field, a, b, ncols: int | None = None):
     """One solution x of a*x = b over the field, or None (free vars 0)."""
-    nr, nc = _shape(a)
-    if ncols is not None:
-        nc = ncols
-    rows = [list(ra) + [bv] for ra, bv in zip(a, b)] if nr else []
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if not f.is_zero(rows[i][c])), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(nr):
-            if i != r and not f.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if not f.is_zero(rows[i][nc]):
-            return None
+    nc = _shape(a)[1] if ncols is None else ncols
+    rows, pivots = rref([list(ra) + [bv] for ra, bv in zip(a, b)], nc, f.char)
+    if any(row[nc] for row in rows[len(pivots) :]):
+        return None
     x = [f.zero()] * nc
-    for rr, c in enumerate(pivots):
-        x[c] = rows[rr][nc]
+    for row, c in zip(rows, pivots):
+        x[c] = row[nc]
     return x
 
 

@@ -1,9 +1,10 @@
-"""Exact linear algebra over Z and Z/n.
+"""Exact linear algebra over Z, Z/n and fields.
 
 Everything here is arbitrary-precision: Smith normal form with unimodular
 transforms, sparse matrices with a Markowitz-pivoted elimination that logs
 its row and column operations, linear system solving modulo n (n = 0 means
-"over Z"), and cokernel presentations of finitely generated abelian groups.
+"over Z"), cokernel presentations of finitely generated abelian groups,
+and one dense Gauss-Jordan `rref` over F_p or, for p = 0, over Q.
 All functions are pure and deterministic; repeated solves against the same
 matrix reuse a cached factorization.
 """
@@ -11,6 +12,7 @@ matrix reuse a cached factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -193,25 +195,64 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite n that is not a perfect power: Pollard's
+    rho with Brent's cycle detection, from x = 2 with the fixed seeds c = 1, 2, ..."""
+    for c in range(1, n):
+        x = y = 2
+        power = steps = 1
+        g = 1
+        while g == 1:
+            if steps == power:
+                x, power, steps = y, 2 * power, 0
+            y = (y * y + c) % n
+            steps += 1
+            g = gcd(x - y, n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"no factor found for {n}")
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) by Newton's iteration from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _split(n: int) -> tuple[int, int]:
+    """Two proper factors of the composite n."""
+    for k in range(2, n.bit_length()):
+        r = _integer_root(n, k)
+        if r**k == n:
+            return r, n // r
+    f = _rho_factor(n)
+    return f, n // f
+
+
 def prime_powers(d: int) -> list[tuple[int, int]]:
     """[(p, p**e), ...] over the primes p dividing d, ascending; [] for d < 2.
 
-    Trial division, which stops once the cofactor left is prime."""
-    out = []
+    Trial division below 1000, then a composite cofactor is split by perfect
+    roots or Pollard-Brent rho until every part is prime."""
+    powers: dict[int, int] = {}
     p = 2
-    prime_left = is_prime(d)
-    while not prime_left and p * p <= d:
-        if d % p == 0:
-            power = 1
-            while d % p == 0:
-                d //= p
-                power *= p
-            out.append((p, power))
-            prime_left = is_prime(d)
+    while p < 1000 and p * p <= d:
+        while d % p == 0:
+            d //= p
+            powers[p] = powers.get(p, 1) * p
         p += 1
-    if d > 1:
-        out.append((d, d))
-    return out
+    parts = [d] if d > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            powers[m] = powers.get(m, 1) * m
+        else:
+            parts.extend(_split(m))
+    return sorted(powers.items())
 
 
 def normalize_factors(factors) -> tuple[int, ...]:
@@ -892,44 +933,52 @@ def f2_unpack(bits: int, ncols: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# F_p elimination toolkit (dense, small fields); used by higher modules
+# Dense Gauss-Jordan over a field: F_p, or Q (Fraction entries) when p = 0
 
 
-def rref_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_p; returns (rref rows, pivot columns)."""
-    rows = [[x % p for x in row] for row in rows]
-    ncols = len(rows[0]) if rows else 0
+def rref(rows, ncols: int, p: int) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over F_p, or over Q when p = 0.
+
+    Pivots are sought only in the first ncols columns; later columns are
+    carried along (an augmented right-hand side or identity).  Returns all
+    rows, pivot rows first, and the pivot columns ascending.
+    """
+    rows = [[x % p for x in row] if p else [Fraction(x) for x in row] for row in rows]
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        inv = pow(rows[r][c], -1, p) if p else 1 / rows[r][c]
+        pivot = rows[r] = [x * inv % p for x in rows[r]] if p else [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = (
+                    [(x - f * y) % p for x, y in zip(row, pivot)] if p
+                    else [x - f * y for x, y in zip(row, pivot)]
+                )
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
     return rows, pivots
 
 
-def kernel_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """Basis of the null space of the matrix over F_p, in free-column order."""
-    rref, pivots = rref_mod_p(rows, p)
+def kernel_mod_p(rows, ncols: int, p: int) -> list[list]:
+    """Basis of the null space over F_p (over Q when p = 0), one vector per
+    free column, ascending."""
+    reduced, pivots = rref(rows, ncols, p)
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = (-rref[r][free]) % p
+        vec = [zero] * ncols
+        vec[free] = one
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row[free] % p if p else -row[free]
         basis.append(vec)
     return basis

@@ -20,8 +20,6 @@ from .exact_linalg import (
     _OpLogSolver,
     f2_kernel,
     f2_unpack,
-    is_prime,
-    kernel_mod_p,
     prime_powers,
     solve_mod,
 )
@@ -301,28 +299,6 @@ def _cohomology_degree_zero(x: SimplicialComplex, n: int):
     return pres, basis, orders
 
 
-class _SpanModP:
-    """Incremental row span over F_p; insert() reports whether the rank grew."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: list[tuple[int, list[int]]] = []  # (pivot column, normalized row)
-
-    def insert(self, vec) -> bool:
-        p = self.p
-        v = [a % p for a in vec]
-        for pivot, row in self.rows:
-            if v[pivot]:
-                f = v[pivot]
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        j = next((i for i, a in enumerate(v) if a), None)
-        if j is None:
-            return False
-        inv = pow(v[j], -1, p)
-        self.rows.append((j, [(a * inv) % p for a in v]))
-        return True
-
-
 def _cohomology_mod_2(x: SimplicialComplex, q: int):
     m0 = x.simplex_count(q)
     kernel = f2_kernel(_coboundary(x, q).f2_rows(), m0)
@@ -338,23 +314,8 @@ def _cohomology_mod_2(x: SimplicialComplex, q: int):
     return pres, basis, [2] * h
 
 
-def _cohomology_mod_p(x: SimplicialComplex, q: int, p: int):
-    if p == 2:
-        return _cohomology_mod_2(x, q)
-    m0 = x.simplex_count(q)
-    kernel = kernel_mod_p(_coboundary(x, q).to_dense().to_rows(), m0, p)
-    span = _SpanModP(p)
-    for col in _coboundary(x, q - 1).transpose().data:
-        span.insert([col.get(i, 0) for i in range(m0)])
-    reps = [vec for vec in kernel if span.insert(vec)]
-    basis = [CohomologyClass(Cochain(x, q, p, tuple(vec))) for vec in reps]
-    h = len(basis)
-    pres = AbelianGroupPresentation(0, (p,) * h) if h else AbelianGroupPresentation.trivial()
-    return pres, basis, [p] * h
-
-
 def _cohomology_integral_sparse(x: SimplicialComplex, q: int, n: int):
-    """H^q(X; Z/n) for n = 0 or composite n, from sparse op-log factorizations.
+    """H^q(X; Z/n) for any n >= 0, from sparse op-log factorizations.
 
     Cocycles mod n are the lattice {v : delta_q v = 0 (mod n)}: the kernel
     of [delta_q | n I], cut to its first m_q coordinates.  The relations are
@@ -460,8 +421,8 @@ def cohomology(x: SimplicialComplex, q: int, n: int = 0):
         result = (AbelianGroupPresentation.trivial(), [], [])
     elif q == 0:
         result = _cohomology_degree_zero(x, n)
-    elif n != 0 and is_prime(n):
-        result = _cohomology_mod_p(x, q, n)
+    elif n == 2:
+        result = _cohomology_mod_2(x, q)
     else:
         result = _cohomology_integral_sparse(x, q, n)
     x._cohom_cache[key] = result

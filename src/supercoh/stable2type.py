@@ -27,6 +27,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
+from .dsv import Field, invert
 from .exact_linalg import (
     AbelianGroupPresentation,
     IntMatrix,
@@ -228,7 +229,7 @@ def _transform_q_columns(d1, d2, pi0, pi1, t0, t1):
         for old_j in old_m2:
             row.append(matrix[old_j][new_i] % 2)
         m2.append(row)
-    inv = _invert_f2(m2)
+    inv = invert(Field(2), m2)
     if inv is None:
         raise ArithmeticError("mod-2 generator transform is not invertible")
     q_by_old = {}
@@ -252,25 +253,6 @@ def _mod2_gen_indices_concat(a, b, t0):
     out = list(_mod2_generator_indices(a))
     out.extend(t0["offset_b"] + i for i in _mod2_generator_indices(b))
     return out
-
-
-def _invert_f2(m):
-    n = len(m)
-    aug = [
-        [m[i][j] % 2 for j in range(n)] + [1 if i == j else 0 for j in range(n)]
-        for i in range(n)
-    ]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if aug[i][c]), None)
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                aug[i] = [(x + y) % 2 for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercoh.dsv import (
     QQ,
@@ -15,9 +17,14 @@ from supercoh.dsv import (
     homology,
     homotopy_inverse,
     identity,
+    invert,
     is_invertible,
     is_quasi_iso,
+    kernel_basis,
     mat_mul,
+    rank,
+    solve,
+    sum_mul,
     swap_map,
     tensor,
     unit_virtual_dim,
@@ -53,6 +60,61 @@ class TestConstruction:
         u = DSV.unit(QQ)
         assert (u.dim0, u.dim1) == (1, 0)
         assert homology(u) == (1, 0)
+
+
+@st.composite
+def field_matrices(draw, square=False):
+    """(field, rows, cols, matrix) over Q, F2, F3 or F5, at most 6x6, zero-heavy
+    so that rank deficits are common."""
+    f = draw(st.sampled_from((QQ, Field(2), Field(3), Field(5))))
+    rows = draw(st.integers(0, 6))
+    cols = rows if square else draw(st.integers(0, 6))
+    values = (0, 0, 0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)) if f.char == 0 else (0, 0, 1, 2, 3, 4)
+    entry = st.sampled_from(values).map(f.of)
+    m = tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows))
+    return f, rows, cols, m
+
+
+def _apply(f, m, vec):
+    return [sum_mul(f, row, vec) for row in m]
+
+
+class TestFieldElimination:
+    """rank, kernel_basis, solve and invert, all built on exact_linalg.rref."""
+
+    @given(field_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_basis(self, case):
+        f, rows, cols, a = case
+        basis = kernel_basis(f, a, cols)
+        assert len(basis) == cols - rank(f, a)
+        for v in basis:
+            assert _apply(f, a, v) == [f.zero()] * rows
+        assert rank(f, tuple(map(tuple, basis))) == len(basis)
+
+    @given(field_matrices(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_solve(self, case, data):
+        f, rows, cols, a = case
+        values = st.integers(-3, 3).map(f.of)
+        if data.draw(st.booleans()):
+            b = _apply(f, a, [data.draw(values) for _ in range(cols)])
+        else:
+            b = [data.draw(values) for _ in range(rows)]
+        x = solve(f, a, b, cols)
+        augmented = tuple(row + (bv,) for row, bv in zip(a, b))
+        assert (x is None) == (rank(f, augmented) > rank(f, a))
+        if x is not None:
+            assert len(x) == cols and _apply(f, a, x) == b
+
+    @given(field_matrices(square=True))
+    @settings(max_examples=150, deadline=None)
+    def test_invert(self, case):
+        f, n, _, a = case
+        inv = invert(f, a)
+        assert (inv is None) == (rank(f, a) < n)
+        if inv is not None:
+            assert mat_mul(f, a, inv) == identity(f, n)
 
 
 class TestTensor:

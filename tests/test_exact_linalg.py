@@ -269,6 +269,12 @@ class TestPrimes:
         assert prime_powers(360) == [(2, 8), (3, 9), (5, 5)]
         assert prime_powers(2**61 - 1) == [(2**61 - 1, 2**61 - 1)]
         assert prime_powers(1) == []
+        # two large prime factors: trial division alone never finishes
+        assert prime_powers((2**31 - 1) * (2**61 - 1)) == [
+            (2**31 - 1, 2**31 - 1),
+            (2**61 - 1, 2**61 - 1),
+        ]
+        assert prime_powers(8 * (2**61 - 1) ** 2) == [(2, 8), (2**61 - 1, (2**61 - 1) ** 2)]
 
 
 class TestCokernel:
@@ -301,6 +307,31 @@ class TestCokernel:
         shuffled = [[row[j] for j in perm] for row in rows]
         m2 = IntMatrix.from_rows(shuffled) if rows else m
         assert cokernel(m2, 0) == pres
+
+
+class TestSympySmithOracle:
+    """The dense SNF against sympy's, which shares no code with it."""
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda r: st.integers(1, 5).flatmap(
+                lambda c: st.lists(st.integers(-9, 9), min_size=r * c, max_size=r * c).map(
+                    lambda e: IntMatrix(r, c, tuple(e))
+                )
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_diagonal_and_cokernel(self, m):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        d = sympy_snf(sympy.Matrix(m.to_rows()), domain=sympy.ZZ)
+        expected = sorted(abs(int(d[i, i])) for i in range(min(m.rows, m.cols)) if d[i, i])
+        assert [x for x in smith_decomposition(m).diagonal() if x] == expected
+        assert cokernel(m, 0) == AbelianGroupPresentation(
+            m.rows - len(expected), tuple(x for x in expected if x > 1)
+        )
 
 
 class TestPresentations:

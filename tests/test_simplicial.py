@@ -130,7 +130,7 @@ def test_sparse_path_agrees_with_dense(all_surfaces):
 
     for x in all_surfaces.values():
         for q in range(1, x.dim + 1):
-            for n in (0, 4, 6, 8):
+            for n in (0, 3, 4, 5, 6, 8):
                 dense = cohomology_integral_dense(x, q, n)
                 sparse = _cohomology_integral_sparse(x, q, n)
                 assert dense[0] == sparse[0]
@@ -201,7 +201,7 @@ def _product_with_s1(name):
 @pytest.mark.parametrize("name", corpus.CORPUS_NAMES + ("rp2xs1", "kleinxs1"))
 def test_universal_coefficients(name):
     x = _product_with_s1(name[: -len("xs1")]) if name.endswith("xs1") else corpus.complex_by_name(name)
-    for n in (4, 6, 8, 9):
+    for n in (3, 4, 5, 6, 7, 8, 9):
         for q in range(x.dim + 1):
             assert cohomology(x, q, n)[0] == _universal_coefficients(x, q, n), (q, n)
 
@@ -229,6 +229,13 @@ def test_huge_prime_modulus(rp2):
     assert cohomology(rp2, 1, p)[0].is_trivial()
     assert cohomology(rp2, 2, p)[0].is_trivial()
     assert time.perf_counter() - start < 10
+
+
+def test_modulus_with_two_large_prime_factors(s1):
+    n = (2**31 - 1) * (2**61 - 1)
+    start = time.perf_counter()
+    assert cohomology(s1, 1, n)[0] == G(0, (n,))
+    assert time.perf_counter() - start < 2
 
 
 def test_named_product_is_the_projected_product():
