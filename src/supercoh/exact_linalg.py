@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, prod
 
 
 @dataclass(frozen=True)
@@ -195,83 +195,59 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _rho_factor(n: int) -> int:
-    """A proper factor of a composite n that is not a perfect power: Pollard's
-    rho with Brent's cycle detection, from x = 2 with the fixed seeds c = 1, 2, ..."""
-    for c in range(1, n):
-        x = y = 2
-        power = steps = 1
-        g = 1
-        while g == 1:
-            if steps == power:
-                x, power, steps = y, 2 * power, 0
-            y = (y * y + c) % n
-            steps += 1
-            g = gcd(x - y, n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"no factor found for {n}")
-
-
-def _integer_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) by Newton's iteration from above."""
-    r = 1 << -(-n.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
-
-
-def _split(n: int) -> tuple[int, int]:
-    """Two proper factors of the composite n."""
-    for k in range(2, n.bit_length()):
-        r = _integer_root(n, k)
-        if r**k == n:
-            return r, n // r
-    f = _rho_factor(n)
-    return f, n // f
-
-
-def prime_powers(d: int) -> list[tuple[int, int]]:
-    """[(p, p**e), ...] over the primes p dividing d, ascending; [] for d < 2.
-
-    Trial division below 1000, then a composite cofactor is split by perfect
-    roots or Pollard-Brent rho until every part is prime."""
-    powers: dict[int, int] = {}
-    p = 2
-    while p < 1000 and p * p <= d:
-        while d % p == 0:
-            d //= p
-            powers[p] = powers.get(p, 1) * p
-        p += 1
-    parts = [d] if d > 1 else []
-    while parts:
-        m = parts.pop()
-        if is_prime(m):
-            powers[m] = powers.get(m, 1) * m
+def coprime_base(values) -> list[int]:
+    """Pairwise coprime integers > 1 such that every value > 1 is a product of
+    their powers.  Built by gcd refinement, so no value is ever factored."""
+    base: list[int] = []
+    todo = [abs(v) for v in values]
+    while todo:
+        a = todo.pop()
+        if a < 2:
+            continue
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                # a and b are products of g, a // g and b // g; refine those
+                del base[i]
+                todo += (g, a // g, b // g)
+                break
         else:
-            parts.extend(_split(m))
-    return sorted(powers.items())
+            base.append(a)
+    return base
+
+
+def invariant_factor_chain(orders) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """Invariant factors of the sum of Z/d over orders = [(d, key), ...], each
+    with the cyclic parts it combines, ascending by factor.
+
+    A coprime base of the orders splits Z/d into the Z/part for one part per
+    base element b: the largest power of b dividing d.  Per b the parts are
+    dealt largest first, ties to the larger key, and factor t is the product
+    of the t-th parts.  Returns [(factor, [(d, part, key), ...]), ...]; orders
+    below 2 contribute nothing."""
+    orders = [(d, key) for d, key in orders if d > 1]
+    slots: dict[int, list[tuple[int, int, int]]] = {}
+    for b in coprime_base(d for d, _ in orders):
+        for d, key in orders:
+            part = 1
+            while d % (part * b) == 0:
+                part *= b
+            if part > 1:
+                slots.setdefault(b, []).append((part, key, d))
+    for dealt in slots.values():
+        dealt.sort(reverse=True)
+    depth = max(map(len, slots.values()), default=0)
+    chain = []
+    for t in range(depth):
+        parts = [dealt[t] for dealt in slots.values() if t < len(dealt)]
+        chain.append((prod(part for part, _, _ in parts), [(d, part, key) for part, key, d in parts]))
+    chain.sort(key=lambda fp: fp[0])
+    return chain
 
 
 def normalize_factors(factors) -> tuple[int, ...]:
     """Rewrite an arbitrary list of cyclic orders as an invariant-factor chain."""
-    primes: dict[int, list[int]] = {}
-    for d in factors:
-        for p, power in prime_powers(d):
-            primes.setdefault(p, []).append(power)
-    for p in primes:
-        primes[p].sort(reverse=True)
-    depth = max((len(v) for v in primes.values()), default=0)
-    chain = []
-    for k in range(depth):
-        d = 1
-        for p, powers in primes.items():
-            if k < len(powers):
-                d *= powers[k]
-        chain.append(d)
-    return tuple(sorted(chain))
+    return tuple(f for f, _ in invariant_factor_chain([(d, i) for i, d in enumerate(factors)]))
 
 
 def direct_sum(*groups: AbelianGroupPresentation) -> AbelianGroupPresentation:

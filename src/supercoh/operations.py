@@ -9,7 +9,8 @@ coboundary by m, landing in integral cochains.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import floordiv, mod, mul
 
 from .simplicial import Cochain, CohomologyClass
 
@@ -19,13 +20,8 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
     if a.complex != b.complex or a.modulus != b.modulus:
         raise ValueError("cup product needs a common complex and modulus")
     x = a.complex
-    p, q = a.degree, b.degree
-    out = []
-    for s in x.simplices(p + q):
-        front = s[: p + 1]
-        back = s[p:]
-        out.append(a.value_on(front) * b.value_on(back))
-    return Cochain(x, p + q, a.modulus, tuple(out))
+    front, back = x.cup_table(a.degree, b.degree)
+    return Cochain(x, a.degree + b.degree, a.modulus, tuple(map(mul, front(a.values), back(b.values))))
 
 
 def cup_i(i: int, a: Cochain, b: Cochain) -> Cochain:
@@ -99,13 +95,10 @@ def bockstein(b: CohomologyClass) -> CohomologyClass:
     m = b.modulus
     if m <= 0:
         raise ValueError("bockstein needs a finite modulus")
-    lift = Cochain(b.complex, b.degree, 0, b.cochain.values)
-    d = lift.coboundary()
-    if any(v % m for v in d.values):
+    d = b.cochain.coboundary_values()  # the values are the lift
+    if any(map(mod, d, repeat(m))):
         raise ValueError("input is not a mod-m cocycle")
-    return CohomologyClass(
-        Cochain(b.complex, b.degree + 1, 0, tuple(v // m for v in d.values))
-    )
+    return CohomologyClass(Cochain(b.complex, b.degree + 1, 0, tuple(map(floordiv, d, repeat(m)))))
 
 
 def sq1_via_bockstein(b: CohomologyClass) -> CohomologyClass:

@@ -10,7 +10,8 @@ generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, cycle, repeat
+from operator import add, itemgetter, mod, mul, neg, sub
 
 from .exact_linalg import (
     AbelianGroupPresentation,
@@ -20,11 +21,23 @@ from .exact_linalg import (
     _OpLogSolver,
     f2_kernel,
     f2_unpack,
-    prime_powers,
+    invariant_factor_chain,
     solve_mod,
 )
 
 DEFAULT_DIMENSION_CAP = 6
+
+
+def _gather(indices: tuple):
+    """values -> tuple(values[i] for i in indices), in one C-level call where
+    itemgetter allows it: it returns a bare value for one index and needs at
+    least one."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda values: (values[i],)
+    return lambda values: ()
 
 
 class SimplicialComplex:
@@ -60,7 +73,10 @@ class SimplicialComplex:
             {s: i for i, s in enumerate(level)} for level in self._simplices
         ]
         # caches live here, declared up front: attributes added later would
-        # turn the _index loads in Cochain.coboundary into slow lookups
+        # turn every attribute load on the complex into a slower lookup.
+        # _face_tables holds the face-index vectors of the cochain kernels,
+        # keyed ("faces", q) and ("cup", p, q); see face_table and cup_table
+        self._face_tables: dict = {}
         self._coboundaries: dict[int, SparseMatrix] = {}
         self._cohom_cache: dict = {}
         self._coordinate_systems: dict = {}
@@ -80,6 +96,34 @@ class SimplicialComplex:
         if q < 0 or q > self.dim:
             raise KeyError(simplex)
         return self._index[q][simplex]
+
+    def face_table(self, q: int) -> tuple:
+        """(indices, gathers) for delta_q, q >= 0.  indices holds q + 2 vectors:
+        entry i of vector k is the index of the k-th face of the i-th
+        (q+1)-simplex.  gathers[k] maps a q-cochain's values to their tuple
+        on those faces."""
+        key = ("faces", q)
+        table = self._face_tables.get(key)
+        if table is None:
+            upper = self.simplices(q + 1)
+            indices = tuple(
+                tuple(self._index[q][s[:k] + s[k + 1 :]] for s in upper) for k in range(q + 2)
+            )
+            table = self._face_tables[key] = (indices, tuple(map(_gather, indices)))
+        return table
+
+    def cup_table(self, p: int, q: int) -> tuple:
+        """(front, back) gathers for the cup product of a p- and a q-cochain:
+        the values on the front p-face and the back q-face of every
+        (p+q)-simplex."""
+        key = ("cup", p, q)
+        table = self._face_tables.get(key)
+        if table is None:
+            top = self.simplices(p + q)
+            front = tuple(self._index[p][s[: p + 1]] for s in top)
+            back = tuple(self._index[q][s[p:]] for s in top)
+            table = self._face_tables[key] = (_gather(front), _gather(back))
+        return table
 
     def contains(self, simplex) -> bool:
         simplex = tuple(simplex)
@@ -157,6 +201,8 @@ class Cochain:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError(f"cochain degree must be >= 0, got {self.degree}")
         expected = self.complex.simplex_count(self.degree)
         if len(self.values) != expected:
             raise ValueError(
@@ -166,7 +212,7 @@ class Cochain:
             raise ValueError("modulus must be >= 0")
         if self.modulus:
             object.__setattr__(
-                self, "values", tuple(v % self.modulus for v in self.values)
+                self, "values", tuple(map(mod, self.values, repeat(self.modulus)))
             )
 
     @classmethod
@@ -190,7 +236,7 @@ class Cochain:
             self.complex,
             self.degree,
             self.modulus,
-            tuple(a + b for a, b in zip(self.values, other.values)),
+            tuple(map(add, self.values, other.values)),
         )
 
     def __sub__(self, other: "Cochain") -> "Cochain":
@@ -199,39 +245,39 @@ class Cochain:
             self.complex,
             self.degree,
             self.modulus,
-            tuple(a - b for a, b in zip(self.values, other.values)),
+            tuple(map(sub, self.values, other.values)),
         )
 
     def __neg__(self) -> "Cochain":
-        return Cochain(self.complex, self.degree, self.modulus, tuple(-a for a in self.values))
+        return Cochain(self.complex, self.degree, self.modulus, tuple(map(neg, self.values)))
 
     def scale(self, k: int) -> "Cochain":
-        return Cochain(self.complex, self.degree, self.modulus, tuple(k * a for a in self.values))
+        return Cochain(self.complex, self.degree, self.modulus, tuple(map(mul, repeat(k), self.values)))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.values)
 
     def value_on(self, simplex) -> int:
         return self.values[self.complex.index_of(simplex)]
 
+    def coboundary_values(self) -> tuple[int, ...]:
+        """Values of delta on the (q+1)-simplices as integers, not reduced:
+        the alternating sum of the values gathered on each face."""
+        first, *rest = self.complex.face_table(self.degree)[1]
+        values = self.values
+        acc = first(values)
+        for gather, op in zip(rest, cycle((sub, add))):
+            acc = map(op, acc, gather(values))
+        return tuple(acc)
+
     def coboundary(self) -> "Cochain":
-        x = self.complex
-        q = self.degree
-        out = []
-        for s in x.simplices(q + 1):
-            acc = 0
-            for i in range(q + 2):
-                face = s[:i] + s[i + 1 :]
-                v = self.values[x._index[q][face]]
-                acc += v if i % 2 == 0 else -v
-            out.append(acc)
-        return Cochain(x, q + 1, self.modulus, tuple(out))
+        return Cochain(self.complex, self.degree + 1, self.modulus, self.coboundary_values())
 
     def is_cocycle(self) -> bool:
-        d = self.coboundary()
+        d = self.coboundary_values()
         if self.modulus:
-            return all(v % self.modulus == 0 for v in d.values)
-        return d.is_zero()
+            return not any(map(mod, d, repeat(self.modulus)))
+        return not any(d)
 
 
 @dataclass(frozen=True)
@@ -263,11 +309,11 @@ def _coboundary(x: SimplicialComplex, q: int) -> SparseMatrix:
     q = max(q, -1)
     m = x._coboundaries.get(q)
     if m is None:
-        faces = x._index[q] if 0 <= q <= x.dim else {}
-        data = [
-            {faces[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1 for i in range(q + 2)} if q >= 0 else {}
-            for s in x.simplices(q + 1)
-        ]
+        if q < 0:
+            data = [{} for _ in x.simplices(0)]
+        else:
+            signs = [(-1) ** k for k in range(q + 2)]
+            data = [dict(zip(faces, signs)) for faces in zip(*x.face_table(q)[0])]
         m = x._coboundaries[q] = SparseMatrix(len(data), x.simplex_count(q), data)
     return m
 
@@ -353,29 +399,10 @@ def _cohomology_integral_sparse(x: SimplicialComplex, q: int, n: int):
     if coord_rows is None:
         raise ArithmeticError("vector not in kernel lattice")
     wsolver = _OpLogSolver(SparseMatrix(k, len(relations), coord_rows))
-    pivots = [(row, abs(d)) for row, _, d in wsolver.pivots]
+    # invariant-factor chain with matched generators: a part of order power
+    # of the pivot row of order d_row is d_row // power times its U^-1 column
+    chain = invariant_factor_chain([(abs(d), row) for row, _, d in wsolver.pivots])
     free_rows = wsolver.zero_rows
-    # invariant-factor chain with matched generators: redistribute the prime
-    # powers of the pivot values, largest first per prime, then CRT-combine
-    prime_slots: dict[int, list[tuple[int, int]]] = {}
-    for row, d in pivots:
-        for p, power in prime_powers(d):
-            prime_slots.setdefault(p, []).append((power, row))
-    for p in prime_slots:
-        prime_slots[p].sort(reverse=True)
-    depth = max((len(v) for v in prime_slots.values()), default=0)
-    chain = []
-    for t in range(depth):
-        factor = 1
-        parts = []  # (cyclic order of the pivot, prime power, pivot row)
-        for p, slots in prime_slots.items():
-            if t < len(slots):
-                power, row = slots[t]
-                factor *= power
-                d_row = next(d for r, d in pivots if r == row)
-                parts.append((d_row, power, row))
-        chain.append((factor, parts))
-    chain.sort(key=lambda fp: fp[0])
     uinv_cache: dict[int, list[int]] = {}
 
     def uinv(row):

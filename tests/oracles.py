@@ -1,11 +1,42 @@
 """Reference implementations that the library no longer uses, kept as test
-oracles: the dense Smith-normal-form cohomology path and the scan-based pivot
-search of the op-log factorization."""
+oracles: the dense Smith-normal-form cohomology path, the scan-based pivot
+search of the op-log factorization, and the per-simplex loops of the cochain
+coboundary and cup product."""
 
 from __future__ import annotations
 
 from supercoh.exact_linalg import AbelianGroupPresentation, IntMatrix, _OpLogSolver, smith_decomposition
 from supercoh.simplicial import Cochain, CohomologyClass, SimplicialComplex, coboundary_matrix
+
+
+def coboundary_loop(self: Cochain) -> Cochain:
+    """Cochain.coboundary as a loop over the faces of every (q+1)-simplex."""
+    x = self.complex
+    q = self.degree
+    out = []
+    for s in x.simplices(q + 1):
+        acc = 0
+        for i in range(q + 2):
+            face = s[:i] + s[i + 1 :]
+            v = self.values[x._index[q][face]]
+            acc += v if i % 2 == 0 else -v
+        out.append(acc)
+    return Cochain(x, q + 1, self.modulus, tuple(out))
+
+
+def cup_value_on(a: Cochain, b: Cochain) -> Cochain:
+    """operations.cup with a value_on lookup of the front and back face of
+    every simplex."""
+    if a.complex != b.complex or a.modulus != b.modulus:
+        raise ValueError("cup product needs a common complex and modulus")
+    x = a.complex
+    p, q = a.degree, b.degree
+    out = []
+    for s in x.simplices(p + q):
+        front = s[: p + 1]
+        back = s[p:]
+        out.append(a.value_on(front) * b.value_on(back))
+    return Cochain(x, p + q, a.modulus, tuple(out))
 
 
 def _coboundary_or_empty(x: SimplicialComplex, q: int) -> IntMatrix:

@@ -1,4 +1,6 @@
+from itertools import combinations
 from itertools import product as iproduct
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,11 @@ from supercoh.exact_linalg import (
     IntMatrix,
     SparseMatrix,
     _OpLogSolver,
+    coprime_base,
     cokernel,
     direct_sum,
     is_prime,
     normalize_factors,
-    prime_powers,
     smith_decomposition,
     smith_normal_form,
     solve_mod,
@@ -265,16 +267,21 @@ class TestPrimes:
         for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
             assert not is_prime(n)
 
-    def test_prime_powers(self):
-        assert prime_powers(360) == [(2, 8), (3, 9), (5, 5)]
-        assert prime_powers(2**61 - 1) == [(2**61 - 1, 2**61 - 1)]
-        assert prime_powers(1) == []
-        # two large prime factors: trial division alone never finishes
-        assert prime_powers((2**31 - 1) * (2**61 - 1)) == [
-            (2**31 - 1, 2**31 - 1),
-            (2**61 - 1, 2**61 - 1),
-        ]
-        assert prime_powers(8 * (2**61 - 1) ** 2) == [(2, 8), (2**61 - 1, (2**61 - 1) ** 2)]
+    def test_coprime_base(self):
+        p, q = 2**61 - 1, 2**61 - 31  # two 61-bit primes
+        cases = ([360], [12, 18], [6, 10, 15], [2, 4, 8], [(2**31 - 1) * p, p], [p * q], [8 * p**2, 12])
+        for values in cases:
+            base = coprime_base(values)
+            assert all(b > 1 for b in base)
+            assert all(gcd(a, b) == 1 for a, b in combinations(base, 2))
+            for v in values:
+                for b in base:
+                    while v % b == 0:
+                        v //= b
+                assert v == 1
+        assert sorted(coprime_base([12, 18])) == [2, 3]
+        assert coprime_base([p * q]) == [p * q]  # never factored
+        assert coprime_base([0, 1, -1]) == []
 
 
 class TestCokernel:
@@ -340,6 +347,26 @@ class TestPresentations:
         assert normalize_factors([2, 4]) == (2, 4)
         assert normalize_factors([6, 4]) == (2, 12)
         assert normalize_factors([]) == ()
+        p, q = 2**61 - 1, 2**61 - 31
+        assert normalize_factors([p * q, q, 1]) == (q, p * q)
+
+    @given(st.lists(st.integers(1, 360), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_normalize_factors_by_prime_powers(self, orders):
+        # the chain from trial-division prime powers, largest first per prime
+        powers: dict[int, list[int]] = {}
+        for d in orders:
+            for r in range(2, d + 1):
+                if d % r == 0 and all(r % s for s in range(2, r)):
+                    part = 1
+                    while d % (part * r) == 0:
+                        part *= r
+                    powers.setdefault(r, []).append(part)
+        depth = max(map(len, powers.values()), default=0)
+        chain = [
+            prod(sorted(v, reverse=True)[t] for v in powers.values() if t < len(v)) for t in range(depth)
+        ]
+        assert normalize_factors(orders) == tuple(sorted(chain))
 
     def test_direct_sum(self):
         a = AbelianGroupPresentation(1, (2,))

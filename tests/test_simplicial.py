@@ -1,19 +1,22 @@
+import random
 import time
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cohomology_integral_dense
+from oracles import coboundary_loop, cohomology_integral_dense, cup_value_on
 
-from supercoh import corpus
+from supercoh import brauer, corpus
 from supercoh.exact_linalg import AbelianGroupPresentation as G
 from supercoh.exact_linalg import normalize_factors
+from supercoh.operations import bockstein, cup, cup_i
 from supercoh.simplicial import (
     Cochain,
     CohomologyClass,
     SimplicialComplex,
     SimplicialMap,
+    _coboundary,
     class_coordinates,
     coboundary_matrix,
     cohomology,
@@ -218,7 +221,16 @@ def test_cohomology_adds_no_attributes_to_the_complex():
             for cls in basis:
                 assert class_coordinates(cls.cochain, basis, orders) is not None
                 assert not is_cohomologous(cls.cochain, Cochain.zero(x, q, n))
+                cls.cochain.coboundary()
     coboundary_matrix(x, 1)
+    b = cohomology(x, 1, 2)[1][0]
+    cup(b.cochain, b.cochain)
+    cup_i(1, b.cochain, b.cochain)
+    bockstein(b)
+    rng = random.Random(3)
+    for variant in ("ku", "ko"):
+        u, v = (brauer.random_element(x, variant, rng) for _ in range(2))
+        assert brauer.equals(brauer.add(u, v), brauer.add(v, u))
     assert set(vars(x)) == keys
 
 
@@ -232,10 +244,11 @@ def test_huge_prime_modulus(rp2):
 
 
 def test_modulus_with_two_large_prime_factors(s1):
-    n = (2**31 - 1) * (2**61 - 1)
-    start = time.perf_counter()
-    assert cohomology(s1, 1, n)[0] == G(0, (n,))
-    assert time.perf_counter() - start < 2
+    # the second modulus is a product of two 61-bit primes
+    for n in ((2**31 - 1) * (2**61 - 1), (2**61 - 1) * (2**61 - 31)):
+        start = time.perf_counter()
+        assert cohomology(s1, 1, n)[0] == G(0, (n,))
+        assert time.perf_counter() - start < 2
 
 
 def test_named_product_is_the_projected_product():
@@ -330,6 +343,13 @@ def test_class_coordinates(t2):
     x = b1.cochain + b2.cochain
     assert class_coordinates(x, basis, orders) == [1, 1]
     assert class_coordinates(b1.cochain, basis, orders) == [1, 0]
+
+
+def test_negative_degree_rejected(rp2):
+    with pytest.raises(ValueError):
+        Cochain(rp2, -1, 0, ())
+    with pytest.raises(ValueError):
+        Cochain.zero(rp2, -2, 2)
 
 
 def test_cocycle_certificate(rp2):
@@ -435,3 +455,58 @@ class TestRandomComplexes:
                 assert not is_cohomologous(cls.cochain, zero)
                 assert order > 0
                 assert is_cohomologous(cls.cochain.scale(order), zero)
+
+
+def _random_cochain(x, q, n, rng):
+    return Cochain(x, q, n, tuple(rng.randrange(-5, 6) for _ in range(x.simplex_count(q))))
+
+
+def _check_kernels(x, n, rng):
+    """Table-driven delta and cup against the loop oracles, against the
+    sparse delta matrix, and delta delta = 0; degrees run one past the top."""
+    for q in range(x.dim + 2):
+        c = _random_cochain(x, q, n, rng)
+        d = c.coboundary()
+        assert d == coboundary_loop(c)
+        image = [sum(v * c.values[j] for j, v in row.items()) for row in _coboundary(x, q).data]
+        assert list(c.coboundary_values()) == image
+        assert d.coboundary().is_zero()
+        assert c.is_cocycle() == coboundary_loop(c).is_zero()
+        for p in range(x.dim + 2 - q):
+            b = _random_cochain(x, p, n, rng)
+            assert cup(c, b) == cup_value_on(c, b)
+            assert cup(b, c) == cup_value_on(b, c)
+
+
+class TestCochainKernels:
+    @given(random_complexes(), st.sampled_from([0, 2, 4]), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_random_complexes(self, x, n, rng):
+        _check_kernels(x, n, rng)
+
+    @given(
+        st.sampled_from(corpus.CORPUS_NAMES + ("rp2xs1",)),
+        st.sampled_from([0, 2, 4]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_corpus(self, name, n, rng):
+        x = _product_with_s1("rp2") if name == "rp2xs1" else corpus.complex_by_name(name)
+        _check_kernels(x, n, rng)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            SimplicialComplex(1, []),  # a single vertex
+            SimplicialComplex(2, [(0, 1)]),  # one 1-simplex: one-index gathers
+            SimplicialComplex(3, [(0, 1, 2)]),  # one top simplex, delta_2 lands in nothing
+            SimplicialComplex(4, [(0, 1, 2), (2, 3)]),
+        ],
+        ids=["vertex", "edge", "triangle", "triangle_and_edge"],
+    )
+    def test_edge_cases(self, x):
+        for n in (0, 2, 4):
+            _check_kernels(x, n, random.Random(n))
+        top = Cochain(x, x.dim, 0, (1,) * x.simplex_count(x.dim))
+        assert top.coboundary().values == ()
+        assert top.is_cocycle()
