@@ -164,10 +164,8 @@ def element_order(x: BrauerElement, cap: int = DEFAULT_ORDER_CAP):
 
 
 def _has_free_part(c: Cochain) -> bool:
-    x = c.complex
-    _, basis = simplicial.cohomology(x, c.degree, c.modulus)
-    orders = simplicial.generator_orders(x, c.degree, c.modulus)
-    coords = simplicial.class_coordinates(c, basis, orders)
+    orders = simplicial.generator_orders(c.complex, c.degree, c.modulus)
+    coords = simplicial.class_coordinates(c)
     if coords is None:
         raise ArithmeticError("cocycle not expressible in the cohomology basis")
     return any(co for co, o in zip(coords, orders) if o == 0)
@@ -201,16 +199,14 @@ def _group_from_sectors(x: SimplicialComplex, variant: str, include_a: bool) -> 
     """
     sectors = _sector_data(x, variant, include_a)
     gens = []  # (slot, index, order, element)
-    c_basis = []
-    c_orders = []
+    c_rank = 0
     for slot, deg, mod, basis, orders in sectors:
         for i, (cls, order) in enumerate(zip(basis, orders)):
             el = _generator_element(x, variant, slot, cls.cochain)
             gens.append((slot, i, order, el))
         if slot == "c":
-            c_basis = basis
-            c_orders = orders
-    c_offset = len(gens) - len(c_basis)
+            c_rank = len(basis)
+    c_offset = len(gens) - c_rank
     relations = []
     for pos, (slot, i, order, el) in enumerate(gens):
         if order == 0:
@@ -221,7 +217,7 @@ def _group_from_sectors(x: SimplicialComplex, variant: str, include_a: bool) -> 
         # n*g lands in the c sector: a and b parts are exactly zero cochains
         if not (acc.a.is_zero() and acc.b.is_zero()):
             raise ArithmeticError("torsion power did not collapse to the c sector")
-        coords = simplicial.class_coordinates(acc.c, c_basis, c_orders)
+        coords = simplicial.class_coordinates(acc.c)
         if coords is None:
             raise ArithmeticError("relation target not in the c-basis span")
         col = [0] * len(gens)
@@ -312,17 +308,13 @@ def random_element(x: SimplicialComplex, variant: str, rng: Random) -> BrauerEle
 def _random_cocycle(x: SimplicialComplex, deg: int, mod: int, rng: Random) -> Cochain:
     _, basis = simplicial.cohomology(x, deg, mod)
     out = _random_coboundary(x, deg, mod, rng)
-    hi = mod if mod else 5
-    for cls in basis:
-        out = out + cls.cochain.scale(rng.randrange(hi))
+    for cls, k in zip(basis, rng.choices(range(mod or 5), k=len(basis))):
+        out = out + cls.cochain.scale(k)
     return out
 
 
 def _random_coboundary(x: SimplicialComplex, deg: int, mod: int, rng: Random) -> Cochain:
     if deg == 0:
         return Cochain.zero(x, 0, mod)
-    hi = mod if mod else 7
-    z = Cochain(
-        x, deg - 1, mod, tuple(rng.randrange(hi) for _ in range(x.simplex_count(deg - 1)))
-    )
-    return z.coboundary()
+    values = rng.choices(range(mod or 7), k=x.simplex_count(deg - 1))
+    return Cochain(x, deg - 1, mod, tuple(values)).coboundary()

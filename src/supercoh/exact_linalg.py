@@ -316,13 +316,6 @@ def _smith_inner(m: IntMatrix):
             r[i], r[j] = r[j], r[i]
         vinv[i], vinv[j] = vinv[j], vinv[i]
 
-    def col_neg(j):
-        for r in a:
-            r[j] = -r[j]
-        for r in v:
-            r[j] = -r[j]
-        vinv[j] = [-x for x in vinv[j]]
-
     def col_axpy(src, dst, q):
         # col_dst -= q * col_src
         if not q:
@@ -509,7 +502,7 @@ class SparseMatrix:
         answers every other modulus; each is built once."""
         s = self._solvers.get(f2)
         if s is None:
-            s = self._solvers[f2] = _F2Solver(self) if f2 else _OpLogSolver(self)
+            s = self._solvers[f2] = F2Echelon.of_matrix(self) if f2 else _OpLogSolver(self)
         return s
 
 
@@ -657,9 +650,8 @@ class _OpLogSolver:
         self.zero_rows = sorted(active_rows)
         self.free_cols = sorted(active_cols)
 
-    def solve(self, b, n: int):
-        if len(b) != self.nrows:
-            raise ValueError("dimension mismatch between matrix and vector")
+    def row_transform(self, b) -> list[int]:
+        """U b: the row ops replayed on a copy of b."""
         v = list(b)
         for op in self.row_ops:
             if op[0] == "axpy":
@@ -667,6 +659,12 @@ class _OpLogSolver:
                 v[dst] -= q * v[src]
             else:
                 v[op[1]] = -v[op[1]]
+        return v
+
+    def solve(self, b, n: int):
+        if len(b) != self.nrows:
+            raise ValueError("dimension mismatch between matrix and vector")
+        v = self.row_transform(b)
         y = [0] * self.ncols
         for i, j, d in self.pivots:
             yj = _solve_scalar(d, v[i], n)
@@ -766,51 +764,6 @@ def _solve_scalar(d: int, c: int, n: int):
     return (c // g) * pow(d // g, -1, nn) % nn
 
 
-class _F2Solver:
-    """Row echelon of [A | I] over F2 with bitmask rows, for repeated solves."""
-
-    def __init__(self, m):
-        m = _as_sparse(m)
-        self.nrows = m.rows
-        self.ncols = m.cols
-        echelon: list[tuple[int, int, int]] = []  # (pivot_col, a_bits, u_bits)
-        residue: list[tuple[int, int]] = []
-        for i, a_bits in enumerate(m.f2_rows()):
-            u_bits = 1 << i
-            for pcol, pa, pu in echelon:
-                if (a_bits >> pcol) & 1:
-                    a_bits ^= pa
-                    u_bits ^= pu
-            if a_bits:
-                pcol = (a_bits & -a_bits).bit_length() - 1
-                echelon.append((pcol, a_bits, u_bits))
-            else:
-                residue.append((a_bits, u_bits))
-        self.echelon = echelon
-        self.residue = residue
-
-    def solve(self, b):
-        b_bits = 0
-        for i, x in enumerate(b):
-            if x & 1:
-                b_bits |= 1 << i
-        for _, u_bits in self.residue:
-            if (u_bits & b_bits).bit_count() & 1:
-                return None
-        x_bits = 0
-        for pcol, a_bits, u_bits in reversed(self.echelon):
-            rhs = (u_bits & b_bits).bit_count() & 1
-            rhs ^= ((a_bits & x_bits).bit_count() & 1)
-            if rhs:
-                x_bits |= 1 << pcol
-        out = [0] * self.ncols
-        while x_bits:
-            j = (x_bits & -x_bits).bit_length() - 1
-            out[j] = 1
-            x_bits &= x_bits - 1
-        return out
-
-
 @lru_cache(maxsize=_MAX_CACHED_SOLVERS)
 def _cached_sparse(m: IntMatrix) -> SparseMatrix:
     return SparseMatrix.from_dense(m)
@@ -852,60 +805,98 @@ def cokernel(a: IntMatrix, n: int) -> AbelianGroupPresentation:
 
 
 # ---------------------------------------------------------------------------
-# F_2 bitset toolkit (rows packed into Python ints, bit j = column j)
+# F_2 bitsets: rows packed into Python ints, bit j = column j
 
 
-def f2_rref(rows: list[int]) -> tuple[list[int], list[int]]:
-    """Reduced echelon rows (nonzero only) and their pivot columns, ascending."""
-    echelon: list[tuple[int, int]] = []
-    for row in rows:
-        for pcol, prow in echelon:
-            if (row >> pcol) & 1:
-                row ^= prow
+class F2Echelon:
+    """Row echelon over F2 keyed by pivot, the lowest set bit of each row.
+
+    A row is reduced by looking up the row whose pivot is its lowest set bit,
+    until that bit is no pivot, so rows that cannot apply are never scanned
+    (Zomorodian and Carlsson, "Computing persistent homology", DCG 2005).
+    Bits at and above width form a tag: XORed along with the row, it records
+    which inserted rows the row combines.  Pivots lie below width.
+    """
+
+    def __init__(self, width: int | None = None):
+        self.width = width
+        self.mask = -1 if width is None else (1 << width) - 1
+        self.pivots: dict[int, int] = {}  # 1 << pivot column -> row
+        self.residue: list[int] = []  # tagged rows whose columns reduced to zero
+
+    @classmethod
+    def of_matrix(cls, m: SparseMatrix) -> "F2Echelon":
+        """Reduced echelon of [A mod 2 | I], row i tagged with bit i, for solve()."""
+        echelon = cls(m.cols)
+        for i, bits in enumerate(m.f2_rows()):
+            echelon.insert(bits | 1 << (m.cols + i))
+        echelon.back_substitute()
+        return echelon
+
+    def reduce(self, row: int) -> int:
+        pivots = self.pivots
+        while row and (prow := pivots.get(row & -row)):
+            row ^= prow
+        return row
+
+    def insert(self, row: int) -> bool:
+        """Add row to the span; True when the rank grew."""
+        row = self.reduce(row)
+        if row & self.mask:
+            self.pivots[row & -row] = row
+            return True
         if row:
-            pcol = (row & -row).bit_length() - 1
-            for i, (c, r) in enumerate(echelon):
-                if (r >> pcol) & 1:
-                    echelon[i] = (c, r ^ row)
-            echelon.append((pcol, row))
-    echelon.sort()
-    return [r for _, r in echelon], [c for c, _ in echelon]
+            self.residue.append(row)
+        return False
+
+    def back_substitute(self):
+        """Clear from every row the pivots of the other rows (reduced echelon form)."""
+        pivots = self.pivots
+        done = 0
+        for p in sorted(pivots, reverse=True):
+            row = pivots[p]
+            hits = row & done
+            while hits:
+                q = hits & -hits
+                row ^= pivots[q]
+                hits ^= q
+            pivots[p] = row
+            done |= p
+
+    def solve(self, b):
+        """For an echelon from of_matrix: the x with A x = b over F2 that is
+        zero off the pivot columns, or None when there is none."""
+        z = f2_pack(b) << self.width
+        if any((r & z).bit_count() & 1 for r in self.residue):
+            return None
+        x = sum(p for p, row in self.pivots.items() if (row & z).bit_count() & 1)
+        return f2_unpack(x, self.width)
 
 
 def f2_kernel(rows: list[int], ncols: int) -> list[int]:
-    """Null-space basis over F2 as bitmasks, one per free column, ascending."""
-    rref, pivots = f2_rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for prow, pcol in zip(rref, pivots):
-            if (prow >> free) & 1:
-                vec |= 1 << pcol
-        basis.append(vec)
-    return basis
+    """Null-space basis over F2 as bitmasks, one per free column, ascending:
+    the free bit plus the pivot bits whose reduced rows contain it."""
+    echelon = F2Echelon()
+    for row in rows:
+        echelon.insert(row)
+    echelon.back_substitute()
+    basis = {f: f for f in (1 << j for j in range(ncols)) if f not in echelon.pivots}
+    for p, row in echelon.pivots.items():
+        free = row ^ p
+        while free:
+            f = free & -free
+            basis[f] |= p
+            free ^= f
+    return list(basis.values())
 
 
-class F2Span:
-    """Incremental F2 row span; insert() reports whether the rank grew."""
-
-    def __init__(self):
-        self.echelon: list[tuple[int, int]] = []
-
-    def insert(self, row: int) -> bool:
-        for pcol, prow in self.echelon:
-            if (row >> pcol) & 1:
-                row ^= prow
-        if not row:
-            return False
-        self.echelon.append(((row & -row).bit_length() - 1, row))
-        return True
+def f2_pack(values) -> int:
+    """Bitmask of the odd entries: bit j is set when values[j] is odd."""
+    return int("0" + "".join(["01"[v & 1] for v in reversed(values)]), 2)
 
 
 def f2_unpack(bits: int, ncols: int) -> list[int]:
-    return [(bits >> j) & 1 for j in range(ncols)]
+    return [1 if c == "1" else 0 for c in format(bits, f"0{ncols}b")[::-1][:ncols]]
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,18 @@ generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, cycle, repeat
 from operator import add, itemgetter, mod, mul, neg, sub
 
 from .exact_linalg import (
     AbelianGroupPresentation,
-    F2Span,
+    F2Echelon,
     IntMatrix,
     SparseMatrix,
     _OpLogSolver,
     f2_kernel,
+    f2_pack,
     f2_unpack,
     invariant_factor_chain,
     solve_mod,
@@ -79,7 +81,6 @@ class SimplicialComplex:
         self._face_tables: dict = {}
         self._coboundaries: dict[int, SparseMatrix] = {}
         self._cohom_cache: dict = {}
-        self._coordinate_systems: dict = {}
         self._components = None
 
     def simplices(self, q: int) -> tuple:
@@ -161,7 +162,7 @@ class SimplicialComplex:
         raise KeyError(vertex)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, SimplicialComplex)
             and self.vertex_count == other.vertex_count
             and self.maximal_simplices == other.maximal_simplices
@@ -328,6 +329,11 @@ def coboundary_matrix(x: SimplicialComplex, q: int, n: int = 0) -> IntMatrix:
     return m
 
 
+def _no_coordinates(xc: Cochain) -> list[int] | None:
+    """Class coordinates in a trivial group: [] for a cocycle."""
+    return [] if xc.is_cocycle() else None
+
+
 def _cohomology_degree_zero(x: SimplicialComplex, n: int):
     comps = x.components()
     basis = []
@@ -342,22 +348,40 @@ def _cohomology_degree_zero(x: SimplicialComplex, n: int):
     else:
         pres = AbelianGroupPresentation(0, (n,) * len(comps)) if comps else AbelianGroupPresentation.trivial()
         orders = [n] * len(comps)
-    return pres, basis, orders
+
+    def coordinates(xc):
+        # a 0-cocycle is constant on each component
+        return [xc.values[comp[0]] for comp in comps] if xc.is_cocycle() else None
+
+    return pres, basis, orders, coordinates
 
 
 def _cohomology_mod_2(x: SimplicialComplex, q: int):
     m0 = x.simplex_count(q)
     kernel = f2_kernel(_coboundary(x, q).f2_rows(), m0)
-    span = F2Span()
+    # im delta_{q-1}, then each kernel vector outside the span so far, tagged
+    # with its own bit above the columns
+    span = F2Echelon(m0)
     for col_bits in _coboundary(x, q - 1).transpose().f2_rows():
         span.insert(col_bits)
-    reps = [bits for bits in kernel if span.insert(bits)]
+    reps = []
+    for bits in kernel:
+        if span.reduce(bits) & span.mask:
+            span.insert(bits | 1 << (m0 + len(reps)))
+            reps.append(bits)
     basis = [
         CohomologyClass(Cochain(x, q, 2, tuple(f2_unpack(bits, m0)))) for bits in reps
     ]
     h = len(basis)
     pres = AbelianGroupPresentation(0, (2,) * h) if h else AbelianGroupPresentation.trivial()
-    return pres, basis, [2] * h
+
+    def coordinates(xc):
+        # a cocycle reduces to zero in its columns, leaving the tags of the
+        # representatives it combines
+        rest = span.reduce(f2_pack(xc.values))
+        return None if rest & span.mask else [(rest >> (m0 + t)) & 1 for t in range(h)]
+
+    return pres, basis, [2] * h, coordinates
 
 
 def _cohomology_integral_sparse(x: SimplicialComplex, q: int, n: int):
@@ -367,7 +391,7 @@ def _cohomology_integral_sparse(x: SimplicialComplex, q: int, n: int):
     of [delta_q | n I], cut to its first m_q coordinates.  The relations are
     the columns of delta_{q-1} and, for n > 0, n e_i.  Their coordinates in
     the lattice form a matrix whose diagonalization gives the group and,
-    through logged transforms, the generators.
+    through logged transforms, the generators and the coordinates of a class.
     """
     m0 = x.simplex_count(q)
     dq = _coboundary(x, q)
@@ -378,23 +402,15 @@ def _cohomology_integral_sparse(x: SimplicialComplex, q: int, n: int):
         ksolver = _OpLogSolver(SparseMatrix(dq.rows, m0 + dq.rows, stack))
     k = len(ksolver.free_cols)
     if k == 0:
-        return AbelianGroupPresentation.trivial(), [], []
+        return AbelianGroupPresentation.trivial(), [], [], _no_coordinates
 
     relations = _coboundary(x, q - 1).transpose().data
     if n:
-        relations += [{i: n} for i in range(m0)]
-        dq_cols = dq.transpose().data
-        for vec in relations:
-            # lift v to (v, -(delta_q v) / n) in the kernel of the stack
-            image: dict[int, int] = {}
-            for j, v in vec.items():
-                for i, d in dq_cols[j].items():
-                    image[i] = image.get(i, 0) + d * v
-            for i, y in image.items():
-                if y % n:
-                    raise ArithmeticError("vector not in the mod-n kernel lattice")
-                if y:
-                    vec[m0 + i] = -(y // n)
+        # v lifts to (v, -(delta_q v) / n) in the kernel of the stack: a
+        # coboundary to itself, n e_i to (n e_i, -delta_q e_i)
+        relations += [
+            {i: n, **{m0 + r: -d for r, d in col.items()}} for i, col in enumerate(dq.transpose().data)
+        ]
     coord_rows = ksolver.free_coordinate_rows(relations)
     if coord_rows is None:
         raise ArithmeticError("vector not in kernel lattice")
@@ -403,13 +419,7 @@ def _cohomology_integral_sparse(x: SimplicialComplex, q: int, n: int):
     # of the pivot row of order d_row is d_row // power times its U^-1 column
     chain = invariant_factor_chain([(abs(d), row) for row, _, d in wsolver.pivots])
     free_rows = wsolver.zero_rows
-    uinv_cache: dict[int, list[int]] = {}
-
-    def uinv(row):
-        if row not in uinv_cache:
-            uinv_cache[row] = wsolver.u_inverse_column(row)
-        return uinv_cache[row]
-
+    uinv = cache(wsolver.u_inverse_column)
     gen_coord_vectors = []
     orders = []
     for factor, parts in chain:
@@ -429,7 +439,28 @@ def _cohomology_integral_sparse(x: SimplicialComplex, q: int, n: int):
         CohomologyClass(Cochain(x, q, n, tuple(ksolver.kernel_combination(coords)[:m0])))
         for coords in gen_coord_vectors
     ]
-    return pres, basis, orders
+
+    def coordinates(xc):
+        # lift xc into the kernel as the relations were lifted (a
+        # non-cocycle has no lift); y = U (kernel coordinates) then gives
+        # the class as y_row modulo d_row on pivot rows, y_row on free rows
+        d = xc.coboundary_values()
+        if any(map(mod, d, repeat(n))) if n else any(d):
+            return None
+        lift = xc.values + tuple(-(v // n) for v in d) if n else xc.values
+        y = wsolver.row_transform(ksolver.free_coordinates(lift))
+        out = []
+        for factor, parts in chain:
+            # a generator is d_row // power on each of its rows, so its
+            # coordinate is y_row / (d_row // power) modulo each power: CRT
+            c = 0
+            for d_row, power, row in parts:
+                rest = factor // power
+                c += y[row] * pow(d_row // power, -1, power) * rest * pow(rest, -1, power)
+            out.append(c % factor)
+        return out + [y[r] for r in free_rows]
+
+    return pres, basis, orders, coordinates
 
 
 def cohomology(x: SimplicialComplex, q: int, n: int = 0):
@@ -438,6 +469,8 @@ def cohomology(x: SimplicialComplex, q: int, n: int = 0):
     Basis classes are listed torsion generators first (matching the
     invariant factors in order) and then free generators; the list order is
     deterministic.  Degrees beyond the dimension give the trivial group.
+    The cache entry also keeps the generator orders and a reader of class
+    coordinates (see class_coordinates).
     """
     if q < 0:
         raise ValueError("degree must be >= 0")
@@ -445,7 +478,7 @@ def cohomology(x: SimplicialComplex, q: int, n: int = 0):
     if key in x._cohom_cache:
         return x._cohom_cache[key][:2]
     if q > x.dim:
-        result = (AbelianGroupPresentation.trivial(), [], [])
+        result = (AbelianGroupPresentation.trivial(), [], [], _no_coordinates)
     elif q == 0:
         result = _cohomology_degree_zero(x, n)
     elif n == 2:
@@ -479,36 +512,18 @@ def is_cohomologous(a: Cochain, b: Cochain) -> bool:
     return solve_mod(_coboundary(a.complex, q - 1), list(diff.values), a.modulus) is not None
 
 
-def class_coordinates(xc: Cochain, basis, orders) -> list[int] | None:
-    """Coordinates of [xc] in the given cohomology basis, or None if outside.
+def class_coordinates(xc: Cochain) -> list[int] | None:
+    """Coordinates of [xc] in the basis cohomology() gives for its degree and
+    modulus, or None when xc is not a cocycle.
 
     Coordinates for torsion generators are canonicalized modulo the order.
+    They are read off the factorizations that cohomology() keeps.
     """
-    if not basis:
-        zero = Cochain.zero(xc.complex, xc.degree, xc.modulus)
-        return [] if is_cohomologous(xc, zero) else None
     x = xc.complex
-    q = xc.degree
-    n = xc.modulus
-    dprev = _coboundary(x, q - 1)
-    # the system [delta_{q-1} | basis] is built and factored once per basis
-    key = (q, n, tuple(cls.cochain.values for cls in basis))
-    system = x._coordinate_systems.get(key)
-    if system is None:
-        data = [dict(row) for row in dprev.data]
-        for t, cls in enumerate(basis):
-            for i, v in enumerate(cls.cochain.values):
-                if v:
-                    data[i][dprev.cols + t] = v
-        system = x._coordinate_systems[key] = SparseMatrix(dprev.rows, dprev.cols + len(basis), data)
-    sol = solve_mod(system, list(xc.values), n)
-    if sol is None:
-        return None
-    coords = sol[dprev.cols :]
-    out = []
-    for c, d in zip(coords, orders):
-        out.append(c % d if d else c)
-    return out
+    key = (xc.degree, xc.modulus)
+    if key not in x._cohom_cache:
+        cohomology(x, *key)
+    return x._cohom_cache[key][3](xc)
 
 
 class SimplicialMap:

@@ -1,12 +1,21 @@
 """Reference implementations that the library no longer uses, kept as test
 oracles: the dense Smith-normal-form cohomology path, the scan-based pivot
-search of the op-log factorization, and the per-simplex loops of the cochain
-coboundary and cup product."""
+search of the op-log factorization, the per-simplex loops of the cochain
+coboundary and cup product, the scanning F2 echelons, and class coordinates
+by a solve against [delta | basis]."""
 
 from __future__ import annotations
 
-from supercoh.exact_linalg import AbelianGroupPresentation, IntMatrix, _OpLogSolver, smith_decomposition
-from supercoh.simplicial import Cochain, CohomologyClass, SimplicialComplex, coboundary_matrix
+from supercoh.exact_linalg import (
+    AbelianGroupPresentation,
+    IntMatrix,
+    SparseMatrix,
+    _as_sparse,
+    _OpLogSolver,
+    smith_decomposition,
+    solve_mod,
+)
+from supercoh.simplicial import Cochain, CohomologyClass, SimplicialComplex, _coboundary, coboundary_matrix
 
 
 def coboundary_loop(self: Cochain) -> Cochain:
@@ -215,3 +224,133 @@ class ScanOpLogSolver(_OpLogSolver):
         self.pivots = pivots
         self.zero_rows = sorted(active_rows)
         self.free_cols = sorted(active_cols)
+
+
+def f2_rref(rows: list[int]) -> tuple[list[int], list[int]]:
+    """Reduced echelon rows (nonzero only) and their pivot columns, ascending."""
+    echelon: list[tuple[int, int]] = []
+    for row in rows:
+        for pcol, prow in echelon:
+            if (row >> pcol) & 1:
+                row ^= prow
+        if row:
+            pcol = (row & -row).bit_length() - 1
+            for i, (c, r) in enumerate(echelon):
+                if (r >> pcol) & 1:
+                    echelon[i] = (c, r ^ row)
+            echelon.append((pcol, row))
+    echelon.sort()
+    return [r for _, r in echelon], [c for c, _ in echelon]
+
+
+def f2_kernel(rows: list[int], ncols: int) -> list[int]:
+    """Null-space basis over F2 as bitmasks, one per free column, ascending."""
+    rref, pivots = f2_rref(rows)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = 1 << free
+        for prow, pcol in zip(rref, pivots):
+            if (prow >> free) & 1:
+                vec |= 1 << pcol
+        basis.append(vec)
+    return basis
+
+
+class F2Span:
+    """Incremental F2 row span; insert() reports whether the rank grew."""
+
+    def __init__(self):
+        self.echelon: list[tuple[int, int]] = []
+
+    def insert(self, row: int) -> bool:
+        for pcol, prow in self.echelon:
+            if (row >> pcol) & 1:
+                row ^= prow
+        if not row:
+            return False
+        self.echelon.append(((row & -row).bit_length() - 1, row))
+        return True
+
+
+class F2Solver:
+    """Row echelon of [A | I] over F2 with bitmask rows, for repeated solves."""
+
+    def __init__(self, m):
+        m = _as_sparse(m)
+        self.nrows = m.rows
+        self.ncols = m.cols
+        echelon: list[tuple[int, int, int]] = []  # (pivot_col, a_bits, u_bits)
+        residue: list[tuple[int, int]] = []
+        for i, a_bits in enumerate(m.f2_rows()):
+            u_bits = 1 << i
+            for pcol, pa, pu in echelon:
+                if (a_bits >> pcol) & 1:
+                    a_bits ^= pa
+                    u_bits ^= pu
+            if a_bits:
+                pcol = (a_bits & -a_bits).bit_length() - 1
+                echelon.append((pcol, a_bits, u_bits))
+            else:
+                residue.append((a_bits, u_bits))
+        self.echelon = echelon
+        self.residue = residue
+
+    def solve(self, b):
+        b_bits = 0
+        for i, x in enumerate(b):
+            if x & 1:
+                b_bits |= 1 << i
+        for _, u_bits in self.residue:
+            if (u_bits & b_bits).bit_count() & 1:
+                return None
+        x_bits = 0
+        for pcol, a_bits, u_bits in reversed(self.echelon):
+            rhs = (u_bits & b_bits).bit_count() & 1
+            rhs ^= ((a_bits & x_bits).bit_count() & 1)
+            if rhs:
+                x_bits |= 1 << pcol
+        out = [0] * self.ncols
+        while x_bits:
+            j = (x_bits & -x_bits).bit_length() - 1
+            out[j] = 1
+            x_bits &= x_bits - 1
+        return out
+
+
+_coordinate_systems: dict = {}
+
+
+def class_coordinates_solve(xc: Cochain, basis, orders) -> list[int] | None:
+    """class_coordinates as a solve of [delta_{q-1} | basis] y = xc (mod n).
+
+    Its systems are cached here rather than on the complex, it solves mod 2
+    with F2Solver above, and an empty basis takes the same solve, so a
+    non-cocycle gives None there too."""
+    x = xc.complex
+    q = xc.degree
+    n = xc.modulus
+    dprev = _coboundary(x, q - 1)
+    # the system [delta_{q-1} | basis] is built and factored once per basis
+    key = (x, q, n, tuple(cls.cochain.values for cls in basis))
+    system = _coordinate_systems.get(key)
+    if system is None:
+        data = [dict(row) for row in dprev.data]
+        for t, cls in enumerate(basis):
+            for i, v in enumerate(cls.cochain.values):
+                if v:
+                    data[i][dprev.cols + t] = v
+        system = SparseMatrix(dprev.rows, dprev.cols + len(basis), data)
+        if n == 2:
+            system = F2Solver(system)
+        _coordinate_systems[key] = system
+    sol = system.solve(list(xc.values)) if n == 2 else solve_mod(system, list(xc.values), n)
+    if sol is None:
+        return None
+    coords = sol[dprev.cols :]
+    out = []
+    for c, d in zip(coords, orders):
+        out.append(c % d if d else c)
+    return out

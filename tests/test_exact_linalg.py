@@ -6,17 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ScanOpLogSolver
+from oracles import F2Solver, F2Span, ScanOpLogSolver, f2_rref
+from oracles import f2_kernel as f2_kernel_scan
 
 from supercoh import corpus
 from supercoh.exact_linalg import (
     AbelianGroupPresentation,
+    F2Echelon,
     IntMatrix,
     SparseMatrix,
     _OpLogSolver,
     coprime_base,
     cokernel,
     direct_sum,
+    f2_kernel,
     is_prime,
     normalize_factors,
     smith_decomposition,
@@ -250,6 +253,49 @@ class TestSparseMatrix:
         s = SparseMatrix.from_dense(mat([[2, 1], [0, 3]]))
         assert s.solver() is s.solver()
         assert s.solver(f2=True) is s.solver(f2=True)
+
+
+# (ncols, rows) with every row below 2**ncols: 0 x k, k x 0 and single rows included
+bit_matrices = st.integers(0, 12).flatmap(
+    lambda c: st.tuples(st.just(c), st.lists(st.integers(0, 2**c - 1), max_size=12))
+)
+
+
+class TestF2Echelon:
+    """The pivot-dict echelon against the scanning echelons it replaced."""
+
+    @given(bit_matrices)
+    @settings(max_examples=300, deadline=None)
+    def test_kernel(self, m):
+        c, rows = m
+        assert f2_kernel(rows, c) == f2_kernel_scan(rows, c)
+
+    @given(bit_matrices, st.lists(st.integers(0, 2**12 - 1), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_span_membership(self, m, probes):
+        c, rows = m
+        echelon, span = F2Echelon(), F2Span()
+        for row in rows:
+            assert echelon.insert(row) == span.insert(row)
+        rank = len(f2_rref(rows)[1])
+        for v in probes:
+            v &= (1 << c) - 1
+            assert (echelon.reduce(v) == 0) == (len(f2_rref(rows + [v])[1]) == rank)
+
+    @given(bit_matrices, st.integers(0, 2**12 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_solve(self, m, b_bits):
+        c, rows = m
+        a = SparseMatrix(len(rows), c, [{j: 1 for j in range(c) if row >> j & 1} for row in rows])
+        b = [(b_bits >> i) & 1 for i in range(len(rows))]
+        assert solve_mod(a, b, 2) == F2Solver(a).solve(b)
+
+    def test_coboundaries(self, rp2xrp2):
+        from supercoh.simplicial import _coboundary
+
+        for q in range(rp2xrp2.dim + 1):
+            rows, m0 = _coboundary(rp2xrp2, q).f2_rows(), rp2xrp2.simplex_count(q)
+            assert f2_kernel(rows, m0) == f2_kernel_scan(rows, m0)
 
 
 class TestPrimes:
