@@ -5,7 +5,6 @@ from .exact_linalg import (
     AbelianGroupPresentation,
     IntMatrix,
     cokernel,
-    smith_normal_form,
     solve_mod,
 )
 from .simplicial import (
@@ -31,7 +30,6 @@ __all__ = [
     "cohomology",
     "cokernel",
     "is_cohomologous",
-    "smith_normal_form",
     "solve_mod",
     "__version__",
 ]

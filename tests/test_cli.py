@@ -134,6 +134,11 @@ class TestVerifyVerb:
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
 
+    def test_all_suites(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "24/24 checks passed"
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import F2Solver, F2Span, ScanOpLogSolver, f2_rref
+from oracles import (
+    F2Solver,
+    F2Span,
+    ScanOpLogSolver,
+    cokernel_dense,
+    f2_rref,
+    smith_decomposition,
+    smith_normal_form,
+)
 from oracles import f2_kernel as f2_kernel_scan
 
 from supercoh import corpus
@@ -22,8 +30,6 @@ from supercoh.exact_linalg import (
     f2_kernel,
     is_prime,
     normalize_factors,
-    smith_decomposition,
-    smith_normal_form,
     solve_mod,
 )
 from supercoh.simplicial import coboundary_matrix
@@ -49,6 +55,9 @@ small_matrices = st.integers(0, 4).flatmap(
         ).map(lambda e: IntMatrix(r, c, tuple(e)))
     )
 )
+
+
+COKERNEL_MODULI = (0, 2, 3, 4, 6, 12)
 
 
 class TestSmithNormalForm:
@@ -252,7 +261,6 @@ class TestSparseMatrix:
     def test_factorization_is_cached_on_the_matrix(self):
         s = SparseMatrix.from_dense(mat([[2, 1], [0, 3]]))
         assert s.solver() is s.solver()
-        assert s.solver(f2=True) is s.solver(f2=True)
 
 
 # (ncols, rows) with every row below 2**ncols: 0 x k, k x 0 and single rows included
@@ -288,7 +296,10 @@ class TestF2Echelon:
         c, rows = m
         a = SparseMatrix(len(rows), c, [{j: 1 for j in range(c) if row >> j & 1} for row in rows])
         b = [(b_bits >> i) & 1 for i in range(len(rows))]
-        assert solve_mod(a, b, 2) == F2Solver(a).solve(b)
+        x = solve_mod(a, b, 2)
+        assert (x is None) == (F2Solver(a).solve(b) is None)
+        if x is not None:
+            assert all((p - q) % 2 == 0 for p, q in zip(a.to_dense().mul_vector(x), b))
 
     def test_coboundaries(self, rp2xrp2):
         from supercoh.simplicial import _coboundary
@@ -344,6 +355,13 @@ class TestCokernel:
         # (Z/4)^1 / span(2) = Z/2
         assert cokernel(mat([[2]]), 4) == AbelianGroupPresentation(0, (2,))
 
+    @pytest.mark.parametrize("n", COKERNEL_MODULI)
+    @given(m=st.one_of(small_matrices, sparse_matrices))
+    @settings(max_examples=60, deadline=None)
+    def test_against_the_dense_snf(self, n, m):
+        assert cokernel(m, n) == cokernel_dense(m, n)
+        assert cokernel(SparseMatrix.from_dense(m), n) == cokernel_dense(m, n)
+
     def test_display(self):
         assert str(AbelianGroupPresentation(0, (4, 8))) == "Z/8 ⊕ Z/4"
         assert str(AbelianGroupPresentation(1, ())) == "Z"
@@ -363,7 +381,8 @@ class TestCokernel:
 
 
 class TestSympySmithOracle:
-    """The dense SNF against sympy's, which shares no code with it."""
+    """The dense SNF oracle and cokernel against sympy's SNF, which shares no
+    code with either."""
 
     @given(
         st.integers(1, 5).flatmap(
@@ -372,17 +391,23 @@ class TestSympySmithOracle:
                     lambda e: IntMatrix(r, c, tuple(e))
                 )
             )
-        )
+        ),
+        st.sampled_from(COKERNEL_MODULI),
     )
     @settings(max_examples=80, deadline=None)
-    def test_diagonal_and_cokernel(self, m):
+    def test_diagonal_and_cokernel(self, m, n):
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-        d = sympy_snf(sympy.Matrix(m.to_rows()), domain=sympy.ZZ)
-        expected = sorted(abs(int(d[i, i])) for i in range(min(m.rows, m.cols)) if d[i, i])
+        def invariant_factors(a):
+            d = sympy_snf(sympy.Matrix(a.to_rows()), domain=sympy.ZZ)
+            return sorted(abs(int(d[i, i])) for i in range(min(a.rows, a.cols)) if d[i, i])
+
+        expected = invariant_factors(m)
         assert [x for x in smith_decomposition(m).diagonal() if x] == expected
-        assert cokernel(m, 0) == AbelianGroupPresentation(
+        if n:
+            expected = invariant_factors(m.hstack(IntMatrix.diagonal([n] * m.rows)))
+        assert cokernel(m, n) == AbelianGroupPresentation(
             m.rows - len(expected), tuple(x for x in expected if x > 1)
         )
 

@@ -1,9 +1,14 @@
 import itertools
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import cokernel_dense
 
 from supercoh import stable2type as s2t
 from supercoh.exact_linalg import AbelianGroupPresentation as G
+from supercoh.exact_linalg import IntMatrix, direct_sum, normalize_factors
 
 Z = G(1, ())
 Z2 = G(0, (2,))
@@ -181,3 +186,46 @@ class TestProduct:
                 d % o == 0 for d, o in zip(doubled, (2, 4))
             )
         assert not s2t.is_trivial(p)
+
+    def test_free_factor_before_torsion(self):
+        # the old generators of a come before those of b, free ones included
+        cat = s2t.catalog()
+        z3 = s2t.Stable2TypeData(Z3, G.trivial(), ())
+        p = s2t.product(cat["sphere"], z3)
+        assert (p.pi0, p.pi1, p.q) == (G(1, (3,)), Z2, ((1,),))
+        a = s2t.Stable2TypeData(Z2, Z4, ((2,),))
+        assert s2t.equivalent(s2t.product(cat["sphere"], a), s2t.product(a, cat["sphere"]))
+
+
+presentations = st.builds(
+    lambda free, orders: G(free, normalize_factors(orders)),
+    st.integers(0, 2),
+    st.lists(st.integers(1, 12), max_size=3),
+)
+
+
+@given(presentations, presentations)
+@settings(max_examples=150, deadline=None)
+def test_direct_sum_transform_is_an_isomorphism(a, b):
+    """Each old generator goes to an element of its own order, and the
+    images generate the new group."""
+    pres, info = s2t._direct_sum_tracked(a, b)
+    assert pres == direct_sum(a, b)
+    old = [*a.invariant_factors, *[0] * a.free_rank, *b.invariant_factors, *[0] * b.free_rank]
+    new = info["orders"]
+    for d, image in zip(old, info["matrix"]):
+        if any(c for c, o in zip(image, new) if not o):
+            order = 0
+        else:
+            order = 1
+            for c, o in zip(image, new):
+                k = o // gcd(c, o) if o else 1
+                order = order * k // gcd(order, k)
+        assert order == d
+    # new group / span(images) is trivial: cokernel of [images | orders * I]
+    relations = [
+        list(images) + [o if i == t else 0 for t, o in enumerate(new)]
+        for i, images in enumerate(zip(*info["matrix"]))
+    ]
+    if relations:
+        assert cokernel_dense(IntMatrix.from_rows(relations), 0).is_trivial()
