@@ -260,6 +260,8 @@ def _parse_group(text: str) -> AbelianGroupPresentation:
         if part == "Z":
             free += 1
         elif part.startswith("Z/"):
+            if not part[2:].isdecimal() or int(part[2:]) < 1:
+                raise ParseError(f"cyclic order in {part!r} must be an integer >= 1")
             factors.append(int(part[2:]))
         elif part in ("0", "1", "triv"):
             continue

@@ -3,14 +3,16 @@
 A DSV is a Z/2-graded space V_0 + V_1 with differentials d0: V_0 -> V_1 and
 d1: V_1 -> V_0 composing to zero in both orders.  Tensor products use the
 Koszul sign convention, which forces the odd line's tensor-square symmetry
-to be -1.  Homotopy inverses are found by solving one affine linear system
-over the field.
+to be -1.  A map is a quasi-isomorphism iff its mapping cone is acyclic.
+Homotopy inverses are found by solving one affine linear system over the
+field, assembled from Kronecker blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exact_linalg import is_prime, kernel_mod_p, rref
 
@@ -73,13 +75,12 @@ def _shape_ok(m, rows: int, cols: int) -> bool:
 
 
 def zeros(f: Field, rows: int, cols: int):
-    return tuple(tuple(f.zero() for _ in range(cols)) for _ in range(rows))
+    return ((f.zero(),) * cols,) * rows
 
 
 def identity(f: Field, n: int):
-    return tuple(
-        tuple(f.one() if i == j else f.zero() for j in range(n)) for i in range(n)
-    )
+    z = (f.zero(),)
+    return tuple(z * i + (f.one(),) + z * (n - 1 - i) for i in range(n))
 
 
 def mat(f: Field, data, rows: int, cols: int):
@@ -89,46 +90,55 @@ def mat(f: Field, data, rows: int, cols: int):
     return tuple(tuple(row) for row in data)
 
 
+def _transpose(m, cols: int):
+    """Transpose of a matrix with cols columns (a matrix with no rows
+    carries no column count)."""
+    return tuple(zip(*m)) if m else ((),) * cols
+
+
+def _product(f: Field, a, b, rows: int, cols: int):
+    """a @ b as a rows x cols matrix, the inner dimension being len(b).
+
+    The outer dimensions are explicit because a matrix with no rows carries
+    no column count.  Each entry is one plain sum, reduced once.
+    """
+    bcols = _transpose(b, cols)
+    if f.char:
+        p = f.char
+        return tuple(tuple(sum(map(mul, a[i], col)) % p for col in bcols) for i in range(rows))
+    zero = f.zero()
+    return tuple(tuple(sum(map(mul, a[i], col), zero) for col in bcols) for i in range(rows))
+
+
 def mat_mul(f: Field, a, b):
-    ra, ca = _shape(a)
-    rb, cb = _shape(b)
     if not a:
         return ()
-    if ca != rb:
+    if _shape(a)[1] != len(b):
         raise ValueError("dimension mismatch in matrix product")
-    out = []
-    for i in range(ra):
-        row = []
-        for j in range(cb):
-            acc = f.zero()
-            for k in range(ca):
-                acc = f.add(acc, f.mul(a[i][k], b[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    return _product(f, a, b, len(a), _shape(b)[1])
 
 
 def mat_scale(f: Field, c, a):
-    return tuple(tuple(f.mul(c, x) for x in row) for row in a)
+    if f.char:
+        p = f.char
+        return tuple(tuple(c * x % p for x in row) for row in a)
+    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def is_zero_matrix(a) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
+def _neg(f: Field, a):
+    return mat_scale(f, f.neg(f.one()), a)
+
+
 def kron(f: Field, a, b):
     """Kronecker product; basis e_i (x) e_j ordered with index i*cols(b)+j."""
-    ra, ca = _shape(a)
-    rb, cb = _shape(b)
-    out = []
-    for i in range(ra):
-        for k in range(rb):
-            row = []
-            for j in range(ca):
-                for l in range(cb):
-                    row.append(f.mul(a[i][j], b[k][l]))
-            out.append(tuple(row))
-    return tuple(out) if out else zeros(f, ra * rb, ca * cb)
+    if f.char:
+        p = f.char
+        return tuple(tuple(x * y % p for x in ra for y in rb) for ra in a for rb in b)
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
 
 
 def block(f: Field, grid):
@@ -181,21 +191,6 @@ def solve(f: Field, a, b, ncols: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _composites_equal(f: Field, a, b, c, d, rows: int, cols: int) -> bool:
-    """Entrywise test a@b == c@d on an explicit rows x cols shape."""
-    for i in range(rows):
-        for j in range(cols):
-            left = f.zero()
-            for s in range(len(b)):
-                left = f.add(left, f.mul(a[i][s], b[s][j]))
-            right = f.zero()
-            for t in range(len(d)):
-                right = f.add(right, f.mul(c[i][t], d[t][j]))
-            if left != right:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class DSV:
     """Differential super vector space (V_0 + V_1, d0, d1) with d0d1 = d1d0 = 0."""
@@ -212,11 +207,9 @@ class DSV:
             raise ValueError("d0 must be dim1 x dim0")
         if not _shape_ok(self.d1, self.dim0, self.dim1):
             raise ValueError("d1 must be dim0 x dim1")
-        zero0 = zeros(f, self.dim0, 0)
-        if not _composites_equal(f, self.d1, self.d0, zero0, (), self.dim0, self.dim0):
+        if not is_zero_matrix(_product(f, self.d1, self.d0, self.dim0, self.dim0)):
             raise ValueError("d1 d0 != 0")
-        zero1 = zeros(f, self.dim1, 0)
-        if not _composites_equal(f, self.d0, self.d1, zero1, (), self.dim1, self.dim1):
+        if not is_zero_matrix(_product(f, self.d0, self.d1, self.dim1, self.dim1)):
             raise ValueError("d0 d1 != 0")
 
     @classmethod
@@ -261,15 +254,10 @@ class DSVMap:
             raise ValueError("f0 has wrong shape")
         if not _shape_ok(self.f1, self.target.dim1, self.source.dim1):
             raise ValueError("f1 has wrong shape")
-        if not _composites_equal(
-            fld, self.target.d0, self.f0, self.f1, self.source.d0,
-            self.target.dim1, self.source.dim0,
-        ):
+        v, w = self.source, self.target
+        if _product(fld, w.d0, self.f0, w.dim1, v.dim0) != _product(fld, self.f1, v.d0, w.dim1, v.dim0):
             raise ValueError("map does not commute with d0")
-        if not _composites_equal(
-            fld, self.target.d1, self.f1, self.f0, self.source.d1,
-            self.target.dim0, self.source.dim1,
-        ):
+        if _product(fld, w.d1, self.f1, w.dim0, v.dim1) != _product(fld, self.f0, v.d1, w.dim0, v.dim1):
             raise ValueError("map does not commute with d1")
 
     @classmethod
@@ -304,11 +292,8 @@ class BoundedChainComplex:
             if not _shape_ok(d, self.dims[i], self.dims[i + 1]):
                 raise ValueError(f"boundary {i} has wrong shape")
         for i in range(len(self.boundaries) - 1):
-            zero = zeros(f, self.dims[i], 0)
-            if not _composites_equal(
-                f, self.boundaries[i], self.boundaries[i + 1], zero, (),
-                self.dims[i], self.dims[i + 2],
-            ):
+            composite = _product(f, self.boundaries[i], self.boundaries[i + 1], self.dims[i], self.dims[i + 2])
+            if not is_zero_matrix(composite):
                 raise ValueError("boundary composite is nonzero")
 
     @classmethod
@@ -337,7 +322,7 @@ def tensor(v: DSV, w: DSV) -> DSV:
     d0 = block(
         f,
         [
-            [kron(f, v.d0, i_w0), mat_scale(f, f.neg(f.one()), kron(f, i_v1, w.d1))],
+            [kron(f, v.d0, i_w0), _neg(f, kron(f, i_v1, w.d1))],
             [kron(f, i_v0, w.d0), kron(f, v.d1, i_w1)],
         ],
     )
@@ -345,7 +330,7 @@ def tensor(v: DSV, w: DSV) -> DSV:
         f,
         [
             [kron(f, v.d1, i_w0), kron(f, i_v0, w.d1)],
-            [mat_scale(f, f.neg(f.one()), kron(f, i_v1, w.d0)), kron(f, v.d0, i_w1)],
+            [_neg(f, kron(f, i_v1, w.d0)), kron(f, v.d0, i_w1)],
         ],
     )
     dim0 = v.dim0 * w.dim0 + v.dim1 * w.dim1
@@ -396,25 +381,6 @@ def unit_virtual_dim(v: DSV) -> int:
     return v.dim0 - v.dim1
 
 
-def _quotient_map_iso(f, fmat, ker_src, im_tgt, h_src, h_tgt) -> bool:
-    """Is the induced map on homology an isomorphism?
-
-    The image of the induced map is (f(ker_src) + im_tgt)/im_tgt; the map is
-    an isomorphism iff the homology dimensions agree and that image has the
-    full dimension.
-    """
-    if h_src != h_tgt:
-        return False
-    if h_src == 0:
-        return True
-    cols = [list(col) for col in im_tgt]
-    base_rank = _col_rank(f, cols)
-    for vec in ker_src:
-        img = [sum_mul(f, row, vec) for row in fmat]
-        cols.append(img)
-    return _col_rank(f, cols) - base_rank == h_src
-
-
 def sum_mul(f: Field, row, vec):
     acc = f.zero()
     for a, b in zip(row, vec):
@@ -422,158 +388,93 @@ def sum_mul(f: Field, row, vec):
     return acc
 
 
-def _col_rank(f: Field, cols) -> int:
-    if not cols:
-        return 0
-    return rank(f, tuple(tuple(col[i] for col in cols) for i in range(len(cols[0]))))
-
-
-def _image_basis(f: Field, m):
-    nr, nc = _shape(m)
-    return [[m[i][j] for i in range(nr)] for j in range(nc)]
+def mapping_cone(fmap: DSVMap) -> DSV:
+    """Cone W + V[1] of f: V -> W: degree 0 is W_0 + V_1, degree 1 is
+    W_1 + V_0, and d_k = [[w.d_k, f_(1-k)], [0, -v.d_(1-k)]]."""
+    f = fmap.source.field
+    v, w = fmap.source, fmap.target
+    d0 = block(f, [[w.d0, fmap.f1], [zeros(f, v.dim0, w.dim0), _neg(f, v.d1)]])
+    d1 = block(f, [[w.d1, fmap.f0], [zeros(f, v.dim1, w.dim1), _neg(f, v.d0)]])
+    return DSV(f, w.dim0 + v.dim1, w.dim1 + v.dim0, d0, d1)
 
 
 def is_quasi_iso(fmap: DSVMap) -> bool:
-    """True iff the induced maps on H_0 and H_1 are isomorphisms."""
-    f = fmap.source.field
-    v, w = fmap.source, fmap.target
-    hv = homology(v)
-    hw = homology(w)
-    ok0 = _quotient_map_iso(
-        f,
-        fmap.f0,
-        kernel_basis(f, v.d0, v.dim0),
-        _image_basis(f, w.d1),
-        hv[0],
-        hw[0],
-    )
-    if not ok0:
-        return False
-    return _quotient_map_iso(
-        f,
-        fmap.f1,
-        kernel_basis(f, v.d1, v.dim1),
-        _image_basis(f, w.d0),
-        hv[1],
-        hw[1],
-    )
+    """True iff the induced maps on H_0 and H_1 are isomorphisms, that is,
+    by the long exact sequence of the cone, iff the mapping cone is acyclic."""
+    return homology(mapping_cone(fmap)) == (0, 0)
+
+
+def _vec_left(f: Field, a, cols: int):
+    """Coefficients of vec(a @ X) on vec X (row-major) for X with cols columns:
+    a (x) I."""
+    return kron(f, a, identity(f, cols))
+
+
+def _vec_right(f: Field, b, rows: int, cols: int):
+    """Coefficients of vec(X @ b) on vec X (row-major), where X has the given
+    number of rows and b has cols columns: I (x) b^T."""
+    return kron(f, identity(f, rows), _transpose(b, cols))
+
+
+def chain_map_system(src: DSV, tgt: DSV):
+    """Block rows, over the unknowns (m0, m1) vectorized row-major, of the
+    conditions for m to be a DSV map src -> tgt:
+    tgt.d0 m0 - m1 src.d0 = 0 and tgt.d1 m1 - m0 src.d1 = 0."""
+    f = src.field
+    return [
+        [_vec_left(f, tgt.d0, src.dim0), _vec_right(f, _neg(f, src.d0), tgt.dim1, src.dim0)],
+        [_vec_right(f, _neg(f, src.d1), tgt.dim0, src.dim1), _vec_left(f, tgt.d1, src.dim1)],
+    ]
 
 
 def homotopy_inverse(fmap: DSVMap):
     """Witness (g, t0, t1, u0, u1) with f g ~ id_W via (t0, t1) and
     g f ~ id_V via (u0, u1); None iff no witness exists.
 
-    Unknowns: g0: W0->V0, g1: W1->V1, t0: W0->W1, t1: W1->W0,
-    u0: V0->V1, u1: V1->V0.  All constraints are affine in these, so one
-    linear solve decides existence.
+    Unknowns, each vectorized row-major: g0: W0->V0, g1: W1->V1,
+    t0: W0->W1, t1: W1->W0, u0: V0->V1, u1: V1->V0.  All constraints are
+    affine in these, so one linear solve decides existence.
     """
     f = fmap.source.field
     v, w = fmap.source, fmap.target
-    shapes = [
-        ("g0", v.dim0, w.dim0),
-        ("g1", v.dim1, w.dim1),
-        ("t0", w.dim1, w.dim0),
-        ("t1", w.dim0, w.dim1),
-        ("u0", v.dim1, v.dim0),
-        ("u1", v.dim0, v.dim1),
+    w0, w1, v0, v1 = w.dim0, w.dim1, v.dim0, v.dim1
+    shapes = [(v0, w0), (v1, w1), (w1, w0), (w0, w1), (v1, v0), (v0, v1)]
+    widths = dict(zip(("g0", "g1", "t0", "t1", "u0", "u1"), (r * c for r, c in shapes)))
+
+    def row(height, **blocks):
+        """One block row; the unknowns not named get zero blocks."""
+        return [blocks.get(k, zeros(f, height, width)) for k, width in widths.items()]
+
+    def left(a, n):
+        return _vec_left(f, a, n)
+
+    def right(b, n):
+        return _vec_right(f, b, n, n)
+
+    (a, b), (c, d) = chain_map_system(w, v)
+    grid = [
+        # g is a DSV map W -> V
+        row(v1 * w0, g0=a, g1=b),
+        row(v0 * w1, g0=c, g1=d),
+        # f g ~ id_W: f0 g0 - I = w.d1 t0 + t1 w.d0 ; f1 g1 - I = w.d0 t1 + t0 w.d1
+        row(w0 * w0, g0=left(fmap.f0, w0), t0=left(_neg(f, w.d1), w0), t1=right(_neg(f, w.d0), w0)),
+        row(w1 * w1, g1=left(fmap.f1, w1), t1=left(_neg(f, w.d0), w1), t0=right(_neg(f, w.d1), w1)),
+        # g f ~ id_V: g0 f0 - I = v.d1 u0 + u1 v.d0 ; g1 f1 - I = v.d0 u1 + u0 v.d1
+        row(v0 * v0, g0=right(fmap.f0, v0), u0=left(_neg(f, v.d1), v0), u1=right(_neg(f, v.d0), v0)),
+        row(v1 * v1, g1=right(fmap.f1, v1), u1=left(_neg(f, v.d0), v1), u0=right(_neg(f, v.d1), v1)),
     ]
-    offsets = {}
-    total = 0
-    for name, r, c in shapes:
-        offsets[name] = total
-        total += r * c
-    shape_by_name = {name: (r, c) for name, r, c in shapes}
-
-    def var(name, i, j):
-        r, c = shape_by_name[name]
-        return offsets[name] + i * c + j
-
-    rows = []
-    rhs = []
-
-    def add_rows(terms, const, nrows, ncols):
-        # terms: list of (coef_fn) adding into coefficient row per entry
-        for i in range(nrows):
-            for j in range(ncols):
-                row = [f.zero()] * total
-                for fn in terms:
-                    fn(row, i, j)
-                rows.append(row)
-                rhs.append(const(i, j))
-
-    zero_const = lambda i, j: f.zero()
-
-    def term_left(mat_, name, sign=1):
-        # contributes sign * (mat_ @ X_name)[i][j] => coef on X[name][s][j]
-        s_coef = f.one() if sign > 0 else f.neg(f.one())
-
-        def fn(row, i, j):
-            r, c = shape_by_name[name]
-            for s in range(r):
-                coef = mat_[i][s]
-                if not f.is_zero(coef):
-                    idx = var(name, s, j)
-                    row[idx] = f.add(row[idx], f.mul(s_coef, coef))
-
-        return fn
-
-    def term_right(name, mat_, sign=1):
-        # contributes sign * (X_name @ mat_)[i][j] => coef on X[name][i][t]
-        s_coef = f.one() if sign > 0 else f.neg(f.one())
-
-        def fn(row, i, j):
-            r, c = shape_by_name[name]
-            for t in range(c):
-                coef = mat_[t][j]
-                if not f.is_zero(coef):
-                    idx = var(name, i, t)
-                    row[idx] = f.add(row[idx], f.mul(s_coef, coef))
-
-        return fn
-
-    # g is a DSV map: v.d0 @ g0 - g1 @ w.d0 = 0 ; v.d1 @ g1 - g0 @ w.d1 = 0
-    add_rows([term_left(v.d0, "g0"), term_right("g1", w.d0, -1)], zero_const, v.dim1, w.dim0)
-    add_rows([term_left(v.d1, "g1"), term_right("g0", w.d1, -1)], zero_const, v.dim0, w.dim1)
-    # f g ~ id_W: f0 g0 - I = w.d1 t0 + t1 w.d0 ; f1 g1 - I = w.d0 t1 + t0 w.d1
-    add_rows(
-        [term_left(fmap.f0, "g0"), term_left(w.d1, "t0", -1), term_right("t1", w.d0, -1)],
-        lambda i, j: f.one() if i == j else f.zero(),
-        w.dim0,
-        w.dim0,
-    )
-    add_rows(
-        [term_left(fmap.f1, "g1"), term_left(w.d0, "t1", -1), term_right("t0", w.d1, -1)],
-        lambda i, j: f.one() if i == j else f.zero(),
-        w.dim1,
-        w.dim1,
-    )
-    # g f ~ id_V: g0 f0 - I = v.d1 u0 + u1 v.d0 ; g1 f1 - I = v.d0 u1 + u0 v.d1
-    add_rows(
-        [term_right("g0", fmap.f0), term_left(v.d1, "u0", -1), term_right("u1", v.d0, -1)],
-        lambda i, j: f.one() if i == j else f.zero(),
-        v.dim0,
-        v.dim0,
-    )
-
-    # careful: (g0 @ f0) has coef on g0 via right-multiplication by f0
-    add_rows(
-        [term_right("g1", fmap.f1), term_left(v.d0, "u1", -1), term_right("u0", v.d1, -1)],
-        lambda i, j: f.one() if i == j else f.zero(),
-        v.dim1,
-        v.dim1,
-    )
-
-    sol = solve(f, tuple(tuple(r) for r in rows), rhs) if rows else []
+    rhs = [f.zero()] * (v1 * w0 + v0 * w1)
+    for n in (w0, w1, v0, v1):
+        rhs += [x for line in identity(f, n) for x in line]
+    sol = solve(f, block(f, grid), rhs, sum(widths.values()))
     if sol is None:
         return None
-
-    def unpack(name):
-        r, c = shape_by_name[name]
-        base = offsets[name]
-        return tuple(tuple(sol[base + i * c + j] for j in range(c)) for i in range(r))
-
-    g = DSVMap(w, v, unpack("g0"), unpack("g1"))
-    return g, unpack("t0"), unpack("t1"), unpack("u0"), unpack("u1")
+    parts, k = [], 0
+    for r, c in shapes:
+        parts.append(tuple(tuple(sol[k + i * c : k + (i + 1) * c]) for i in range(r)))
+        k += r * c
+    g0, g1, t0, t1, u0, u1 = parts
+    return DSVMap(w, v, g0, g1), t0, t1, u0, u1
 
 
 def epsilon(e: BoundedChainComplex) -> DSV:
@@ -611,44 +512,27 @@ def epsilon(e: BoundedChainComplex) -> DSV:
     return DSV(f, dim0, dim1, tuple(map(tuple, d0)), tuple(map(tuple, d1)))
 
 
+def _transposition(f: Field, a: int, b: int, sign: int):
+    """Matrix of x (x) y -> sign * y (x) x from dimensions a (x) b to b (x) a:
+    basis e_i (x) e_j, index i*b + j, goes to index j*a + i."""
+    s = f.one() if sign > 0 else f.neg(f.one())
+    n = a * b
+    return tuple(tuple(s if c == (r % a) * b + r // a else f.zero() for c in range(n)) for r in range(n))
+
+
 def swap_map(v: DSV, w: DSV) -> DSVMap:
     """Koszul braiding tensor(V, W) -> tensor(W, V): v (x) w -> (-1)^{|v||w|} w (x) v."""
     f = v.field
     if f != w.field:
         raise ValueError("field mismatch")
-    vw = tensor(v, w)
-    wv = tensor(w, v)
-
-    def transposition(rows_a, cols_b, sign):
-        # matrix of a (x) b -> b (x) a on basis e_i (x) e_j -> e_j (x) e_i
-        m = [[f.zero()] * (rows_a * cols_b) for _ in range(rows_a * cols_b)]
-        s = f.one() if sign > 0 else f.neg(f.one())
-        for i in range(rows_a):
-            for j in range(cols_b):
-                m[j * rows_a + i][i * cols_b + j] = s
-        return m
-
     # degree 0: [V0W0 | V1W1] -> [W0V0 | W1V1]; V1W1 picks up the sign
-    a = transposition(v.dim0, w.dim0, +1)
-    b = transposition(v.dim1, w.dim1, -1)
-    f0 = [[f.zero()] * vw.dim0 for _ in range(wv.dim0)]
-    for r in range(w.dim0 * v.dim0):
-        for c in range(v.dim0 * w.dim0):
-            f0[r][c] = a[r][c]
-    off_r = w.dim0 * v.dim0
-    off_c = v.dim0 * w.dim0
-    for r in range(w.dim1 * v.dim1):
-        for c in range(v.dim1 * w.dim1):
-            f0[off_r + r][off_c + c] = b[r][c]
-    # degree 1: [V1W0 | V0W1] -> [W1V0 | W0V1]: V1W0 -> W0V1 block, V0W1 -> W1V0
-    f1 = [[f.zero()] * vw.dim1 for _ in range(wv.dim1)]
-    c_swap = transposition(v.dim1, w.dim0, +1)  # V1W0 -> W0V1
-    d_swap = transposition(v.dim0, w.dim1, +1)  # V0W1 -> W1V0
-    # target layout: rows [W1V0 | W0V1]
-    for r in range(w.dim1 * v.dim0):
-        for c in range(v.dim0 * w.dim1):
-            f1[r][v.dim1 * w.dim0 + c] = d_swap[r][c]
-    for r in range(w.dim0 * v.dim1):
-        for c in range(v.dim1 * w.dim0):
-            f1[w.dim1 * v.dim0 + r][c] = c_swap[r][c]
-    return DSVMap(vw, wv, tuple(map(tuple, f0)), tuple(map(tuple, f1)))
+    f0 = block(f, [
+        [_transposition(f, v.dim0, w.dim0, +1), zeros(f, w.dim0 * v.dim0, v.dim1 * w.dim1)],
+        [zeros(f, w.dim1 * v.dim1, v.dim0 * w.dim0), _transposition(f, v.dim1, w.dim1, -1)],
+    ])
+    # degree 1: [V1W0 | V0W1] -> [W1V0 | W0V1]
+    f1 = block(f, [
+        [zeros(f, w.dim1 * v.dim0, v.dim1 * w.dim0), _transposition(f, v.dim0, w.dim1, +1)],
+        [_transposition(f, v.dim1, w.dim0, +1), zeros(f, w.dim0 * v.dim1, v.dim0 * w.dim1)],
+    ])
+    return DSVMap(tensor(v, w), tensor(w, v), f0, f1)

@@ -465,6 +465,8 @@ def cohomology(x: SimplicialComplex, q: int, n: int = 0):
     """
     if q < 0:
         raise ValueError("degree must be >= 0")
+    if n < 0:
+        raise ValueError("modulus must be >= 0")
     key = (q, n)
     if key in x._cohom_cache:
         return x._cohom_cache[key][:2]

@@ -5,10 +5,10 @@ pi0 (x) Z/2 -> pi1 landing in the 2-torsion.  Generators of pi0 (x) Z/2 are
 the free generators of pi0 followed by its even-order torsion generators; q
 is stored as one pi1-coordinate column per such generator.
 
-Equivalence testing is a finite search over isomorphism pairs; the caps on
-free-rank matrix entries are sound here because the compatibility condition
-only sees the induced maps mod 2, and every GL(F_2) class has a small
-integer lift.
+Equivalence testing is a finite search, one pass over each automorphism
+group; the caps on free-rank matrix entries are sound here because the
+compatibility condition only sees the induced maps mod 2, and every GL(F_2)
+class has a small integer lift.
 
 Only one layer of gluing data is classified here.  Attaching a third
 homotopy group on top of the ku/ko catalog entries involves one more level
@@ -175,7 +175,7 @@ def _direct_sum_tracked(a: AbelianGroupPresentation, b: AbelianGroupPresentation
     return pres, info
 
 
-def _map_element(info, factor_index, old_group, new_group, coords):
+def _map_element(info, factor_index, coords):
     """Old-generator coordinates (in one factor) to new-generator coordinates."""
     offset = 0 if factor_index == 0 else info["offset_b"]
     n_new = len(info["orders"])
@@ -194,51 +194,19 @@ def _map_element(info, factor_index, old_group, new_group, coords):
 
 def _transform_q_columns(d1, d2, pi0, pi1, t0, t1):
     """q columns of the product in the normalized generator bases."""
-    # old mod-2 generators, tagged with their factor and q column
-    old_cols = []
-    for factor_index, d in enumerate((d1, d2)):
-        gens = _mod2_generator_indices(d.pi0)
-        for gen_pos, col in zip(gens, d.q):
-            offset = 0 if factor_index == 0 else t0["offset_b"]
-            old_cols.append((offset + gen_pos, _map_element(t1, factor_index, d.pi1, pi1, col)))
-    # new mod-2 generators: express each over the old generators mod 2 and
-    # combine old q columns.
-    new_gens = _mod2_generator_indices(pi0)
-    matrix = t0["matrix"]  # old gen j -> new coords
-    # We need the inverse direction: new gen -> old coords; invert over F2 on
-    # the surviving generators.  Build the mod-2 matrix of old->new and invert.
-    old_m2 = _mod2_gen_indices_concat(d1.pi0, d2.pi0, t0)
-    new_m2 = new_gens
-    m2 = []
-    for new_i in new_m2:
-        row = []
-        for old_j in old_m2:
-            row.append(matrix[old_j][new_i] % 2)
-        m2.append(row)
+    # old q columns in the new pi1 generators, in the order of the old mod-2
+    # generators of pi0: those of d1, then those of d2
+    q_old = [_map_element(t1, k, col) for k, d in enumerate((d1, d2)) for col in d.q]
+    old_m2 = _mod2_generator_indices(d1.pi0)
+    old_m2 += [t0["offset_b"] + i for i in _mod2_generator_indices(d2.pi0)]
+    # the mod-2 matrix of old -> new generators, inverted over F2, expresses
+    # each new mod-2 generator over the old ones
+    m2 = [[t0["matrix"][old_j][new_i] % 2 for old_j in old_m2] for new_i in _mod2_generator_indices(pi0)]
     inv = invert(Field(2), m2)
     if inv is None:
         raise ArithmeticError("mod-2 generator transform is not invertible")
-    q_by_old = {}
-    for idx, (old_pos, col) in enumerate(old_cols):
-        q_by_old[old_m2.index(old_pos)] = col
-    n1 = len(pi1.invariant_factors) + pi1.free_rank
-    new_cols = []
-    for r in range(len(new_m2)):
-        acc = [0] * n1
-        for c in range(len(old_m2)):
-            if inv[r][c] % 2:
-                col = q_by_old.get(c)
-                if col:
-                    acc = [x + y for x, y in zip(acc, col)]
-        new_cols.append(_canonical_element(pi1, tuple(acc)))
-    return tuple(new_cols)
-
-
-def _mod2_gen_indices_concat(a, b, t0):
-    """Concatenated old-generator indices surviving mod 2, in factor order."""
-    out = list(_mod2_generator_indices(a))
-    out.extend(t0["offset_b"] + i for i in _mod2_generator_indices(b))
-    return out
+    # new column r sums the old columns c with inv[r][c] odd
+    return _q_times_mod2(pi1, q_old, list(zip(*inv)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,32 +349,25 @@ def _apply_pi1_automorphism(g: AbelianGroupPresentation, d_cols, a_block, c_cols
     return _canonical_element(g, tuple(acc))
 
 
-def equivalent(d1: Stable2TypeData, d2: Stable2TypeData, cap: int = DEFAULT_SEARCH_CAP) -> bool:
-    """Existence of isomorphisms (phi0, phi1) with phi1 . q = q' . (phi0 (x) Z/2)."""
+def equivalent(d1: Stable2TypeData, d2: Stable2TypeData) -> bool:
+    """Existence of isomorphisms (phi0, phi1) with phi1 . q = q' . (phi0 (x) Z/2).
+
+    One pass over each automorphism group: the set {phi1 . q} over Aut(pi1),
+    then a scan of Aut(pi0) for q' . (phi0 (x) Z/2) in that set.
+    """
     if d1.pi0 != d2.pi0 or d1.pi1 != d2.pi1:
         return False
-    budget = [cap]
-    s = len(d1.q)
-    if s == 0:
+    if not d1.q:
         return True
-    for phi0 in _iter_automorphisms(d1.pi0, budget):
-        m2 = _mod2_action(d1.pi0, *phi0)
-        for phi1 in _iter_automorphisms(d1.pi1, budget):
-            ok = True
-            for j in range(s):
-                # phi1(q(g_j)) vs q'(phi0 (x) 2 applied to g_j)
-                lhs = _apply_pi1_automorphism(d1.pi1, *phi1, d1.q[j])
-                rhs = [0] * len(lhs)
-                for i in range(s):
-                    if m2[i][j]:
-                        rhs = [x + y for x, y in zip(rhs, d2.q[i])]
-                rhs = _canonical_element(d1.pi1, tuple(rhs))
-                if tuple(lhs) != tuple(rhs):
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
+    budget = [DEFAULT_SEARCH_CAP]
+    moved = {
+        tuple(_apply_pi1_automorphism(d1.pi1, *phi1, col) for col in d1.q)
+        for phi1 in _iter_automorphisms(d1.pi1, budget)
+    }
+    return any(
+        _q_times_mod2(d1.pi1, d2.q, _mod2_action(d1.pi0, *phi0)) in moved
+        for phi0 in _iter_automorphisms(d1.pi0, budget)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +419,20 @@ def mod2_induced_map(hom: IntMatrix, src: AbelianGroupPresentation, dst: Abelian
     return out
 
 
+def _q_times_mod2(pi1: AbelianGroupPresentation, q, m) -> tuple:
+    """Columns of q . m for a mod-2 matrix m (rows index the q columns):
+    column j sums the q columns i with m[i][j] odd, canonical in pi1."""
+    n1 = len(pi1.invariant_factors) + pi1.free_rank
+    cols = []
+    for j in range(len(m[0]) if m else 0):
+        acc = [0] * n1
+        for col, row in zip(q, m):
+            if row[j] % 2:
+                acc = [x + y for x, y in zip(acc, col)]
+        cols.append(_canonical_element(pi1, tuple(acc)))
+    return tuple(cols)
+
+
 def compose_q_with_mod2(data: Stable2TypeData, induced) -> tuple:
     """Columns of q composed with an induced mod-2 matrix (columns = source gens)."""
-    s = len(induced[0]) if induced else 0
-    n1 = len(data.pi1.invariant_factors) + data.pi1.free_rank
-    cols = []
-    for j in range(s):
-        acc = [0] * n1
-        for i in range(len(induced)):
-            if induced[i][j] % 2:
-                acc = [x + y for x, y in zip(acc, data.q[i])]
-        cols.append(_canonical_element(data.pi1, tuple(acc)))
-    return tuple(cols)
+    return _q_times_mod2(data.pi1, data.q, induced)

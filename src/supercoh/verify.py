@@ -251,49 +251,14 @@ def _random_invertible(f, n, rng):
 def _random_dsv_map(f, v, w, rng):
     """Random DSV map: a random point of the commuting-constraint solution space."""
     n_f0 = w.dim0 * v.dim0
-    n_f1 = w.dim1 * v.dim1
-    total = n_f0 + n_f1
-
-    def var_f0(i, j):
-        return i * v.dim0 + j
-
-    def var_f1(i, j):
-        return n_f0 + i * v.dim1 + j
-
-    rows = []
-    for i in range(w.dim1):
-        for j in range(v.dim0):
-            row = [f.zero()] * total
-            for s in range(w.dim0):
-                row[var_f0(s, j)] = f.add(row[var_f0(s, j)], w.d0[i][s])
-            for t in range(v.dim1):
-                row[var_f1(i, t)] = f.sub(row[var_f1(i, t)], v.d0[t][j])
-            rows.append(row)
-    for i in range(w.dim0):
-        for j in range(v.dim1):
-            row = [f.zero()] * total
-            for s in range(w.dim1):
-                row[var_f1(s, j)] = f.add(row[var_f1(s, j)], w.d1[i][s])
-            for t in range(v.dim0):
-                row[var_f0(i, t)] = f.sub(row[var_f0(i, t)], v.d1[t][j])
-            rows.append(row)
-    if rows:
-        basis = dsv.kernel_basis(f, tuple(tuple(r) for r in rows), total)
-    else:
-        basis = [
-            [f.one() if i == k else f.zero() for i in range(total)]
-            for k in range(total)
-        ]
+    total = n_f0 + w.dim1 * v.dim1
+    basis = dsv.kernel_basis(f, dsv.block(f, dsv.chain_map_system(v, w)), total)
     vec = [f.zero()] * total
     for bvec in basis:
         c = f.of(rng.randint(0, 4))
         vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, bvec)]
-    f0 = tuple(
-        tuple(vec[var_f0(i, j)] for j in range(v.dim0)) for i in range(w.dim0)
-    )
-    f1 = tuple(
-        tuple(vec[var_f1(i, j)] for j in range(v.dim1)) for i in range(w.dim1)
-    )
+    f0 = tuple(tuple(vec[i * v.dim0 : (i + 1) * v.dim0]) for i in range(w.dim0))
+    f1 = tuple(tuple(vec[n_f0 + i * v.dim1 : n_f0 + (i + 1) * v.dim1]) for i in range(w.dim1))
     return dsv.DSVMap(v, w, f0, f1)
 
 

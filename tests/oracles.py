@@ -3,7 +3,9 @@ oracles: the dense Smith normal form with unimodular transforms and the
 cokernel and dense cohomology paths built on it, the scan-based pivot search of the
 op-log factorization, the per-simplex loops of the cochain coboundary and
 cup product, the scanning F2 echelons, class coordinates by a solve
-against [delta | basis], and is_cohomologous by a solve against delta."""
+against [delta | basis], is_cohomologous by a solve against delta, the DSV
+quasi-isomorphism test on homology quotients, the entry-by-entry homotopy
+system and braiding, and the nested stable 2-type equivalence search."""
 
 from __future__ import annotations
 
@@ -17,7 +19,17 @@ from supercoh.exact_linalg import (
     _OpLogSolver,
     solve_mod,
 )
+from supercoh import dsv
+from supercoh.dsv import DSV, DSVMap, Field, _shape, homology, kernel_basis, rank, solve, sum_mul, tensor
 from supercoh.simplicial import Cochain, CohomologyClass, SimplicialComplex, _coboundary, coboundary_matrix
+from supercoh.stable2type import (
+    DEFAULT_SEARCH_CAP,
+    Stable2TypeData,
+    _apply_pi1_automorphism,
+    _canonical_element,
+    _iter_automorphisms,
+    _mod2_action,
+)
 
 # ---------------------------------------------------------------------------
 # Dense Smith normal form
@@ -573,3 +585,305 @@ def is_cohomologous_solve(a: Cochain, b: Cochain) -> bool:
             return all(v % a.modulus == 0 for v in diff.values)
         return diff.is_zero()
     return solve_mod(_coboundary(a.complex, q - 1), list(diff.values), a.modulus) is not None
+
+
+# ---------------------------------------------------------------------------
+# DSV quasi-isomorphisms, homotopy inverses and braidings, as written before
+# the mapping-cone test and the Kronecker-built homotopy system
+
+
+def _quotient_map_iso(f, fmat, ker_src, im_tgt, h_src, h_tgt) -> bool:
+    """Is the induced map on homology an isomorphism?
+
+    The image of the induced map is (f(ker_src) + im_tgt)/im_tgt; the map is
+    an isomorphism iff the homology dimensions agree and that image has the
+    full dimension.
+    """
+    if h_src != h_tgt:
+        return False
+    if h_src == 0:
+        return True
+    cols = [list(col) for col in im_tgt]
+    base_rank = _col_rank(f, cols)
+    for vec in ker_src:
+        img = [sum_mul(f, row, vec) for row in fmat]
+        cols.append(img)
+    return _col_rank(f, cols) - base_rank == h_src
+
+
+def _col_rank(f: Field, cols) -> int:
+    if not cols:
+        return 0
+    return rank(f, tuple(tuple(col[i] for col in cols) for i in range(len(cols[0]))))
+
+
+def _image_basis(f: Field, m):
+    nr, nc = _shape(m)
+    return [[m[i][j] for i in range(nr)] for j in range(nc)]
+
+
+def is_quasi_iso(fmap: DSVMap) -> bool:
+    """True iff the induced maps on H_0 and H_1 are isomorphisms."""
+    f = fmap.source.field
+    v, w = fmap.source, fmap.target
+    hv = homology(v)
+    hw = homology(w)
+    ok0 = _quotient_map_iso(
+        f,
+        fmap.f0,
+        kernel_basis(f, v.d0, v.dim0),
+        _image_basis(f, w.d1),
+        hv[0],
+        hw[0],
+    )
+    if not ok0:
+        return False
+    return _quotient_map_iso(
+        f,
+        fmap.f1,
+        kernel_basis(f, v.d1, v.dim1),
+        _image_basis(f, w.d0),
+        hv[1],
+        hw[1],
+    )
+
+
+def homotopy_inverse(fmap: DSVMap):
+    """Witness (g, t0, t1, u0, u1) with f g ~ id_W via (t0, t1) and
+    g f ~ id_V via (u0, u1); None iff no witness exists.
+
+    Unknowns: g0: W0->V0, g1: W1->V1, t0: W0->W1, t1: W1->W0,
+    u0: V0->V1, u1: V1->V0.  All constraints are affine in these, so one
+    linear solve decides existence.
+    """
+    f = fmap.source.field
+    v, w = fmap.source, fmap.target
+    shapes = [
+        ("g0", v.dim0, w.dim0),
+        ("g1", v.dim1, w.dim1),
+        ("t0", w.dim1, w.dim0),
+        ("t1", w.dim0, w.dim1),
+        ("u0", v.dim1, v.dim0),
+        ("u1", v.dim0, v.dim1),
+    ]
+    offsets = {}
+    total = 0
+    for name, r, c in shapes:
+        offsets[name] = total
+        total += r * c
+    shape_by_name = {name: (r, c) for name, r, c in shapes}
+
+    def var(name, i, j):
+        r, c = shape_by_name[name]
+        return offsets[name] + i * c + j
+
+    rows = []
+    rhs = []
+
+    def add_rows(terms, const, nrows, ncols):
+        # terms: list of (coef_fn) adding into coefficient row per entry
+        for i in range(nrows):
+            for j in range(ncols):
+                row = [f.zero()] * total
+                for fn in terms:
+                    fn(row, i, j)
+                rows.append(row)
+                rhs.append(const(i, j))
+
+    zero_const = lambda i, j: f.zero()
+
+    def term_left(mat_, name, sign=1):
+        # contributes sign * (mat_ @ X_name)[i][j] => coef on X[name][s][j]
+        s_coef = f.one() if sign > 0 else f.neg(f.one())
+
+        def fn(row, i, j):
+            r, c = shape_by_name[name]
+            for s in range(r):
+                coef = mat_[i][s]
+                if not f.is_zero(coef):
+                    idx = var(name, s, j)
+                    row[idx] = f.add(row[idx], f.mul(s_coef, coef))
+
+        return fn
+
+    def term_right(name, mat_, sign=1):
+        # contributes sign * (X_name @ mat_)[i][j] => coef on X[name][i][t]
+        s_coef = f.one() if sign > 0 else f.neg(f.one())
+
+        def fn(row, i, j):
+            r, c = shape_by_name[name]
+            for t in range(c):
+                coef = mat_[t][j]
+                if not f.is_zero(coef):
+                    idx = var(name, i, t)
+                    row[idx] = f.add(row[idx], f.mul(s_coef, coef))
+
+        return fn
+
+    # g is a DSV map: v.d0 @ g0 - g1 @ w.d0 = 0 ; v.d1 @ g1 - g0 @ w.d1 = 0
+    add_rows([term_left(v.d0, "g0"), term_right("g1", w.d0, -1)], zero_const, v.dim1, w.dim0)
+    add_rows([term_left(v.d1, "g1"), term_right("g0", w.d1, -1)], zero_const, v.dim0, w.dim1)
+    # f g ~ id_W: f0 g0 - I = w.d1 t0 + t1 w.d0 ; f1 g1 - I = w.d0 t1 + t0 w.d1
+    add_rows(
+        [term_left(fmap.f0, "g0"), term_left(w.d1, "t0", -1), term_right("t1", w.d0, -1)],
+        lambda i, j: f.one() if i == j else f.zero(),
+        w.dim0,
+        w.dim0,
+    )
+    add_rows(
+        [term_left(fmap.f1, "g1"), term_left(w.d0, "t1", -1), term_right("t0", w.d1, -1)],
+        lambda i, j: f.one() if i == j else f.zero(),
+        w.dim1,
+        w.dim1,
+    )
+    # g f ~ id_V: g0 f0 - I = v.d1 u0 + u1 v.d0 ; g1 f1 - I = v.d0 u1 + u0 v.d1
+    add_rows(
+        [term_right("g0", fmap.f0), term_left(v.d1, "u0", -1), term_right("u1", v.d0, -1)],
+        lambda i, j: f.one() if i == j else f.zero(),
+        v.dim0,
+        v.dim0,
+    )
+
+    # careful: (g0 @ f0) has coef on g0 via right-multiplication by f0
+    add_rows(
+        [term_right("g1", fmap.f1), term_left(v.d0, "u1", -1), term_right("u0", v.d1, -1)],
+        lambda i, j: f.one() if i == j else f.zero(),
+        v.dim1,
+        v.dim1,
+    )
+
+    sol = solve(f, tuple(tuple(r) for r in rows), rhs) if rows else []
+    if sol is None:
+        return None
+
+    def unpack(name):
+        r, c = shape_by_name[name]
+        base = offsets[name]
+        return tuple(tuple(sol[base + i * c + j] for j in range(c)) for i in range(r))
+
+    g = DSVMap(w, v, unpack("g0"), unpack("g1"))
+    return g, unpack("t0"), unpack("t1"), unpack("u0"), unpack("u1")
+
+
+def swap_map(v: DSV, w: DSV) -> DSVMap:
+    """Koszul braiding tensor(V, W) -> tensor(W, V): v (x) w -> (-1)^{|v||w|} w (x) v."""
+    f = v.field
+    if f != w.field:
+        raise ValueError("field mismatch")
+    vw = tensor(v, w)
+    wv = tensor(w, v)
+
+    def transposition(rows_a, cols_b, sign):
+        # matrix of a (x) b -> b (x) a on basis e_i (x) e_j -> e_j (x) e_i
+        m = [[f.zero()] * (rows_a * cols_b) for _ in range(rows_a * cols_b)]
+        s = f.one() if sign > 0 else f.neg(f.one())
+        for i in range(rows_a):
+            for j in range(cols_b):
+                m[j * rows_a + i][i * cols_b + j] = s
+        return m
+
+    # degree 0: [V0W0 | V1W1] -> [W0V0 | W1V1]; V1W1 picks up the sign
+    a = transposition(v.dim0, w.dim0, +1)
+    b = transposition(v.dim1, w.dim1, -1)
+    f0 = [[f.zero()] * vw.dim0 for _ in range(wv.dim0)]
+    for r in range(w.dim0 * v.dim0):
+        for c in range(v.dim0 * w.dim0):
+            f0[r][c] = a[r][c]
+    off_r = w.dim0 * v.dim0
+    off_c = v.dim0 * w.dim0
+    for r in range(w.dim1 * v.dim1):
+        for c in range(v.dim1 * w.dim1):
+            f0[off_r + r][off_c + c] = b[r][c]
+    # degree 1: [V1W0 | V0W1] -> [W1V0 | W0V1]: V1W0 -> W0V1 block, V0W1 -> W1V0
+    f1 = [[f.zero()] * vw.dim1 for _ in range(wv.dim1)]
+    c_swap = transposition(v.dim1, w.dim0, +1)  # V1W0 -> W0V1
+    d_swap = transposition(v.dim0, w.dim1, +1)  # V0W1 -> W1V0
+    # target layout: rows [W1V0 | W0V1]
+    for r in range(w.dim1 * v.dim0):
+        for c in range(v.dim0 * w.dim1):
+            f1[r][v.dim1 * w.dim0 + c] = d_swap[r][c]
+    for r in range(w.dim0 * v.dim1):
+        for c in range(v.dim1 * w.dim0):
+            f1[w.dim1 * v.dim0 + r][c] = c_swap[r][c]
+    return DSVMap(vw, wv, tuple(map(tuple, f0)), tuple(map(tuple, f1)))
+
+
+def _random_dsv_map(f, v, w, rng):
+    """Random DSV map: a random point of the commuting-constraint solution space."""
+    n_f0 = w.dim0 * v.dim0
+    n_f1 = w.dim1 * v.dim1
+    total = n_f0 + n_f1
+
+    def var_f0(i, j):
+        return i * v.dim0 + j
+
+    def var_f1(i, j):
+        return n_f0 + i * v.dim1 + j
+
+    rows = []
+    for i in range(w.dim1):
+        for j in range(v.dim0):
+            row = [f.zero()] * total
+            for s in range(w.dim0):
+                row[var_f0(s, j)] = f.add(row[var_f0(s, j)], w.d0[i][s])
+            for t in range(v.dim1):
+                row[var_f1(i, t)] = f.sub(row[var_f1(i, t)], v.d0[t][j])
+            rows.append(row)
+    for i in range(w.dim0):
+        for j in range(v.dim1):
+            row = [f.zero()] * total
+            for s in range(w.dim1):
+                row[var_f1(s, j)] = f.add(row[var_f1(s, j)], w.d1[i][s])
+            for t in range(v.dim0):
+                row[var_f0(i, t)] = f.sub(row[var_f0(i, t)], v.d1[t][j])
+            rows.append(row)
+    if rows:
+        basis = dsv.kernel_basis(f, tuple(tuple(r) for r in rows), total)
+    else:
+        basis = [
+            [f.one() if i == k else f.zero() for i in range(total)]
+            for k in range(total)
+        ]
+    vec = [f.zero()] * total
+    for bvec in basis:
+        c = f.of(rng.randint(0, 4))
+        vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, bvec)]
+    f0 = tuple(
+        tuple(vec[var_f0(i, j)] for j in range(v.dim0)) for i in range(w.dim0)
+    )
+    f1 = tuple(
+        tuple(vec[var_f1(i, j)] for j in range(v.dim1)) for i in range(w.dim1)
+    )
+    return dsv.DSVMap(v, w, f0, f1)
+
+
+# ---------------------------------------------------------------------------
+# Stable 2-type equivalence, as written before the one-pass search
+
+
+def equivalent(d1: Stable2TypeData, d2: Stable2TypeData, cap: int = DEFAULT_SEARCH_CAP) -> bool:
+    """Existence of isomorphisms (phi0, phi1) with phi1 . q = q' . (phi0 (x) Z/2)."""
+    if d1.pi0 != d2.pi0 or d1.pi1 != d2.pi1:
+        return False
+    budget = [cap]
+    s = len(d1.q)
+    if s == 0:
+        return True
+    for phi0 in _iter_automorphisms(d1.pi0, budget):
+        m2 = _mod2_action(d1.pi0, *phi0)
+        for phi1 in _iter_automorphisms(d1.pi1, budget):
+            ok = True
+            for j in range(s):
+                # phi1(q(g_j)) vs q'(phi0 (x) 2 applied to g_j)
+                lhs = _apply_pi1_automorphism(d1.pi1, *phi1, d1.q[j])
+                rhs = [0] * len(lhs)
+                for i in range(s):
+                    if m2[i][j]:
+                        rhs = [x + y for x, y in zip(rhs, d2.q[i])]
+                rhs = _canonical_element(d1.pi1, tuple(rhs))
+                if tuple(lhs) != tuple(rhs):
+                    ok = False
+                    break
+            if ok:
+                return True
+    return False

@@ -35,6 +35,11 @@ class TestCohomologyVerb:
         assert code == 2
         assert "error" in err
 
+    def test_negative_modulus_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "cohomology", "--complex", "@rp2", "--deg", "1", "--mod", "-1")
+        assert code == 1 and not out
+        assert "modulus must be >= 0" in err
+
 
 class TestBrauerVerbs:
     def test_group_report(self, capsys, tmp_path):
@@ -94,6 +99,16 @@ class TestOtherVerbs:
     def test_classify_enumerate(self, capsys):
         code, out, _ = run(capsys, "classify", "--enumerate", "Z/8;Z/2")
         assert code == 0 and out.strip().startswith("2 ")
+
+    def test_classify_bad_cyclic_order_is_parse_error(self, capsys):
+        for text in ("Z/-3;Z/2", "Z/0;Z/2", "Z/4;Z/x"):
+            code, out, err = run(capsys, "classify", "--enumerate", text)
+            assert code == 2 and not out
+            assert "cyclic order" in err
+
+    def test_classify_trivial_cyclic_summand(self, capsys):
+        code, out, _ = run(capsys, "classify", "--enumerate", "Z/1;Z/2")
+        assert code == 0 and out.strip().startswith("1 ")
 
     def test_dsv(self, capsys, tmp_path):
         p = tmp_path / "v.json"

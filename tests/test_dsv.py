@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,8 +196,7 @@ class TestQuasiIsoAndHomotopy:
         v = _random_dsv(F5, random.Random(6))
         m = DSVMap.identity_map(v)
         assert is_quasi_iso(m)
-        g, t0, t1, u0, u1 = homotopy_inverse(m)
-        assert g.f0 == m.f0 and g.f1 == m.f1 or True  # any witness is fine
+        _check_homotopy_witness(m, homotopy_inverse(m))
 
     def test_zero_map_between_units(self):
         u = DSV.unit(F5)
@@ -227,22 +227,68 @@ class TestQuasiIsoAndHomotopy:
         assert both[0] > 0 and both[1] > 0  # the sample exercises both branches
 
 
+def _typed(m):
+    """A matrix with the type of every entry, so Fraction and int differ."""
+    return tuple(tuple((type(x), x) for x in row) for row in m)
+
+
+class TestAgainstOracles:
+    """Quasi-isos, homotopy witnesses, braidings and random maps agree
+    exactly with the implementations kept in tests/oracles.py."""
+
+    def test_random_maps_all_fields(self):
+        rng = random.Random(13)
+        quasi_isos = 0
+        for f in (QQ, Field(2), Field(3), F5):
+            zero = DSV(f, 0, 0, (), ())
+            pool = [zero, DSV.unit(f), DSV.odd_line(f)]
+            for trial in range(40):
+                v = rng.choice(pool) if trial % 4 == 0 else _random_dsv(f, rng)
+                w = v if rng.random() < 0.4 else (rng.choice(pool) if trial % 5 == 0 else _random_dsv(f, rng))
+                seed = rng.random()
+                fm = _random_dsv_map(f, v, w, r_new := random.Random(seed))
+                old = oracles._random_dsv_map(f, v, w, r_old := random.Random(seed))
+                assert (_typed(fm.f0), _typed(fm.f1)) == (_typed(old.f0), _typed(old.f1))
+                assert r_new.getstate() == r_old.getstate()
+                qi = is_quasi_iso(fm)
+                assert qi == oracles.is_quasi_iso(fm)
+                quasi_isos += qi
+                new, ref = homotopy_inverse(fm), oracles.homotopy_inverse(fm)
+                assert (new is None) == (ref is None)
+                if new is not None:
+                    (g, *hs), (g_ref, *hs_ref) = new, ref
+                    assert [_typed(m) for m in (g.f0, g.f1, *hs)] == [
+                        _typed(m) for m in (g_ref.f0, g_ref.f1, *hs_ref)
+                    ]
+                sw, sw_ref = swap_map(v, w), oracles.swap_map(v, w)
+                assert (_typed(sw.f0), _typed(sw.f1)) == (_typed(sw_ref.f0), _typed(sw_ref.f1))
+        assert 0 < quasi_isos < 160  # both answers are exercised
+
+
+def _product(f, a, b, n):
+    """n x n product a @ b, summed directly (independent of dsv.mat_mul)."""
+    return [[f.of(sum(a[i][k] * b[k][j] for k in range(len(b)))) for j in range(n)] for i in range(n)]
+
+
 def _check_homotopy_witness(fmap, witness):
-    # f g - id = d1 t0 + t1 d0 on W_0, checked entrywise
+    """All four homotopy equations, entrywise:
+    f0 g0 - I = d1 t0 + t1 d0 on W_0,  f1 g1 - I = d0 t1 + t0 d1 on W_1,
+    g0 f0 - I = d1 u0 + u1 d0 on V_0,  g1 f1 - I = d0 u1 + u0 d1 on V_1."""
     f = fmap.source.field
     g, t0, t1, u0, u1 = witness
     v, w = fmap.source, fmap.target
-    for i in range(w.dim0):
-        for j in range(w.dim0):
-            fg = f.zero()
-            for s in range(v.dim0):
-                fg = f.add(fg, f.mul(fmap.f0[i][s], g.f0[s][j]))
-            homotopy = f.zero()
-            for t in range(w.dim1):
-                homotopy = f.add(homotopy, f.mul(w.d1[i][t], t0[t][j]))
-                homotopy = f.add(homotopy, f.mul(t1[i][t], w.d0[t][j]))
-            expected = f.sub(fg, f.one() if i == j else f.zero())
-            assert expected == homotopy
+    for comp, d_first, h_first, h_second, d_second, n in (
+        ((fmap.f0, g.f0), w.d1, t0, t1, w.d0, w.dim0),
+        ((fmap.f1, g.f1), w.d0, t1, t0, w.d1, w.dim1),
+        ((g.f0, fmap.f0), v.d1, u0, u1, v.d0, v.dim0),
+        ((g.f1, fmap.f1), v.d0, u1, u0, v.d1, v.dim1),
+    ):
+        lhs = _product(f, *comp, n)
+        first = _product(f, d_first, h_first, n)
+        second = _product(f, h_second, d_second, n)
+        for i in range(n):
+            for j in range(n):
+                assert f.of(lhs[i][j] - (i == j)) == f.of(first[i][j] + second[i][j])
 
 
 class TestInvertibility:

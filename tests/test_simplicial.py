@@ -356,6 +356,12 @@ def test_negative_degree_rejected(rp2):
         Cochain.zero(rp2, -2, 2)
 
 
+@pytest.mark.parametrize("q, n", [(1, -1), (2, -4), (0, -2)])
+def test_negative_modulus_rejected(rp2, q, n):
+    with pytest.raises(ValueError, match="modulus must be >= 0"):
+        cohomology(rp2, q, n)
+
+
 def test_cocycle_certificate(rp2):
     values = [0] * rp2.simplex_count(1)
     values[0] = 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import cokernel_dense
+from oracles import equivalent as equivalent_nested
 
 from supercoh import stable2type as s2t
 from supercoh.exact_linalg import AbelianGroupPresentation as G
@@ -104,6 +105,27 @@ class TestEquivalence:
         a = s2t.Stable2TypeData(pi0, Z2, ((1,), (0,)))
         b = s2t.Stable2TypeData(pi0, Z2, ((0,), (1,)))
         assert s2t.equivalent(a, b)
+
+
+class TestEquivalenceAgainstNestedSearch:
+    """The one-pass search answers every pair exactly as the nested search
+    kept in tests/oracles.py."""
+
+    POOLS = (
+        # the algebra_small benchmark specs
+        (G(0, (4, 8)), G(0, (2, 2))),
+        (G(0, (2, 8)), G(0, (2, 2))),
+        (G(1, (2,)), G(0, (2, 2))),
+        (G(0, (2, 2)), Z2),
+        (Z, Z2),
+        (G(2, ()), G(0, (2, 4))),
+    )
+
+    @pytest.mark.parametrize("pi0, pi1", POOLS, ids=lambda g: str(g).replace(" ⊕ ", "+"))
+    def test_every_pair(self, pi0, pi1):
+        pool = s2t.enumerate_symmetric_structures(pi0, pi1)
+        for a, b in itertools.product(pool, repeat=2):
+            assert s2t.equivalent(a, b) == equivalent_nested(a, b)
 
 
 class TestCatalog:
