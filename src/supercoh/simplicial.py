@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, cycle, repeat
+from math import gcd
 from operator import add, itemgetter, mod, mul, neg, sub
 
 from .exact_linalg import (
@@ -28,6 +29,11 @@ from .exact_linalg import (
 )
 
 DEFAULT_DIMENSION_CAP = 6
+# bounds on a complex read from JSON, checked before anything is built: the
+# vertex count, and the simplex count of the closure as bounded by the
+# maximal simplices, sum(2^|s| - 1)
+JSON_MAX_VERTICES = 100_000
+JSON_MAX_SIMPLICES = 500_000
 
 
 def _gather(indices: tuple):
@@ -185,7 +191,14 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
-        return cls(int(data["vertex_count"]), [tuple(s) for s in data["maximal_simplices"]])
+        vertex_count = int(data["vertex_count"])
+        if vertex_count > JSON_MAX_VERTICES:
+            raise ValueError(f"vertex_count {vertex_count} exceeds {JSON_MAX_VERTICES}")
+        maximal = [tuple(s) for s in data["maximal_simplices"]]
+        bound = sum((1 << len(s)) - 1 for s in maximal)
+        if bound > JSON_MAX_SIMPLICES:
+            raise ValueError(f"closure bound {bound} of the maximal simplices exceeds {JSON_MAX_SIMPLICES}")
+        return cls(vertex_count, maximal)
 
 
 @dataclass(frozen=True)
@@ -384,74 +397,133 @@ def _cohomology_mod_2(x: SimplicialComplex, q: int):
     return pres, basis, [2] * h, coordinates
 
 
-def _cohomology_integral_sparse(x: SimplicialComplex, q: int, n: int):
-    """H^q(X; Z/n) for any n >= 0, from sparse op-log factorizations.
+def _chain_generators(chain, vector, length: int) -> list[list[int]]:
+    """One generator per factor of chain = invariant_factor_chain(orders):
+    the sum over its parts (d, part, key) of d // part times vector(key), the
+    generator of Z/d scaled to order part."""
+    gens = []
+    for _, parts in chain:
+        acc = [0] * length
+        for d, part, key in parts:
+            scale = d // part
+            for i, v in enumerate(vector(key)):
+                if v:
+                    acc[i] += scale * v
+        gens.append(acc)
+    return gens
 
-    Cocycles mod n are the lattice {v : delta_q v = 0 (mod n)}: the kernel
-    of [delta_q | n I], cut to its first m_q coordinates.  The relations are
-    the columns of delta_{q-1} and, for n > 0, n e_i.  Their coordinates in
-    the lattice form a matrix whose diagonalization gives the group and,
-    through logged transforms, the generators and the coordinates of a class.
+
+def _cohomology_integral_sparse(x: SimplicialComplex, q: int):
+    """H^q(X; Z) from sparse op-log factorizations.
+
+    Cocycles are the kernel of delta_q, whose factorization U delta_q V = D
+    (kept on the coboundary) gives a kernel basis.  The coordinates of the
+    columns of delta_{q-1} in that basis form a relation matrix whose
+    diagonalization gives the group and, through logged transforms, the
+    generators and the coordinates of a class.  The mod-n records of the
+    same degree are built from this record and the same factorization
+    (see _cohomology_mod_n).
     """
-    m0 = x.simplex_count(q)
-    dq = _coboundary(x, q)
-    if n == 0:
-        ksolver = dq.solver()
-    else:
-        stack = [{**row, m0 + i: n} for i, row in enumerate(dq.data)]
-        ksolver = _OpLogSolver(SparseMatrix(dq.rows, m0 + dq.rows, stack))
+    ksolver = _coboundary(x, q).solver()
     k = len(ksolver.free_cols)
     if k == 0:
         return AbelianGroupPresentation.trivial(), [], [], _no_coordinates
 
     relations = _coboundary(x, q - 1).transpose().data
-    if n:
-        # v lifts to (v, -(delta_q v) / n) in the kernel of the stack: a
-        # coboundary to itself, n e_i to (n e_i, -delta_q e_i)
-        relations += [
-            {i: n, **{m0 + r: -d for r, d in col.items()}} for i, col in enumerate(dq.transpose().data)
-        ]
     coord_rows = ksolver.free_coordinate_rows(relations)
     if coord_rows is None:
         raise ArithmeticError("vector not in kernel lattice")
     wsolver = _OpLogSolver(SparseMatrix(k, len(relations), coord_rows))
-    # invariant-factor chain with matched generators: a part of order power
-    # of the pivot row of order d_row is d_row // power times its U^-1 column
+    # a part of order power of the pivot row of order d_row is d_row // power
+    # times its U^-1 column
     chain = invariant_factor_chain([(abs(d), row) for row, _, d in wsolver.pivots])
     free_rows = wsolver.zero_rows
     uinv = cache(wsolver.u_inverse_column)
-    gen_coord_vectors = []
-    orders = []
-    for factor, parts in chain:
-        acc = [0] * k
-        for d_row, power, row in parts:
-            scale = d_row // power
-            col = uinv(row)
-            for i in range(k):
-                acc[i] += scale * col[i]
-        gen_coord_vectors.append(acc)
-        orders.append(factor)
-    for r in free_rows:
-        gen_coord_vectors.append(uinv(r))
-        orders.append(0)
+    gen_coord_vectors = _chain_generators(chain, uinv, k) + [uinv(r) for r in free_rows]
+    orders = [f for f, _ in chain] + [0] * len(free_rows)
     pres = AbelianGroupPresentation(len(free_rows), tuple(f for f, _ in chain))
     basis = [
-        CohomologyClass(Cochain(x, q, n, tuple(ksolver.kernel_combination(coords)[:m0])))
+        CohomologyClass(Cochain(x, q, 0, tuple(ksolver.kernel_combination(coords))))
         for coords in gen_coord_vectors
     ]
 
     def coordinates(xc):
-        # lift xc into the kernel as the relations were lifted (a
-        # non-cocycle has no lift); y = U (kernel coordinates) then gives
-        # the class as y_row modulo d_row on pivot rows, y_row on free rows
-        d = xc.coboundary_values()
-        if any(map(mod, d, repeat(n))) if n else any(d):
+        # y = U (kernel coordinates) gives the class as y_row modulo d_row on
+        # pivot rows, y_row on free rows
+        if any(xc.coboundary_values()):
             return None
-        lift = xc.values + tuple(-(v // n) for v in d) if n else xc.values
-        y = wsolver.row_transform(ksolver.free_coordinates(lift))
+        y = wsolver.row_transform(ksolver.free_coordinates(xc.values))
         return chain_coordinates(chain, y) + [y[r] for r in free_rows]
 
     return pres, basis, orders, coordinates
+
+
+def _cohomology_mod_n(x: SimplicialComplex, q: int, n: int):
+    """H^q(X; Z/n), q >= 1, by universal coefficients:
+    H^q(X; Z) (x) Z/n + Tor(H^{q+1}(X; Z), Z/n), read off the integral record
+    of degree q and the factorization U delta_q V = D it keeps.
+
+    The (x) part: each integral generator of order o, reduced mod n, has
+    order gcd(o, n) (n when o = 0 means free).  The Tor part: the torsion of
+    H^{q+1}(X; Z) is that of coker delta_q, since ker delta_{q+1} is
+    saturated, so it is Z/d for each pivot (i, j, d) of D.  With
+    x_j = V e_j and z_i = U^-1 e_i, delta_q x_j = d z_i, and (n/g) x_j with
+    g = gcd(d, n) is a cocycle mod n of order g, its Bockstein (d/g) z_i.
+    Both lists of cyclic pieces join in one invariant-factor chain.
+    """
+    _, int_basis, int_orders, int_coordinates = _record(x, q, 0)
+    dsolver = _coboundary(x, q).solver()
+    pivots = dsolver.pivots
+    k = len(int_orders)
+    chain = invariant_factor_chain(
+        [(gcd(o, n), key) for key, o in enumerate(int_orders)]
+        + [(gcd(d, n), k + t) for t, (_, _, d) in enumerate(pivots)]
+    )
+    if not chain:
+        return AbelianGroupPresentation.trivial(), [], [], _no_coordinates
+    m0 = x.simplex_count(q)
+
+    def piece(key):
+        if key < k:
+            return int_basis[key].cochain.values
+        _, j, d = pivots[key - k]
+        e = [0] * m0
+        e[j] = n // gcd(d, n)
+        return dsolver.col_transform(e)
+
+    orders = [f for f, _ in chain]
+    basis = [
+        CohomologyClass(Cochain(x, q, n, tuple(vec))) for vec in _chain_generators(chain, piece, m0)
+    ]
+
+    def coordinates(xc):
+        # delta c = n w over Z for c lifted to [0, n).  On pivot row i of
+        # u = U w, u_i is (d/g) t modulo d for the Tor coordinate t, and
+        # s_j = n u_i / d is exact: c - V s takes off t (n/g) x_j and n times
+        # an exact solution r of delta_q r = w - t (d/g) z_i, so it is an
+        # integral cocycle, whose coordinates modulo gcd(o, n) are the (x) part
+        d = xc.coboundary_values()
+        if any(map(mod, d, repeat(n))):
+            return None
+        u = dsolver.row_transform([v // n for v in d])
+        if any(u[i] for i in dsolver.zero_rows):
+            raise ArithmeticError("Bockstein of a mod-n cocycle is not a torsion class")
+        s = [0] * m0
+        tor = []
+        for i, j, piv in pivots:
+            step = piv // gcd(piv, n)
+            t = u[i] % piv
+            if t % step:
+                raise ArithmeticError("Bockstein of a mod-n cocycle is not n-torsion")
+            tor.append(t // step)
+            s[j] = n * u[i] // piv
+        lift = map(sub, xc.values, dsolver.col_transform(s))
+        integral = int_coordinates(Cochain(x, q, 0, tuple(lift)))
+        if integral is None:
+            raise ArithmeticError("integral lift of a mod-n cocycle is not a cocycle")
+        return chain_coordinates(chain, integral + tor)
+
+    return AbelianGroupPresentation(0, tuple(orders)), basis, orders, coordinates
 
 
 def cohomology(x: SimplicialComplex, q: int, n: int = 0):
@@ -462,24 +534,37 @@ def cohomology(x: SimplicialComplex, q: int, n: int = 0):
     deterministic.  Degrees beyond the dimension give the trivial group.
     The cache entry also keeps the generator orders and a reader of class
     coordinates (see class_coordinates).
+
+    Degree 0 is read off the components, Z/2 off an F2 echelon and Z off
+    the factorization of delta_q.  Any other Z/n is the universal-coefficient
+    split of the integral record of the same degree, H^q(X; Z) (x) Z/n +
+    Tor(H^{q+1}(X; Z), Z/n), so it caches that record too.
     """
     if q < 0:
         raise ValueError("degree must be >= 0")
     if n < 0:
         raise ValueError("modulus must be >= 0")
+    return _record(x, q, n)[:2]
+
+
+def _record(x: SimplicialComplex, q: int, n: int):
+    """The cached record (presentation, basis, orders, coordinate reader) of
+    H^q(X; Z/n), q, n >= 0, built on first use."""
     key = (q, n)
-    if key in x._cohom_cache:
-        return x._cohom_cache[key][:2]
-    if q > x.dim:
-        result = (AbelianGroupPresentation.trivial(), [], [], _no_coordinates)
-    elif q == 0:
-        result = _cohomology_degree_zero(x, n)
-    elif n == 2:
-        result = _cohomology_mod_2(x, q)
-    else:
-        result = _cohomology_integral_sparse(x, q, n)
-    x._cohom_cache[key] = result
-    return result[:2]
+    result = x._cohom_cache.get(key)
+    if result is None:
+        if q > x.dim:
+            result = (AbelianGroupPresentation.trivial(), [], [], _no_coordinates)
+        elif q == 0:
+            result = _cohomology_degree_zero(x, n)
+        elif n == 0:
+            result = _cohomology_integral_sparse(x, q)
+        elif n == 2:
+            result = _cohomology_mod_2(x, q)
+        else:
+            result = _cohomology_mod_n(x, q, n)
+        x._cohom_cache[key] = result
+    return result
 
 
 def generator_orders(x: SimplicialComplex, q: int, n: int = 0) -> list[int]:

@@ -241,20 +241,36 @@ def _iter_torsion_automorphisms(g: AbelianGroupPresentation, cap):
             yield cols
 
 
+def _prime_divisors(n: int) -> list[int]:
+    """Primes dividing n >= 1, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
+
+
 def _is_torsion_automorphism(factors, cols) -> bool:
-    """Brute bijectivity check of the endomorphism given by generator images."""
-    nt = len(factors)
-    seen = set()
-    for coords in itertools.product(*(range(d) for d in factors)):
-        img = [0] * nt
-        for j, c in enumerate(coords):
-            if c:
-                for i in range(nt):
-                    img[i] = (img[i] + c * cols[j][i]) % factors[i]
-        img = tuple(img)
-        if img in seen:
-            return False
-        seen.add(img)
+    """Bijectivity of the endomorphism given by generator images.
+
+    An endomorphism of a finite abelian group is bijective iff no element of
+    prime order lies in its kernel, so only the nonzero elements of each
+    socle G[p] are mapped: coordinates (d // p) * a, a in [0, p), on the
+    factors d that p divides.  Every prime divides the last factor."""
+    for p in _prime_divisors(max(factors, default=1)):
+        steps = [(j, d // p) for j, d in enumerate(factors) if d % p == 0]
+        for coeffs in itertools.product(range(p), repeat=len(steps)):
+            if not any(coeffs):
+                continue
+            img = [0] * len(factors)
+            for (j, step), a in zip(steps, coeffs):
+                for i, x in enumerate(cols[j]):
+                    img[i] += a * step * x
+            if not any(v % d for v, d in zip(img, factors)):
+                return False
     return True
 
 

@@ -105,6 +105,24 @@ def suite_simplicial():
         if chi != ranks:
             ok = False
     out.append(_result("euler-vs-betti", ok))
+    bad = []
+    for name in CORPUS:
+        x = corpus.complex_by_name(name)
+        for n in (3, 4, 6):
+            for q in range(1, x.dim + 1):
+                _, basis = cohomology(x, q, n)
+                zero = Cochain.zero(x, q, n)
+                for k, (cls, order) in enumerate(zip(basis, simplicial.generator_orders(x, q, n))):
+                    g = cls.cochain
+                    unit = [int(i == k) for i in range(len(basis))]
+                    if not (
+                        g.is_cocycle()
+                        and not is_cohomologous(g, zero)
+                        and is_cohomologous(g.scale(order), zero)
+                        and simplicial.class_coordinates(g) == unit
+                    ):
+                        bad.append(f"{name} H^{q}(Z/{n}) #{k}")
+    out.append(_result("mod-n-basis", not bad, ", ".join(bad)))
     return out
 
 

@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from supercoh.cli import main
 
@@ -34,6 +37,23 @@ class TestCohomologyVerb:
         code, _, err = run(capsys, "cohomology", "--complex", str(p), "--deg", "0")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"vertex_count": 10**12, "maximal_simplices": [[0]]},
+            {"vertex_count": 7, "maximal_simplices": [[0, 1, 2, 3, 4, 5, 6]] * 4000},
+        ],
+        ids=["vertex_count", "closure_bound"],
+    )
+    def test_oversized_complex_is_parse_error(self, capsys, tmp_path, data):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cohomology", "--complex", str(p), "--deg", "0")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert "exceeds" in err
 
     def test_negative_modulus_is_domain_error(self, capsys):
         code, out, err = run(capsys, "cohomology", "--complex", "@rp2", "--deg", "1", "--mod", "-1")
@@ -152,7 +172,7 @@ class TestVerifyVerb:
     def test_all_suites(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all")
         assert code == 0
-        assert out.strip().splitlines()[-1] == "24/24 checks passed"
+        assert out.strip().splitlines()[-1] == "25/25 checks passed"
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nonsense")

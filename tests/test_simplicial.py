@@ -9,6 +9,7 @@ from oracles import (
     class_coordinates_solve,
     coboundary_loop,
     cohomology_integral_dense,
+    cohomology_stack,
     cup_value_on,
     is_cohomologous_solve,
 )
@@ -23,6 +24,8 @@ from supercoh.simplicial import (
     SimplicialComplex,
     SimplicialMap,
     _coboundary,
+    _cohomology_integral_sparse,
+    _cohomology_mod_n,
     class_coordinates,
     coboundary_matrix,
     cohomology,
@@ -134,14 +137,17 @@ def test_degree_beyond_dimension(rp2):
     assert pres.is_trivial() and basis == []
 
 
-def test_sparse_path_agrees_with_dense(all_surfaces):
-    from supercoh.simplicial import _cohomology_integral_sparse
+def _sparse_path(x, q, n):
+    """The record cohomology() builds for q >= 1 and n != 2."""
+    return _cohomology_mod_n(x, q, n) if n else _cohomology_integral_sparse(x, q)
 
+
+def test_sparse_path_agrees_with_dense(all_surfaces):
     for x in all_surfaces.values():
         for q in range(1, x.dim + 1):
             for n in (0, 3, 4, 5, 6, 8):
                 dense = cohomology_integral_dense(x, q, n)
-                sparse = _cohomology_integral_sparse(x, q, n)
+                sparse = _sparse_path(x, q, n)
                 assert dense[0] == sparse[0]
                 assert dense[2] == sparse[2]
                 zero = Cochain.zero(x, q, n)
@@ -175,15 +181,13 @@ def test_moore_space_torsion():
 def test_coprime_torsion_merges_to_invariant_factors(rp2):
     # RP2 disjoint union Moore(Z/3): H^2 = Z/2 + Z/3, i.e. invariant factor 6;
     # exercises the CRT generator merge in the integral path and its dense oracle
-    from supercoh.simplicial import _cohomology_integral_sparse
-
     shift = rp2.vertex_count
     mixed = SimplicialComplex(
         shift + 13,
         list(rp2.maximal_simplices)
         + [tuple(v + shift for v in s) for s in moore3().maximal_simplices],
     )
-    for path in (cohomology_integral_dense, _cohomology_integral_sparse):
+    for path in (cohomology_integral_dense, _sparse_path):
         pres, basis, orders = path(mixed, 2, 0)[:3]
         assert pres == G(0, (6,)), path.__name__
         assert orders == [6]
@@ -213,6 +217,28 @@ def test_universal_coefficients(name):
     for n in (3, 4, 5, 6, 7, 8, 9):
         for q in range(x.dim + 1):
             assert cohomology(x, q, n)[0] == _universal_coefficients(x, q, n), (q, n)
+
+
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES + ("rp2xs1", "kleinxs1"))
+def test_mod_n_record_matches_the_stack(name):
+    """The universal-coefficient record of H^q(X; Z/n) has the presentation
+    and generator orders of the [delta_q | n I] stack, each basis class reads
+    back as e_k, and the two bases name the same classes: the new basis in
+    the stack's coordinates, summed over the stack basis, reads back as e_k."""
+    x = _product_with_s1(name[: -len("xs1")]) if name.endswith("xs1") else corpus.complex_by_name(name)
+    for n in (3, 4, 5, 6, 8, 12, 30):
+        for q in range(1, x.dim + 1):
+            pres, basis = cohomology(x, q, n)
+            orders = generator_orders(x, q, n)
+            stack_pres, stack_basis, stack_orders, stack_coordinates = cohomology_stack(x, q, n)
+            assert (pres, orders) == (stack_pres, stack_orders), (q, n)
+            for k, cls in enumerate(basis):
+                unit = [int(i == k) for i in range(len(basis))]
+                assert class_coordinates(cls.cochain) == unit, (q, n, k)
+                back = Cochain.zero(x, q, n)
+                for c, stack_cls in zip(stack_coordinates(cls.cochain), stack_basis):
+                    back = back + stack_cls.cochain.scale(c)
+                assert class_coordinates(back) == unit, (q, n, k)
 
 
 def test_cohomology_adds_no_attributes_to_the_complex():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import cokernel_dense
 from oracles import equivalent as equivalent_nested
+from oracles import is_torsion_automorphism_brute
 
 from supercoh import stable2type as s2t
 from supercoh.exact_linalg import AbelianGroupPresentation as G
@@ -126,6 +127,22 @@ class TestEquivalenceAgainstNestedSearch:
         pool = s2t.enumerate_symmetric_structures(pi0, pi1)
         for a, b in itertools.product(pool, repeat=2):
             assert s2t.equivalent(a, b) == equivalent_nested(a, b)
+
+
+@pytest.mark.parametrize("factors", [(2,), (3,), (4,), (12,), (2, 2), (2, 4), (3, 6), (4, 8), (2, 2, 2)], ids=str)
+def test_socle_bijectivity_check_matches_the_brute_one(factors):
+    """Checking the socles answers as mapping the whole group, on every
+    endomorphism of Z/d1 + ... given by generator images."""
+    images = [
+        list(itertools.product(*(range(0, di, di // gcd(di, dj)) for di in factors)))
+        for dj in factors
+    ]
+    answers = set()
+    for cols in itertools.product(*images):
+        answer = s2t._is_torsion_automorphism(factors, cols)
+        assert answer == is_torsion_automorphism_brute(factors, cols), cols
+        answers.add(answer)
+    assert answers == {True, False}
 
 
 class TestCatalog:
