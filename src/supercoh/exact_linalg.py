@@ -511,27 +511,13 @@ class _OpLogSolver:
         return v
 
     def kernel_combination(self, coeffs) -> list[int]:
-        """V applied to coeffs placed on the free columns: the combination of
-        kernel_basis() vectors with these coefficients."""
+        """V applied to coeffs placed on the free columns: the combination,
+        with these coefficients, of the kernel basis V e_j over the free
+        columns j."""
         v = [0] * self.ncols
         for j, c in zip(self.free_cols, coeffs):
             v[j] = c
         return self.col_transform(v)
-
-    def kernel_basis(self) -> list[list[int]]:
-        """Basis of ker(A) over Z: V e_j for each free column j, all from one
-        replay of the column ops."""
-        coords: list[dict[int, int]] = [{} for _ in range(self.ncols)]  # [r][t] = V[r][free t]
-        for t, j in enumerate(self.free_cols):
-            coords[j][t] = 1
-        for src, dst, q in reversed(self.col_ops):
-            if coords[dst]:
-                _add_scaled(coords[src], coords[dst], -q)
-        basis = [[0] * self.ncols for _ in self.free_cols]
-        for r, entries in enumerate(coords):
-            for t, x in entries.items():
-                basis[t][r] = x
-        return basis
 
     def free_coordinate_rows(self, vecs) -> list[dict[int, int]] | None:
         """Coordinates of many sparse vectors {index: value} in the kernel basis.

@@ -553,7 +553,7 @@ def _record(x: SimplicialComplex, q: int, n: int):
     key = (q, n)
     result = x._cohom_cache.get(key)
     if result is None:
-        if q > x.dim:
+        if q > x.dim or n == 1:
             result = (AbelianGroupPresentation.trivial(), [], [], _no_coordinates)
         elif q == 0:
             result = _cohomology_degree_zero(x, n)

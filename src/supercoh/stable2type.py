@@ -2,13 +2,22 @@
 
 A stable 2-type is classified by (pi0, pi1, q) where q is a homomorphism
 pi0 (x) Z/2 -> pi1 landing in the 2-torsion.  Generators of pi0 (x) Z/2 are
-the free generators of pi0 followed by its even-order torsion generators; q
-is stored as one pi1-coordinate column per such generator.
+the even-order torsion generators of pi0 followed by its free generators;
+q is stored as one pi1-coordinate column per such generator.
 
-Equivalence testing is a finite search, one pass over each automorphism
-group; the caps on free-rank matrix entries are sound here because the
-compatibility condition only sees the induced maps mod 2, and every GL(F_2)
-class has a small integer lift.
+Two triples on the same groups are equivalent when q' = phi1 . q .
+(phi0 (x) Z/2)^-1 for automorphisms phi0 of pi0 and phi1 of pi1.  Give a
+generator of order d the 2-exponent v2(d), a free one infinity, and the
+basis element (d/2) t of pi1[2] the exponent of t.  A generator of order
+2^a maps only to elements killed by 2^a, so Aut(pi0) acts on pi0 (x) Z/2
+through the invertible matrices that keep the span of the generators of
+exponent <= k for every k, and Aut(pi1) acts on pi1[2] through those that
+keep the span of the basis elements of exponent >= l for every l; every
+such block-triangular matrix lifts.  A map between two such flagged
+spaces is a representation of a type A quiver, whose indecomposables are
+intervals counted by the ranks of the composites.  So the orbit of q is
+fixed by its corner ranks: the F2 rank of q on the columns of exponent
+<= k and the rows of exponent < l.
 
 Only one layer of gluing data is classified here.  Attaching a third
 homotopy group on top of the ku/ko catalog entries involves one more level
@@ -25,18 +34,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import inf
 
 from .dsv import Field, invert
 from .exact_linalg import (
     AbelianGroupPresentation,
+    F2Echelon,
     IntMatrix,
     chain_coordinates,
     invariant_factor_chain,
 )
 
 DEFAULT_ENUM_CAP = 4096
-DEFAULT_SEARCH_CAP = 1_000_000
 
 
 def tensor_mod2(g: AbelianGroupPresentation) -> AbelianGroupPresentation:
@@ -210,180 +219,32 @@ def _transform_q_columns(d1, d2, pi0, pi1, t0, t1):
 
 
 # ---------------------------------------------------------------------------
-# Equivalence search
+# Equivalence
 
 
-def _iter_torsion_automorphisms(g: AbelianGroupPresentation, cap):
-    """All automorphisms of the torsion part, as generator-image tuples."""
-    factors = g.invariant_factors
-    nt = len(factors)
-    if nt == 0:
-        yield ()
-        return
-    ranges = []
-    for j in range(nt):
-        col_choices = []
-        for i in range(nt):
-            # hom condition: factor d_j generator maps to elements killed by d_j
-            step = factors[i] // gcd(factors[i], factors[j])
-            col_choices.append(range(0, factors[i], step))
-        ranges.append(list(itertools.product(*col_choices)))
-    total = 1
-    for r in ranges:
-        total *= len(r)
-        if total > cap[0]:
-            raise ValueError("automorphism search exceeds cap")
-    for cols in itertools.product(*ranges):
-        cap[0] -= 1
-        if cap[0] < 0:
-            raise ValueError("automorphism search exceeds cap")
-        if _is_torsion_automorphism(factors, cols):
-            yield cols
-
-
-def _prime_divisors(n: int) -> list[int]:
-    """Primes dividing n >= 1, by trial division."""
-    primes, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return primes + [n] if n > 1 else primes
-
-
-def _is_torsion_automorphism(factors, cols) -> bool:
-    """Bijectivity of the endomorphism given by generator images.
-
-    An endomorphism of a finite abelian group is bijective iff no element of
-    prime order lies in its kernel, so only the nonzero elements of each
-    socle G[p] are mapped: coordinates (d // p) * a, a in [0, p), on the
-    factors d that p divides.  Every prime divides the last factor."""
-    for p in _prime_divisors(max(factors, default=1)):
-        steps = [(j, d // p) for j, d in enumerate(factors) if d % p == 0]
-        for coeffs in itertools.product(range(p), repeat=len(steps)):
-            if not any(coeffs):
-                continue
-            img = [0] * len(factors)
-            for (j, step), a in zip(steps, coeffs):
-                for i, x in enumerate(cols[j]):
-                    img[i] += a * step * x
-            if not any(v % d for v, d in zip(img, factors)):
-                return False
-    return True
-
-
-def _iter_free_blocks(rank: int, bound: int = 1):
-    """Integer matrices with entries in [-bound, bound] and determinant +-1."""
-    if rank == 0:
-        yield ()
-        return
-    entries = range(-bound, bound + 1)
-    for flat in itertools.product(entries, repeat=rank * rank):
-        m = [list(flat[i * rank : (i + 1) * rank]) for i in range(rank)]
-        if abs(_det(m)) == 1:
-            yield tuple(tuple(r) for r in m)
-
-
-def _det(m):
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    acc = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        acc += (-1) ** j * m[0][j] * _det(minor)
-    return acc
-
-
-def _iter_automorphisms(g: AbelianGroupPresentation, cap):
-    """Automorphisms as (torsion_cols, free_block, mixed_block).
-
-    The full automorphism acts by: free gen e_j -> sum_i A[i][j] e_i + sum C[i][j] t_i,
-    torsion gen t_j -> sum_i D[i][j] t_i.  (Hom(torsion, free) = 0.)
-    """
-    if g.free_rank > 2:
-        raise ValueError("equivalence search supports free rank <= 2")
-    factors = g.invariant_factors
-    nt = len(factors)
-    mixed_choices = (
-        list(itertools.product(*(range(d) for d in factors)))
-        if nt
-        else [()]
-    )
-    for d_cols in _iter_torsion_automorphisms(g, cap):
-        for a_block in _iter_free_blocks(g.free_rank):
-            for c_cols in itertools.product(mixed_choices, repeat=g.free_rank):
-                cap[0] -= 1
-                if cap[0] < 0:
-                    raise ValueError("automorphism search exceeds cap")
-                yield d_cols, a_block, c_cols
-
-
-def _mod2_action(g: AbelianGroupPresentation, d_cols, a_block, c_cols):
-    """Induced matrix on the mod-2 generators (rows/cols in mod-2 gen order)."""
-    surv = _mod2_generator_indices(g)
-    nt = len(g.invariant_factors)
-    mat = []
-    for r_pos in surv:
-        row = []
-        for c_pos in surv:
-            if c_pos < nt:  # torsion source generator
-                val = d_cols[c_pos][r_pos] if r_pos < nt else 0
-            else:
-                j = c_pos - nt
-                if r_pos < nt:
-                    val = c_cols[j][r_pos]
-                else:
-                    val = a_block[r_pos - nt][j]
-            row.append(val % 2)
-        mat.append(row)
-    return mat
-
-
-def _apply_pi1_automorphism(g: AbelianGroupPresentation, d_cols, a_block, c_cols, coords):
-    nt = len(g.invariant_factors)
-    n = nt + g.free_rank
-    acc = [0] * n
-    for j, c in enumerate(coords):
-        if not c:
-            continue
-        if j < nt:
-            for i in range(nt):
-                acc[i] += c * d_cols[j][i]
-        else:
-            jj = j - nt
-            for i in range(nt):
-                acc[i] += c * c_cols[jj][i]
-            for i in range(g.free_rank):
-                acc[nt + i] += c * a_block[i][jj]
-    return _canonical_element(g, tuple(acc))
+def _corner_ranks(data: Stable2TypeData) -> tuple[int, ...]:
+    """F2 ranks of q on the columns of 2-exponent <= k and the rows of
+    2-exponent < l, for each exponent k of pi0 and each exponent l of pi1
+    or infinity.  An exponent is kept as the 2-part d & -d of an order d,
+    infinite for a free generator; q columns are 2-torsion, so only even
+    torsion rows carry bits."""
+    pi0, pi1 = data.pi0, data.pi1
+    col_exps = [d & -d for d in pi0.invariant_factors if d % 2 == 0] + [inf] * pi0.free_rank
+    row_exps = [d & -d for d in pi1.invariant_factors]
+    cols = [sum(1 << i for i, c in enumerate(col) if c) for col in data.q]
+    ranks = []
+    for k in sorted(set(col_exps)):
+        for l in (*sorted(set(row_exps)), inf):
+            rows = sum(1 << i for i, e in enumerate(row_exps) if e < l)
+            echelon = F2Echelon()
+            ranks.append(sum(echelon.insert(c & rows) for c, e in zip(cols, col_exps) if e <= k))
+    return tuple(ranks)
 
 
 def equivalent(d1: Stable2TypeData, d2: Stable2TypeData) -> bool:
-    """Existence of isomorphisms (phi0, phi1) with phi1 . q = q' . (phi0 (x) Z/2).
-
-    One pass over each automorphism group: the set {phi1 . q} over Aut(pi1),
-    then a scan of Aut(pi0) for q' . (phi0 (x) Z/2) in that set.
-    """
-    if d1.pi0 != d2.pi0 or d1.pi1 != d2.pi1:
-        return False
-    if not d1.q:
-        return True
-    budget = [DEFAULT_SEARCH_CAP]
-    moved = {
-        tuple(_apply_pi1_automorphism(d1.pi1, *phi1, col) for col in d1.q)
-        for phi1 in _iter_automorphisms(d1.pi1, budget)
-    }
-    return any(
-        _q_times_mod2(d1.pi1, d2.q, _mod2_action(d1.pi0, *phi0)) in moved
-        for phi0 in _iter_automorphisms(d1.pi0, budget)
-    )
+    """Existence of isomorphisms (phi0, phi1) with phi1 . q = q' . (phi0 (x) Z/2):
+    the same groups and the same corner ranks (see the module docstring)."""
+    return d1.pi0 == d2.pi0 and d1.pi1 == d2.pi1 and _corner_ranks(d1) == _corner_ranks(d2)
 
 
 # ---------------------------------------------------------------------------

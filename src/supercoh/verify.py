@@ -325,6 +325,16 @@ def suite_stable2type():
         if stable2type.compose_q_with_mod2(cat[name], induced) != cat["sphere"].q:
             ok = False
     out.append(_result("unit-map-compatibility", ok))
+    # class counts: 7 on two pools with two exponents on each side; with one
+    # exponent on each side the only invariant is rank q
+    counts = []
+    for pi0, pi1 in ((G(0, (2, 4)), G(0, (2, 4))), (G(1, (2,)), G(0, (4, 8))), (G(3, ()), G(0, (2, 2)))):
+        reps = []
+        for data in stable2type.enumerate_symmetric_structures(pi0, pi1):
+            if not any(stable2type.equivalent(rep, data) for rep in reps):
+                reps.append(data)
+        counts.append(len(reps))
+    out.append(_result("equivalence-classes", counts == [7, 7, 3], str(counts)))
     return out
 
 

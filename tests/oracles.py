@@ -6,8 +6,9 @@ op-log factorization, the per-simplex loops of the cochain coboundary and
 cup product, the scanning F2 echelons, class coordinates by a solve
 against [delta | basis], is_cohomologous by a solve against delta, the DSV
 quasi-isomorphism test on homology quotients, the entry-by-entry homotopy
-system and braiding, and the nested stable 2-type equivalence search with
-its bijectivity check over the whole group."""
+system and braiding, and the nested stable 2-type equivalence search over
+both automorphism groups with its two bijectivity checks, on the socles
+and over the whole group."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
+from math import gcd
 from operator import mod
 
 from supercoh.exact_linalg import (
@@ -37,14 +39,7 @@ from supercoh.simplicial import (
     _no_coordinates,
     coboundary_matrix,
 )
-from supercoh.stable2type import (
-    DEFAULT_SEARCH_CAP,
-    Stable2TypeData,
-    _apply_pi1_automorphism,
-    _canonical_element,
-    _iter_automorphisms,
-    _mod2_action,
-)
+from supercoh.stable2type import Stable2TypeData, _canonical_element, _mod2_generator_indices
 
 # ---------------------------------------------------------------------------
 # Dense Smith normal form
@@ -943,7 +938,161 @@ def _random_dsv_map(f, v, w, rng):
 
 
 # ---------------------------------------------------------------------------
-# Stable 2-type equivalence, as written before the one-pass search
+# Stable 2-type equivalence by search over both automorphism groups
+
+DEFAULT_SEARCH_CAP = 1_000_000
+
+
+def _iter_torsion_automorphisms(g: AbelianGroupPresentation, cap):
+    """All automorphisms of the torsion part, as generator-image tuples."""
+    factors = g.invariant_factors
+    nt = len(factors)
+    if nt == 0:
+        yield ()
+        return
+    ranges = []
+    for j in range(nt):
+        col_choices = []
+        for i in range(nt):
+            # hom condition: factor d_j generator maps to elements killed by d_j
+            step = factors[i] // gcd(factors[i], factors[j])
+            col_choices.append(range(0, factors[i], step))
+        ranges.append(list(itertools.product(*col_choices)))
+    total = 1
+    for r in ranges:
+        total *= len(r)
+        if total > cap[0]:
+            raise ValueError("automorphism search exceeds cap")
+    for cols in itertools.product(*ranges):
+        cap[0] -= 1
+        if cap[0] < 0:
+            raise ValueError("automorphism search exceeds cap")
+        if _is_torsion_automorphism(factors, cols):
+            yield cols
+
+
+def _prime_divisors(n: int) -> list[int]:
+    """Primes dividing n >= 1, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _is_torsion_automorphism(factors, cols) -> bool:
+    """Bijectivity of the endomorphism given by generator images.
+
+    An endomorphism of a finite abelian group is bijective iff no element of
+    prime order lies in its kernel, so only the nonzero elements of each
+    socle G[p] are mapped: coordinates (d // p) * a, a in [0, p), on the
+    factors d that p divides.  Every prime divides the last factor."""
+    for p in _prime_divisors(max(factors, default=1)):
+        steps = [(j, d // p) for j, d in enumerate(factors) if d % p == 0]
+        for coeffs in itertools.product(range(p), repeat=len(steps)):
+            if not any(coeffs):
+                continue
+            img = [0] * len(factors)
+            for (j, step), a in zip(steps, coeffs):
+                for i, x in enumerate(cols[j]):
+                    img[i] += a * step * x
+            if not any(v % d for v, d in zip(img, factors)):
+                return False
+    return True
+
+
+def _iter_free_blocks(rank: int, bound: int = 1):
+    """Integer matrices with entries in [-bound, bound] and determinant +-1."""
+    if rank == 0:
+        yield ()
+        return
+    entries = range(-bound, bound + 1)
+    for flat in itertools.product(entries, repeat=rank * rank):
+        m = [list(flat[i * rank : (i + 1) * rank]) for i in range(rank)]
+        if abs(_det(m)) == 1:
+            yield tuple(tuple(r) for r in m)
+
+
+def _det(m):
+    n = len(m)
+    if n == 0:
+        return 1
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    acc = 0
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        acc += (-1) ** j * m[0][j] * _det(minor)
+    return acc
+
+
+def _iter_automorphisms(g: AbelianGroupPresentation, cap):
+    """Automorphisms as (torsion_cols, free_block, mixed_block).
+
+    The full automorphism acts by: free gen e_j -> sum_i A[i][j] e_i + sum C[i][j] t_i,
+    torsion gen t_j -> sum_i D[i][j] t_i.  (Hom(torsion, free) = 0.)
+    """
+    if g.free_rank > 2:
+        raise ValueError("equivalence search supports free rank <= 2")
+    factors = g.invariant_factors
+    nt = len(factors)
+    mixed_choices = (
+        list(itertools.product(*(range(d) for d in factors)))
+        if nt
+        else [()]
+    )
+    for d_cols in _iter_torsion_automorphisms(g, cap):
+        for a_block in _iter_free_blocks(g.free_rank):
+            for c_cols in itertools.product(mixed_choices, repeat=g.free_rank):
+                cap[0] -= 1
+                if cap[0] < 0:
+                    raise ValueError("automorphism search exceeds cap")
+                yield d_cols, a_block, c_cols
+
+
+def _mod2_action(g: AbelianGroupPresentation, d_cols, a_block, c_cols):
+    """Induced matrix on the mod-2 generators (rows/cols in mod-2 gen order)."""
+    surv = _mod2_generator_indices(g)
+    nt = len(g.invariant_factors)
+    mat = []
+    for r_pos in surv:
+        row = []
+        for c_pos in surv:
+            if c_pos < nt:  # torsion source generator
+                val = d_cols[c_pos][r_pos] if r_pos < nt else 0
+            else:
+                j = c_pos - nt
+                if r_pos < nt:
+                    val = c_cols[j][r_pos]
+                else:
+                    val = a_block[r_pos - nt][j]
+            row.append(val % 2)
+        mat.append(row)
+    return mat
+
+
+def _apply_pi1_automorphism(g: AbelianGroupPresentation, d_cols, a_block, c_cols, coords):
+    nt = len(g.invariant_factors)
+    n = nt + g.free_rank
+    acc = [0] * n
+    for j, c in enumerate(coords):
+        if not c:
+            continue
+        if j < nt:
+            for i in range(nt):
+                acc[i] += c * d_cols[j][i]
+        else:
+            jj = j - nt
+            for i in range(nt):
+                acc[i] += c * c_cols[jj][i]
+            for i in range(g.free_rank):
+                acc[nt + i] += c * a_block[i][jj]
+    return _canonical_element(g, tuple(acc))
 
 
 def equivalent(d1: Stable2TypeData, d2: Stable2TypeData, cap: int = DEFAULT_SEARCH_CAP) -> bool:

@@ -55,6 +55,11 @@ class TestCohomologyVerb:
         assert code == 2 and not out
         assert "exceeds" in err
 
+    @pytest.mark.parametrize("deg", ["0", "1"])
+    def test_modulus_one_is_the_trivial_group(self, capsys, deg):
+        code, out, _ = run(capsys, "cohomology", "--complex", "@rp2", "--deg", deg, "--mod", "1")
+        assert code == 0 and out.strip() == "0"
+
     def test_negative_modulus_is_domain_error(self, capsys):
         code, out, err = run(capsys, "cohomology", "--complex", "@rp2", "--deg", "1", "--mod", "-1")
         assert code == 1 and not out
@@ -172,7 +177,7 @@ class TestVerifyVerb:
     def test_all_suites(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all")
         assert code == 0
-        assert out.strip().splitlines()[-1] == "25/25 checks passed"
+        assert out.strip().splitlines()[-1] == "26/26 checks passed"
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nonsense")

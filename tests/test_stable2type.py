@@ -4,9 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cokernel_dense
+from oracles import _is_torsion_automorphism, cokernel_dense, is_torsion_automorphism_brute
 from oracles import equivalent as equivalent_nested
-from oracles import is_torsion_automorphism_brute
 
 from supercoh import stable2type as s2t
 from supercoh.exact_linalg import AbelianGroupPresentation as G
@@ -109,8 +108,8 @@ class TestEquivalence:
 
 
 class TestEquivalenceAgainstNestedSearch:
-    """The one-pass search answers every pair exactly as the nested search
-    kept in tests/oracles.py."""
+    """The corner ranks answer exactly as the nested search kept in
+    tests/oracles.py."""
 
     POOLS = (
         # the algebra_small benchmark specs
@@ -128,6 +127,30 @@ class TestEquivalenceAgainstNestedSearch:
         for a, b in itertools.product(pool, repeat=2):
             assert s2t.equivalent(a, b) == equivalent_nested(a, b)
 
+    @pytest.mark.parametrize(
+        "pi0, pi1",
+        # two or more exponents on both sides; 7 classes each
+        [(G(0, (2, 4)), G(0, (2, 4))), (G(1, (2,)), G(0, (4, 8))), (G(1, (4,)), G(0, (2, 4)))],
+        ids=lambda g: str(g).replace(" ⊕ ", "+"),
+    )
+    def test_partition_of_multilevel_pools(self, pi0, pi1):
+        pool = s2t.enumerate_symmetric_structures(pi0, pi1)
+        labels = _class_labels(pool, s2t.equivalent)
+        assert max(labels) + 1 == 7
+        assert labels == _class_labels(pool, equivalent_nested)
+
+
+def _class_labels(pool, equivalent):
+    """Class of each structure, numbered by first appearance: each one is
+    compared with one representative of each class found so far."""
+    reps, labels = [], []
+    for data in pool:
+        label = next((i for i, rep in enumerate(reps) if equivalent(rep, data)), len(reps))
+        if label == len(reps):
+            reps.append(data)
+        labels.append(label)
+    return labels
+
 
 @pytest.mark.parametrize("factors", [(2,), (3,), (4,), (12,), (2, 2), (2, 4), (3, 6), (4, 8), (2, 2, 2)], ids=str)
 def test_socle_bijectivity_check_matches_the_brute_one(factors):
@@ -139,7 +162,7 @@ def test_socle_bijectivity_check_matches_the_brute_one(factors):
     ]
     answers = set()
     for cols in itertools.product(*images):
-        answer = s2t._is_torsion_automorphism(factors, cols)
+        answer = _is_torsion_automorphism(factors, cols)
         assert answer == is_torsion_automorphism_brute(factors, cols), cols
         answers.add(answer)
     assert answers == {True, False}
@@ -268,3 +291,58 @@ def test_direct_sum_transform_is_an_isomorphism(a, b):
     ]
     if relations:
         assert cokernel_dense(IntMatrix.from_rows(relations), 0).is_trivial()
+
+
+def _random_automorphism(orders, rng, moves=8):
+    """Generator images of a product of elementary automorphisms, each of
+    which respects the orders (0 for a free generator): e_j -> e_j + c e_i
+    when c e_i is killed by the order of e_j, e_j -> u e_j for a unit u,
+    and the swap of two generators of the same order."""
+    n = len(orders)
+    images = [[int(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(moves if n else 0):
+        i, j, kind = rng.randrange(n), rng.randrange(n), rng.randrange(3)
+        di, dj = orders[i], orders[j]
+        if kind == 0 and i != j and (di or not dj):
+            c = rng.randint(-3, 3) if not dj else di // gcd(di, dj) * rng.randrange(di)
+            images[j] = [x + c * y for x, y in zip(images[j], images[i])]
+        elif kind == 1:
+            u = rng.choice([u for u in range(1, dj) if gcd(u, dj) == 1]) if dj else -1
+            images[j] = [u * x for x in images[j]]
+        elif kind == 2 and di == dj:
+            images[i], images[j] = images[j], images[i]
+    return images
+
+
+def _reduce(orders, coords):
+    return tuple(c % d if d else c for c, d in zip(coords, orders))
+
+
+presentations_up_to_free_rank_3 = st.builds(
+    lambda free, orders: G(free, normalize_factors(orders)),
+    st.integers(0, 3),
+    st.lists(st.integers(1, 16), max_size=3),
+)
+
+
+@given(presentations_up_to_free_rank_3, presentations_up_to_free_rank_3, st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_transport_by_automorphisms_is_equivalent(pi0, pi1, rng):
+    """q and phi1 . q . (psi0 (x) Z/2) are equivalent for automorphisms psi0
+    of pi0 and phi1 of pi1."""
+    orders0 = [*pi0.invariant_factors, *[0] * pi0.free_rank]
+    orders1 = [*pi1.invariant_factors, *[0] * pi1.free_rank]
+    mod2 = [i for i, d in enumerate(orders0) if d % 2 == 0]
+    q = [tuple(rng.choice((0, d // 2)) if d % 2 == 0 else 0 for d in orders1) for _ in mod2]
+    psi0 = _random_automorphism(orders0, rng)
+    phi1 = _random_automorphism(orders1, rng)
+    moved = []
+    for j in mod2:
+        # q(psi0(g_j)): the q columns of the mod-2 generators psi0(g_j) hits an odd number of times
+        x = [0] * len(orders1)
+        for t, col in zip(mod2, q):
+            x = [a + psi0[j][t] % 2 * b for a, b in zip(x, col)]
+        moved.append(_reduce(orders1, [sum(c * image[i] for c, image in zip(x, phi1)) for i in range(len(orders1))]))
+    a = s2t.Stable2TypeData(pi0, pi1, tuple(q))
+    b = s2t.Stable2TypeData(pi0, pi1, tuple(moved))
+    assert s2t.equivalent(a, b) and s2t.equivalent(b, a)
