@@ -4,8 +4,7 @@ A DSV is a Z/2-graded space V_0 + V_1 with differentials d0: V_0 -> V_1 and
 d1: V_1 -> V_0 composing to zero in both orders.  Tensor products use the
 Koszul sign convention, which forces the odd line's tensor-square symmetry
 to be -1.  A map is a quasi-isomorphism iff its mapping cone is acyclic.
-Homotopy inverses are found by solving one affine linear system over the
-field, assembled from Kronecker blocks.
+A homotopy inverse is read off a contraction of that cone.
 """
 
 from __future__ import annotations
@@ -427,54 +426,45 @@ def chain_map_system(src: DSV, tgt: DSV):
     ]
 
 
+def _contraction(c: DSV):
+    """(s0, s1), s0: C_0 -> C_1 and s1: C_1 -> C_0, with d1 s0 + s1 d0 = 1
+    and d0 s1 + s0 d1 = 1; None unless c is acyclic.
+
+    The pivot columns P_k of d_k span a complement of ker d_k, so when c is
+    acyclic (then dim C_0 = dim C_1) the columns d_(1-k) e_j (j in P_(1-k))
+    and e_j (j in P_k) are a basis of C_k.  s_k sends d_(1-k) e_j back to e_j
+    and e_j to 0.
+    """
+    f, n = c.field, c.dim0
+    p0, p1 = rref(c.d0, c.dim0, f.char)[1], rref(c.d1, c.dim1, f.char)[1]
+    if not c.dim0 == c.dim1 == len(p0) + len(p1):
+        return None
+
+    def half(d_in, p_in, p_own):
+        basis = tuple(tuple(row[j] for j in p_in) + tuple(int(j == r) for j in p_own) for r, row in enumerate(d_in))
+        inv, at = invert(f, basis), {j: i for i, j in enumerate(p_in)}
+        return tuple(inv[at[r]] if r in at else (f.zero(),) * n for r in range(n))
+
+    return half(c.d1, p1, p0), half(c.d0, p0, p1)
+
+
 def homotopy_inverse(fmap: DSVMap):
     """Witness (g, t0, t1, u0, u1) with f g ~ id_W via (t0, t1) and
     g f ~ id_V via (u0, u1); None iff no witness exists.
 
-    Unknowns, each vectorized row-major: g0: W0->V0, g1: W1->V1,
-    t0: W0->W1, t1: W1->W0, u0: V0->V1, u1: V1->V0.  All constraints are
-    affine in these, so one linear solve decides existence.
+    f is a homotopy equivalence iff its cone W + V[1] is contractible, and
+    the blocks of a contraction s are the witness: on W_0 + V_1 -> W_1 + V_0,
+    s0 = [[-t0, *], [g0, u1]]; on W_1 + V_0 -> W_0 + V_1, s1 = [[-t1, *], [g1, u0]].
     """
-    f = fmap.source.field
-    v, w = fmap.source, fmap.target
-    w0, w1, v0, v1 = w.dim0, w.dim1, v.dim0, v.dim1
-    shapes = [(v0, w0), (v1, w1), (w1, w0), (w0, w1), (v1, v0), (v0, v1)]
-    widths = dict(zip(("g0", "g1", "t0", "t1", "u0", "u1"), (r * c for r, c in shapes)))
-
-    def row(height, **blocks):
-        """One block row; the unknowns not named get zero blocks."""
-        return [blocks.get(k, zeros(f, height, width)) for k, width in widths.items()]
-
-    def left(a, n):
-        return _vec_left(f, a, n)
-
-    def right(b, n):
-        return _vec_right(f, b, n, n)
-
-    (a, b), (c, d) = chain_map_system(w, v)
-    grid = [
-        # g is a DSV map W -> V
-        row(v1 * w0, g0=a, g1=b),
-        row(v0 * w1, g0=c, g1=d),
-        # f g ~ id_W: f0 g0 - I = w.d1 t0 + t1 w.d0 ; f1 g1 - I = w.d0 t1 + t0 w.d1
-        row(w0 * w0, g0=left(fmap.f0, w0), t0=left(_neg(f, w.d1), w0), t1=right(_neg(f, w.d0), w0)),
-        row(w1 * w1, g1=left(fmap.f1, w1), t1=left(_neg(f, w.d0), w1), t0=right(_neg(f, w.d1), w1)),
-        # g f ~ id_V: g0 f0 - I = v.d1 u0 + u1 v.d0 ; g1 f1 - I = v.d0 u1 + u0 v.d1
-        row(v0 * v0, g0=right(fmap.f0, v0), u0=left(_neg(f, v.d1), v0), u1=right(_neg(f, v.d0), v0)),
-        row(v1 * v1, g1=right(fmap.f1, v1), u1=left(_neg(f, v.d0), v1), u0=right(_neg(f, v.d1), v1)),
-    ]
-    rhs = [f.zero()] * (v1 * w0 + v0 * w1)
-    for n in (w0, w1, v0, v1):
-        rhs += [x for line in identity(f, n) for x in line]
-    sol = solve(f, block(f, grid), rhs, sum(widths.values()))
-    if sol is None:
+    s = _contraction(mapping_cone(fmap))
+    if s is None:
         return None
-    parts, k = [], 0
-    for r, c in shapes:
-        parts.append(tuple(tuple(sol[k + i * c : k + (i + 1) * c]) for i in range(r)))
-        k += r * c
-    g0, g1, t0, t1, u0, u1 = parts
-    return DSVMap(w, v, g0, g1), t0, t1, u0, u1
+    (s0, s1), f = s, fmap.source.field
+    w0, w1 = fmap.target.dim0, fmap.target.dim1
+    g = DSVMap(fmap.target, fmap.source, tuple(r[:w0] for r in s0[w1:]), tuple(r[:w1] for r in s1[w0:]))
+    t0 = _neg(f, tuple(r[:w0] for r in s0[:w1]))
+    t1 = _neg(f, tuple(r[:w1] for r in s1[:w0]))
+    return g, t0, t1, tuple(r[w1:] for r in s1[w0:]), tuple(r[w0:] for r in s0[w1:])
 
 
 def epsilon(e: BoundedChainComplex) -> DSV:

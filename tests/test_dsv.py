@@ -233,8 +233,8 @@ def _typed(m):
 
 
 class TestAgainstOracles:
-    """Quasi-isos, homotopy witnesses, braidings and random maps agree
-    exactly with the implementations kept in tests/oracles.py."""
+    """Quasi-isos, the existence of homotopy witnesses, braidings and random
+    maps agree exactly with the implementations kept in tests/oracles.py."""
 
     def test_random_maps_all_fields(self):
         rng = random.Random(13)
@@ -256,10 +256,12 @@ class TestAgainstOracles:
                 new, ref = homotopy_inverse(fm), oracles.homotopy_inverse(fm)
                 assert (new is None) == (ref is None)
                 if new is not None:
-                    (g, *hs), (g_ref, *hs_ref) = new, ref
-                    assert [_typed(m) for m in (g.f0, g.f1, *hs)] == [
-                        _typed(m) for m in (g_ref.f0, g_ref.f1, *hs_ref)
-                    ]
+                    # witnesses are not unique: the oracle's solves a linear
+                    # system, this one is read off a contraction of the cone
+                    _check_homotopy_witness(fm, new)
+                    _check_homotopy_witness(fm, ref)
+                    g, *hs = new
+                    assert {type(x) for m in (g.f0, g.f1, *hs) for row in m for x in row} <= {type(f.zero())}
                 sw, sw_ref = swap_map(v, w), oracles.swap_map(v, w)
                 assert (_typed(sw.f0), _typed(sw.f1)) == (_typed(sw_ref.f0), _typed(sw_ref.f1))
         assert 0 < quasi_isos < 160  # both answers are exercised
