@@ -312,6 +312,9 @@ class SparseMatrix:
                 cols[j][i] = x
         return SparseMatrix(self.cols, self.rows, cols)
 
+    def mul_vector(self, vec) -> list[int]:
+        return [sum(x * vec[j] for j, x in row.items()) for row in self.data]
+
     def f2_rows(self) -> list[int]:
         """Rows reduced mod 2 and packed as bitmasks, bit j = column j."""
         packed = []

@@ -9,8 +9,8 @@ coboundary by m, landing in integral cochains.
 
 from __future__ import annotations
 
-from itertools import combinations, repeat
-from operator import floordiv, mod, mul
+from itertools import repeat
+from operator import add, floordiv, mod, mul
 
 from .simplicial import Cochain, CohomologyClass
 
@@ -20,7 +20,7 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
     if a.complex != b.complex or a.modulus != b.modulus:
         raise ValueError("cup product needs a common complex and modulus")
     x = a.complex
-    front, back = x.cup_table(a.degree, b.degree)
+    ((front, back),) = x.cup_i_table(0, a.degree, b.degree)
     return Cochain(x, a.degree + b.degree, a.modulus, tuple(map(mul, front(a.values), back(b.values))))
 
 
@@ -29,7 +29,9 @@ def cup_i(i: int, a: Cochain, b: Cochain) -> Cochain:
 
     On a simplex [v_0..v_m] the value is the sum over cut sequences
     j_0 < ... < j_i of a(even blocks) * b(odd blocks), where consecutive
-    blocks share their cut vertex.
+    blocks share their cut vertex.  The complex keeps, per (i, p, q), the
+    gathers of the even and odd faces of every cut sequence with blocks of
+    the right sizes (SimplicialComplex.cup_i_table).
     """
     if a.modulus != 2 or b.modulus != 2:
         raise ValueError("cup_i products are defined over Z/2 only")
@@ -38,30 +40,15 @@ def cup_i(i: int, a: Cochain, b: Cochain) -> Cochain:
     if i < 0:
         raise ValueError("cup_i index must be >= 0")
     x = a.complex
-    p, q = a.degree, b.degree
-    deg = p + q - i
+    deg = a.degree + b.degree - i
     if deg < 0:
         raise ValueError("cup_i target degree is negative")
     if deg > x.dim:
         return Cochain.zero(x, deg, 2)
-    m = deg
-    out = []
-    for s in x.simplices(deg):
-        acc = 0
-        for cuts in combinations(range(m + 1), i + 1):
-            blocks = []
-            prev = 0
-            for c in cuts:
-                blocks.append(s[prev : c + 1])
-                prev = c
-            blocks.append(s[prev : m + 1])
-            even = tuple(v for k in range(0, len(blocks), 2) for v in blocks[k])
-            odd = tuple(v for k in range(1, len(blocks), 2) for v in blocks[k])
-            if len(even) != p + 1 or len(odd) != q + 1:
-                continue
-            acc += a.value_on(even) * b.value_on(odd)
-        out.append(acc & 1)
-    return Cochain(x, deg, 2, tuple(out))
+    acc = repeat(0, x.simplex_count(deg))
+    for even, odd in x.cup_i_table(i, a.degree, b.degree):
+        acc = map(add, acc, map(mul, even(a.values), odd(b.values)))
+    return Cochain(x, deg, 2, tuple(acc))
 
 
 def sq(k: int, x: CohomologyClass) -> CohomologyClass:

@@ -3,14 +3,16 @@
 Vertices are integers 0..n-1 and carry their natural total order; every
 simplex is stored as a strictly increasing vertex tuple.  Cochains take
 values in Z (modulus 0) or Z/n, canonically reduced to [0, n).  Cohomology
-is computed exactly, with explicit cocycle representatives for every
-generator.
+is computed exactly on the Morse complex of a coreduction matching, with
+explicit cocycle representatives on X for every generator.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations, cycle, repeat
 from math import gcd
 from operator import add, itemgetter, mod, mul, neg, sub
@@ -29,10 +31,10 @@ from .exact_linalg import (
 )
 
 DEFAULT_DIMENSION_CAP = 6
-# bounds on a complex read from JSON, checked before anything is built: the
-# vertex count, and the simplex count of the closure as bounded by the
-# maximal simplices, sum(2^|s| - 1)
-JSON_MAX_VERTICES = 100_000
+# the vertex count of any complex, checked before a vertex is built
+MAX_VERTICES = 100_000
+# the simplex count of the closure of a complex read from JSON, as bounded by
+# its maximal simplices, sum(2^|s| - 1), checked before anything is built
 JSON_MAX_SIMPLICES = 500_000
 
 
@@ -54,6 +56,8 @@ class SimplicialComplex:
     def __init__(self, vertex_count: int, maximal_simplices, dimension_cap: int = DEFAULT_DIMENSION_CAP):
         if vertex_count < 0:
             raise ValueError("vertex_count must be >= 0")
+        if vertex_count > MAX_VERTICES:
+            raise ValueError(f"vertex_count {vertex_count} exceeds {MAX_VERTICES}")
         self.vertex_count = vertex_count
         normalized = []
         for s in maximal_simplices:
@@ -83,8 +87,11 @@ class SimplicialComplex:
         # caches live here, declared up front: attributes added later would
         # turn every attribute load on the complex into a slower lookup.
         # _face_tables holds the face-index vectors of the cochain kernels,
-        # keyed ("faces", q) and ("cup", p, q); see face_table and cup_table
+        # keyed ("faces", q) and ("cup_i", i, p, q); see face_table and
+        # cup_i_table.  _morse is the Morse complex of the coreduction
+        # matching, built on the first cohomology query
         self._face_tables: dict = {}
+        self._morse = None
         self._coboundaries: dict[int, SparseMatrix] = {}
         self._cohom_cache: dict = {}
         self._components = None
@@ -119,18 +126,39 @@ class SimplicialComplex:
             table = self._face_tables[key] = (indices, tuple(map(_gather, indices)))
         return table
 
-    def cup_table(self, p: int, q: int) -> tuple:
-        """(front, back) gathers for the cup product of a p- and a q-cochain:
-        the values on the front p-face and the back q-face of every
-        (p+q)-simplex."""
-        key = ("cup", p, q)
+    def cup_i_table(self, i: int, p: int, q: int) -> tuple:
+        """(even, odd) gathers for the cup-i product of a p- and a q-cochain,
+        one pair per cut sequence 0 <= j_0 < ... < j_i <= p + q - i whose
+        even blocks hold p + 1 vertices and odd blocks q + 1: the values on
+        those faces of every (p+q-i)-simplex.  For i = 0 the one pair is the
+        front p-face and the back q-face of the cup product."""
+        key = ("cup_i", i, p, q)
         table = self._face_tables.get(key)
         if table is None:
-            top = self.simplices(p + q)
-            front = tuple(self._index[p][s[: p + 1]] for s in top)
-            back = tuple(self._index[q][s[p:]] for s in top)
-            table = self._face_tables[key] = (_gather(front), _gather(back))
+            m = p + q - i
+            top = self.simplices(m)
+
+            def gather(d, positions):
+                pick = _gather(tuple(positions))
+                return _gather(tuple(self._index[d][pick(s)] for s in top))
+
+            table = []
+            for cuts in combinations(range(m + 1), i + 1):
+                # block k runs from cut k - 1 to cut k; neighbours share the cut
+                ends = (0, *cuts, m)
+                blocks = [range(ends[k], ends[k + 1] + 1) for k in range(i + 2)]
+                even = [v for block in blocks[0::2] for v in block]
+                odd = [v for block in blocks[1::2] for v in block]
+                if len(even) == p + 1 and len(odd) == q + 1:
+                    table.append((gather(p, even), gather(q, odd)))
+            table = self._face_tables[key] = tuple(table)
         return table
+
+    def morse_complex(self) -> "MorseComplex":
+        """The Morse complex of the coreduction matching, built once."""
+        if self._morse is None:
+            self._morse = MorseComplex(self)
+        return self._morse
 
     def contains(self, simplex) -> bool:
         simplex = tuple(simplex)
@@ -192,8 +220,6 @@ class SimplicialComplex:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
         vertex_count = int(data["vertex_count"])
-        if vertex_count > JSON_MAX_VERTICES:
-            raise ValueError(f"vertex_count {vertex_count} exceeds {JSON_MAX_VERTICES}")
         maximal = [tuple(s) for s in data["maximal_simplices"]]
         bound = sum((1 << len(s)) - 1 for s in maximal)
         if bound > JSON_MAX_SIMPLICES:
@@ -342,6 +368,180 @@ def coboundary_matrix(x: SimplicialComplex, q: int, n: int = 0) -> IntMatrix:
     return m
 
 
+class MorseComplex:
+    """The Morse complex M of a coreduction matching on X, with the cochain
+    maps that carry classes between M and X.
+
+    The matching comes from coreductions (Mrozek and Batko, "Coreduction
+    homology algorithm", DCG 2009).  A cell with exactly one face left, its
+    upper cell, is paired with that face, its lower cell, and both are
+    removed; when no such cell is left, the lowest-index cell of lowest
+    dimension is made critical and removed.  Cells wait in a FIFO queue in
+    the order they come down to one face.  The other faces of an upper cell
+    were removed before its pair, so the matching is acyclic, and the
+    critical cells span M (Harker, Mischaikow, Mrozek and Nanda, "Discrete
+    Morse theoretic algorithms for computing homology of complexes and
+    maps", FoCM 2014):
+
+    - the flowed chain g(c) of a critical cell c is c plus upper cells, the
+      one such chain whose boundary holds no lower cell.  It is found by
+      cancelling the lower cells of its boundary, latest pair first, with
+      their upper cells.
+    - delta_M has, for critical cells c and c' one dimension lower, the
+      coefficient of c' in the boundary of g(c).
+    - the restriction r: C^q(X) -> M^q reads a cochain on the flowed
+      chains, r(f)_c = f(g(c)).
+    - the extension e: M^q -> C^q(X) is m on critical cells, zero on upper
+      cells, and on the lower cell of each pair, in pair order, the value
+      that makes delta e(m) vanish on its upper cell.
+
+    e and r are cochain maps with r e = 1 and e r homotopic to 1, over Z
+    and so over every Z/n, so H^q(X; Z/n) is H^q(M; Z/n): classes go to X
+    by e and come back by r.
+    """
+
+    def __init__(self, x: SimplicialComplex):
+        self.complex = x
+        dim = x.dim
+        counts = [x.simplex_count(q) for q in range(dim + 1)]
+        # faces[q][a]: the indices of the faces of q-cell a, in face order;
+        # cofaces[q][b]: the (q+1)-cells on q-cell b, ascending
+        faces = [((),) * n for n in counts[:1]] + [tuple(zip(*x.face_table(q)[0])) for q in range(dim)]
+        cofaces = [[[] for _ in range(n)] for n in counts]
+        for q in range(1, dim + 1):
+            up = cofaces[q - 1]
+            for a, fs in enumerate(faces[q]):
+                for b in fs:
+                    up[b].append(a)
+        left = [[q + 1] * n for q, n in enumerate(counts)]  # faces not yet removed, for q >= 1
+        gone = [bytearray(n) for n in counts]
+        queue = deque()
+
+        def remove(q, b):
+            gone[q][b] = 1
+            if q < dim:
+                nleft, ugone = left[q + 1], gone[q + 1]
+                for a in cofaces[q][b]:
+                    if not ugone[a]:
+                        nleft[a] -= 1
+                        if nleft[a] == 1:
+                            queue.append((q + 1, a))
+
+        critical = [[] for _ in counts]
+        # pairs[q]: (lower cell, upper q-cell, the lower cell's face position)
+        # in pair order, none for q = dim + 1; pair_of[q][b]: the index in
+        # pairs[q + 1] of lower q-cell b, -1 for other cells
+        pairs = [[] for _ in range(dim + 2)]
+        pair_of = [[-1] * n for n in counts]
+        start = [0] * (dim + 1)
+        while True:
+            while queue:
+                q, a = queue.popleft()
+                if gone[q][a] or left[q][a] != 1:
+                    continue
+                fs = faces[q][a]
+                pos = list(map(gone[q - 1].__getitem__, fs)).index(0)
+                b = fs[pos]
+                pair_of[q - 1][b] = len(pairs[q])
+                pairs[q].append((b, a, pos))
+                gone[q][a] = 1
+                remove(q - 1, b)
+                remove(q, a)
+            for q in range(dim + 1):
+                b, qgone = start[q], gone[q]
+                while b < counts[q] and qgone[b]:
+                    b += 1
+                start[q] = b
+                if b < counts[q]:
+                    critical[q].append(b)
+                    remove(q, b)
+                    break
+            else:
+                break
+        self.critical = tuple(map(tuple, critical))
+        self._faces = faces
+        self._pairs = pairs
+        self._pair_of = pair_of
+        self._signs = tuple((-1) ** k for k in range(dim + 2))
+        self._deltas: dict[int, SparseMatrix] = {}
+        self._restrictions: dict[int, list] = {}
+        self._extensions: dict[int, list] = {}
+        # the records of H^q(M; Z/n), keyed (q, n); see _reduced_record
+        self.records: dict = {}
+
+    def size(self, q: int) -> int:
+        return len(self.critical[q]) if 0 <= q < len(self.critical) else 0
+
+    def _flow(self, q: int):
+        """The restriction of degree q and delta_M^{q-1}, read off the flowed
+        chains of the critical q-cells."""
+        faces, pairs, signs = self._faces[q], self._pairs[q], self._signs
+        pair_of = self._pair_of[q - 1] if q else ()
+        below = self.critical[q - 1] if q else ()
+        restriction, rows = [], []
+        for c in self.critical[q]:
+            chain = {c: 1}
+            bd = dict(zip(faces[c], signs))  # the boundary of the chain
+            heap = [-pair_of[f] for f in bd if pair_of[f] >= 0]
+            heapify(heap)
+            while heap:
+                b, a, pos = pairs[-heappop(heap)]
+                beta = bd.pop(b)
+                if not beta:
+                    continue
+                # chain += t a clears b; every other face of a is older than
+                # the pair, so b never comes back
+                t = chain[a] = -beta * signs[pos]
+                for f, s in zip(faces[a], signs):
+                    if f != b:
+                        old = bd.get(f)
+                        if old is None:
+                            bd[f] = t * s
+                            if pair_of[f] >= 0:
+                                heappush(heap, -pair_of[f])
+                        else:
+                            bd[f] = old + t * s
+            restriction.append((_gather(tuple(chain)), tuple(chain.values())))
+            rows.append({j: bd[f] for j, f in enumerate(below) if bd.get(f)})
+        self._restrictions[q] = restriction
+        self._deltas[q - 1] = SparseMatrix(len(rows), len(below), rows)
+
+    def delta(self, q: int) -> SparseMatrix:
+        """delta_M: M^q -> M^{q+1}, q >= -1; degenerate degrees give empty
+        matrices."""
+        if q not in self._deltas:
+            if q + 1 < len(self.critical):
+                self._flow(q + 1)
+            else:
+                self._deltas[q] = SparseMatrix(0, self.size(q), [])
+        return self._deltas[q]
+
+    def restrict(self, q: int, values) -> list[int]:
+        """r(f) for the values of a q-cochain f on X."""
+        if q not in self._restrictions:
+            self._flow(q)
+        return [sum(map(mul, coeffs, gather(values))) for gather, coeffs in self._restrictions[q]]
+
+    def extend(self, q: int, vec) -> tuple[int, ...]:
+        """The values on X of e(m) for a vector m of M^q."""
+        program = self._extensions.get(q)
+        if program is None:
+            signs = self._signs
+            program = self._extensions[q] = []
+            for b, a, pos in self._pairs[q + 1]:
+                # delta e(m) on a is zero: e(m)_b = -sign_b sum of sign_f e(m)_f
+                fs = self._faces[q + 1][a]
+                others = fs[:pos] + fs[pos + 1 :]
+                coeffs = tuple(-signs[pos] * s for s in signs[:pos] + signs[pos + 1 : q + 2])
+                program.append((b, _gather(others), coeffs))
+        values = [0] * self.complex.simplex_count(q)
+        for c, v in zip(self.critical[q], vec):
+            values[c] = v
+        for b, gather, coeffs in program:
+            values[b] = sum(map(mul, coeffs, gather(values)))
+        return tuple(values)
+
+
 def _no_coordinates(xc: Cochain) -> list[int] | None:
     """Class coordinates in a trivial group: [] for a cocycle."""
     return [] if xc.is_cocycle() else None
@@ -369,32 +569,39 @@ def _cohomology_degree_zero(x: SimplicialComplex, n: int):
     return pres, basis, orders, coordinates
 
 
-def _cohomology_mod_2(x: SimplicialComplex, q: int):
-    m0 = x.simplex_count(q)
-    kernel = f2_kernel(_coboundary(x, q).f2_rows(), m0)
+# The records below are built on a based cochain complex c given by its
+# coboundaries: c.size(q) and c.delta(q), a SparseMatrix whose factorization
+# the record keeps.  A record is (presentation, generator vectors, orders,
+# reader), where the reader takes a cocycle vector of c to its class
+# coordinates.  cohomology() feeds them the Morse complex; fed X's own
+# coboundaries they are the unreduced path.
+
+_TRIVIAL = (AbelianGroupPresentation.trivial(), [], [], lambda vec: [])
+
+
+def _mod_2_record(c, q: int):
+    m0 = c.size(q)
+    kernel = f2_kernel(c.delta(q).f2_rows(), m0)
     # im delta_{q-1}, then each kernel vector outside the span so far, tagged
     # with its own bit above the columns
     span = F2Echelon(m0)
-    for col_bits in _coboundary(x, q - 1).transpose().f2_rows():
+    for col_bits in c.delta(q - 1).transpose().f2_rows():
         span.insert(col_bits)
     reps = []
     for bits in kernel:
         if span.reduce(bits) & span.mask:
             span.insert(bits | 1 << (m0 + len(reps)))
             reps.append(bits)
-    basis = [
-        CohomologyClass(Cochain(x, q, 2, tuple(f2_unpack(bits, m0)))) for bits in reps
-    ]
-    h = len(basis)
+    h = len(reps)
     pres = AbelianGroupPresentation(0, (2,) * h) if h else AbelianGroupPresentation.trivial()
 
-    def coordinates(xc):
+    def coordinates(vec):
         # a cocycle reduces to zero in its columns, leaving the tags of the
         # representatives it combines
-        rest = span.reduce(f2_pack(xc.values))
+        rest = span.reduce(f2_pack(vec))
         return None if rest & span.mask else [(rest >> (m0 + t)) & 1 for t in range(h)]
 
-    return pres, basis, [2] * h, coordinates
+    return pres, [f2_unpack(bits, m0) for bits in reps], [2] * h, coordinates
 
 
 def _chain_generators(chain, vector, length: int) -> list[list[int]]:
@@ -413,8 +620,8 @@ def _chain_generators(chain, vector, length: int) -> list[list[int]]:
     return gens
 
 
-def _cohomology_integral_sparse(x: SimplicialComplex, q: int):
-    """H^q(X; Z) from sparse op-log factorizations.
+def _integral_record(c, q: int):
+    """H^q(c; Z) from sparse op-log factorizations.
 
     Cocycles are the kernel of delta_q, whose factorization U delta_q V = D
     (kept on the coboundary) gives a kernel basis.  The coordinates of the
@@ -422,14 +629,14 @@ def _cohomology_integral_sparse(x: SimplicialComplex, q: int):
     diagonalization gives the group and, through logged transforms, the
     generators and the coordinates of a class.  The mod-n records of the
     same degree are built from this record and the same factorization
-    (see _cohomology_mod_n).
+    (see _mod_n_record).
     """
-    ksolver = _coboundary(x, q).solver()
+    ksolver = c.delta(q).solver()
     k = len(ksolver.free_cols)
     if k == 0:
-        return AbelianGroupPresentation.trivial(), [], [], _no_coordinates
+        return _TRIVIAL
 
-    relations = _coboundary(x, q - 1).transpose().data
+    relations = c.delta(q - 1).transpose().data
     coord_rows = ksolver.free_coordinate_rows(relations)
     if coord_rows is None:
         raise ArithmeticError("vector not in kernel lattice")
@@ -442,37 +649,35 @@ def _cohomology_integral_sparse(x: SimplicialComplex, q: int):
     gen_coord_vectors = _chain_generators(chain, uinv, k) + [uinv(r) for r in free_rows]
     orders = [f for f, _ in chain] + [0] * len(free_rows)
     pres = AbelianGroupPresentation(len(free_rows), tuple(f for f, _ in chain))
-    basis = [
-        CohomologyClass(Cochain(x, q, 0, tuple(ksolver.kernel_combination(coords))))
-        for coords in gen_coord_vectors
-    ]
 
-    def coordinates(xc):
+    def coordinates(vec):
         # y = U (kernel coordinates) gives the class as y_row modulo d_row on
         # pivot rows, y_row on free rows
-        if any(xc.coboundary_values()):
+        kernel_coords = ksolver.free_coordinates(vec)
+        if kernel_coords is None:
             return None
-        y = wsolver.row_transform(ksolver.free_coordinates(xc.values))
+        y = wsolver.row_transform(kernel_coords)
         return chain_coordinates(chain, y) + [y[r] for r in free_rows]
 
-    return pres, basis, orders, coordinates
+    return pres, [ksolver.kernel_combination(v) for v in gen_coord_vectors], orders, coordinates
 
 
-def _cohomology_mod_n(x: SimplicialComplex, q: int, n: int):
-    """H^q(X; Z/n), q >= 1, by universal coefficients:
-    H^q(X; Z) (x) Z/n + Tor(H^{q+1}(X; Z), Z/n), read off the integral record
+def _mod_n_record(c, q: int, n: int):
+    """H^q(c; Z/n), q >= 1, by universal coefficients:
+    H^q(c; Z) (x) Z/n + Tor(H^{q+1}(c; Z), Z/n), read off the integral record
     of degree q and the factorization U delta_q V = D it keeps.
 
     The (x) part: each integral generator of order o, reduced mod n, has
     order gcd(o, n) (n when o = 0 means free).  The Tor part: the torsion of
-    H^{q+1}(X; Z) is that of coker delta_q, since ker delta_{q+1} is
+    H^{q+1}(c; Z) is that of coker delta_q, since ker delta_{q+1} is
     saturated, so it is Z/d for each pivot (i, j, d) of D.  With
     x_j = V e_j and z_i = U^-1 e_i, delta_q x_j = d z_i, and (n/g) x_j with
     g = gcd(d, n) is a cocycle mod n of order g, its Bockstein (d/g) z_i.
     Both lists of cyclic pieces join in one invariant-factor chain.
     """
-    _, int_basis, int_orders, int_coordinates = _record(x, q, 0)
-    dsolver = _coboundary(x, q).solver()
+    _, int_gens, int_orders, int_coordinates = _reduced_record(c, q, 0)
+    dq = c.delta(q)
+    dsolver = dq.solver()
     pivots = dsolver.pivots
     k = len(int_orders)
     chain = invariant_factor_chain(
@@ -480,29 +685,27 @@ def _cohomology_mod_n(x: SimplicialComplex, q: int, n: int):
         + [(gcd(d, n), k + t) for t, (_, _, d) in enumerate(pivots)]
     )
     if not chain:
-        return AbelianGroupPresentation.trivial(), [], [], _no_coordinates
-    m0 = x.simplex_count(q)
+        return _TRIVIAL
+    m0 = c.size(q)
 
     def piece(key):
         if key < k:
-            return int_basis[key].cochain.values
+            return int_gens[key]
         _, j, d = pivots[key - k]
         e = [0] * m0
         e[j] = n // gcd(d, n)
         return dsolver.col_transform(e)
 
     orders = [f for f, _ in chain]
-    basis = [
-        CohomologyClass(Cochain(x, q, n, tuple(vec))) for vec in _chain_generators(chain, piece, m0)
-    ]
 
-    def coordinates(xc):
-        # delta c = n w over Z for c lifted to [0, n).  On pivot row i of
-        # u = U w, u_i is (d/g) t modulo d for the Tor coordinate t, and
-        # s_j = n u_i / d is exact: c - V s takes off t (n/g) x_j and n times
-        # an exact solution r of delta_q r = w - t (d/g) z_i, so it is an
-        # integral cocycle, whose coordinates modulo gcd(o, n) are the (x) part
-        d = xc.coboundary_values()
+    def coordinates(vec):
+        # delta c = n w over Z for the integral vector c of a mod-n cocycle.
+        # On pivot row i of u = U w, u_i is (d/g) t modulo d for the Tor
+        # coordinate t, and s_j = n u_i / d is exact: c - V s takes off
+        # t (n/g) x_j and n times an exact solution r of
+        # delta_q r = w - t (d/g) z_i, so it is an integral cocycle, whose
+        # coordinates modulo gcd(o, n) are the (x) part
+        d = dq.mul_vector(vec)
         if any(map(mod, d, repeat(n))):
             return None
         u = dsolver.row_transform([v // n for v in d])
@@ -517,13 +720,42 @@ def _cohomology_mod_n(x: SimplicialComplex, q: int, n: int):
                 raise ArithmeticError("Bockstein of a mod-n cocycle is not n-torsion")
             tor.append(t // step)
             s[j] = n * u[i] // piv
-        lift = map(sub, xc.values, dsolver.col_transform(s))
-        integral = int_coordinates(Cochain(x, q, 0, tuple(lift)))
+        integral = int_coordinates(list(map(sub, vec, dsolver.col_transform(s))))
         if integral is None:
             raise ArithmeticError("integral lift of a mod-n cocycle is not a cocycle")
         return chain_coordinates(chain, integral + tor)
 
-    return AbelianGroupPresentation(0, tuple(orders)), basis, orders, coordinates
+    return AbelianGroupPresentation(0, tuple(orders)), _chain_generators(chain, piece, m0), orders, coordinates
+
+
+def _reduced_record(c, q: int, n: int):
+    """The record of H^q(c; Z/n), q >= 1, n >= 2 or 0, cached in c.records."""
+    key = (q, n)
+    record = c.records.get(key)
+    if record is None:
+        if n == 0:
+            record = _integral_record(c, q)
+        elif n == 2:
+            record = _mod_2_record(c, q)
+        else:
+            record = _mod_n_record(c, q, n)
+        c.records[key] = record
+    return record
+
+
+def _record_on(c, q: int, n: int):
+    """The record of H^q(X; Z/n), q >= 1, X = c.complex, from that of a
+    cochain complex c with cochain maps c.extend: c -> C(X) and
+    c.restrict: C(X) -> c, inverse on cohomology: basis classes are the
+    extended generators, and a cocycle of X is read at its restriction."""
+    x = c.complex
+    pres, gens, orders, read = _reduced_record(c, q, n)
+    basis = [CohomologyClass(Cochain(x, q, n, c.extend(q, g))) for g in gens]
+
+    def coordinates(xc):
+        return read(c.restrict(q, xc.values)) if xc.is_cocycle() else None
+
+    return pres, basis, orders, coordinates
 
 
 def cohomology(x: SimplicialComplex, q: int, n: int = 0):
@@ -535,9 +767,11 @@ def cohomology(x: SimplicialComplex, q: int, n: int = 0):
     The cache entry also keeps the generator orders and a reader of class
     coordinates (see class_coordinates).
 
-    Degree 0 is read off the components, Z/2 off an F2 echelon and Z off
-    the factorization of delta_q.  Any other Z/n is the universal-coefficient
-    split of the integral record of the same degree, H^q(X; Z) (x) Z/n +
+    Degree 0 is read off the components.  Every other degree is computed on
+    the Morse complex of X (see MorseComplex), and its generators are
+    extended to X: Z/2 off an F2 echelon, Z off the factorization of
+    delta_q, and any other Z/n as the universal-coefficient split of the
+    integral record of the same degree, H^q(X; Z) (x) Z/n +
     Tor(H^{q+1}(X; Z), Z/n), so it caches that record too.
     """
     if q < 0:
@@ -557,12 +791,8 @@ def _record(x: SimplicialComplex, q: int, n: int):
             result = (AbelianGroupPresentation.trivial(), [], [], _no_coordinates)
         elif q == 0:
             result = _cohomology_degree_zero(x, n)
-        elif n == 0:
-            result = _cohomology_integral_sparse(x, q)
-        elif n == 2:
-            result = _cohomology_mod_2(x, q)
         else:
-            result = _cohomology_mod_n(x, q, n)
+            result = _record_on(x.morse_complex(), q, n)
         x._cohom_cache[key] = result
     return result
 

@@ -123,7 +123,30 @@ def suite_simplicial():
                     ):
                         bad.append(f"{name} H^{q}(Z/{n}) #{k}")
     out.append(_result("mod-n-basis", not bad, ", ".join(bad)))
+    out.append(_result("morse-reduction", all(map(_morse_reduction_holds, CORPUS))))
     return out
+
+
+def _morse_reduction_holds(name) -> bool:
+    """delta_M^2 = 0, e and r commute with delta, and r e = 1 on every unit
+    vector of the Morse complex of a corpus complex."""
+    x = corpus.complex_by_name(name)
+    m = x.morse_complex()
+    rng = Random(name)
+    for q in range(x.dim + 1):
+        delta = m.delta(q)
+        for j in range(m.size(q)):
+            unit = [int(i == j) for i in range(m.size(q))]
+            extended = Cochain(x, q, 0, m.extend(q, unit))
+            if m.restrict(q, extended.values) != unit or any(m.delta(q + 1).mul_vector(delta.mul_vector(unit))):
+                return False
+            if q < x.dim and extended.coboundary().values != m.extend(q + 1, delta.mul_vector(unit)):
+                return False
+        values = tuple(rng.randint(-3, 3) for _ in range(x.simplex_count(q)))
+        restricted = delta.mul_vector(m.restrict(q, values))
+        if q < x.dim and m.restrict(q + 1, Cochain(x, q, 0, values).coboundary_values()) != restricted:
+            return False
+    return True
 
 
 def suite_operations():

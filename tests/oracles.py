@@ -1,21 +1,22 @@
 """Reference implementations that the library no longer uses, kept as test
 oracles: the dense Smith normal form with unimodular transforms and the
 cokernel and dense cohomology paths built on it, mod-n cohomology from the
-kernel of the [delta_q | n I] stack, the scan-based pivot search of the
-op-log factorization, the per-simplex loops of the cochain coboundary and
-cup product, the scanning F2 echelons, class coordinates by a solve
-against [delta | basis], is_cohomologous by a solve against delta, the DSV
-quasi-isomorphism test on homology quotients, the entry-by-entry homotopy
-system and braiding, and the nested stable 2-type equivalence search over
-both automorphism groups with its two bijectivity checks, on the socles
-and over the whole group."""
+kernel of the [delta_q | n I] stack, the cohomology records built on X's
+own coboundaries instead of its Morse complex, the scan-based pivot search
+of the op-log factorization, the per-simplex loops of the cochain
+coboundary, cup and cup-i products, the scanning F2 echelons, class
+coordinates by a solve against [delta | basis], is_cohomologous by a solve
+against delta, the DSV quasi-isomorphism test on homology quotients, the
+entry-by-entry homotopy system and braiding, and the nested stable 2-type
+equivalence search over both automorphism groups with its two bijectivity
+checks, on the socles and over the whole group."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
+from itertools import combinations, repeat
 from math import gcd
 from operator import mod
 
@@ -37,6 +38,7 @@ from supercoh.simplicial import (
     SimplicialComplex,
     _coboundary,
     _no_coordinates,
+    _record_on,
     coboundary_matrix,
 )
 from supercoh.stable2type import Stable2TypeData, _canonical_element, _mod2_generator_indices
@@ -270,6 +272,61 @@ def cup_value_on(a: Cochain, b: Cochain) -> Cochain:
         back = s[p:]
         out.append(a.value_on(front) * b.value_on(back))
     return Cochain(x, p + q, a.modulus, tuple(out))
+
+
+def cup_i_loop(i: int, a: Cochain, b: Cochain) -> Cochain:
+    """operations.cup_i as a loop over the cut sequences of every simplex,
+    with a value_on lookup of its even and odd faces."""
+    x = a.complex
+    p, q = a.degree, b.degree
+    m = p + q - i
+    if m > x.dim:
+        return Cochain.zero(x, m, 2)
+    out = []
+    for s in x.simplices(m):
+        acc = 0
+        for cuts in combinations(range(m + 1), i + 1):
+            blocks = []
+            prev = 0
+            for c in cuts:
+                blocks.append(s[prev : c + 1])
+                prev = c
+            blocks.append(s[prev : m + 1])
+            even = tuple(v for k in range(0, len(blocks), 2) for v in blocks[k])
+            odd = tuple(v for k in range(1, len(blocks), 2) for v in blocks[k])
+            if len(even) != p + 1 or len(odd) != q + 1:
+                continue
+            acc += a.value_on(even) * b.value_on(odd)
+        out.append(acc & 1)
+    return Cochain(x, m, 2, tuple(out))
+
+
+class Unreduced:
+    """X's own cochain complex with identity maps to and from X, in the
+    interface of simplicial.MorseComplex."""
+
+    def __init__(self, x: SimplicialComplex):
+        self.complex = x
+        self.records: dict = {}
+
+    def size(self, q: int) -> int:
+        return self.complex.simplex_count(q)
+
+    def delta(self, q: int):
+        return _coboundary(self.complex, q)
+
+    def extend(self, q: int, vec) -> tuple:
+        return tuple(vec)
+
+    def restrict(self, q: int, values) -> list:
+        return list(values)
+
+
+def cohomology_unreduced(x: SimplicialComplex, q: int, n: int):
+    """The record (presentation, basis, orders, coordinate reader) of
+    H^q(X; Z/n), q >= 1, that cohomology() builds on the Morse complex,
+    built by the same builders on the coboundaries of X."""
+    return _record_on(Unreduced(x), q, n)
 
 
 def _coboundary_or_empty(x: SimplicialComplex, q: int) -> IntMatrix:

@@ -1,0 +1,134 @@
+"""The Morse complex of the coreduction matching: delta_M^2 = 0, the
+extension e and restriction r are cochain maps with r e = 1, and the
+cohomology records built on it name the same groups and classes as the
+same builders fed the coboundaries of X itself."""
+
+import random
+import time
+
+import pytest
+from hypothesis import given, settings
+from oracles import cohomology_unreduced
+from test_simplicial import random_complexes
+
+from supercoh import brauer, corpus
+from supercoh.exact_linalg import AbelianGroupPresentation as G
+from supercoh.simplicial import (
+    MAX_VERTICES,
+    Cochain,
+    SimplicialComplex,
+    class_coordinates,
+    cohomology,
+    generator_orders,
+)
+
+NAMES = corpus.CORPUS_NAMES + ("rp2xs1", "kleinxs1")
+
+
+def _complex(name):
+    if name.endswith("xs1"):
+        return corpus.product_with_projections(name[: -len("xs1")], "s1")[0]
+    return corpus.complex_by_name(name)
+
+
+def _apply(matrix, vec):
+    return [sum(v * vec[j] for j, v in row.items()) for row in matrix.data]
+
+
+def _check_reduction(x, rng):
+    m = x.morse_complex()
+    for q in range(x.dim + 1):
+        size = m.size(q)
+        below, above = m.delta(q - 1), m.delta(q)
+        assert (below.rows, below.cols, above.rows, above.cols) == (size, m.size(q - 1), m.size(q + 1), size)
+        for j in range(m.size(q - 1)):
+            unit = [int(i == j) for i in range(m.size(q - 1))]
+            assert not any(_apply(above, _apply(below, unit))), q
+        for j in range(size):
+            unit = [int(i == j) for i in range(size)]
+            assert m.restrict(q, m.extend(q, unit)) == unit, q
+        vec = [rng.randint(-4, 4) for _ in range(size)]
+        extended = Cochain(x, q, 0, m.extend(q, vec))
+        values = tuple(rng.randint(-4, 4) for _ in range(x.simplex_count(q)))
+        if q < x.dim:
+            assert extended.coboundary().values == m.extend(q + 1, _apply(above, vec)), q
+            restricted = _apply(above, m.restrict(q, values))
+            assert m.restrict(q + 1, Cochain(x, q, 0, values).coboundary_values()) == restricted, q
+        else:
+            assert extended.is_cocycle()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_reduction_is_a_retract_of_cochain_maps(name):
+    _check_reduction(_complex(name), random.Random(name))
+
+
+@given(random_complexes())
+@settings(max_examples=60, deadline=None)
+def test_reduction_on_random_complexes(x):
+    _check_reduction(x, random.Random(0))
+
+
+def test_matching_is_small():
+    # every critical cell of a perfect matching is a mod-2 Betti number
+    for name, counts in (("rp2", (1, 1, 1)), ("klein", (1, 2, 1)), ("rp2xrp2", (1, 2, 3, 2, 1))):
+        assert tuple(map(len, _complex(name).morse_complex().critical)) == counts
+
+
+def _combination(x, q, n, coords, basis):
+    c = Cochain.zero(x, q, n)
+    for k, cls in zip(coords, basis):
+        c = c + cls.cochain.scale(k)
+    return c
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_reduced_records_match_the_unreduced_path(name):
+    """Same presentation and orders; the unreduced reader takes each reduced
+    basis class to coordinates whose combination of unreduced basis classes
+    reads back as that class, and the other way round."""
+    x = _complex(name)
+    for n in (0, 2, 3, 4, 6):
+        for q in range(1, x.dim + 1):
+            pres, basis = cohomology(x, q, n)
+            orders = generator_orders(x, q, n)
+            u_pres, u_basis, u_orders, u_coordinates = cohomology_unreduced(x, q, n)
+            assert (pres, orders) == (u_pres, u_orders), (q, n)
+            for k, cls in enumerate(basis):
+                unit = [int(i == k) for i in range(len(basis))]
+                assert class_coordinates(cls.cochain) == unit, (q, n, k)
+                back = _combination(x, q, n, u_coordinates(cls.cochain), u_basis)
+                assert class_coordinates(back) == unit, (q, n, k)
+            for k, cls in enumerate(u_basis):
+                unit = [int(i == k) for i in range(len(u_basis))]
+                back = _combination(x, q, n, class_coordinates(cls.cochain), basis)
+                assert u_coordinates(back) == unit, (q, n, k)
+
+
+def test_rp2xrp2xs1():
+    """Kunneth over Z and Z/2, and the ku/ko group orders as the product of
+    their sector orders, on the 81 936 cells of RP2 x RP2 x S1."""
+    x = corpus.product(corpus.complex_by_name("rp2xrp2"), corpus.complex_by_name("s1"))[0]
+    start = time.perf_counter()
+    integral = [cohomology(x, q, 0)[0] for q in range(1, 6)]
+    assert integral == [G(1, ()), G(0, (2, 2)), G(0, (2, 2, 2)), G(0, (2, 2)), G(0, (2,))]
+    betti = [len(cohomology(x, q, 2)[0].invariant_factors) for q in range(6)]
+    assert betti == [1, 3, 5, 5, 3, 1]
+    orders = [
+        brauer.abstract_group(x, "ku").order(),
+        brauer.twist_subgroup(x, "ku").order(),
+        brauer.abstract_group(x, "ko").order(),
+        brauer.twist_subgroup(x, "ko").order(),
+    ]
+    assert orders == [128, 64, 2048, 256]
+    assert time.perf_counter() - start < 60
+
+
+def test_vertex_bound_is_checked_before_building():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds"):
+        SimplicialComplex(10**12, [])
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match="exceeds"):
+        SimplicialComplex(MAX_VERTICES + 1, [])
+    assert SimplicialComplex(MAX_VERTICES, []).simplex_count(0) == MAX_VERTICES

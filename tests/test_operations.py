@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cup_i_loop
 
 from supercoh import corpus
 from supercoh.operations import bockstein, cup, cup_i, reduce_mod, sq, sq1_via_bockstein
@@ -113,6 +114,24 @@ class TestCupI:
             + cup_i(i, a, b.coboundary())
         )
         assert all((u - v) % 2 == 0 for u, v in zip(lhs.values, rhs.values))
+
+
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES + ("rp2xs1",))
+def test_cup_i_matches_the_loop(name):
+    """The table-driven cup-i against the per-simplex loop, for every i <= 2
+    and every (p, q) with 0 <= p + q - i <= dim."""
+    if name == "rp2xs1":
+        x = corpus.product_with_projections("rp2", "s1")[0]
+    else:
+        x = corpus.complex_by_name(name)
+    rng = random.Random(name)
+    for i in range(3):
+        for p in range(x.dim + 1):
+            for q in range(x.dim + 1):
+                if 0 <= p + q - i <= x.dim:
+                    a = random_cochain(x, p, 2, rng)
+                    b = random_cochain(x, q, 2, rng)
+                    assert cup_i(i, a, b) == cup_i_loop(i, a, b), (i, p, q)
 
 
 class TestSq:

@@ -24,8 +24,7 @@ from supercoh.simplicial import (
     SimplicialComplex,
     SimplicialMap,
     _coboundary,
-    _cohomology_integral_sparse,
-    _cohomology_mod_n,
+    _record,
     class_coordinates,
     coboundary_matrix,
     cohomology,
@@ -137,17 +136,12 @@ def test_degree_beyond_dimension(rp2):
     assert pres.is_trivial() and basis == []
 
 
-def _sparse_path(x, q, n):
-    """The record cohomology() builds for q >= 1 and n != 2."""
-    return _cohomology_mod_n(x, q, n) if n else _cohomology_integral_sparse(x, q)
-
-
 def test_sparse_path_agrees_with_dense(all_surfaces):
     for x in all_surfaces.values():
         for q in range(1, x.dim + 1):
             for n in (0, 3, 4, 5, 6, 8):
                 dense = cohomology_integral_dense(x, q, n)
-                sparse = _sparse_path(x, q, n)
+                sparse = _record(x, q, n)
                 assert dense[0] == sparse[0]
                 assert dense[2] == sparse[2]
                 zero = Cochain.zero(x, q, n)
@@ -187,7 +181,7 @@ def test_coprime_torsion_merges_to_invariant_factors(rp2):
         list(rp2.maximal_simplices)
         + [tuple(v + shift for v in s) for s in moore3().maximal_simplices],
     )
-    for path in (cohomology_integral_dense, _sparse_path):
+    for path in (cohomology_integral_dense, _record):
         pres, basis, orders = path(mixed, 2, 0)[:3]
         assert pres == G(0, (6,)), path.__name__
         assert orders == [6]
