@@ -315,17 +315,6 @@ class SparseMatrix:
     def mul_vector(self, vec) -> list[int]:
         return [sum(x * vec[j] for j, x in row.items()) for row in self.data]
 
-    def f2_rows(self) -> list[int]:
-        """Rows reduced mod 2 and packed as bitmasks, bit j = column j."""
-        packed = []
-        for row in self.data:
-            bits = 0
-            for j, x in row.items():
-                if x & 1:
-                    bits |= 1 << j
-            packed.append(bits)
-        return packed
-
     def solver(self) -> "_OpLogSolver":
         """The op-log factorization, which answers every modulus; built once."""
         if self._solver is None:
@@ -641,12 +630,9 @@ class F2Echelon:
     A row is reduced by looking up the row whose pivot is its lowest set bit,
     until that bit is no pivot, so rows that cannot apply are never scanned
     (Zomorodian and Carlsson, "Computing persistent homology", DCG 2005).
-    Bits at and above width form a tag: XORed along with the row, it records
-    which inserted rows the row combines.  Pivots lie below width.
     """
 
-    def __init__(self, width: int | None = None):
-        self.mask = -1 if width is None else (1 << width) - 1
+    def __init__(self):
         self.pivots: dict[int, int] = {}  # 1 << pivot column -> row
 
     def reduce(self, row: int) -> int:
@@ -658,7 +644,7 @@ class F2Echelon:
     def insert(self, row: int) -> bool:
         """Add row to the span; True when the rank grew."""
         row = self.reduce(row)
-        if row & self.mask:
+        if row:
             self.pivots[row & -row] = row
             return True
         return False
@@ -693,15 +679,6 @@ def f2_kernel(rows: list[int], ncols: int) -> list[int]:
             basis[f] |= p
             free ^= f
     return list(basis.values())
-
-
-def f2_pack(values) -> int:
-    """Bitmask of the odd entries: bit j is set when values[j] is odd."""
-    return int("0" + "".join(["01"[v & 1] for v in reversed(values)]), 2)
-
-
-def f2_unpack(bits: int, ncols: int) -> list[int]:
-    return [1 if c == "1" else 0 for c in format(bits, f"0{ncols}b")[::-1][:ncols]]
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,10 @@ from operator import add, itemgetter, mod, mul, neg, sub
 
 from .exact_linalg import (
     AbelianGroupPresentation,
-    F2Echelon,
     IntMatrix,
     SparseMatrix,
     _OpLogSolver,
     chain_coordinates,
-    f2_kernel,
-    f2_pack,
-    f2_unpack,
     invariant_factor_chain,
 )
 
@@ -120,9 +116,9 @@ class SimplicialComplex:
         table = self._face_tables.get(key)
         if table is None:
             upper = self.simplices(q + 1)
-            indices = tuple(
-                tuple(self._index[q][s[:k] + s[k + 1 :]] for s in upper) for k in range(q + 2)
-            )
+            index = self._index[q] if upper else {}  # q may be past the top degree
+            others = [tuple(p for p in range(q + 2) if p != k) for k in range(q + 2)]
+            indices = tuple(tuple(map(index.__getitem__, map(_gather(o), upper))) for o in others)
             table = self._face_tables[key] = (indices, tuple(map(_gather, indices)))
         return table
 
@@ -547,61 +543,15 @@ def _no_coordinates(xc: Cochain) -> list[int] | None:
     return [] if xc.is_cocycle() else None
 
 
-def _cohomology_degree_zero(x: SimplicialComplex, n: int):
-    comps = x.components()
-    basis = []
-    for comp in comps:
-        vals = [0] * x.vertex_count
-        for v in comp:
-            vals[v] = 1
-        basis.append(CohomologyClass(Cochain(x, 0, n, tuple(vals))))
-    if n == 0:
-        pres = AbelianGroupPresentation(len(comps), ())
-        orders = [0] * len(comps)
-    else:
-        pres = AbelianGroupPresentation(0, (n,) * len(comps)) if comps else AbelianGroupPresentation.trivial()
-        orders = [n] * len(comps)
-
-    def coordinates(xc):
-        # a 0-cocycle is constant on each component
-        return [xc.values[comp[0]] for comp in comps] if xc.is_cocycle() else None
-
-    return pres, basis, orders, coordinates
-
-
 # The records below are built on a based cochain complex c given by its
 # coboundaries: c.size(q) and c.delta(q), a SparseMatrix whose factorization
-# the record keeps.  A record is (presentation, generator vectors, orders,
+# the record keeps; c.delta(-1) is the empty delta_{-1}, so degree 0 needs no
+# case of its own.  A record is (presentation, generator vectors, orders,
 # reader), where the reader takes a cocycle vector of c to its class
 # coordinates.  cohomology() feeds them the Morse complex; fed X's own
 # coboundaries they are the unreduced path.
 
 _TRIVIAL = (AbelianGroupPresentation.trivial(), [], [], lambda vec: [])
-
-
-def _mod_2_record(c, q: int):
-    m0 = c.size(q)
-    kernel = f2_kernel(c.delta(q).f2_rows(), m0)
-    # im delta_{q-1}, then each kernel vector outside the span so far, tagged
-    # with its own bit above the columns
-    span = F2Echelon(m0)
-    for col_bits in c.delta(q - 1).transpose().f2_rows():
-        span.insert(col_bits)
-    reps = []
-    for bits in kernel:
-        if span.reduce(bits) & span.mask:
-            span.insert(bits | 1 << (m0 + len(reps)))
-            reps.append(bits)
-    h = len(reps)
-    pres = AbelianGroupPresentation(0, (2,) * h) if h else AbelianGroupPresentation.trivial()
-
-    def coordinates(vec):
-        # a cocycle reduces to zero in its columns, leaving the tags of the
-        # representatives it combines
-        rest = span.reduce(f2_pack(vec))
-        return None if rest & span.mask else [(rest >> (m0 + t)) & 1 for t in range(h)]
-
-    return pres, [f2_unpack(bits, m0) for bits in reps], [2] * h, coordinates
 
 
 def _chain_generators(chain, vector, length: int) -> list[list[int]]:
@@ -663,7 +613,7 @@ def _integral_record(c, q: int):
 
 
 def _mod_n_record(c, q: int, n: int):
-    """H^q(c; Z/n), q >= 1, by universal coefficients:
+    """H^q(c; Z/n), n >= 2, by universal coefficients:
     H^q(c; Z) (x) Z/n + Tor(H^{q+1}(c; Z), Z/n), read off the integral record
     of degree q and the factorization U delta_q V = D it keeps.
 
@@ -729,22 +679,16 @@ def _mod_n_record(c, q: int, n: int):
 
 
 def _reduced_record(c, q: int, n: int):
-    """The record of H^q(c; Z/n), q >= 1, n >= 2 or 0, cached in c.records."""
+    """The record of H^q(c; Z/n), q >= 0, n >= 2 or 0, cached in c.records."""
     key = (q, n)
     record = c.records.get(key)
     if record is None:
-        if n == 0:
-            record = _integral_record(c, q)
-        elif n == 2:
-            record = _mod_2_record(c, q)
-        else:
-            record = _mod_n_record(c, q, n)
-        c.records[key] = record
+        record = c.records[key] = _mod_n_record(c, q, n) if n else _integral_record(c, q)
     return record
 
 
 def _record_on(c, q: int, n: int):
-    """The record of H^q(X; Z/n), q >= 1, X = c.complex, from that of a
+    """The record of H^q(X; Z/n), q >= 0, X = c.complex, from that of a
     cochain complex c with cochain maps c.extend: c -> C(X) and
     c.restrict: C(X) -> c, inverse on cohomology: basis classes are the
     extended generators, and a cocycle of X is read at its restriction."""
@@ -767,10 +711,9 @@ def cohomology(x: SimplicialComplex, q: int, n: int = 0):
     The cache entry also keeps the generator orders and a reader of class
     coordinates (see class_coordinates).
 
-    Degree 0 is read off the components.  Every other degree is computed on
-    the Morse complex of X (see MorseComplex), and its generators are
-    extended to X: Z/2 off an F2 echelon, Z off the factorization of
-    delta_q, and any other Z/n as the universal-coefficient split of the
+    Every degree is computed on the Morse complex of X (see MorseComplex),
+    and its generators are extended to X: Z off the factorization of
+    delta_q, and every Z/n as the universal-coefficient split of the
     integral record of the same degree, H^q(X; Z) (x) Z/n +
     Tor(H^{q+1}(X; Z), Z/n), so it caches that record too.
     """
@@ -789,8 +732,6 @@ def _record(x: SimplicialComplex, q: int, n: int):
     if result is None:
         if q > x.dim or n == 1:
             result = (AbelianGroupPresentation.trivial(), [], [], _no_coordinates)
-        elif q == 0:
-            result = _cohomology_degree_zero(x, n)
         else:
             result = _record_on(x.morse_complex(), q, n)
         x._cohom_cache[key] = result

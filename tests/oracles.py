@@ -324,7 +324,7 @@ class Unreduced:
 
 def cohomology_unreduced(x: SimplicialComplex, q: int, n: int):
     """The record (presentation, basis, orders, coordinate reader) of
-    H^q(X; Z/n), q >= 1, that cohomology() builds on the Morse complex,
+    H^q(X; Z/n), q >= 0, that cohomology() builds on the Morse complex,
     built by the same builders on the coboundaries of X."""
     return _record_on(Unreduced(x), q, n)
 
@@ -610,6 +610,12 @@ def f2_kernel(rows: list[int], ncols: int) -> list[int]:
     return basis
 
 
+def f2_rows(m) -> list[int]:
+    """The rows of a SparseMatrix reduced mod 2 and packed as bitmasks, bit j
+    = column j."""
+    return [sum(1 << j for j, x in row.items() if x & 1) for row in m.data]
+
+
 class F2Span:
     """Incremental F2 row span; insert() reports whether the rank grew."""
 
@@ -635,7 +641,7 @@ class F2Solver:
         self.ncols = m.cols
         echelon: list[tuple[int, int, int]] = []  # (pivot_col, a_bits, u_bits)
         residue: list[tuple[int, int]] = []
-        for i, a_bits in enumerate(m.f2_rows()):
+        for i, a_bits in enumerate(f2_rows(m)):
             u_bits = 1 << i
             for pcol, pa, pu in echelon:
                 if (a_bits >> pcol) & 1:

@@ -89,7 +89,7 @@ def test_reduced_records_match_the_unreduced_path(name):
     reads back as that class, and the other way round."""
     x = _complex(name)
     for n in (0, 2, 3, 4, 6):
-        for q in range(1, x.dim + 1):
+        for q in range(x.dim + 1):
             pres, basis = cohomology(x, q, n)
             orders = generator_orders(x, q, n)
             u_pres, u_basis, u_orders, u_coordinates = cohomology_unreduced(x, q, n)

@@ -220,8 +220,8 @@ def test_mod_n_record_matches_the_stack(name):
     back as e_k, and the two bases name the same classes: the new basis in
     the stack's coordinates, summed over the stack basis, reads back as e_k."""
     x = _product_with_s1(name[: -len("xs1")]) if name.endswith("xs1") else corpus.complex_by_name(name)
-    for n in (3, 4, 5, 6, 8, 12, 30):
-        for q in range(1, x.dim + 1):
+    for n in (2, 3, 4, 5, 6, 8, 12, 30):
+        for q in range(x.dim + 1):
             pres, basis = cohomology(x, q, n)
             orders = generator_orders(x, q, n)
             stack_pres, stack_basis, stack_orders, stack_coordinates = cohomology_stack(x, q, n)
@@ -460,10 +460,19 @@ class TestRandomComplexes:
     @given(random_complexes())
     @settings(max_examples=40, deadline=None)
     def test_h0_counts_components(self, x):
-        pres, basis = cohomology(x, 0, 0)
-        assert pres == G(len(x.components()), ())
-        for cls in basis:
-            assert cls.cochain.is_cocycle()
+        """H^0(X; Z/n) is Z^c or (Z/n)^c for the c components, their
+        indicator functions form the basis, and each basis class reads back
+        as its unit vector."""
+        comps = x.components()
+        c = len(comps)
+        indicators = {tuple(int(v in comp) for v in range(x.vertex_count)) for comp in comps}
+        for n in (0, 2, 3, 8):
+            pres, basis = cohomology(x, 0, n)
+            assert pres == (G(c, ()) if n == 0 else G(0, (n,) * c)), n
+            assert {cls.cochain.values for cls in basis} == indicators, n
+            assert len(basis) == c, n
+            for k, cls in enumerate(basis):
+                assert class_coordinates(cls.cochain) == [int(i == k) for i in range(c)], (n, k)
 
     @given(random_complexes())
     @settings(max_examples=30, deadline=None)
