@@ -14,10 +14,11 @@ ever chosen.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from random import Random
 
 from . import operations, simplicial
-from .exact_linalg import AbelianGroupPresentation, IntMatrix, cokernel
+from .exact_linalg import AbelianGroupPresentation, SparseMatrix, cokernel, direct_sum
 from .simplicial import Cochain, SimplicialComplex
 
 KU = "ku"
@@ -28,8 +29,6 @@ _LAYOUT = {
     KU: ((0, 2), (1, 2), (3, 0)),
     KO: ((0, 8), (1, 2), (2, 2)),
 }
-
-DEFAULT_ORDER_CAP = 64
 
 
 def variant_layout(variant: str):
@@ -147,112 +146,79 @@ def is_identity(x: BrauerElement) -> bool:
     return equals(x, identity_element(x.base, x.variant))
 
 
-def element_order(x: BrauerElement, cap: int = DEFAULT_ORDER_CAP):
-    """Least k <= cap with k*x trivial; "infinite" when the free part of the
-    c-class is nonzero; None when the cap is exceeded."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    (dc, mc) = variant_layout(x.variant)[2]
-    if mc == 0 and _has_free_part(x.c):
-        return "infinite"
-    acc = x
-    for k in range(1, cap + 1):
-        if is_identity(acc):
-            return k
-        acc = add(acc, x)
-    return None
+def element_order(x: BrauerElement):
+    """Order of x, or "infinite", read off class coordinates.
+
+    When [b] != 0 the order is even and x + x has b = 0 on the nose, so it
+    is twice the order of x + x.  When [b] = 0 every twist term of k*x is a
+    coboundary, so the order is the lcm of the orders of [a] and [c]."""
+    if any(_coordinates(x.b)):
+        order = element_order(add(x, x))
+        return order if order == "infinite" else 2 * order
+    orders = (_class_order(x.a), _class_order(x.c))
+    return "infinite" if "infinite" in orders else lcm(*orders)
 
 
-def _has_free_part(c: Cochain) -> bool:
-    orders = simplicial.generator_orders(c.complex, c.degree, c.modulus)
+def _coordinates(c: Cochain) -> list[int]:
     coords = simplicial.class_coordinates(c)
     if coords is None:
         raise ArithmeticError("cocycle not expressible in the cohomology basis")
-    return any(co for co, o in zip(coords, orders) if o == 0)
+    return coords
+
+
+def _class_order(c: Cochain):
+    """Order of [c]: the lcm of d / gcd(d, y) over its coordinates y on
+    generators of order d, or "infinite" when a free coordinate is nonzero."""
+    orders = simplicial.generator_orders(c.complex, c.degree, c.modulus)
+    coords = _coordinates(c)
+    if any(y for y, d in zip(coords, orders) if d == 0):
+        return "infinite"
+    return lcm(*(d // gcd(d, y) for y, d in zip(coords, orders) if d))
 
 
 # ---------------------------------------------------------------------------
 # Abstract group extraction
 
 
-def _sector_data(x: SimplicialComplex, variant: str, include_a: bool):
-    """(slot, degree, modulus, basis, orders) per sector, a then b then c."""
-    layout = variant_layout(variant)
-    sectors = []
-    slots = ("a", "b", "c") if include_a else ("b", "c")
-    for slot, (deg, mod) in zip(("a", "b", "c"), layout):
-        if slot not in slots:
-            continue
-        _, basis = simplicial.cohomology(x, deg, mod)
-        orders = simplicial.generator_orders(x, deg, mod)
-        sectors.append((slot, deg, mod, basis, orders))
-    return sectors
+def _twist_group(x: SimplicialComplex, variant: str) -> AbelianGroupPresentation:
+    """The group T of elements (0, b, c), on the basis classes of the b and
+    c sectors.
 
-
-def _group_from_sectors(x: SimplicialComplex, variant: str, include_a: bool) -> AbelianGroupPresentation:
-    """Presentation of the extension group on the chosen sectors.
-
-    Generators are the cohomology basis classes.  Each torsion generator g
-    of order n contributes the relation n*g = (sum of c-basis classes),
-    where n*g is computed by repeated twisted addition and re-expressed in
-    the c-basis by coboundary solving.
-    """
-    sectors = _sector_data(x, variant, include_a)
-    gens = []  # (slot, index, order, element)
-    c_rank = 0
-    for slot, deg, mod, basis, orders in sectors:
-        for i, (cls, order) in enumerate(zip(basis, orders)):
-            el = _generator_element(x, variant, slot, cls.cochain)
-            gens.append((slot, i, order, el))
-        if slot == "c":
-            c_rank = len(basis)
-    c_offset = len(gens) - c_rank
-    relations = []
-    for pos, (slot, i, order, el) in enumerate(gens):
-        if order == 0:
-            continue
-        acc = el
-        for _ in range(order - 1):
-            acc = add(acc, el)
-        # n*g lands in the c sector: a and b parts are exactly zero cochains
-        if not (acc.a.is_zero() and acc.b.is_zero()):
+    n*(0, 0, c) = (0, 0, n*c), so a c generator of order o gives the
+    relation o*e_c.  A b generator g = (0, b, 0) has order 2 in H^1, and
+    g + g = (0, 0, twist(b, b)) lands in the c sector, which gives the
+    relation 2*e_b - (coordinates of (g + g).c)."""
+    _, (db, mb), (dc, mc) = variant_layout(variant)
+    _, b_basis = simplicial.cohomology(x, db, mb)
+    c_orders = simplicial.generator_orders(x, dc, mc)
+    nb = len(b_basis)
+    # one row per generator, b then c; column k is the relation of generator k
+    rows = [{} for _ in range(nb + len(c_orders))]
+    for i, cls in enumerate(b_basis):
+        g = element(x, variant, b=cls.cochain.values)
+        twice = add(g, g)
+        if not (twice.a.is_zero() and twice.b.is_zero()):
             raise ArithmeticError("torsion power did not collapse to the c sector")
-        coords = simplicial.class_coordinates(acc.c)
-        if coords is None:
-            raise ArithmeticError("relation target not in the c-basis span")
-        col = [0] * len(gens)
-        col[pos] = order
-        for j, m in enumerate(coords):
-            col[c_offset + j] -= m
-        relations.append(col)
-    if not gens:
-        return AbelianGroupPresentation.trivial()
-    if relations:
-        rel = IntMatrix.from_rows(
-            [[col[i] for col in relations] for i in range(len(gens))]
-        )
-    else:
-        rel = IntMatrix(len(gens), 0, ())
-    return cokernel(rel, 0)
-
-
-def _generator_element(x, variant, slot, cochain) -> BrauerElement:
-    e = identity_element(x, variant)
-    if slot == "a":
-        return BrauerElement(variant, cochain, e.b, e.c)
-    if slot == "b":
-        return BrauerElement(variant, e.a, cochain, e.c)
-    return BrauerElement(variant, e.a, e.b, cochain)
+        rows[i][i] = 2
+        for j, m in enumerate(_coordinates(twice.c)):
+            if m:
+                rows[nb + j][i] = -m
+    for j, order in enumerate(c_orders):
+        if order:
+            rows[nb + j][nb + j] = order
+    return cokernel(SparseMatrix(len(rows), len(rows), rows), 0)
 
 
 def abstract_group(x: SimplicialComplex, variant: str) -> AbelianGroupPresentation:
-    """Abstract group structure of the full twisted cohomology group of X."""
-    return _group_from_sectors(x, variant, include_a=True)
+    """Abstract group structure of the full twisted cohomology group of X:
+    H^0(X; Z/m_a) + T, since the a slot never enters the twist."""
+    da, ma = variant_layout(variant)[0]
+    return direct_sum(simplicial.cohomology(x, da, ma)[0], _twist_group(x, variant))
 
 
 def twist_subgroup(x: SimplicialComplex, variant: str) -> AbelianGroupPresentation:
     """Subgroup of elements with trivial degree-0 component (the twist sector)."""
-    return _group_from_sectors(x, variant, include_a=False)
+    return _twist_group(x, variant)
 
 
 # ---------------------------------------------------------------------------

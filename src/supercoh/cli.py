@@ -5,7 +5,8 @@ classify, verify.  Complexes are JSON files
 {"vertex_count": n, "maximal_simplices": [[...], ...]} or built-in corpus
 names prefixed with @ (e.g. @rp2).  Reports are deterministic; --json emits
 a machine-readable report.  Exit codes: 0 success, 1 domain error, 2 parse
-error.  The environment variable SUPERCOH_CAP overrides search caps.
+error.  The environment variable SUPERCOH_CAP overrides the cap of
+classify --enumerate; element orders are exact and have no cap.
 """
 
 from __future__ import annotations
@@ -146,9 +147,7 @@ def _brauer_like(args, op: str):
         if not args.element:
             raise ParseError("--element FILE is required for order")
         el = _load_element(x, variant, args.element)
-        order = brauer.element_order(el, cap=_cap(brauer.DEFAULT_ORDER_CAP))
-        if order is None:
-            raise DomainError("order exceeds the cap")
+        order = brauer.element_order(el)
         _emit(args, {"op": "order", "variant": variant, "order": order}, [str(order)])
     elif op in ("add", "equals"):
         if not (args.element and args.other):

@@ -14,6 +14,22 @@ from .simplicial import Cochain, CohomologyClass, cohomology, is_cohomologous
 
 CORPUS = ("point", "s1", "s2", "t2", "klein", "rp2", "s1xs1")
 
+# The README Landmark table: per corpus complex, the ku group, ku twist,
+# ko group and ko twist
+_LANDMARK_COLUMNS = tuple(
+    (variant, query) for variant in ("ku", "ko") for query in (brauer.abstract_group, brauer.twist_subgroup)
+)
+LANDMARKS = {
+    "point": ("Z/2", "0", "Z/8", "0"),
+    "s1": ("Z/2 ⊕ Z/2", "Z/2", "Z/8 ⊕ Z/2", "Z/2"),
+    "s2": ("Z/2", "0", "Z/8 ⊕ Z/2", "Z/2"),
+    "t2": ("Z/2 ⊕ Z/2 ⊕ Z/2", "Z/2 ⊕ Z/2", "Z/8 ⊕ Z/2 ⊕ Z/2 ⊕ Z/2", "Z/2 ⊕ Z/2 ⊕ Z/2"),
+    "klein": ("Z/2 ⊕ Z/2 ⊕ Z/2", "Z/2 ⊕ Z/2", "Z/8 ⊕ Z/4 ⊕ Z/2", "Z/4 ⊕ Z/2"),
+    "rp2": ("Z/2 ⊕ Z/2", "Z/2", "Z/8 ⊕ Z/4", "Z/4"),
+    "s1xs1": ("Z/2 ⊕ Z/2 ⊕ Z/2", "Z/2 ⊕ Z/2", "Z/8 ⊕ Z/2 ⊕ Z/2 ⊕ Z/2", "Z/2 ⊕ Z/2 ⊕ Z/2"),
+    "rp2xrp2": ("Z/2 ⊕ Z/2 ⊕ Z/2 ⊕ Z/2", "Z/2 ⊕ Z/2 ⊕ Z/2", "Z/8 ⊕ Z/4 ⊕ Z/4 ⊕ Z/2", "Z/4 ⊕ Z/4 ⊕ Z/2"),
+}
+
 
 def _result(name, ok, detail=""):
     return (name, bool(ok), detail)
@@ -386,14 +402,18 @@ def suite_brauer(trials: int = 12):
                 w = brauer.commutativity_certificate(a, b)
                 _ = w  # exact verification happens inside
     out.append(_result("group-axioms-randomized", ok))
-    pt = corpus.complex_by_name("point")
+    wrong = [
+        f"{name} {variant} {query.__name__}"
+        for name, row in LANDMARKS.items()
+        for (variant, query), cell in zip(_LANDMARK_COLUMNS, row)
+        if str(query(corpus.complex_by_name(name), variant)) != cell
+    ]
+    # the paper's witness: 2(0,w,0) = (0,0,w u w) != 0 on rp2
     rp2 = corpus.complex_by_name("rp2")
-    ok = (
-        str(brauer.abstract_group(pt, "ku")) == "Z/2"
-        and str(brauer.abstract_group(pt, "ko")) == "Z/8"
-        and str(brauer.twist_subgroup(rp2, "ko")) == "Z/4"
-    )
-    out.append(_result("landmark-groups", ok))
+    w = cohomology(rp2, 1, 2)[1][0].cochain
+    if brauer.element_order(brauer.element(rp2, "ko", b=w.values)) != 4:
+        wrong.append("rp2 ko order of (0,w,0)")
+    out.append(_result("landmark-groups", not wrong, ", ".join(wrong)))
     return out
 
 

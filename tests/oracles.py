@@ -6,7 +6,8 @@ own coboundaries instead of its Morse complex, the scan-based pivot search
 of the op-log factorization, the per-simplex loops of the cochain
 coboundary, cup and cup-i products, the scanning F2 echelons, class
 coordinates by a solve against [delta | basis], is_cohomologous by a solve
-against delta, the DSV quasi-isomorphism test on homology quotients, the
+against delta, the Brauer group presentation and element orders by repeated
+twisted addition, the DSV quasi-isomorphism test on homology quotients, the
 entry-by-entry homotopy system and braiding, and the nested stable 2-type
 equivalence search over both automorphism groups with its two bijectivity
 checks, on the socles and over the whole group."""
@@ -30,7 +31,7 @@ from supercoh.exact_linalg import (
     invariant_factor_chain,
     solve_mod,
 )
-from supercoh import dsv
+from supercoh import brauer, dsv, simplicial
 from supercoh.dsv import DSV, DSVMap, Field, _shape, homology, kernel_basis, rank, solve, sum_mul, tensor
 from supercoh.simplicial import (
     Cochain,
@@ -42,6 +43,77 @@ from supercoh.simplicial import (
     coboundary_matrix,
 )
 from supercoh.stable2type import Stable2TypeData, _canonical_element, _mod2_generator_indices
+
+# ---------------------------------------------------------------------------
+# Brauer groups and element orders by repeated twisted addition
+
+
+def element_order_loop(x: brauer.BrauerElement, cap: int = 64):
+    """Least k <= cap with k*x trivial; "infinite" when the free part of the
+    c-class is nonzero; None when the cap is exceeded."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    c = x.c
+    if c.modulus == 0:
+        orders = simplicial.generator_orders(c.complex, c.degree, 0)
+        if any(co for co, o in zip(simplicial.class_coordinates(c), orders) if o == 0):
+            return "infinite"
+    acc = x
+    for k in range(1, cap + 1):
+        if brauer.is_identity(acc):
+            return k
+        acc = brauer.add(acc, x)
+    return None
+
+
+def group_from_sectors_loop(x: SimplicialComplex, variant: str, include_a: bool) -> AbelianGroupPresentation:
+    """Presentation of the extension group on the a, b and c sectors (b and
+    c only without include_a).
+
+    Generators are the cohomology basis classes.  Each torsion generator g
+    of order n contributes the relation n*g = (sum of c-basis classes),
+    where n*g is computed by n - 1 twisted additions and re-expressed in
+    the c-basis by its class coordinates.
+    """
+    slots = ("a", "b", "c") if include_a else ("b", "c")
+    gens = []  # (position of the slot, order, element)
+    c_rank = 0
+    for slot, (deg, mod_) in zip(("a", "b", "c"), brauer.variant_layout(variant)):
+        if slot not in slots:
+            continue
+        _, basis = simplicial.cohomology(x, deg, mod_)
+        orders = simplicial.generator_orders(x, deg, mod_)
+        for cls, order in zip(basis, orders):
+            values = {slot: cls.cochain.values}
+            gens.append((order, brauer.element(x, variant, **values)))
+        if slot == "c":
+            c_rank = len(basis)
+    c_offset = len(gens) - c_rank
+    relations = []
+    for pos, (order, el) in enumerate(gens):
+        if order == 0:
+            continue
+        acc = el
+        for _ in range(order - 1):
+            acc = brauer.add(acc, el)
+        if not (acc.a.is_zero() and acc.b.is_zero()):
+            raise ArithmeticError("torsion power did not collapse to the c sector")
+        coords = simplicial.class_coordinates(acc.c)
+        if coords is None:
+            raise ArithmeticError("relation target not in the c-basis span")
+        col = [0] * len(gens)
+        col[pos] = order
+        for j, m in enumerate(coords):
+            col[c_offset + j] -= m
+        relations.append(col)
+    if not gens:
+        return AbelianGroupPresentation.trivial()
+    if relations:
+        rel = IntMatrix.from_rows([[col[i] for col in relations] for i in range(len(gens))])
+    else:
+        rel = IntMatrix(len(gens), 0, ())
+    return cokernel_dense(rel, 0)
+
 
 # ---------------------------------------------------------------------------
 # Dense Smith normal form

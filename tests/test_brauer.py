@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import element_order_loop, group_from_sectors_loop
 
 from supercoh import brauer, corpus, operations, simplicial
 from supercoh.brauer import (
@@ -19,6 +20,14 @@ from supercoh.exact_linalg import AbelianGroupPresentation as G
 from supercoh.simplicial import Cochain, cohomology, is_cohomologous
 
 CORPUS = ("point", "s1", "s2", "t2", "klein", "rp2", "s1xs1")
+ORDER_NAMES = corpus.CORPUS_NAMES + ("rp2xs1", "kleinxs1")
+GROUP_NAMES = ORDER_NAMES + ("t2xs1", "s2xs1")
+
+
+def _complex(name):
+    if name.endswith("xs1"):
+        return corpus.product_with_projections(name[: -len("xs1")], "s1")[0]
+    return corpus.complex_by_name(name)
 
 
 def h1_generator(x):
@@ -170,20 +179,37 @@ class TestElementOrder:
     def test_ko_point_full_order(self, point):
         assert element_order(element(point, "ko", a=[1])) == 8
 
-    def test_cap_exceeded(self, point):
-        assert element_order(element(point, "ko", a=[1]), cap=3) is None
-
-    def test_free_part_is_infinite(self, s2):
-        # H^2(S2;Z) = Z sits in no finite-order element... the c slot for ku
-        # is degree 3, so build on a 3-sphere boundary instead: use s2 x s1
+    def test_free_part_is_infinite(self):
+        # the ku c slot is H^3(X; Z), which is Z on S2 x S1
         prod, _, _ = corpus.product_with_projections("s2", "s1")
         _, basis = cohomology(prod, 3, 0)
-        if basis:
-            x = element(prod, "ku", c=basis[0].cochain.values)
-            assert element_order(x) == "infinite"
+        assert basis
+        x = element(prod, "ku", c=basis[0].cochain.values)
+        assert element_order(x) == "infinite"
+        # with [b] != 0 the order is read off x + x, whose free part is 2[c]
+        b = cohomology(prod, 1, 2)[1][0].cochain
+        y = element(prod, "ku", b=b.values, c=basis[0].cochain.values)
+        assert element_order(y) == "infinite"
+        assert element_order(element(prod, "ku", b=b.values)) == 2
+
+    @pytest.mark.parametrize("name", ORDER_NAMES)
+    def test_orders_match_the_loop(self, name):
+        x = _complex(name)
+        rng = random.Random(f"order {name}")
+        for variant in ("ku", "ko"):
+            for _ in range(15):
+                el = brauer.random_element(x, variant, rng)
+                assert element_order(el) == element_order_loop(el), variant
 
 
 class TestAbstractGroup:
+    @pytest.mark.parametrize("name", GROUP_NAMES)
+    def test_groups_match_the_loop(self, name):
+        x = _complex(name)
+        for variant in ("ku", "ko"):
+            assert abstract_group(x, variant) == group_from_sectors_loop(x, variant, True), variant
+            assert twist_subgroup(x, variant) == group_from_sectors_loop(x, variant, False), variant
+
     def test_point(self, point):
         assert abstract_group(point, "ku") == G(0, (2,))
         assert abstract_group(point, "ko") == G(0, (8,))
@@ -225,6 +251,10 @@ class TestAbstractGroup:
         assert abstract_group(two_points, "ko") == G(0, (8, 8))
         circle_and_point = SimplicialComplex(4, [(0, 1), (1, 2), (0, 2), (3,)])
         assert abstract_group(circle_and_point, "ku") == G(0, (2, 2, 2))
+        for x in (two_points, circle_and_point):
+            for variant in ("ku", "ko"):
+                assert abstract_group(x, variant) == group_from_sectors_loop(x, variant, True)
+                assert twist_subgroup(x, variant) == group_from_sectors_loop(x, variant, False)
 
     def test_product_groups(self, rp2xrp2):
         # ko: 2b1 = x^2 and 2b2 = y^2 force two Z/4 factors over H^2 = (Z/2)^3

@@ -12,6 +12,24 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_rp2_order(capsys, tmp_path):
+    """`supercoh order` on the ko element (0, w, 0) of rp2, w the H^1 generator."""
+    from supercoh import corpus
+    from supercoh.simplicial import cohomology
+
+    rp2 = corpus.complex_by_name("rp2")
+    _, basis = cohomology(rp2, 1, 2)
+    el = {
+        "variant": "ko",
+        "a": [0] * 6,
+        "b": list(basis[0].cochain.values),
+        "c": [0] * 10,
+    }
+    p = tmp_path / "el.json"
+    p.write_text(json.dumps(el))
+    return run(capsys, "order", "--complex", "@rp2", "--variant", "ko", "--element", str(p))
+
+
 class TestCohomologyVerb:
     def test_point(self, capsys, tmp_path):
         p = tmp_path / "point.json"
@@ -81,20 +99,7 @@ class TestBrauerVerbs:
         assert code == 0 and out.strip() == "Z/4"
 
     def test_order(self, capsys, tmp_path):
-        from supercoh import corpus
-        from supercoh.simplicial import cohomology
-
-        rp2 = corpus.complex_by_name("rp2")
-        _, basis = cohomology(rp2, 1, 2)
-        el = {
-            "variant": "ko",
-            "a": [0] * 6,
-            "b": list(basis[0].cochain.values),
-            "c": [0] * 10,
-        }
-        p = tmp_path / "el.json"
-        p.write_text(json.dumps(el))
-        code, out, _ = run(capsys, "order", "--complex", "@rp2", "--variant", "ko", "--element", str(p))
+        code, out, _ = run_rp2_order(capsys, tmp_path)
         assert code == 0 and out.strip() == "4"
 
     def test_equals_and_add(self, capsys, tmp_path):
@@ -148,6 +153,27 @@ class TestOtherVerbs:
     def test_unknown_corpus_name(self, capsys):
         code, _, err = run(capsys, "cohomology", "--complex", "@nope", "--deg", "0")
         assert code == 2
+
+
+class TestCapVariable:
+    """SUPERCOH_CAP caps only classify --enumerate; element orders are exact."""
+
+    def test_order_ignores_the_cap(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SUPERCOH_CAP", "1")
+        code, out, _ = run_rp2_order(capsys, tmp_path)
+        assert code == 0 and out.strip() == "4"
+
+    def test_enumeration_over_the_cap_is_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUPERCOH_CAP", "1")
+        code, out, err = run(capsys, "classify", "--enumerate", "Z/8;Z/2")
+        assert code == 1 and not out
+        assert "enumeration of 2 structures exceeds cap 1" in err
+
+    def test_non_integer_cap_is_parse_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUPERCOH_CAP", "x")
+        code, out, err = run(capsys, "classify", "--enumerate", "Z/8;Z/2")
+        assert code == 2 and not out
+        assert "SUPERCOH_CAP='x' is not an integer" in err
 
 
 class TestDeterminism:
