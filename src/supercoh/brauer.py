@@ -257,14 +257,13 @@ def commutativity_certificate(x: BrauerElement, y: BrauerElement) -> Cochain:
 
 
 def random_element(x: SimplicialComplex, variant: str, rng: Random) -> BrauerElement:
-    """Random element: random classes plus random coboundaries in each slot."""
+    """Random element: random classes plus random coboundaries in each slot;
+    for ku, c also gets beta(u cup v) for random u, v half of the time."""
     (da, ma), (db, mb), (dc, mc) = variant_layout(variant)
     a = _random_cocycle(x, da, ma, rng)
     b = _random_cocycle(x, db, mb, rng)
-    if variant == KO:
-        c = _random_cocycle(x, dc, mc, rng)
-    else:
-        c = _random_coboundary(x, dc, mc, rng)
+    c = _random_cocycle(x, dc, mc, rng)
+    if variant == KU:
         u = _random_cocycle(x, db, mb, rng)
         v = _random_cocycle(x, db, mb, rng)
         c = c + _twist(KU, u, v).scale(rng.randrange(2))

@@ -82,7 +82,7 @@ def bockstein(b: CohomologyClass) -> CohomologyClass:
     m = b.modulus
     if m <= 0:
         raise ValueError("bockstein needs a finite modulus")
-    d = b.cochain.coboundary_values()  # the values are the lift
+    d = b.cochain.coboundary_values()  # of the lift, kept from the check of b
     if any(map(mod, d, repeat(m))):
         raise ValueError("input is not a mod-m cocycle")
     return CohomologyClass(Cochain(b.complex, b.degree + 1, 0, tuple(map(floordiv, d, repeat(m)))))

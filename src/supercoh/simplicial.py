@@ -10,7 +10,7 @@ explicit cocycle representatives on X for every generator.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, cycle, repeat
@@ -201,6 +201,10 @@ class SimplicialComplex:
     def __hash__(self):
         return hash((self.vertex_count, self.maximal_simplices))
 
+    def __reduce__(self):
+        # pickle the defining data only: the caches hold closures and are rebuilt on use
+        return type(self), (self.vertex_count, self.maximal_simplices, self.dim)
+
     def __repr__(self):
         return (
             f"SimplicialComplex({self.vertex_count} vertices, dim {self.dim}, "
@@ -228,13 +232,19 @@ class Cochain:
     """q-cochain with integer values indexed by the fixed q-simplex order.
 
     modulus 0 means integer coefficients; otherwise values are reduced to
-    [0, modulus).
+    [0, modulus).  values is always a tuple, so a cochain never changes:
+    its coboundary and its cocycle verdict are computed on first use and
+    kept on it (outside equality, hashing and repr).  Every cocycle check
+    still runs, once per cochain.
     """
 
     complex: SimplicialComplex
     degree: int
     modulus: int
     values: tuple[int, ...]
+    # delta of the values as integers, and the verdict of is_cocycle
+    _delta: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _cocycle: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.degree < 0:
@@ -246,10 +256,8 @@ class Cochain:
             )
         if self.modulus < 0:
             raise ValueError("modulus must be >= 0")
-        if self.modulus:
-            object.__setattr__(
-                self, "values", tuple(map(mod, self.values, repeat(self.modulus)))
-            )
+        values = tuple(map(mod, self.values, repeat(self.modulus))) if self.modulus else tuple(self.values)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def zero(cls, complex: SimplicialComplex, degree: int, modulus: int) -> "Cochain":
@@ -298,22 +306,29 @@ class Cochain:
 
     def coboundary_values(self) -> tuple[int, ...]:
         """Values of delta on the (q+1)-simplices as integers, not reduced:
-        the alternating sum of the values gathered on each face."""
-        first, *rest = self.complex.face_table(self.degree)[1]
-        values = self.values
-        acc = first(values)
-        for gather, op in zip(rest, cycle((sub, add))):
-            acc = map(op, acc, gather(values))
-        return tuple(acc)
+        the alternating sum of the values gathered on each face.  Computed
+        once per cochain."""
+        d = self._delta
+        if d is None:
+            first, *rest = self.complex.face_table(self.degree)[1]
+            values = self.values
+            acc = first(values)
+            for gather, op in zip(rest, cycle((sub, add))):
+                acc = map(op, acc, gather(values))
+            d = tuple(acc)
+            object.__setattr__(self, "_delta", d)
+        return d
 
     def coboundary(self) -> "Cochain":
         return Cochain(self.complex, self.degree + 1, self.modulus, self.coboundary_values())
 
     def is_cocycle(self) -> bool:
-        d = self.coboundary_values()
-        if self.modulus:
-            return not any(map(mod, d, repeat(self.modulus)))
-        return not any(d)
+        verdict = self._cocycle
+        if verdict is None:
+            d = self.coboundary_values()
+            verdict = not any(map(mod, d, repeat(self.modulus)) if self.modulus else d)
+            object.__setattr__(self, "_cocycle", verdict)
+        return verdict
 
 
 @dataclass(frozen=True)

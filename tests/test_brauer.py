@@ -192,6 +192,14 @@ class TestElementOrder:
         assert element_order(y) == "infinite"
         assert element_order(element(prod, "ku", b=b.values)) == 2
 
+    def test_random_ku_elements_reach_the_free_class(self):
+        # the ku group of S2 x S1 is Z + Z/2 + Z/2; its Z is the c slot, so
+        # random elements with a random c class are often of infinite order
+        prod, _, _ = corpus.product_with_projections("s2", "s1")
+        rng = random.Random("free ku")
+        orders = [element_order(brauer.random_element(prod, "ku", rng)) for _ in range(40)]
+        assert "infinite" in orders
+
     @pytest.mark.parametrize("name", ORDER_NAMES)
     def test_orders_match_the_loop(self, name):
         x = _complex(name)

@@ -1,3 +1,4 @@
+import pickle
 import random
 import time
 from math import gcd
@@ -356,9 +357,9 @@ def test_is_cohomologous_requires_cocycles(rp2):
     values = [0] * rp2.simplex_count(1)
     values[0] = 1
     noncocycle = Cochain(rp2, 1, 0, tuple(values))
-    if not noncocycle.is_cocycle():
-        with pytest.raises(ValueError):
-            is_cohomologous(noncocycle, Cochain.zero(rp2, 1, 0))
+    assert not noncocycle.is_cocycle()
+    with pytest.raises(ValueError):
+        is_cohomologous(noncocycle, Cochain.zero(rp2, 1, 0))
 
 
 def test_class_coordinates(t2):
@@ -386,9 +387,9 @@ def test_cocycle_certificate(rp2):
     values = [0] * rp2.simplex_count(1)
     values[0] = 1
     c = Cochain(rp2, 1, 0, tuple(values))
-    if not c.is_cocycle():
-        with pytest.raises(ValueError):
-            CohomologyClass(c)
+    assert not c.is_cocycle()
+    with pytest.raises(ValueError):
+        CohomologyClass(c)
 
 
 class TestSimplicialMap:
@@ -549,6 +550,80 @@ class TestCochainKernels:
         top = Cochain(x, x.dim, 0, (1,) * x.simplex_count(x.dim))
         assert top.coboundary().values == ()
         assert top.is_cocycle()
+
+
+def _edge_indicator(x, n):
+    """The indicator of the first edge: not a cocycle on a closed surface."""
+    values = [0] * x.simplex_count(1)
+    values[0] = 1
+    return Cochain(x, 1, n, tuple(values))
+
+
+class TestCochainMemo:
+    """delta and the cocycle verdict are computed once and kept on the
+    cochain, outside its equality, hash and pickle."""
+
+    @pytest.mark.parametrize("n", [0, 2, 4])
+    def test_memo_matches_the_loop(self, rp2, n):
+        rng = random.Random(n)
+        for q in range(rp2.dim + 1):
+            c = _random_cochain(rp2, q, n, rng)
+            lift = coboundary_loop(Cochain(rp2, q, 0, c.values)).values
+            for _ in range(2):
+                assert c.coboundary_values() == lift
+                assert c.coboundary() == coboundary_loop(c)
+                assert c.is_cocycle() == coboundary_loop(c).is_zero()
+
+    def test_memo_is_outside_equality_hash_and_pickle(self, rp2):
+        w = cohomology(rp2, 1, 2)[1][0].cochain
+        memoized = Cochain(rp2, 1, 2, w.values)
+        assert memoized.is_cocycle() and memoized.coboundary_values()
+        fresh = Cochain(rp2, 1, 2, w.values)
+        assert memoized == fresh and hash(memoized) == hash(fresh)
+        assert repr(memoized) == repr(fresh)
+        for c in (memoized, fresh):
+            back = pickle.loads(pickle.dumps(c))
+            assert back == c and hash(back) == hash(c)
+            assert back.is_cocycle() and back.coboundary_values() == memoized.coboundary_values()
+
+    def test_integral_values_from_a_list_are_kept(self, rp2):
+        z = Cochain(rp2, 0, 0, tuple(range(rp2.simplex_count(0)))).coboundary()
+        values = list(z.values)
+        c = Cochain(rp2, 1, 0, values)
+        assert isinstance(c.values, tuple)
+        assert c.is_cocycle()
+        delta = c.coboundary_values()
+        values[0] += 1
+        assert c.values == z.values and c == z
+        assert c.is_cocycle() and c.coboundary_values() == delta
+
+    def test_a_failed_verdict_stays_and_every_check_raises(self, rp2):
+        bad = _edge_indicator(rp2, 2)
+        assert not bad.is_cocycle()
+        assert not bad.is_cocycle()
+        with pytest.raises(ValueError):
+            CohomologyClass(bad)
+        with pytest.raises(ValueError):
+            brauer.BrauerElement("ko", Cochain.zero(rp2, 0, 8), bad, Cochain.zero(rp2, 2, 2))
+        with pytest.raises(ValueError):
+            is_cohomologous(bad, Cochain.zero(rp2, 1, 2))
+        assert class_coordinates(bad) is None
+
+    def test_bockstein_reads_delta_once(self, rp2, monkeypatch):
+        w = cohomology(rp2, 1, 2)[1][0].cochain
+        c = Cochain(rp2, 1, 2, w.values)  # fresh: nothing memoized yet
+        degrees = []
+        face_table = SimplicialComplex.face_table
+
+        def counted(self, q):
+            degrees.append(q)
+            return face_table(self, q)
+
+        monkeypatch.setattr(SimplicialComplex, "face_table", counted)
+        beta = bockstein(CohomologyClass(c))
+        assert degrees.count(1) == 1
+        # Sq^1 w = w cup w on rp2, the nonzero class of H^2(rp2; Z/2)
+        assert any(class_coordinates(Cochain(rp2, 2, 2, beta.cochain.values)))
 
 
 @pytest.mark.parametrize("name", corpus.CORPUS_NAMES + ("rp2xs1", "kleinxs1"))
