@@ -238,6 +238,22 @@ def invariant_factor_chain(orders) -> list[tuple[int, list[tuple[int, int, int]]
     return chain
 
 
+def chain_generators(chain, vector, length: int) -> list[list[int]]:
+    """One generator per factor of chain = invariant_factor_chain(orders):
+    the sum over its parts (d, part, key) of d // part times vector(key), the
+    generator of Z/d scaled to order part."""
+    gens = []
+    for _, parts in chain:
+        acc = [0] * length
+        for d, part, key in parts:
+            scale = d // part
+            for i, v in enumerate(vector(key)):
+                if v:
+                    acc[i] += scale * v
+        gens.append(acc)
+    return gens
+
+
 def chain_coordinates(chain, y) -> list[int]:
     """Coordinates on the generators of chain = invariant_factor_chain(orders)
     of the element with coordinate y[key] on the Z/d of each (d, key).

@@ -23,6 +23,7 @@ from .exact_linalg import (
     SparseMatrix,
     _OpLogSolver,
     chain_coordinates,
+    chain_generators,
     invariant_factor_chain,
 )
 
@@ -569,22 +570,6 @@ def _no_coordinates(xc: Cochain) -> list[int] | None:
 _TRIVIAL = (AbelianGroupPresentation.trivial(), [], [], lambda vec: [])
 
 
-def _chain_generators(chain, vector, length: int) -> list[list[int]]:
-    """One generator per factor of chain = invariant_factor_chain(orders):
-    the sum over its parts (d, part, key) of d // part times vector(key), the
-    generator of Z/d scaled to order part."""
-    gens = []
-    for _, parts in chain:
-        acc = [0] * length
-        for d, part, key in parts:
-            scale = d // part
-            for i, v in enumerate(vector(key)):
-                if v:
-                    acc[i] += scale * v
-        gens.append(acc)
-    return gens
-
-
 def _integral_record(c, q: int):
     """H^q(c; Z) from sparse op-log factorizations.
 
@@ -611,7 +596,7 @@ def _integral_record(c, q: int):
     chain = invariant_factor_chain([(abs(d), row) for row, _, d in wsolver.pivots])
     free_rows = wsolver.zero_rows
     uinv = cache(wsolver.u_inverse_column)
-    gen_coord_vectors = _chain_generators(chain, uinv, k) + [uinv(r) for r in free_rows]
+    gen_coord_vectors = chain_generators(chain, uinv, k) + [uinv(r) for r in free_rows]
     orders = [f for f, _ in chain] + [0] * len(free_rows)
     pres = AbelianGroupPresentation(len(free_rows), tuple(f for f, _ in chain))
 
@@ -690,7 +675,7 @@ def _mod_n_record(c, q: int, n: int):
             raise ArithmeticError("integral lift of a mod-n cocycle is not a cocycle")
         return chain_coordinates(chain, integral + tor)
 
-    return AbelianGroupPresentation(0, tuple(orders)), _chain_generators(chain, piece, m0), orders, coordinates
+    return AbelianGroupPresentation(0, tuple(orders)), chain_generators(chain, piece, m0), orders, coordinates
 
 
 def _reduced_record(c, q: int, n: int):

@@ -36,12 +36,12 @@ import itertools
 from dataclasses import dataclass
 from math import inf
 
-from .dsv import Field, invert
 from .exact_linalg import (
     AbelianGroupPresentation,
     F2Echelon,
     IntMatrix,
     chain_coordinates,
+    chain_generators,
     invariant_factor_chain,
 )
 
@@ -78,6 +78,11 @@ def _two_torsion_elements(g: AbelianGroupPresentation) -> list[tuple[int, ...]]:
     return out
 
 
+def _orders(g: AbelianGroupPresentation) -> list[int]:
+    """Orders of the generators of g, torsion first, 0 for a free one."""
+    return [*g.invariant_factors, *[0] * g.free_rank]
+
+
 def _canonical_element(g: AbelianGroupPresentation, coords) -> tuple[int, ...]:
     nt = len(g.invariant_factors)
     out = []
@@ -101,7 +106,7 @@ class Stable2TypeData:
         s = len(_mod2_generator_indices(self.pi0))
         if len(self.q) != s:
             raise ValueError(f"q needs {s} columns for pi0 (x) Z/2")
-        ngen = len(self.pi1.invariant_factors) + self.pi1.free_rank
+        ngen = len(_orders(self.pi1))
         canon = []
         for col in self.q:
             col = tuple(col)
@@ -134,12 +139,15 @@ def enumerate_symmetric_structures(
 ) -> list[Stable2TypeData]:
     """All symmetric monoidal structures on (pi0, pi1): Hom(pi0 (x) Z/2, pi1[2])."""
     s = len(_mod2_generator_indices(pi0))
-    torsion2 = _two_torsion_elements(pi1)
-    count = len(torsion2) ** s
-    if count > cap:
-        raise ValueError(f"enumeration of {count} structures exceeds cap {cap}")
+    # pi1[2] has 2^e elements for e even invariant factors, so there are
+    # 2^k structures, k = e * s; refuse before listing any (and list none when
+    # pi0 (x) Z/2 is zero).  2^k > cap exactly when k >= the bit length of
+    # max(cap, 0), so 2^k itself is never built
+    k = s * sum(1 for d in pi1.invariant_factors if d % 2 == 0)
+    if k >= max(cap, 0).bit_length():
+        raise ValueError(f"enumeration of 2^{k} structures exceeds cap {cap}")
     out = []
-    for combo in itertools.product(torsion2, repeat=s):
+    for combo in itertools.product(_two_torsion_elements(pi1) if s else (), repeat=s):
         out.append(Stable2TypeData(pi0, pi1, tuple(combo)))
     return out
 
@@ -147,75 +155,54 @@ def enumerate_symmetric_structures(
 def product(d1: Stable2TypeData, d2: Stable2TypeData) -> Stable2TypeData:
     """Product of Picard groupoid data: direct sums with block q.
 
-    The direct sums are renormalized to invariant-factor form, so the block
-    q is transported through the tracked change of generators.
+    The direct sums are renormalized to invariant-factor form (see
+    _normalized_sum), the generators of d1 before those of d2.  A new
+    torsion generator of pi0 is the sum over its chain parts (d, part, key)
+    of d // part times an old generator, so q on it is that sum of the old
+    q columns (chain_generators), each first carried into the new pi1 by
+    chain_coordinates; q on a free generator is its old column, carried.
     """
-    pi0, t0 = _direct_sum_tracked(d1.pi0, d2.pi0)
-    pi1, t1 = _direct_sum_tracked(d1.pi1, d2.pi1)
-    new_cols = _transform_q_columns(d1, d2, pi0, pi1, t0, t1)
-    return Stable2TypeData(pi0, pi1, new_cols)
+    pi0, chain0, free0 = _normalized_sum(d1.pi0, d2.pi0)
+    pi1, chain1, free1 = _normalized_sum(d1.pi1, d2.pi1)
+    pad1, pad2 = (0,) * len(_orders(d1.pi1)), (0,) * len(_orders(d2.pi1))
+    # q on every old generator of pi0, in the old generators of pi1
+    old = [(*col, *pad2) for col in _q_on_generators(d1)]
+    old += [(*pad1, *col) for col in _q_on_generators(d2)]
+    moved = [_in_normalized_sum(chain1, free1, col) for col in old]
+    torsion = chain_generators(chain0, lambda key: moved[-key[1]], len(_orders(pi1)))
+    cols = [col for col, (f, _) in zip(torsion, chain0) if f % 2 == 0] + [moved[j] for j in free0]
+    return Stable2TypeData(pi0, pi1, tuple(cols))
 
 
-def _direct_sum_tracked(a: AbelianGroupPresentation, b: AbelianGroupPresentation):
-    """Normalized direct sum plus the transform of old generator coordinates.
+def _normalized_sum(a: AbelianGroupPresentation, b: AbelianGroupPresentation):
+    """(a + b in invariant-factor form, the chain of its torsion, the indices
+    of the old free generators).
 
-    The old generators are those of a, then those of b, each torsion first.
-    The new ones are the invariant-factor chain of the old torsion orders,
-    then the old free generators.  Returns (presentation, info) where
-    info["matrix"][j] is old generator j in the new generators.
+    The old generators are those of a, then those of b.  Old generator j of
+    order d enters invariant_factor_chain keyed (d, -j); the chain deals a
+    tie to the larger key first, so a summand already in invariant-factor
+    form keeps its generators.  The new generators are the chain's, then
+    the old free ones.
     """
-    orders = [*a.invariant_factors, *[0] * a.free_rank, *b.invariant_factors, *[0] * b.free_rank]
-    # the chain deals a tie to the larger key first; keyed (d, -j), a summand
-    # already in invariant-factor form keeps its generators
-    keys = [(d, -j) for j, d in enumerate(orders)]
-    chain = invariant_factor_chain(zip(orders, keys))
+    orders = _orders(a) + _orders(b)
+    chain = invariant_factor_chain((d, (d, -j)) for j, d in enumerate(orders))
     free = [j for j, d in enumerate(orders) if d == 0]
-    matrix = []
-    for j in range(len(orders)):
-        coords = chain_coordinates(chain, {key: int(i == j) for i, key in enumerate(keys)})
-        matrix.append(coords + [int(i == j) for i in free])
-    factors = tuple(f for f, _ in chain)
-    pres = AbelianGroupPresentation(len(free), factors)
-    info = {
-        "matrix": matrix,
-        "orders": [*factors, *[0] * len(free)],
-        "offset_b": len(a.invariant_factors) + a.free_rank,
-    }
-    return pres, info
+    return AbelianGroupPresentation(len(free), tuple(f for f, _ in chain)), chain, free
 
 
-def _map_element(info, factor_index, coords):
-    """Old-generator coordinates (in one factor) to new-generator coordinates."""
-    offset = 0 if factor_index == 0 else info["offset_b"]
-    n_new = len(info["orders"])
-    acc = [0] * n_new
-    for j, c in enumerate(coords):
-        if not c:
-            continue
-        col = info["matrix"][offset + j]
-        for i in range(n_new):
-            acc[i] += c * col[i]
-    out = []
-    for v, o in zip(acc, info["orders"]):
-        out.append(v % o if o else v)
-    return tuple(out)
+def _in_normalized_sum(chain, free, coords) -> list[int]:
+    """New coordinates of the element with coordinates coords on the old
+    generators of a _normalized_sum with this chain and free indices."""
+    y = {key: coords[-key[1]] for _, parts in chain for _, _, key in parts}
+    return chain_coordinates(chain, y) + [coords[j] for j in free]
 
 
-def _transform_q_columns(d1, d2, pi0, pi1, t0, t1):
-    """q columns of the product in the normalized generator bases."""
-    # old q columns in the new pi1 generators, in the order of the old mod-2
-    # generators of pi0: those of d1, then those of d2
-    q_old = [_map_element(t1, k, col) for k, d in enumerate((d1, d2)) for col in d.q]
-    old_m2 = _mod2_generator_indices(d1.pi0)
-    old_m2 += [t0["offset_b"] + i for i in _mod2_generator_indices(d2.pi0)]
-    # the mod-2 matrix of old -> new generators, inverted over F2, expresses
-    # each new mod-2 generator over the old ones
-    m2 = [[t0["matrix"][old_j][new_i] % 2 for old_j in old_m2] for new_i in _mod2_generator_indices(pi0)]
-    inv = invert(Field(2), m2)
-    if inv is None:
-        raise ArithmeticError("mod-2 generator transform is not invertible")
-    # new column r sums the old columns c with inv[r][c] odd
-    return _q_times_mod2(pi1, q_old, list(zip(*inv)))
+def _q_on_generators(data: Stable2TypeData) -> list[tuple[int, ...]]:
+    """q on every generator of pi0: its column, or zero on a generator of
+    odd order, which vanishes in pi0 (x) Z/2."""
+    cols = dict(zip(_mod2_generator_indices(data.pi0), data.q))
+    zero = (0,) * len(_orders(data.pi1))
+    return [cols.get(j, zero) for j in range(len(_orders(data.pi0)))]
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +283,16 @@ def mod2_induced_map(hom: IntMatrix, src: AbelianGroupPresentation, dst: Abelian
     return out
 
 
-def _q_times_mod2(pi1: AbelianGroupPresentation, q, m) -> tuple:
-    """Columns of q . m for a mod-2 matrix m (rows index the q columns):
-    column j sums the q columns i with m[i][j] odd, canonical in pi1."""
-    n1 = len(pi1.invariant_factors) + pi1.free_rank
+def compose_q_with_mod2(data: Stable2TypeData, induced) -> tuple:
+    """Columns of q composed with an induced mod-2 matrix (columns = source
+    gens): column j sums the q columns i with induced[i][j] odd, canonical
+    in pi1."""
+    n1 = len(_orders(data.pi1))
     cols = []
-    for j in range(len(m[0]) if m else 0):
+    for j in range(len(induced[0]) if induced else 0):
         acc = [0] * n1
-        for col, row in zip(q, m):
+        for col, row in zip(data.q, induced):
             if row[j] % 2:
                 acc = [x + y for x, y in zip(acc, col)]
-        cols.append(_canonical_element(pi1, tuple(acc)))
+        cols.append(_canonical_element(data.pi1, tuple(acc)))
     return tuple(cols)
-
-
-def compose_q_with_mod2(data: Stable2TypeData, induced) -> tuple:
-    """Columns of q composed with an induced mod-2 matrix (columns = source gens)."""
-    return _q_times_mod2(data.pi1, data.q, induced)

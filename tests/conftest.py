@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from supercoh import corpus
+
+# A failing property prints its @reproduce_failure blob, so the failing
+# example can be replayed anywhere; example counts and deadlines stay as set
+settings.register_profile("supercoh", print_blob=True)
+settings.load_profile("supercoh")
 
 
 @pytest.fixture(scope="session")

@@ -116,6 +116,18 @@ class TestBrauerVerbs:
         code, _, err = run(capsys, "order", "--complex", "@rp2", "--variant", "ko")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data",
+        [[0, 1], {"a": 5, "b": [0], "c": [0]}, {"a": "010", "b": [0], "c": [0]}],
+        ids=["list", "slot_not_a_list", "slot_a_string"],
+    )
+    def test_malformed_element_is_parse_error(self, capsys, tmp_path, data):
+        p = tmp_path / "el.json"
+        p.write_text(json.dumps(data))
+        code, out, err = run(capsys, "order", "--complex", "@rp2", "--variant", "ko", "--element", str(p))
+        assert code == 2 and not out
+        assert "bad element JSON" in err
+
 
 class TestOtherVerbs:
     def test_superline_group(self, capsys):
@@ -167,7 +179,15 @@ class TestCapVariable:
         monkeypatch.setenv("SUPERCOH_CAP", "1")
         code, out, err = run(capsys, "classify", "--enumerate", "Z/8;Z/2")
         assert code == 1 and not out
-        assert "enumeration of 2 structures exceeds cap 1" in err
+        assert "enumeration of 2^1 structures exceeds cap 1" in err
+
+    def test_enumeration_count_is_checked_first(self, capsys):
+        # pi1[2] has 2^40 elements; the default cap refuses before listing one
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "--enumerate", "Z/2;" + "+".join(["Z/2"] * 40))
+        assert time.perf_counter() - start < 1
+        assert code == 1 and not out
+        assert "exceeds cap" in err
 
     def test_non_integer_cap_is_parse_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SUPERCOH_CAP", "x")

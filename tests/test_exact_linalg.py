@@ -25,10 +25,13 @@ from supercoh.exact_linalg import (
     IntMatrix,
     SparseMatrix,
     _OpLogSolver,
+    chain_coordinates,
+    chain_generators,
     coprime_base,
     cokernel,
     direct_sum,
     f2_kernel,
+    invariant_factor_chain,
     is_prime,
     normalize_factors,
     solve_mod,
@@ -440,6 +443,18 @@ class TestPresentations:
             prod(sorted(v, reverse=True)[t] for v in powers.values() if t < len(v)) for t in range(depth)
         ]
         assert normalize_factors(orders) == tuple(sorted(chain))
+
+    @given(st.lists(st.integers(1, 360), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_chain_coordinates_invert_chain_generators(self, orders):
+        # generator t of the chain, written on the cyclic summands, has
+        # coordinates e_t on the chain's generators
+        chain = invariant_factor_chain([(d, key) for key, d in enumerate(orders)])
+        unit = lambda key: [int(i == key) for i in range(len(orders))]
+        factors = [f for f, _ in chain]
+        for t, gen in enumerate(chain_generators(chain, unit, len(orders))):
+            coords = chain_coordinates(chain, gen)
+            assert [c % f for c, f in zip(coords, factors)] == [int(s == t) for s in range(len(factors))]
 
     def test_direct_sum(self):
         a = AbelianGroupPresentation(1, (2,))

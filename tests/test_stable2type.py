@@ -1,4 +1,5 @@
 import itertools
+import time
 from math import gcd
 
 import pytest
@@ -9,7 +10,13 @@ from oracles import equivalent as equivalent_nested
 
 from supercoh import stable2type as s2t
 from supercoh.exact_linalg import AbelianGroupPresentation as G
-from supercoh.exact_linalg import IntMatrix, direct_sum, normalize_factors
+from supercoh.exact_linalg import (
+    IntMatrix,
+    chain_coordinates,
+    direct_sum,
+    invariant_factor_chain,
+    normalize_factors,
+)
 
 Z = G(1, ())
 Z2 = G(0, (2,))
@@ -53,6 +60,29 @@ class TestEnumeration:
         big = G(0, (2,) * 8)
         with pytest.raises(ValueError):
             s2t.enumerate_symmetric_structures(big, big, cap=10)
+
+    def test_cap_is_checked_before_listing(self):
+        # pi1[2] has 2^40 elements: only their count may be computed
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"enumeration of 2\^40 structures exceeds cap 10"):
+            s2t.enumerate_symmetric_structures(Z2, G(0, (2,) * 40), cap=10)
+        # pi0 (x) Z/2 = 0: the one structure q = () needs no element of pi1[2]
+        assert len(s2t.enumerate_symmetric_structures(Z3, G(0, (2,) * 40), cap=10)) == 1
+        assert time.perf_counter() - start < 1
+
+    def test_cap_message_for_a_huge_count(self):
+        # 2^20000 has over 4300 decimal digits: the message names it as a power
+        big = G(0, (2,) * 200)
+        with pytest.raises(ValueError, match=r"enumeration of 2\^20000 structures exceeds cap 10$"):
+            s2t.enumerate_symmetric_structures(G(0, (2,) * 100), big, cap=10)
+
+    def test_cap_boundary(self):
+        # (Z/2, (Z/2)^2): 4 structures, listed at cap 4 and refused at cap 3 or below
+        z2sq = G(0, (2, 2))
+        assert len(s2t.enumerate_symmetric_structures(Z2, z2sq, cap=4)) == 4
+        for cap in (3, 0, -1):
+            with pytest.raises(ValueError, match=r"2\^2 structures"):
+                s2t.enumerate_symmetric_structures(Z2, z2sq, cap=cap)
 
 
 class TestValidation:
@@ -258,6 +288,15 @@ class TestProduct:
         a = s2t.Stable2TypeData(Z2, Z4, ((2,),))
         assert s2t.equivalent(s2t.product(cat["sphere"], a), s2t.product(a, cat["sphere"]))
 
+    def test_q_stays_on_the_generators_it_was_given(self):
+        # a has pi1 = 0, so q of the product vanishes on a's free generator;
+        # the product of b's torsion generators keeps their order
+        a = s2t.Stable2TypeData(Z, G.trivial(), ((),))
+        b = s2t.Stable2TypeData(G(0, (2, 2)), Z2, ((1,), (0,)))
+        p = s2t.product(a, b)
+        assert (p.pi0, p.pi1, p.q) == (G(1, (2, 2)), Z2, ((1,), (0,), (0,)))
+        assert s2t.equivalent(p, s2t.product(b, a))
+
 
 presentations = st.builds(
     lambda free, orders: G(free, normalize_factors(orders)),
@@ -269,13 +308,15 @@ presentations = st.builds(
 @given(presentations, presentations)
 @settings(max_examples=150, deadline=None)
 def test_direct_sum_transform_is_an_isomorphism(a, b):
-    """Each old generator goes to an element of its own order, and the
-    images generate the new group."""
-    pres, info = s2t._direct_sum_tracked(a, b)
+    """The normalized sum is direct_sum(a, b); each old generator goes to an
+    element of its own order, and the images generate the new group."""
+    pres, chain, free = s2t._normalized_sum(a, b)
     assert pres == direct_sum(a, b)
     old = [*a.invariant_factors, *[0] * a.free_rank, *b.invariant_factors, *[0] * b.free_rank]
-    new = info["orders"]
-    for d, image in zip(old, info["matrix"]):
+    new = [*pres.invariant_factors, *[0] * pres.free_rank]
+    units = [[int(i == j) for i in range(len(old))] for j in range(len(old))]
+    matrix = [s2t._in_normalized_sum(chain, free, unit) for unit in units]
+    for d, image in zip(old, matrix):
         if any(c for c, o in zip(image, new) if not o):
             order = 0
         else:
@@ -287,10 +328,60 @@ def test_direct_sum_transform_is_an_isomorphism(a, b):
     # new group / span(images) is trivial: cokernel of [images | orders * I]
     relations = [
         list(images) + [o if i == t else 0 for t, o in enumerate(new)]
-        for i, images in enumerate(zip(*info["matrix"]))
+        for i, images in enumerate(zip(*matrix))
     ]
     if relations:
         assert cokernel_dense(IntMatrix.from_rows(relations), 0).is_trivial()
+
+
+def _images_in_sum(a, b):
+    """The old generators of a + b (those of a, then those of b, each torsion
+    first) on the generators of the sum in invariant-factor form: the factors
+    of the invariant-factor chain with old generator j of order d keyed
+    (d, -j), then the old free generators."""
+    orders = [*a.invariant_factors, *[0] * a.free_rank, *b.invariant_factors, *[0] * b.free_rank]
+    keys = [(d, -j) for j, d in enumerate(orders)]
+    chain = invariant_factor_chain(zip(orders, keys))
+    free = [j for j, d in enumerate(orders) if d == 0]
+    return [
+        chain_coordinates(chain, {k: int(k == key) for k in keys}) + [int(i == j) for i in free]
+        for j, key in enumerate(keys)
+    ]
+
+
+@st.composite
+def stable_2_types(draw):
+    pi0, pi1 = draw(presentations), draw(presentations)
+    q = [
+        tuple(draw(st.sampled_from((0, d // 2))) if d % 2 == 0 else 0 for d in pi1.invariant_factors)
+        + (0,) * pi1.free_rank
+        for _ in s2t._mod2_generator_indices(pi0)
+    ]
+    return s2t.Stable2TypeData(pi0, pi1, tuple(q))
+
+
+@given(stable_2_types(), stable_2_types())
+@settings(max_examples=150, deadline=None)
+def test_product_q_is_q_on_the_images_of_the_old_generators(d1, d2):
+    """For each old mod-2 generator g of either factor, q of the product on
+    the image of g is the image of q(g) in the new pi1."""
+    p = s2t.product(d1, d2)
+    new1 = [*p.pi1.invariant_factors, *[0] * p.pi1.free_rank]
+    images0 = _images_in_sum(d1.pi0, d2.pi0)
+    images1 = _images_in_sum(d1.pi1, d2.pi1)
+    n0 = len(d1.pi0.invariant_factors) + d1.pi0.free_rank
+    n1 = len(d1.pi1.invariant_factors) + d1.pi1.free_rank
+    new_mod2 = s2t._mod2_generator_indices(p.pi0)
+    for offset0, offset1, data in ((0, 0, d1), (n0, n1, d2)):
+        for g, col in zip(s2t._mod2_generator_indices(data.pi0), data.q):
+            image = images0[offset0 + g]
+            on_image = [0] * len(new1)
+            for i, q_col in zip(new_mod2, p.q):
+                on_image = [x + image[i] % 2 * y for x, y in zip(on_image, q_col)]
+            carried = [0] * len(new1)
+            for j, c in enumerate(col):
+                carried = [x + c * y for x, y in zip(carried, images1[offset1 + j])]
+            assert _reduce(new1, on_image) == _reduce(new1, carried), g
 
 
 def _random_automorphism(orders, rng, moves=8):
