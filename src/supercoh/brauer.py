@@ -6,9 +6,11 @@ Elements are triples (a, b, c) of cocycles with the twisted addition
     ko:  (a, b, c) + (a', b', c') = (a+a', b+b', c + c' + b cup b')
 
 over the coefficient layout a: H^0 (mod 2 for ku, mod 8 for ko),
-b: H^1 mod 2, c: H^3 integral (ku) or H^2 mod 2 (ko).  All arithmetic is
-cochain-level; equality is class-level, so no canonical representatives are
-ever chosen.
+b: H^1 mod 2, c: H^3 integral (ku) or H^2 mod 2 (ko).  Element arithmetic
+is cochain-level and equality is class-level, so no canonical
+representatives are ever chosen.  Group extraction builds no cochain:
+abstract_group and twist_subgroup read their relations off the cohomology
+records of the Morse complex (see _twist_group).
 """
 
 from __future__ import annotations
@@ -186,21 +188,24 @@ def _twist_group(x: SimplicialComplex, variant: str) -> AbelianGroupPresentation
 
     n*(0, 0, c) = (0, 0, n*c), so a c generator of order o gives the
     relation o*e_c.  A b generator g = (0, b, 0) has order 2 in H^1, and
-    g + g = (0, 0, twist(b, b)) lands in the c sector, which gives the
-    relation 2*e_b - (coordinates of (g + g).c)."""
+    g + g = (0, 0, twist(b, b)) lands in the c sector.  For ko the twist
+    b cup b is Sq^1 b, which gives the relation 2*e_b - (coordinates of
+    Sq^1 b), read off the Morse complex (simplicial.sq1_coordinates).  For
+    ku it is beta(b cup b) = beta(rho_2 beta(b)) = 0, since Sq^1 b is the
+    reduction of an integral class and beta kills every such reduction, so
+    the relation is 2*e_b."""
     _, (db, mb), (dc, mc) = variant_layout(variant)
-    _, b_basis = simplicial.cohomology(x, db, mb)
+    if variant == KO:
+        twice = simplicial.sq1_coordinates(x, db)
+    else:
+        twice = [()] * len(simplicial.generator_orders(x, db, mb))
     c_orders = simplicial.generator_orders(x, dc, mc)
-    nb = len(b_basis)
+    nb = len(twice)
     # one row per generator, b then c; column k is the relation of generator k
     rows = [{} for _ in range(nb + len(c_orders))]
-    for i, cls in enumerate(b_basis):
-        g = element(x, variant, b=cls.cochain.values)
-        twice = add(g, g)
-        if not (twice.a.is_zero() and twice.b.is_zero()):
-            raise ArithmeticError("torsion power did not collapse to the c sector")
+    for i, coords in enumerate(twice):
         rows[i][i] = 2
-        for j, m in enumerate(_coordinates(twice.c)):
+        for j, m in enumerate(coords):
             if m:
                 rows[nb + j][i] = -m
     for j, order in enumerate(c_orders):
@@ -213,7 +218,7 @@ def abstract_group(x: SimplicialComplex, variant: str) -> AbelianGroupPresentati
     """Abstract group structure of the full twisted cohomology group of X:
     H^0(X; Z/m_a) + T, since the a slot never enters the twist."""
     da, ma = variant_layout(variant)[0]
-    return direct_sum(simplicial.cohomology(x, da, ma)[0], _twist_group(x, variant))
+    return direct_sum(simplicial.presentation(x, da, ma), _twist_group(x, variant))
 
 
 def twist_subgroup(x: SimplicialComplex, variant: str) -> AbelianGroupPresentation:

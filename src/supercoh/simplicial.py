@@ -3,8 +3,9 @@
 Vertices are integers 0..n-1 and carry their natural total order; every
 simplex is stored as a strictly increasing vertex tuple.  Cochains take
 values in Z (modulus 0) or Z/n, canonically reduced to [0, n).  Cohomology
-is computed exactly on the Morse complex of a coreduction matching, with
-explicit cocycle representatives on X for every generator.
+is computed exactly on the Morse complex of a coreduction matching; the
+cocycle representatives of its generators are extended to X when
+cohomology() is asked for them.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ MAX_VERTICES = 100_000
 # the simplex count of the closure of a complex read from JSON, as bounded by
 # its maximal simplices, sum(2^|s| - 1), checked before anything is built
 JSON_MAX_SIMPLICES = 500_000
+# the same bound for any complex, checked before a face is built; it admits
+# rp2 x rp2 x rp2 (90 000 six-simplices, bound 11.43M)
+MAX_SIMPLICES = 16_000_000
 
 
 def _gather(indices: tuple):
@@ -67,6 +71,9 @@ class SimplicialComplex:
                 raise ValueError(f"simplex {s} exceeds dimension cap {dimension_cap}")
             normalized.append(s)
         self.maximal_simplices = tuple(sorted(set(normalized)))
+        bound = sum((1 << len(s)) - 1 for s in self.maximal_simplices)
+        if bound > MAX_SIMPLICES:
+            raise ValueError(f"closure bound {bound} of the maximal simplices exceeds {MAX_SIMPLICES}")
         by_dim: dict[int, set] = {}
         for v in range(vertex_count):
             by_dim.setdefault(0, set()).add((v,))
@@ -86,11 +93,13 @@ class SimplicialComplex:
         # _face_tables holds the face-index vectors of the cochain kernels,
         # keyed ("faces", q) and ("cup_i", i, p, q); see face_table and
         # cup_i_table.  _morse is the Morse complex of the coreduction
-        # matching, built on the first cohomology query
+        # matching, built on the first cohomology query; it keeps the
+        # cohomology records.  _bases holds the basis classes on X that
+        # cohomology() extends from them, keyed (q, n)
         self._face_tables: dict = {}
         self._morse = None
         self._coboundaries: dict[int, SparseMatrix] = {}
-        self._cohom_cache: dict = {}
+        self._bases: dict = {}
         self._components = None
 
     def simplices(self, q: int) -> tuple:
@@ -554,11 +563,6 @@ class MorseComplex:
         return tuple(values)
 
 
-def _no_coordinates(xc: Cochain) -> list[int] | None:
-    """Class coordinates in a trivial group: [] for a cocycle."""
-    return [] if xc.is_cocycle() else None
-
-
 # The records below are built on a based cochain complex c given by its
 # coboundaries: c.size(q) and c.delta(q), a SparseMatrix whose factorization
 # the record keeps; c.delta(-1) is the empty delta_{-1}, so degree 0 needs no
@@ -687,19 +691,23 @@ def _reduced_record(c, q: int, n: int):
     return record
 
 
-def _record_on(c, q: int, n: int):
-    """The record of H^q(X; Z/n), q >= 0, X = c.complex, from that of a
-    cochain complex c with cochain maps c.extend: c -> C(X) and
-    c.restrict: C(X) -> c, inverse on cohomology: basis classes are the
-    extended generators, and a cocycle of X is read at its restriction."""
-    x = c.complex
-    pres, gens, orders, read = _reduced_record(c, q, n)
-    basis = [CohomologyClass(Cochain(x, q, n, c.extend(q, g))) for g in gens]
+def _record(x: SimplicialComplex, q: int, n: int):
+    """The record (presentation, generator vectors, orders, reader) of
+    H^q(X; Z/n), q, n >= 0, on the Morse complex M of X, built on first use
+    and kept on M.  Nothing is extended to X: the generators are vectors of
+    M, and the reader takes a cocycle vector of M."""
+    if q < 0:
+        raise ValueError("degree must be >= 0")
+    if n < 0:
+        raise ValueError("modulus must be >= 0")
+    if q > x.dim or n == 1:
+        return _TRIVIAL
+    return _reduced_record(x.morse_complex(), q, n)
 
-    def coordinates(xc):
-        return read(c.restrict(q, xc.values)) if xc.is_cocycle() else None
 
-    return pres, basis, orders, coordinates
+def presentation(x: SimplicialComplex, q: int, n: int = 0) -> AbelianGroupPresentation:
+    """H^q(X; Z/n) as an abstract group, with no representative built."""
+    return _record(x, q, n)[0]
 
 
 def cohomology(x: SimplicialComplex, q: int, n: int = 0):
@@ -708,40 +716,28 @@ def cohomology(x: SimplicialComplex, q: int, n: int = 0):
     Basis classes are listed torsion generators first (matching the
     invariant factors in order) and then free generators; the list order is
     deterministic.  Degrees beyond the dimension give the trivial group.
-    The cache entry also keeps the generator orders and a reader of class
-    coordinates (see class_coordinates).
 
-    Every degree is computed on the Morse complex of X (see MorseComplex),
-    and its generators are extended to X: Z off the factorization of
-    delta_q, and every Z/n as the universal-coefficient split of the
-    integral record of the same degree, H^q(X; Z) (x) Z/n +
-    Tor(H^{q+1}(X; Z), Z/n), so it caches that record too.
+    Every degree is computed on the Morse complex of X (see MorseComplex):
+    Z off the factorization of delta_q, and every Z/n as the
+    universal-coefficient split of the integral record of the same degree,
+    H^q(X; Z) (x) Z/n + Tor(H^{q+1}(X; Z), Z/n), so it keeps that record
+    too.  The basis is extended to X on the first call for a degree and
+    modulus, each class checked as a cocycle, and kept; presentation,
+    generator_orders, class_coordinates, is_cohomologous and
+    sq1_coordinates read the records of M and extend nothing.
     """
-    if q < 0:
-        raise ValueError("degree must be >= 0")
-    if n < 0:
-        raise ValueError("modulus must be >= 0")
-    return _record(x, q, n)[:2]
-
-
-def _record(x: SimplicialComplex, q: int, n: int):
-    """The cached record (presentation, basis, orders, coordinate reader) of
-    H^q(X; Z/n), q, n >= 0, built on first use."""
-    key = (q, n)
-    result = x._cohom_cache.get(key)
-    if result is None:
-        if q > x.dim or n == 1:
-            result = (AbelianGroupPresentation.trivial(), [], [], _no_coordinates)
-        else:
-            result = _record_on(x.morse_complex(), q, n)
-        x._cohom_cache[key] = result
-    return result
+    pres, gens, _, _ = _record(x, q, n)
+    basis = x._bases.get((q, n))
+    if basis is None:
+        basis = x._bases[(q, n)] = [
+            CohomologyClass(Cochain(x, q, n, x.morse_complex().extend(q, g))) for g in gens
+        ]
+    return pres, basis
 
 
 def generator_orders(x: SimplicialComplex, q: int, n: int = 0) -> list[int]:
     """Orders of the basis classes returned by cohomology(); 0 means infinite."""
-    cohomology(x, q, n)
-    return list(x._cohom_cache[(q, n)][2])
+    return list(_record(x, q, n)[2])
 
 
 def is_cohomologous(a: Cochain, b: Cochain) -> bool:
@@ -760,13 +756,39 @@ def class_coordinates(xc: Cochain) -> list[int] | None:
     modulus, or None when xc is not a cocycle.
 
     Coordinates for torsion generators are canonicalized modulo the order.
-    They are read off the factorizations that cohomology() keeps.
+    They are read off the record of M at the restriction r(xc), which
+    factors nothing.
     """
-    x = xc.complex
-    key = (xc.degree, xc.modulus)
-    if key not in x._cohom_cache:
-        cohomology(x, *key)
-    return x._cohom_cache[key][3](xc)
+    x, q = xc.complex, xc.degree
+    _, gens, _, read = _record(x, q, xc.modulus)
+    if not xc.is_cocycle():
+        return None
+    return read(x.morse_complex().restrict(q, xc.values)) if gens else []
+
+
+def sq1_coordinates(x: SimplicialComplex, q: int) -> list[list[int]]:
+    """For each basis class g of H^q(X; Z/2), the coordinates of Sq^1 g in
+    the basis of H^{q+1}(X; Z/2), read off the Morse complex M with no
+    cochain built on X.
+
+    Sq^1 is the reduction mod 2 of the Bockstein: for an integral lift l of
+    the generator m of g on M, delta_M l = 2 s, and Sq^1 [m] = [s mod 2].
+    The extension e is an integral cochain map, so e(s) is the Bockstein of
+    the lift e(l) of g on X, and r e = 1 makes the coordinates of e(s) those
+    that the record of M reads at s.
+    """
+    gens = _record(x, q, 2)[1]
+    read = _record(x, q + 1, 2)[3]
+    out = []
+    for g in gens:
+        d = x.morse_complex().delta(q).mul_vector(g)
+        if any(v % 2 for v in d):
+            raise ArithmeticError("coboundary of a mod-2 cocycle lift is not even")
+        coords = read([v // 2 % 2 for v in d])
+        if coords is None:
+            raise ArithmeticError("Sq^1 of a mod-2 class is not a mod-2 cocycle")
+        out.append(coords)
+    return out
 
 
 class SimplicialMap:

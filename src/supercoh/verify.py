@@ -414,6 +414,25 @@ def suite_brauer(trials: int = 12):
     if brauer.element_order(brauer.element(rp2, "ko", b=w.values)) != 4:
         wrong.append("rp2 ko order of (0,w,0)")
     out.append(_result("landmark-groups", not wrong, ", ".join(wrong)))
+    # the cochain-level identity behind the group verbs: for each basis
+    # class g of H^1(X; Z/2), g + g = (0, 0, c) on X, where c has the Morse
+    # Sq^1 coordinates of g for ko and is cohomologous to 0 for ku
+    wrong = []
+    for name in LANDMARKS:
+        x = corpus.complex_by_name(name)
+        _, basis = cohomology(x, 1, 2)
+        for k, (cls, sq1) in enumerate(zip(basis, simplicial.sq1_coordinates(x, 1))):
+            for variant in ("ku", "ko"):
+                g = brauer.element(x, variant, b=cls.cochain.values)
+                twice = brauer.add(g, g)
+                c = twice.c
+                if variant == "ko":
+                    ok = simplicial.class_coordinates(c) == sq1
+                else:
+                    ok = is_cohomologous(c, Cochain.zero(x, c.degree, c.modulus))
+                if not (ok and twice.a.is_zero() and twice.b.is_zero()):
+                    wrong.append(f"{name} {variant} b{k}")
+    out.append(_result("twice-b-is-sq1", not wrong, ", ".join(wrong)))
     return out
 
 

@@ -38,8 +38,7 @@ from supercoh.simplicial import (
     CohomologyClass,
     SimplicialComplex,
     _coboundary,
-    _no_coordinates,
-    _record_on,
+    _reduced_record,
     coboundary_matrix,
 )
 from supercoh.stable2type import Stable2TypeData, _canonical_element, _mod2_generator_indices
@@ -374,8 +373,8 @@ def cup_i_loop(i: int, a: Cochain, b: Cochain) -> Cochain:
 
 
 class Unreduced:
-    """X's own cochain complex with identity maps to and from X, in the
-    interface of simplicial.MorseComplex."""
+    """X's own cochain complex, in the interface of simplicial.MorseComplex
+    that the record builders read."""
 
     def __init__(self, x: SimplicialComplex):
         self.complex = x
@@ -387,18 +386,23 @@ class Unreduced:
     def delta(self, q: int):
         return _coboundary(self.complex, q)
 
-    def extend(self, q: int, vec) -> tuple:
-        return tuple(vec)
 
-    def restrict(self, q: int, values) -> list:
-        return list(values)
+def _no_coordinates(xc: Cochain) -> list[int] | None:
+    """Class coordinates in a trivial group: [] for a cocycle."""
+    return [] if xc.is_cocycle() else None
 
 
 def cohomology_unreduced(x: SimplicialComplex, q: int, n: int):
     """The record (presentation, basis, orders, coordinate reader) of
-    H^q(X; Z/n), q >= 0, that cohomology() builds on the Morse complex,
-    built by the same builders on the coboundaries of X."""
-    return _record_on(Unreduced(x), q, n)
+    H^q(X; Z/n), q >= 0, built by the builders that cohomology() runs on the
+    Morse complex, fed the coboundaries of X instead."""
+    pres, gens, orders, read = _reduced_record(Unreduced(x), q, n)
+    basis = [CohomologyClass(Cochain(x, q, n, tuple(g))) for g in gens]
+
+    def coordinates(xc):
+        return read(list(xc.values)) if xc.is_cocycle() else None
+
+    return pres, basis, orders, coordinates
 
 
 def _coboundary_or_empty(x: SimplicialComplex, q: int) -> IntMatrix:

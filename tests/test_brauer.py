@@ -17,7 +17,7 @@ from supercoh.brauer import (
     twist_subgroup,
 )
 from supercoh.exact_linalg import AbelianGroupPresentation as G
-from supercoh.simplicial import Cochain, cohomology, is_cohomologous
+from supercoh.simplicial import Cochain, SimplicialComplex, cohomology, is_cohomologous
 
 CORPUS = ("point", "s1", "s2", "t2", "klein", "rp2", "s1xs1")
 ORDER_NAMES = corpus.CORPUS_NAMES + ("rp2xs1", "kleinxs1")
@@ -272,6 +272,48 @@ class TestAbstractGroup:
         # even though the addition law carries the nonzero beta(b1 b2) twist
         assert abstract_group(rp2xrp2, "ku") == G(0, (2, 2, 2, 2))
         assert twist_subgroup(rp2xrp2, "ku") == G(0, (2, 2, 2))
+
+
+# the basis of H^1(klein; Z/2) as cohomology() has extended it since
+# cohomology moved onto the Morse complex
+KLEIN_H1_MOD_2 = (
+    (0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0, 1, 1),
+)
+
+
+def test_group_verbs_build_no_cochain(monkeypatch):
+    """abstract_group and twist_subgroup read the Morse records only: no
+    representative is extended to X and no cup or Bockstein runs.  The
+    basis extended afterwards is the one cohomology() always gave."""
+    klein = corpus.complex_by_name("klein")
+    fresh = SimplicialComplex(klein.vertex_count, klein.maximal_simplices)
+    calls = {"extend": 0, "cup": 0, "bockstein": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(simplicial.MorseComplex, "extend", counted("extend", simplicial.MorseComplex.extend))
+    monkeypatch.setattr(operations, "cup", counted("cup", operations.cup))
+    monkeypatch.setattr(operations, "bockstein", counted("bockstein", operations.bockstein))
+    rp2xs1 = corpus.product(corpus.complex_by_name("rp2"), corpus.complex_by_name("s1"))[0]
+    groups = {
+        (x, variant, include_a): (abstract_group if include_a else twist_subgroup)(x, variant)
+        for x in (fresh, rp2xs1)
+        for variant in ("ku", "ko")
+        for include_a in (True, False)
+    }
+    assert calls == {"extend": 0, "cup": 0, "bockstein": 0}
+    _, basis = cohomology(fresh, 1, 2)
+    assert calls["extend"] == len(basis) == 2
+    assert all(isinstance(cls, simplicial.CohomologyClass) and cls.cochain.is_cocycle() for cls in basis)
+    assert tuple(cls.cochain.values for cls in basis) == KLEIN_H1_MOD_2
+    for (x, variant, include_a), group in groups.items():
+        assert group == group_from_sectors_loop(x, variant, include_a), (variant, include_a)
 
 
 class TestTwistSubgroup:

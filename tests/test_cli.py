@@ -223,7 +223,7 @@ class TestVerifyVerb:
     def test_all_suites(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all")
         assert code == 0
-        assert out.strip().splitlines()[-1] == "27/27 checks passed"
+        assert out.strip().splitlines()[-1] == "28/28 checks passed"
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nonsense")

@@ -14,6 +14,7 @@ from test_simplicial import random_complexes
 from supercoh import brauer, corpus
 from supercoh.exact_linalg import AbelianGroupPresentation as G
 from supercoh.simplicial import (
+    MAX_SIMPLICES,
     MAX_VERTICES,
     Cochain,
     SimplicialComplex,
@@ -132,3 +133,15 @@ def test_vertex_bound_is_checked_before_building():
     with pytest.raises(ValueError, match="exceeds"):
         SimplicialComplex(MAX_VERTICES + 1, [])
     assert SimplicialComplex(MAX_VERTICES, []).simplex_count(0) == MAX_VERTICES
+
+
+def test_closure_bound_is_checked_before_building():
+    # the 2^60 - 1 faces of one 59-simplex are refused before any is built
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="closure bound"):
+        SimplicialComplex(60, [range(60)], dimension_cap=59)
+    with pytest.raises(ValueError, match="closure bound"):
+        SimplicialComplex(24, [range(24)], dimension_cap=23)
+    assert time.perf_counter() - start < 1
+    # rp2 x rp2 x rp2 stays buildable: 90 000 six-simplices of 127 faces each
+    assert 90_000 * (2**7 - 1) <= MAX_SIMPLICES < 2**24 - 1

@@ -7,9 +7,17 @@ from oracles import cup_i_loop
 
 from supercoh import corpus
 from supercoh.operations import bockstein, cup, cup_i, reduce_mod, sq, sq1_via_bockstein
-from supercoh.simplicial import Cochain, CohomologyClass, cohomology, is_cohomologous
+from supercoh.simplicial import (
+    Cochain,
+    CohomologyClass,
+    class_coordinates,
+    cohomology,
+    is_cohomologous,
+    sq1_coordinates,
+)
 
 SURFACES = ("s1", "s2", "t2", "klein", "rp2", "s1xs1")
+SQ1_NAMES = corpus.CORPUS_NAMES + ("rp2xs1", "kleinxs1", "t2xs1", "s2xs1")
 
 
 def random_cochain(x, q, n, rng):
@@ -163,6 +171,23 @@ class TestSq:
         c = CohomologyClass(Cochain.zero(rp2, 1, 3))
         with pytest.raises(ValueError):
             sq(1, c)
+
+
+@pytest.mark.parametrize("name", SQ1_NAMES)
+def test_morse_sq1_matches_the_cochain_squares(name):
+    """sq1_coordinates reads Sq^1 off the Morse complex; on X it is the
+    cup-(q-1) square and the reduced Bockstein of each basis class."""
+    if name.endswith("xs1"):
+        x = corpus.product_with_projections(name[: -len("xs1")], "s1")[0]
+    else:
+        x = corpus.complex_by_name(name)
+    for q in (1, 2):
+        _, basis = cohomology(x, q, 2)
+        morse = sq1_coordinates(x, q)
+        assert len(morse) == len(basis)
+        for cls, coords in zip(basis, morse):
+            assert class_coordinates(sq(1, cls).cochain) == coords, q
+            assert class_coordinates(sq1_via_bockstein(cls).cochain) == coords, q
 
 
 class TestBockstein:

@@ -25,7 +25,6 @@ from supercoh.simplicial import (
     SimplicialComplex,
     SimplicialMap,
     _coboundary,
-    _record,
     class_coordinates,
     coboundary_matrix,
     cohomology,
@@ -142,11 +141,12 @@ def test_sparse_path_agrees_with_dense(all_surfaces):
         for q in range(1, x.dim + 1):
             for n in (0, 3, 4, 5, 6, 8):
                 dense = cohomology_integral_dense(x, q, n)
-                sparse = _record(x, q, n)
-                assert dense[0] == sparse[0]
-                assert dense[2] == sparse[2]
+                pres, basis = cohomology(x, q, n)
+                orders = generator_orders(x, q, n)
+                assert dense[0] == pres
+                assert dense[2] == orders
                 zero = Cochain.zero(x, q, n)
-                for cls, order in zip(sparse[1], sparse[2]):
+                for cls, order in zip(basis, orders):
                     assert cls.cochain.is_cocycle()
                     assert not is_cohomologous(cls.cochain, zero)
                     if order:
@@ -173,6 +173,10 @@ def test_moore_space_torsion():
     assert cohomology(m, 1, 3)[0] == G(0, (3,))
 
 
+def _cohomology_with_orders(x, q, n):
+    return (*cohomology(x, q, n), generator_orders(x, q, n))
+
+
 def test_coprime_torsion_merges_to_invariant_factors(rp2):
     # RP2 disjoint union Moore(Z/3): H^2 = Z/2 + Z/3, i.e. invariant factor 6;
     # exercises the CRT generator merge in the integral path and its dense oracle
@@ -182,7 +186,7 @@ def test_coprime_torsion_merges_to_invariant_factors(rp2):
         list(rp2.maximal_simplices)
         + [tuple(v + shift for v in s) for s in moore3().maximal_simplices],
     )
-    for path in (cohomology_integral_dense, _record):
+    for path in (cohomology_integral_dense, _cohomology_with_orders):
         pres, basis, orders = path(mixed, 2, 0)[:3]
         assert pres == G(0, (6,)), path.__name__
         assert orders == [6]
