@@ -10,7 +10,8 @@ b: H^1 mod 2, c: H^3 integral (ku) or H^2 mod 2 (ko).  Element arithmetic
 is cochain-level and equality is class-level, so no canonical
 representatives are ever chosen.  Group extraction builds no cochain:
 abstract_group and twist_subgroup read their relations off the cohomology
-records of the Morse complex (see _twist_group).
+records of the Morse complex, or of the tensor model of a product (see
+_twist_group).
 """
 
 from __future__ import annotations

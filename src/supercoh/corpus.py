@@ -1,14 +1,15 @@
 """Built-in test complexes and constructions (cones, staircase products).
 
 The corpus is addressable by name, e.g. complex_by_name("rp2") or the CLI
-form "@rp2".  Product complexes come with their two projection maps.
+form "@rp2".  Product complexes come with their two projection maps and
+keep their two factors, whose models give their cohomology.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .simplicial import SimplicialComplex, SimplicialMap
+from .simplicial import SimplicialComplex, SimplicialMap, _shuffles
 
 
 def point() -> SimplicialComplex:
@@ -92,34 +93,25 @@ def cone(x: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(x.vertex_count + 1, maximal)
 
 
-def _staircase_paths(p: int, q: int):
-    """All monotone lattice paths (0,0) -> (p,q) with unit right/up steps."""
-    if p == 0 and q == 0:
-        yield [(0, 0)]
-        return
-    if p > 0:
-        for path in _staircase_paths(p - 1, q):
-            yield path + [(p, q)]
-    if q > 0:
-        for path in _staircase_paths(p, q - 1):
-            yield path + [(p, q)]
-
-
 def product(k: SimplicialComplex, l: SimplicialComplex):
     """Staircase (Eilenberg-Zilber shuffle) triangulation of |K| x |L|.
 
     Vertex (u, w) gets index u * l.vertex_count + w; returns the product
-    complex and the two projections as SimplicialMaps.
+    complex and the two projections as SimplicialMaps.  The product keeps
+    K and L as its factors, so its cohomology is computed on the tensor
+    product of their models (simplicial.TensorModel) and no matching runs
+    on it; a copy rebuilt from its simplices, as JSON input is, computes on
+    its own Morse complex and may give other representatives of the same
+    classes.
     """
     nl = l.vertex_count
     maximal = []
     for sk in k.maximal_simplices:
         for sl in l.maximal_simplices:
-            p, q = len(sk) - 1, len(sl) - 1
-            for path in _staircase_paths(p, q):
-                simplex = tuple(sk[a] * nl + sl[b] for a, b in path)
-                maximal.append(simplex)
+            for kpos, lpos, _ in _shuffles(len(sk) - 1, len(sl) - 1):
+                maximal.append(tuple(sk[a] * nl + sl[b] for a, b in zip(kpos, lpos)))
     prod = SimplicialComplex(k.vertex_count * nl, maximal)
+    prod._factors = (k, l)
     proj1 = SimplicialMap(prod, k, [v // nl for v in range(prod.vertex_count)])
     proj2 = SimplicialMap(prod, l, [v % nl for v in range(prod.vertex_count)])
     return prod, proj1, proj2

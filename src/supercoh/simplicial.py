@@ -3,9 +3,11 @@
 Vertices are integers 0..n-1 and carry their natural total order; every
 simplex is stored as a strictly increasing vertex tuple.  Cochains take
 values in Z (modulus 0) or Z/n, canonically reduced to [0, n).  Cohomology
-is computed exactly on the Morse complex of a coreduction matching; the
-cocycle representatives of its generators are extended to X when
-cohomology() is asked for them.
+is computed exactly on a small integral model of the cochains of X: the
+Morse complex of a coreduction matching of X, or, for a staircase product
+K x L built by corpus.product, the tensor product of the models of K and
+L, with no matching run on X.  The cocycle representatives of its
+generators are extended to X when cohomology() is asked for them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, cycle, repeat
 from math import gcd
-from operator import add, itemgetter, mod, mul, neg, sub
+from operator import add, floordiv, itemgetter, mod, mul, neg, sub
 
 from .exact_linalg import (
     AbelianGroupPresentation,
@@ -93,10 +95,13 @@ class SimplicialComplex:
         # _face_tables holds the face-index vectors of the cochain kernels,
         # keyed ("faces", q) and ("cup_i", i, p, q); see face_table and
         # cup_i_table.  _morse is the Morse complex of the coreduction
-        # matching, built on the first cohomology query; it keeps the
-        # cohomology records.  _bases holds the basis classes on X that
-        # cohomology() extends from them, keyed (q, n)
+        # matching, or the TensorModel of the factors when _factors holds the
+        # (K, L) that corpus.product built X from; it is built on the first
+        # cohomology query and keeps the cohomology records.  _bases holds
+        # the basis classes on X that cohomology() extends from them, keyed
+        # (q, n)
         self._face_tables: dict = {}
+        self._factors = None
         self._morse = None
         self._coboundaries: dict[int, SparseMatrix] = {}
         self._bases: dict = {}
@@ -160,10 +165,15 @@ class SimplicialComplex:
             table = self._face_tables[key] = tuple(table)
         return table
 
-    def morse_complex(self) -> "MorseComplex":
-        """The Morse complex of the coreduction matching, built once."""
+    def morse_complex(self) -> "MorseComplex | TensorModel":
+        """The integral model of the cochains of X, built once: the tensor
+        product of the factors' models when X is a staircase product, and
+        otherwise the Morse complex of the coreduction matching."""
         if self._morse is None:
-            self._morse = MorseComplex(self)
+            if self._factors:
+                self._morse = TensorModel(self, *(f.morse_complex() for f in self._factors))
+            else:
+                self._morse = MorseComplex(self)
         return self._morse
 
     def contains(self, simplex) -> bool:
@@ -212,8 +222,12 @@ class SimplicialComplex:
         return hash((self.vertex_count, self.maximal_simplices))
 
     def __reduce__(self):
-        # pickle the defining data only: the caches hold closures and are rebuilt on use
-        return type(self), (self.vertex_count, self.maximal_simplices, self.dim)
+        # pickle the defining data and the factors of a product only: the
+        # caches hold closures and are rebuilt on use
+        args = (self.vertex_count, self.maximal_simplices, self.dim)
+        if self._factors:
+            return type(self), args, {"_factors": self._factors}
+        return type(self), args
 
     def __repr__(self):
         return (
@@ -389,7 +403,22 @@ def coboundary_matrix(x: SimplicialComplex, q: int, n: int = 0) -> IntMatrix:
     return m
 
 
-class MorseComplex:
+class _CochainModel:
+    """A based integral cochain complex M with cochain maps e: M^q -> C^q(X)
+    and r: C^q(X) -> M^q, r e = 1, in the interface that the record
+    builders, cohomology() and verify read: size, delta, extend, restrict
+    and the records dict.  r reads a cochain on one integral chain of X per
+    cell of M, which chains(q) lists as (simplex indices, coefficients)."""
+
+    def restrict(self, q: int, values) -> list[int]:
+        """r(f) for the values of a q-cochain f on X."""
+        program = self._restrictions.get(q)
+        if program is None:
+            program = self._restrictions[q] = [(_gather(support), coeffs) for support, coeffs in self.chains(q)]
+        return [sum(map(mul, coeffs, gather(values))) for gather, coeffs in program]
+
+
+class MorseComplex(_CochainModel):
     """The Morse complex M of a coreduction matching on X, with the cochain
     maps that carry classes between M and X.
 
@@ -485,6 +514,7 @@ class MorseComplex:
         self._pair_of = pair_of
         self._signs = tuple((-1) ** k for k in range(dim + 2))
         self._deltas: dict[int, SparseMatrix] = {}
+        self._chains: dict[int, list] = {}
         self._restrictions: dict[int, list] = {}
         self._extensions: dict[int, list] = {}
         # the records of H^q(M; Z/n), keyed (q, n); see _reduced_record
@@ -494,12 +524,12 @@ class MorseComplex:
         return len(self.critical[q]) if 0 <= q < len(self.critical) else 0
 
     def _flow(self, q: int):
-        """The restriction of degree q and delta_M^{q-1}, read off the flowed
-        chains of the critical q-cells."""
+        """The flowed chains of the critical q-cells and delta_M^{q-1}, read
+        off their boundaries."""
         faces, pairs, signs = self._faces[q], self._pairs[q], self._signs
         pair_of = self._pair_of[q - 1] if q else ()
         below = self.critical[q - 1] if q else ()
-        restriction, rows = [], []
+        chains, rows = [], []
         for c in self.critical[q]:
             chain = {c: 1}
             bd = dict(zip(faces[c], signs))  # the boundary of the chain
@@ -522,9 +552,9 @@ class MorseComplex:
                                 heappush(heap, -pair_of[f])
                         else:
                             bd[f] = old + t * s
-            restriction.append((_gather(tuple(chain)), tuple(chain.values())))
+            chains.append((tuple(chain), tuple(chain.values())))
             rows.append({j: bd[f] for j, f in enumerate(below) if bd.get(f)})
-        self._restrictions[q] = restriction
+        self._chains[q] = chains
         self._deltas[q - 1] = SparseMatrix(len(rows), len(below), rows)
 
     def delta(self, q: int) -> SparseMatrix:
@@ -537,11 +567,11 @@ class MorseComplex:
                 self._deltas[q] = SparseMatrix(0, self.size(q), [])
         return self._deltas[q]
 
-    def restrict(self, q: int, values) -> list[int]:
-        """r(f) for the values of a q-cochain f on X."""
-        if q not in self._restrictions:
+    def chains(self, q: int) -> list:
+        """The flowed chains g(c) of the critical q-cells, in their order."""
+        if q not in self._chains:
             self._flow(q)
-        return [sum(map(mul, coeffs, gather(values))) for gather, coeffs in self._restrictions[q]]
+        return self._chains[q]
 
     def extend(self, q: int, vec) -> tuple[int, ...]:
         """The values on X of e(m) for a vector m of M^q."""
@@ -563,13 +593,189 @@ class MorseComplex:
         return tuple(values)
 
 
+
+@cache
+def _shuffles(p: int, q: int) -> tuple:
+    """The staircase paths from (0, 0) to (p, q) in unit steps, as (K
+    positions, L positions, sign): vertex t of the path is (K positions[t],
+    L positions[t]), and the sign of its (p, q)-shuffle is
+    (-1)^(sum over K-steps of the L-steps before it)."""
+    paths = []
+    for ksteps in combinations(range(p + q), p):
+        kpos, lpos, inversions = [0], [0], 0
+        for t in range(p + q):
+            if t in ksteps:
+                kpos.append(kpos[-1] + 1)
+                inversions += lpos[-1]
+            else:
+                kpos.append(kpos[-1])
+            lpos.append(t + 1 - kpos[-1])
+        paths.append((tuple(kpos), tuple(lpos), -1 if inversions % 2 else 1))
+    return tuple(paths)
+
+
+class TensorModel(_CochainModel):
+    """M_K (x) M_L for the staircase product X of K and L (corpus.product),
+    built from the models of the factors: it stands in for the Morse complex
+    of X, so no matching runs on X, and nested products recurse.
+
+    X is the product of K and L as simplicial sets: an n-simplex is a chain
+    of vertices (u_0, w_0) < ... < (u_n, w_n), weakly increasing in both
+    coordinates, whose projections to K and L are simplices.  C(X) is chain
+    homotopy equivalent over Z to C(K) (x) C(L) (Eilenberg and Zilber 1953)
+    through the Alexander-Whitney map AW and the shuffle map nabla, with
+    AW nabla = 1 (see Gonzalez-Diaz and Real, "Computation of cohomology
+    operations on finite simplicial complexes", HHA 5, 2003):
+
+    - the cells of degree n are (p, i, j) for a cell i of M_K^p and a cell j
+      of M_L^(n-p), ordered by p, then i, then j.
+    - delta(a (x) b) = delta a (x) b + (-1)^p a (x) delta b for a of degree p.
+    - the extension e is the cross product, the dual of AW applied to
+      e_K (x) e_L: e(a (x) b) is e_K(a) on the front p-face of the projection
+      to K of an n-simplex times e_L(b) on the back (n-p)-face of its
+      projection to L, and 0 where a projected face is degenerate.
+    - the restriction r reads a cochain on nabla(g_K(i) (x) g_L(j)), the
+      shuffle product of the chains that the factors' restrictions read: a
+      p-simplex of K and an (n-p)-simplex of L give one n-simplex of X per
+      staircase path, with the sign of its shuffle (see _shuffles).
+
+    AW nabla = 1 makes r e = 1 exactly, and e and r are integral cochain
+    maps because AW, nabla and the factors' maps are, so H^q(X; Z/n) is
+    H^q(M_K (x) M_L; Z/n) and classes move between them as they do for a
+    MorseComplex.
+    """
+
+    def __init__(self, x: SimplicialComplex, k, l):
+        self.complex = x
+        self._k, self._l = k, l
+        # offsets[n][p]: the index of cell (p, 0, 0) among the n-cells; the
+        # last entry is the number of n-cells
+        self._offsets = []
+        for n in range(x.dim + 1):
+            sizes = [k.size(p) * l.size(n - p) for p in range(n + 1)]
+            self._offsets.append([sum(sizes[:p]) for p in range(n + 2)])
+        self._deltas: dict[int, SparseMatrix] = {}
+        self._chains: dict[int, list] = {}
+        self._restrictions: dict[int, list] = {}
+        # n -> {p: the gather of the cross-product table}; see _cross
+        self._extensions: dict = {}
+        self.records: dict = {}
+
+    def size(self, q: int) -> int:
+        return self._offsets[q][-1] if 0 <= q < len(self._offsets) else 0
+
+    def delta(self, q: int) -> SparseMatrix:
+        """delta: M^q -> M^{q+1}, q >= -1; degenerate degrees give empty
+        matrices."""
+        d = self._deltas.get(q)
+        if d is None:
+            k, l, n = self._k, self._l, q + 1
+            offsets = self._offsets[q] if 0 <= q < len(self._offsets) else ()
+            rows = []
+            for p in range(n + 1):
+                # row (p, i, j) reads delta_K(i) on block (p - 1, n - p) and
+                # (-1)^p delta_L(j) on block (p, n - p - 1)
+                width = l.size(n - p)
+                if not k.size(p) * width:
+                    continue
+                kdelta, ldelta = k.delta(p - 1).data, l.delta(n - p - 1).data
+                kstart = offsets[p - 1] if p else 0
+                lstart, lwidth = (offsets[p], l.size(n - p - 1)) if p < n else (0, 0)
+                sign = (-1) ** p
+                for i, krow in enumerate(kdelta):
+                    for j, lrow in enumerate(ldelta):
+                        row = {kstart + a * width + j: v for a, v in krow.items()}
+                        row.update((lstart + i * lwidth + b, sign * v) for b, v in lrow.items())
+                        rows.append(row)
+            d = self._deltas[q] = SparseMatrix(len(rows), self.size(q), rows)
+        return d
+
+    def chains(self, q: int) -> list:
+        """The chains nabla(g_K(i) (x) g_L(j)) of the q-cells, in their
+        order, as indices of q-simplices of X and coefficients."""
+        chains = self._chains.get(q)
+        if chains is None:
+            k, l = self._k, self._l
+            width = l.complex.vertex_count
+            index = self.complex._index[q]
+            chains = self._chains[q] = []
+            for p in range(q + 1):
+                if not k.size(p) * l.size(q - p):
+                    continue
+                paths = _shuffles(p, q - p)
+                ksimplices, lsimplices = k.complex.simplices(p), l.complex.simplices(q - p)
+                for ksupport, kcoeffs in k.chains(p):
+                    for lsupport, lcoeffs in l.chains(q - p):
+                        support, coeffs = [], []
+                        for a, kc in zip(ksupport, kcoeffs):
+                            u = ksimplices[a]
+                            for b, lc in zip(lsupport, lcoeffs):
+                                w = lsimplices[b]
+                                for kpos, lpos, sign in paths:
+                                    support.append(index[tuple(u[s] * width + w[t] for s, t in zip(kpos, lpos))])
+                                    coeffs.append(sign * kc * lc)
+                        chains.append((tuple(support), tuple(coeffs)))
+        return chains
+
+    def _cross(self, q: int, p: int):
+        """The gather that reads the cross product of a p-cochain on K and a
+        (q-p)-cochain on L off their table of products, indexed
+        a * (number of L-simplices) + b for a K-simplex a and an L-simplex b,
+        with a trailing 0 that the degenerate projections read.  The gathers
+        of every p are built at once, from one pass that projects the
+        q-simplices of X."""
+        gathers = self._extensions.get(q)
+        if gathers is None:
+            kx, lx = self._k.complex, self._l.complex
+            width = repeat(lx.vertex_count)
+            simplices = self.complex.simplices(q)
+            ks = [tuple(map(floordiv, s, width)) for s in simplices]
+            ls = [tuple(map(mod, s, width)) for s in simplices]
+            gathers = self._extensions[q] = {}
+            for d in range(max(0, q - lx.dim), min(q, kx.dim) + 1):
+                lcount = lx.simplex_count(q - d)
+                degenerate = kx.simplex_count(d) * lcount
+                # a degenerate face repeats a vertex, so no index holds it
+                fronts = map(kx._index[d].get, map(itemgetter(slice(d + 1)), ks))
+                backs = map(lx._index[q - d].get, map(itemgetter(slice(d, None)), ls))
+                gathers[d] = _gather(
+                    tuple(degenerate if a is None or b is None else a * lcount + b for a, b in zip(fronts, backs))
+                )
+        return gathers[p]
+
+    def extend(self, q: int, vec) -> tuple[int, ...]:
+        """The values on X of e(m) for a vector m of the model in degree q:
+        sum over cells (p, i, j) of m_(p,i,j) e_K(i) x e_L(j)."""
+        k, l = self._k, self._l
+        values = [0] * self.complex.simplex_count(q)
+        offsets = self._offsets[q]
+        for p in range(q + 1):
+            block = vec[offsets[p] : offsets[p + 1]]
+            if not any(block):
+                continue
+            ksize, lsize = k.size(p), l.size(q - p)
+            lcount = l.complex.simplex_count(q - p)
+            products = [0] * (k.complex.simplex_count(p) * lcount + 1)
+            for i in range(ksize):
+                row = block[i * lsize : (i + 1) * lsize]
+                if not any(row):
+                    continue
+                lvalues = l.extend(q - p, row)
+                for a, kv in enumerate(k.extend(p, [int(t == i) for t in range(ksize)])):
+                    if kv:
+                        cut = slice(a * lcount, (a + 1) * lcount)
+                        products[cut] = map(add, products[cut], map(mul, repeat(kv), lvalues))
+            values = list(map(add, values, self._cross(q, p)(products)))
+        return tuple(values)
+
+
 # The records below are built on a based cochain complex c given by its
 # coboundaries: c.size(q) and c.delta(q), a SparseMatrix whose factorization
 # the record keeps; c.delta(-1) is the empty delta_{-1}, so degree 0 needs no
 # case of its own.  A record is (presentation, generator vectors, orders,
 # reader), where the reader takes a cocycle vector of c to its class
-# coordinates.  cohomology() feeds them the Morse complex; fed X's own
-# coboundaries they are the unreduced path.
+# coordinates.  cohomology() feeds them the model of X (a MorseComplex or a
+# TensorModel); fed X's own coboundaries they are the unreduced path.
 
 _TRIVIAL = (AbelianGroupPresentation.trivial(), [], [], lambda vec: [])
 
@@ -693,7 +899,7 @@ def _reduced_record(c, q: int, n: int):
 
 def _record(x: SimplicialComplex, q: int, n: int):
     """The record (presentation, generator vectors, orders, reader) of
-    H^q(X; Z/n), q, n >= 0, on the Morse complex M of X, built on first use
+    H^q(X; Z/n), q, n >= 0, on the model M = x.morse_complex(), built on first use
     and kept on M.  Nothing is extended to X: the generators are vectors of
     M, and the reader takes a cocycle vector of M."""
     if q < 0:
@@ -717,8 +923,12 @@ def cohomology(x: SimplicialComplex, q: int, n: int = 0):
     invariant factors in order) and then free generators; the list order is
     deterministic.  Degrees beyond the dimension give the trivial group.
 
-    Every degree is computed on the Morse complex of X (see MorseComplex):
-    Z off the factorization of delta_q, and every Z/n as the
+    Every degree is computed on the model M of X that morse_complex()
+    gives: the Morse complex of its matching (see MorseComplex), or, when X
+    was built by corpus.product, the tensor product of the factors' models
+    (see TensorModel), whose representatives differ from those of the
+    matching of X; the groups and classes are the same.  Z is read off the
+    factorization of delta_q, and every Z/n as the
     universal-coefficient split of the integral record of the same degree,
     H^q(X; Z) (x) Z/n + Tor(H^{q+1}(X; Z), Z/n), so it keeps that record
     too.  The basis is extended to X on the first call for a degree and
@@ -768,8 +978,8 @@ def class_coordinates(xc: Cochain) -> list[int] | None:
 
 def sq1_coordinates(x: SimplicialComplex, q: int) -> list[list[int]]:
     """For each basis class g of H^q(X; Z/2), the coordinates of Sq^1 g in
-    the basis of H^{q+1}(X; Z/2), read off the Morse complex M with no
-    cochain built on X.
+    the basis of H^{q+1}(X; Z/2), read off the model M of X (the Morse
+    complex, or the tensor model of a product) with no cochain built on X.
 
     Sq^1 is the reduction mod 2 of the Bockstein: for an integral lift l of
     the generator m of g on M, delta_M l = 2 s, and Sq^1 [m] = [s mod 2].

@@ -145,7 +145,8 @@ def suite_simplicial():
 
 def _morse_reduction_holds(name) -> bool:
     """delta_M^2 = 0, e and r commute with delta, and r e = 1 on every unit
-    vector of the Morse complex of a corpus complex."""
+    vector of the model of a corpus complex: the Morse complex of its
+    matching, or the tensor model of a product."""
     x = corpus.complex_by_name(name)
     m = x.morse_complex()
     rng = Random(name)

@@ -405,6 +405,28 @@ def cohomology_unreduced(x: SimplicialComplex, q: int, n: int):
     return pres, basis, orders, coordinates
 
 
+def kunneth(k_groups, l_groups, n: int) -> AbelianGroupPresentation:
+    """H^n(K x L; Z) from the integral cohomology groups of K and L alone,
+    k_groups[p] = H^p(K; Z) and l_groups[q] = H^q(L; Z): the sum of
+    H^p(K) (x) H^q(L) over p + q = n and of Tor(H^p(K), H^q(L)) over
+    p + q = n + 1 (the Kunneth theorem for the cochains of finite
+    complexes).  With Z (x) G = G, Z/a (x) Z/b = Tor(Z/a, Z/b) = Z/gcd(a, b)
+    and Tor(Z, G) = 0, the cyclic pieces are joined by the dense Smith
+    normal form; no cochain or coboundary is read."""
+
+    def cyclic(g):
+        return [0] * g.free_rank + list(g.invariant_factors)
+
+    orders = []
+    for p, gk in enumerate(k_groups):
+        for q, gl in enumerate(l_groups):
+            if p + q == n:
+                orders += [gcd(a, b) if a and b else a or b for a in cyclic(gk) for b in cyclic(gl)]
+            elif p + q == n + 1:
+                orders += [gcd(a, b) for a in gk.invariant_factors for b in gl.invariant_factors]
+    return cokernel_dense(IntMatrix.diagonal(orders), 0)
+
+
 def _coboundary_or_empty(x: SimplicialComplex, q: int) -> IntMatrix:
     """delta_q: C^q -> C^{q+1}; degenerate degrees give empty matrices."""
     if q < 0:

@@ -1,14 +1,19 @@
-"""The Morse complex of the coreduction matching: delta_M^2 = 0, the
-extension e and restriction r are cochain maps with r e = 1, and the
-cohomology records built on it name the same groups and classes as the
-same builders fed the coboundaries of X itself."""
+"""The Morse complex of the coreduction matching and the tensor model of a
+staircase product: delta_M^2 = 0, the extension e and restriction r are
+cochain maps with r e = 1, and the cohomology records built on them name
+the same groups and classes as the same builders fed the coboundaries of
+X itself.  On a product, the tensor model gives the groups of X's own
+Morse complex and of the Kunneth formula, and the group verbs never touch
+X."""
 
+import json
+import pickle
 import random
 import time
 
 import pytest
 from hypothesis import given, settings
-from oracles import cohomology_unreduced
+from oracles import cohomology_unreduced, kunneth
 from test_simplicial import random_complexes
 
 from supercoh import brauer, corpus
@@ -17,13 +22,18 @@ from supercoh.simplicial import (
     MAX_SIMPLICES,
     MAX_VERTICES,
     Cochain,
+    MorseComplex,
     SimplicialComplex,
+    TensorModel,
     class_coordinates,
     cohomology,
     generator_orders,
+    presentation,
 )
 
 NAMES = corpus.CORPUS_NAMES + ("rp2xs1", "kleinxs1")
+# every product below computes on its TensorModel; rp2xrp2xs1 nests one
+PRODUCTS = ("s1xs1", "rp2xrp2", "rp2xs1", "kleinxs1", "t2xs1", "s2xs1", "rp2xrp2xs1")
 
 
 def _complex(name):
@@ -59,7 +69,7 @@ def _check_reduction(x, rng):
             assert extended.is_cocycle()
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", sorted(set(NAMES + PRODUCTS)))
 def test_reduction_is_a_retract_of_cochain_maps(name):
     _check_reduction(_complex(name), random.Random(name))
 
@@ -71,9 +81,13 @@ def test_reduction_on_random_complexes(x):
 
 
 def test_matching_is_small():
-    # every critical cell of a perfect matching is a mod-2 Betti number
+    # every critical cell of a perfect matching is a mod-2 Betti number; the
+    # model of rp2xrp2 is the tensor square of the one of rp2, so it is
+    # perfect too, but the matching of X itself is checked on its own
     for name, counts in (("rp2", (1, 1, 1)), ("klein", (1, 2, 1)), ("rp2xrp2", (1, 2, 3, 2, 1))):
-        assert tuple(map(len, _complex(name).morse_complex().critical)) == counts
+        x = _complex(name)
+        assert tuple(map(len, MorseComplex(x).critical)) == counts
+        assert tuple(map(x.morse_complex().size, range(x.dim + 1))) == counts
 
 
 def _combination(x, q, n, coords, basis):
@@ -109,7 +123,7 @@ def test_reduced_records_match_the_unreduced_path(name):
 def test_rp2xrp2xs1():
     """Kunneth over Z and Z/2, and the ku/ko group orders as the product of
     their sector orders, on the 81 936 cells of RP2 x RP2 x S1."""
-    x = corpus.product(corpus.complex_by_name("rp2xrp2"), corpus.complex_by_name("s1"))[0]
+    x = _complex("rp2xrp2xs1")
     start = time.perf_counter()
     integral = [cohomology(x, q, 0)[0] for q in range(1, 6)]
     assert integral == [G(1, ()), G(0, (2, 2)), G(0, (2, 2, 2)), G(0, (2, 2)), G(0, (2,))]
@@ -145,3 +159,77 @@ def test_closure_bound_is_checked_before_building():
     assert time.perf_counter() - start < 1
     # rp2 x rp2 x rp2 stays buildable: 90 000 six-simplices of 127 faces each
     assert 90_000 * (2**7 - 1) <= MAX_SIMPLICES < 2**24 - 1
+
+
+def _unfactored(x):
+    """A copy of X built from its simplices alone, as JSON input is: it
+    computes on the Morse complex of its own matching."""
+    return SimplicialComplex(x.vertex_count, x.maximal_simplices)
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_tensor_model_matches_the_morse_complex_of_x(name):
+    x = _complex(name)
+    own = _unfactored(x)
+    model = x.morse_complex()
+    assert isinstance(model, TensorModel) and isinstance(own.morse_complex(), MorseComplex)
+    assert (model.delta(x.dim).rows, model.delta(x.dim + 1).cols) == (0, 0)
+    for n in (0, 2, 3, 4, 6):
+        for q in range(x.dim + 2):
+            assert presentation(x, q, n) == presentation(own, q, n), (q, n)
+    for variant in ("ku", "ko"):
+        assert brauer.abstract_group(x, variant) == brauer.abstract_group(own, variant), variant
+        assert brauer.twist_subgroup(x, variant) == brauer.twist_subgroup(own, variant), variant
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_tensor_model_matches_kunneth(name):
+    x = _complex(name)
+    k, l = (tuple(presentation(f, q) for q in range(f.dim + 1)) for f in x._factors)
+    for n in range(x.dim + 2):
+        assert presentation(x, n) == kunneth(k, l, n), n
+
+
+def test_group_verbs_touch_no_product_complex(monkeypatch):
+    """ku/ko groups of a fresh product read the models of its factors: no
+    face table of X is built and no matching runs on X, nested or not."""
+    matched = []
+    init = MorseComplex.__init__
+
+    def counted(self, x):
+        matched.append(x)
+        init(self, x)
+
+    monkeypatch.setattr(MorseComplex, "__init__", counted)
+    rp2, s1 = corpus.complex_by_name("rp2"), corpus.complex_by_name("s1")
+    inner = corpus.product(s1, s1)[0]
+    products = (corpus.product(rp2, s1)[0], corpus.product(rp2, rp2)[0], inner, corpus.product(inner, s1)[0])
+    for x in products:
+        for variant in ("ku", "ko"):
+            brauer.abstract_group(x, variant)
+            brauer.twist_subgroup(x, variant)
+    assert all(isinstance(x.morse_complex(), TensorModel) for x in products)
+    assert [x._face_tables for x in products] == [{}] * len(products)
+    assert all(c is rp2 or c is s1 for c in matched)
+
+
+def test_products_keep_their_factors_through_pickle_not_json():
+    """A pickled product keeps its factors and so its representatives; a
+    JSON copy computes on its own matching, which may give other
+    representatives of the same groups."""
+    s1 = corpus.complex_by_name("s1")
+    for x in (_complex("rp2xs1"), corpus.product(corpus.product(s1, s1)[0], s1)[0]):
+        back = pickle.loads(pickle.dumps(x))
+        assert back == x and back._factors == x._factors
+        assert back._factors[0]._factors == x._factors[0]._factors
+        assert isinstance(back.morse_complex(), TensorModel)
+        copy = SimplicialComplex.from_json_dict(json.loads(json.dumps(x.to_json_dict())))
+        assert copy == x and copy._factors is None
+        assert isinstance(copy.morse_complex(), MorseComplex)
+        for n in (0, 2):
+            for q in range(x.dim + 1):
+                pres, basis = cohomology(x, q, n)
+                back_pres, back_basis = cohomology(back, q, n)
+                assert pres == back_pres and [c.cochain for c in basis] == [c.cochain for c in back_basis]
+                assert cohomology(copy, q, n)[0] == pres
+                assert generator_orders(copy, q, n) == generator_orders(x, q, n)
