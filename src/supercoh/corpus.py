@@ -93,6 +93,13 @@ def cone(x: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(x.vertex_count + 1, maximal)
 
 
+def _facets(x: SimplicialComplex) -> tuple:
+    """The maximal simplices of x and the vertices that none of them holds:
+    an isolated vertex v of K still gives the copy {v} x |L| of L."""
+    covered = {v for s in x.maximal_simplices for v in s}
+    return x.maximal_simplices + tuple((v,) for v in range(x.vertex_count) if v not in covered)
+
+
 def product(k: SimplicialComplex, l: SimplicialComplex):
     """Staircase (Eilenberg-Zilber shuffle) triangulation of |K| x |L|.
 
@@ -106,8 +113,8 @@ def product(k: SimplicialComplex, l: SimplicialComplex):
     """
     nl = l.vertex_count
     maximal = []
-    for sk in k.maximal_simplices:
-        for sl in l.maximal_simplices:
+    for sk in _facets(k):
+        for sl in _facets(l):
             for kpos, lpos, _ in _shuffles(len(sk) - 1, len(sl) - 1):
                 maximal.append(tuple(sk[a] * nl + sl[b] for a, b in zip(kpos, lpos)))
     prod = SimplicialComplex(k.vertex_count * nl, maximal)

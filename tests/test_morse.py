@@ -233,3 +233,20 @@ def test_products_keep_their_factors_through_pickle_not_json():
                 assert pres == back_pres and [c.cochain for c in basis] == [c.cochain for c in back_basis]
                 assert cohomology(copy, q, n)[0] == pres
                 assert generator_orders(copy, q, n) == generator_orders(x, q, n)
+
+
+def test_product_keeps_the_isolated_vertices_of_a_factor():
+    """A vertex that no listed simplex holds still spans a copy of the other
+    factor: circle + point times rp2 has two components, and the model, the
+    product's own Morse complex and Kunneth agree on every group."""
+    k = SimplicialComplex(4, [(0, 1), (1, 2), (0, 2)])
+    l = corpus.complex_by_name("rp2")
+    x = corpus.product(k, l)[0]
+    own = _unfactored(x)
+    assert presentation(x, 0) == G(2, ())
+    for n in (0, 2):
+        for q in range(x.dim + 2):
+            assert presentation(x, q, n) == presentation(own, q, n), (q, n)
+    groups = [[presentation(f, q) for q in range(f.dim + 1)] for f in (k, l)]
+    assert [presentation(x, q) for q in range(x.dim + 2)] == [kunneth(*groups, q) for q in range(x.dim + 2)]
+    _check_reduction(x, random.Random(0))
