@@ -201,10 +201,13 @@ def _load_dsv(path: str) -> dsv.DSV:
     data = _load_json(path)
     try:
         field = _parse_field(data["field"])
+        dim0, dim1 = int(data["dim0"]), int(data["dim1"])
+        if min(dim0, dim1) < 0 or dim0 + dim1 > dsv.JSON_MAX_DIM:
+            raise ValueError(f"dims ({dim0}|{dim1}) must be >= 0 and sum to at most {dsv.JSON_MAX_DIM}")
         conv = (lambda s: int(s)) if field.char else (lambda s: __import__("fractions").Fraction(s))
         d0 = [[conv(str(v)) for v in row] for row in data["d0"]]
         d1 = [[conv(str(v)) for v in row] for row in data["d1"]]
-        return dsv.DSV.make(field, int(data["dim0"]), int(data["dim1"]), d0, d1)
+        return dsv.DSV.make(field, dim0, dim1, d0, d1)
     except (KeyError, ValueError, TypeError) as e:
         raise ParseError(f"bad DSV JSON: {e}") from e
 
@@ -212,7 +215,11 @@ def _load_dsv(path: str) -> dsv.DSV:
 def cmd_dsv(args):
     v = _load_dsv(args.input)
     if args.tensor:
-        v = dsv.tensor(v, _load_dsv(args.tensor))
+        w = _load_dsv(args.tensor)
+        size = (v.dim0 + v.dim1) * (w.dim0 + w.dim1)
+        if size > dsv.JSON_MAX_DIM:
+            raise ParseError(f"the tensor product has dimension {size}, above {dsv.JSON_MAX_DIM}")
+        v = dsv.tensor(v, w)
     h0, h1 = dsv.homology(v)
     report = {
         "dim0": v.dim0,

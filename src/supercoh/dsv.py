@@ -15,6 +15,12 @@ from operator import mul
 
 from .exact_linalg import is_prime, kernel_mod_p, rref
 
+# the dimension dim0 + dim1 of a DSV read from JSON, and of the tensor product
+# of two such, checked before a matrix is built: the dense products that
+# validate a DSV cost dim^3 field operations, and over Q a (32|32) DSV with
+# dense entries already takes about 1 s
+JSON_MAX_DIM = 64
+
 
 @dataclass(frozen=True)
 class Field:

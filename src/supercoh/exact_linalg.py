@@ -620,17 +620,23 @@ def solve_mod(a, b, n: int):
     return smith_decomposition(a).solve(b, n)
 
 
+def modulus_stack(m: SparseMatrix, n: int) -> SparseMatrix:
+    """The stack [M | n I] for n > 0, whose column span is that of M plus
+    n Z^rows; M itself, with the factorization it keeps, for n = 0."""
+    if not n:
+        return m
+    return SparseMatrix(m.rows, m.cols + m.rows, [{**row, m.cols + i: n} for i, row in enumerate(m.data)])
+
+
 def cokernel(a, n: int) -> AbelianGroupPresentation:
     """Presentation of (Z/n)^rows / column-span(A); n = 0 gives Z^rows / span.
 
-    For n > 0 the factored matrix is the stack [A | n I]: free generators
-    are the rows without a pivot, and the invariant factors are the chain
-    of the pivot values."""
+    The factored matrix is modulus_stack(A, n): free generators are the rows
+    without a pivot, and the invariant factors are the chain of the pivot
+    values."""
     if n < 0:
         raise ValueError("modulus must be >= 0")
-    m = _as_sparse(a)
-    if n:
-        m = SparseMatrix(m.rows, m.cols + m.rows, [{**row, m.cols + i: n} for i, row in enumerate(m.data)])
+    m = modulus_stack(_as_sparse(a), n)
     pivots = smith_decomposition(m).pivots
     chain = invariant_factor_chain([(d, i) for i, _, d in pivots])
     return AbelianGroupPresentation(m.rows - len(pivots), tuple(f for f, _ in chain))

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, cycle, repeat
-from math import gcd
 from operator import add, floordiv, itemgetter, mod, mul, neg, sub
 
 from .exact_linalg import (
@@ -28,6 +27,7 @@ from .exact_linalg import (
     chain_coordinates,
     chain_generators,
     invariant_factor_chain,
+    modulus_stack,
 )
 
 DEFAULT_DIMENSION_CAP = 6
@@ -65,6 +65,10 @@ class SimplicialComplex:
         normalized = []
         for s in maximal_simplices:
             s = tuple(s)
+            # exactly int: a float would index no cochain, and a bool is an
+            # int subclass that would silently stand for vertex 0 or 1
+            if any(type(v) is not int for v in s):
+                raise ValueError(f"simplex {s} has a vertex that is not an int")
             if any(a >= b for a, b in zip(s, s[1:])):
                 raise ValueError(f"simplex {s} is not strictly increasing")
             if s and (s[0] < 0 or s[-1] >= vertex_count):
@@ -406,7 +410,7 @@ def coboundary_matrix(x: SimplicialComplex, q: int, n: int = 0) -> IntMatrix:
 class _CochainModel:
     """A based integral cochain complex M with cochain maps e: M^q -> C^q(X)
     and r: C^q(X) -> M^q, r e = 1, in the interface that the record
-    builders, cohomology() and verify read: size, delta, extend, restrict
+    builder, cohomology() and verify read: size, delta, extend, restrict
     and the records dict.  r reads a cochain on one integral chain of X per
     cell of M, which chains(q) lists as (simplex indices, coefficients)."""
 
@@ -517,7 +521,7 @@ class MorseComplex(_CochainModel):
         self._chains: dict[int, list] = {}
         self._restrictions: dict[int, list] = {}
         self._extensions: dict[int, list] = {}
-        # the records of H^q(M; Z/n), keyed (q, n); see _reduced_record
+        # the records of H^q(M; Z/n), keyed (q, n); see _record
         self.records: dict = {}
 
     def size(self, q: int) -> int:
@@ -770,33 +774,36 @@ class TensorModel(_CochainModel):
 
 
 # The records below are built on a based cochain complex c given by its
-# coboundaries: c.size(q) and c.delta(q), a SparseMatrix whose factorization
-# the record keeps; c.delta(-1) is the empty delta_{-1}, so degree 0 needs no
-# case of its own.  A record is (presentation, generator vectors, orders,
-# reader), where the reader takes a cocycle vector of c to its class
-# coordinates.  cohomology() feeds them the model of X (a MorseComplex or a
-# TensorModel); fed X's own coboundaries they are the unreduced path.
+# coboundaries: c.size(q) and c.delta(q), a SparseMatrix; c.delta(-1) is the
+# empty delta_{-1}, so degree 0 needs no case of its own.  A record is
+# (presentation, generator vectors, orders, reader), where the reader takes a
+# cocycle vector of c to its class coordinates.  cohomology() feeds the
+# builder the model of X (a MorseComplex or a TensorModel); fed X's own
+# coboundaries it is the unreduced path.
 
 _TRIVIAL = (AbelianGroupPresentation.trivial(), [], [], lambda vec: [])
 
 
-def _integral_record(c, q: int):
-    """H^q(c; Z) from sparse op-log factorizations.
+def _cohomology_record(c, q: int, n: int):
+    """The record of H^q(c; Z/n), q, n >= 0.
 
-    Cocycles are the kernel of delta_q, whose factorization U delta_q V = D
-    (kept on the coboundary) gives a kernel basis.  The coordinates of the
-    columns of delta_{q-1} in that basis form a relation matrix whose
-    diagonalization gives the group and, through logged transforms, the
-    generators and the coordinates of a class.  The mod-n records of the
-    same degree are built from this record and the same factorization
-    (see _mod_n_record).
+    Cocycles mod n are the kernel of delta_q for n = 0 and otherwise of the
+    stack [delta_q | n I], cut to its first c.size(q) coordinates: v is a
+    cocycle mod n iff (v, -delta_q v / n) is in that kernel.  The relations
+    are the columns of delta_{q-1} and, for n > 0, n e_i, lifted to
+    (n e_i, -delta_q e_i).  One op-log factorization of their coordinates in
+    the kernel basis gives the group and, through logged transforms, the
+    generators and the coordinates of a class.
     """
-    ksolver = c.delta(q).solver()
+    m0, dq = c.size(q), c.delta(q)
+    ksolver = modulus_stack(dq, n).solver()
     k = len(ksolver.free_cols)
     if k == 0:
         return _TRIVIAL
 
     relations = c.delta(q - 1).transpose().data
+    if n:
+        relations += [{i: n, **{m0 + r: -d for r, d in col.items()}} for i, col in enumerate(dq.transpose().data)]
     coord_rows = ksolver.free_coordinate_rows(relations)
     if coord_rows is None:
         raise ArithmeticError("vector not in kernel lattice")
@@ -811,104 +818,39 @@ def _integral_record(c, q: int):
     pres = AbelianGroupPresentation(len(free_rows), tuple(f for f, _ in chain))
 
     def coordinates(vec):
-        # y = U (kernel coordinates) gives the class as y_row modulo d_row on
-        # pivot rows, y_row on free rows
+        # lift vec into the kernel as the relations were lifted (a
+        # non-cocycle has no lift); y = U (kernel coordinates) then gives
+        # the class as y_row modulo d_row on pivot rows, y_row on free rows
+        if n:
+            d = dq.mul_vector(vec)
+            if any(map(mod, d, repeat(n))):
+                return None
+            vec = [*vec, *(-(v // n) for v in d)]
         kernel_coords = ksolver.free_coordinates(vec)
         if kernel_coords is None:
             return None
         y = wsolver.row_transform(kernel_coords)
         return chain_coordinates(chain, y) + [y[r] for r in free_rows]
 
-    return pres, [ksolver.kernel_combination(v) for v in gen_coord_vectors], orders, coordinates
-
-
-def _mod_n_record(c, q: int, n: int):
-    """H^q(c; Z/n), n >= 2, by universal coefficients:
-    H^q(c; Z) (x) Z/n + Tor(H^{q+1}(c; Z), Z/n), read off the integral record
-    of degree q and the factorization U delta_q V = D it keeps.
-
-    The (x) part: each integral generator of order o, reduced mod n, has
-    order gcd(o, n) (n when o = 0 means free).  The Tor part: the torsion of
-    H^{q+1}(c; Z) is that of coker delta_q, since ker delta_{q+1} is
-    saturated, so it is Z/d for each pivot (i, j, d) of D.  With
-    x_j = V e_j and z_i = U^-1 e_i, delta_q x_j = d z_i, and (n/g) x_j with
-    g = gcd(d, n) is a cocycle mod n of order g, its Bockstein (d/g) z_i.
-    Both lists of cyclic pieces join in one invariant-factor chain.
-    """
-    _, int_gens, int_orders, int_coordinates = _reduced_record(c, q, 0)
-    dq = c.delta(q)
-    dsolver = dq.solver()
-    pivots = dsolver.pivots
-    k = len(int_orders)
-    chain = invariant_factor_chain(
-        [(gcd(o, n), key) for key, o in enumerate(int_orders)]
-        + [(gcd(d, n), k + t) for t, (_, _, d) in enumerate(pivots)]
-    )
-    if not chain:
-        return _TRIVIAL
-    m0 = c.size(q)
-
-    def piece(key):
-        if key < k:
-            return int_gens[key]
-        _, j, d = pivots[key - k]
-        e = [0] * m0
-        e[j] = n // gcd(d, n)
-        return dsolver.col_transform(e)
-
-    orders = [f for f, _ in chain]
-
-    def coordinates(vec):
-        # delta c = n w over Z for the integral vector c of a mod-n cocycle.
-        # On pivot row i of u = U w, u_i is (d/g) t modulo d for the Tor
-        # coordinate t, and s_j = n u_i / d is exact: c - V s takes off
-        # t (n/g) x_j and n times an exact solution r of
-        # delta_q r = w - t (d/g) z_i, so it is an integral cocycle, whose
-        # coordinates modulo gcd(o, n) are the (x) part
-        d = dq.mul_vector(vec)
-        if any(map(mod, d, repeat(n))):
-            return None
-        u = dsolver.row_transform([v // n for v in d])
-        if any(u[i] for i in dsolver.zero_rows):
-            raise ArithmeticError("Bockstein of a mod-n cocycle is not a torsion class")
-        s = [0] * m0
-        tor = []
-        for i, j, piv in pivots:
-            step = piv // gcd(piv, n)
-            t = u[i] % piv
-            if t % step:
-                raise ArithmeticError("Bockstein of a mod-n cocycle is not n-torsion")
-            tor.append(t // step)
-            s[j] = n * u[i] // piv
-        integral = int_coordinates(list(map(sub, vec, dsolver.col_transform(s))))
-        if integral is None:
-            raise ArithmeticError("integral lift of a mod-n cocycle is not a cocycle")
-        return chain_coordinates(chain, integral + tor)
-
-    return AbelianGroupPresentation(0, tuple(orders)), chain_generators(chain, piece, m0), orders, coordinates
-
-
-def _reduced_record(c, q: int, n: int):
-    """The record of H^q(c; Z/n), q >= 0, n >= 2 or 0, cached in c.records."""
-    key = (q, n)
-    record = c.records.get(key)
-    if record is None:
-        record = c.records[key] = _mod_n_record(c, q, n) if n else _integral_record(c, q)
-    return record
+    return pres, [ksolver.kernel_combination(v)[:m0] for v in gen_coord_vectors], orders, coordinates
 
 
 def _record(x: SimplicialComplex, q: int, n: int):
     """The record (presentation, generator vectors, orders, reader) of
     H^q(X; Z/n), q, n >= 0, on the model M = x.morse_complex(), built on first use
-    and kept on M.  Nothing is extended to X: the generators are vectors of
-    M, and the reader takes a cocycle vector of M."""
+    and kept in M.records.  Nothing is extended to X: the generators are
+    vectors of M, and the reader takes a cocycle vector of M."""
     if q < 0:
         raise ValueError("degree must be >= 0")
     if n < 0:
         raise ValueError("modulus must be >= 0")
     if q > x.dim or n == 1:
         return _TRIVIAL
-    return _reduced_record(x.morse_complex(), q, n)
+    m = x.morse_complex()
+    record = m.records.get((q, n))
+    if record is None:
+        record = m.records[(q, n)] = _cohomology_record(m, q, n)
+    return record
 
 
 def presentation(x: SimplicialComplex, q: int, n: int = 0) -> AbelianGroupPresentation:
@@ -928,13 +870,12 @@ def cohomology(x: SimplicialComplex, q: int, n: int = 0):
     was built by corpus.product, the tensor product of the factors' models
     (see TensorModel), whose representatives differ from those of the
     matching of X; the groups and classes are the same.  Z is read off the
-    factorization of delta_q, and every Z/n as the
-    universal-coefficient split of the integral record of the same degree,
-    H^q(X; Z) (x) Z/n + Tor(H^{q+1}(X; Z), Z/n), so it keeps that record
-    too.  The basis is extended to X on the first call for a degree and
-    modulus, each class checked as a cocycle, and kept; presentation,
-    generator_orders, class_coordinates, is_cohomologous and
-    sq1_coordinates read the records of M and extend nothing.
+    factorization of delta_q, and every Z/n off that of the stack
+    [delta_q | n I] (see _cohomology_record).  The basis is extended to X on
+    the first call for a degree and modulus, each class checked as a
+    cocycle, and kept; presentation, generator_orders, class_coordinates,
+    is_cohomologous and sq1_coordinates read the records of M and extend
+    nothing.
     """
     pres, gens, _, _ = _record(x, q, n)
     basis = x._bases.get((q, n))

@@ -1,10 +1,9 @@
 """Reference implementations that the library no longer uses, kept as test
 oracles: the dense Smith normal form with unimodular transforms and the
-cokernel and dense cohomology paths built on it, mod-n cohomology from the
-kernel of the [delta_q | n I] stack, the cohomology records built on X's
-own coboundaries instead of its Morse complex, the scan-based pivot search
-of the op-log factorization, the per-simplex loops of the cochain
-coboundary, cup and cup-i products, the scanning F2 echelons, class
+cokernel and dense cohomology paths built on it, the cohomology records
+built on X's own coboundaries instead of its Morse complex, the scan-based
+pivot search of the op-log factorization, the per-simplex loops of the
+cochain coboundary, cup and cup-i products, the scanning F2 echelons, class
 coordinates by a solve against [delta | basis], is_cohomologous by a solve
 against delta, the Brauer group presentation and element orders by repeated
 twisted addition, the DSV quasi-isomorphism test on homology quotients, the
@@ -16,10 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations, repeat
+from itertools import combinations
 from math import gcd
-from operator import mod
 
 from supercoh.exact_linalg import (
     AbelianGroupPresentation,
@@ -27,8 +24,6 @@ from supercoh.exact_linalg import (
     SparseMatrix,
     _as_sparse,
     _OpLogSolver,
-    chain_coordinates,
-    invariant_factor_chain,
     solve_mod,
 )
 from supercoh import brauer, dsv, simplicial
@@ -38,7 +33,7 @@ from supercoh.simplicial import (
     CohomologyClass,
     SimplicialComplex,
     _coboundary,
-    _reduced_record,
+    _cohomology_record,
     coboundary_matrix,
 )
 from supercoh.stable2type import Stable2TypeData, _canonical_element, _mod2_generator_indices
@@ -374,11 +369,10 @@ def cup_i_loop(i: int, a: Cochain, b: Cochain) -> Cochain:
 
 class Unreduced:
     """X's own cochain complex, in the interface of simplicial.MorseComplex
-    that the record builders read."""
+    that the record builder reads."""
 
     def __init__(self, x: SimplicialComplex):
         self.complex = x
-        self.records: dict = {}
 
     def size(self, q: int) -> int:
         return self.complex.simplex_count(q)
@@ -387,16 +381,11 @@ class Unreduced:
         return _coboundary(self.complex, q)
 
 
-def _no_coordinates(xc: Cochain) -> list[int] | None:
-    """Class coordinates in a trivial group: [] for a cocycle."""
-    return [] if xc.is_cocycle() else None
-
-
 def cohomology_unreduced(x: SimplicialComplex, q: int, n: int):
     """The record (presentation, basis, orders, coordinate reader) of
-    H^q(X; Z/n), q >= 0, built by the builders that cohomology() runs on the
+    H^q(X; Z/n), q >= 0, built by the builder that cohomology() runs on the
     Morse complex, fed the coboundaries of X instead."""
-    pres, gens, orders, read = _reduced_record(Unreduced(x), q, n)
+    pres, gens, orders, read = _cohomology_record(Unreduced(x), q, n)
     basis = [CohomologyClass(Cochain(x, q, n, tuple(g))) for g in gens]
 
     def coordinates(xc):
@@ -520,76 +509,6 @@ def cohomology_integral_dense(x: SimplicialComplex, q: int, n: int):
         basis.append(CohomologyClass(Cochain(x, q, n, tuple(vec))))
     orders = orders + [0] * len(free_positions)
     return pres, basis, orders
-
-
-def cohomology_stack(x: SimplicialComplex, q: int, n: int):
-    """H^q(X; Z/n) for any n >= 0, from sparse op-log factorizations.
-
-    Cocycles mod n are the lattice {v : delta_q v = 0 (mod n)}: the kernel
-    of [delta_q | n I], cut to its first m_q coordinates.  The relations are
-    the columns of delta_{q-1} and, for n > 0, n e_i.  Their coordinates in
-    the lattice form a matrix whose diagonalization gives the group and,
-    through logged transforms, the generators and the coordinates of a class.
-    """
-    m0 = x.simplex_count(q)
-    dq = _coboundary(x, q)
-    if n == 0:
-        ksolver = dq.solver()
-    else:
-        stack = [{**row, m0 + i: n} for i, row in enumerate(dq.data)]
-        ksolver = _OpLogSolver(SparseMatrix(dq.rows, m0 + dq.rows, stack))
-    k = len(ksolver.free_cols)
-    if k == 0:
-        return AbelianGroupPresentation.trivial(), [], [], _no_coordinates
-
-    relations = _coboundary(x, q - 1).transpose().data
-    if n:
-        # v lifts to (v, -(delta_q v) / n) in the kernel of the stack: a
-        # coboundary to itself, n e_i to (n e_i, -delta_q e_i)
-        relations += [
-            {i: n, **{m0 + r: -d for r, d in col.items()}} for i, col in enumerate(dq.transpose().data)
-        ]
-    coord_rows = ksolver.free_coordinate_rows(relations)
-    if coord_rows is None:
-        raise ArithmeticError("vector not in kernel lattice")
-    wsolver = _OpLogSolver(SparseMatrix(k, len(relations), coord_rows))
-    # invariant-factor chain with matched generators: a part of order power
-    # of the pivot row of order d_row is d_row // power times its U^-1 column
-    chain = invariant_factor_chain([(abs(d), row) for row, _, d in wsolver.pivots])
-    free_rows = wsolver.zero_rows
-    uinv = cache(wsolver.u_inverse_column)
-    gen_coord_vectors = []
-    orders = []
-    for factor, parts in chain:
-        acc = [0] * k
-        for d_row, power, row in parts:
-            scale = d_row // power
-            col = uinv(row)
-            for i in range(k):
-                acc[i] += scale * col[i]
-        gen_coord_vectors.append(acc)
-        orders.append(factor)
-    for r in free_rows:
-        gen_coord_vectors.append(uinv(r))
-        orders.append(0)
-    pres = AbelianGroupPresentation(len(free_rows), tuple(f for f, _ in chain))
-    basis = [
-        CohomologyClass(Cochain(x, q, n, tuple(ksolver.kernel_combination(coords)[:m0])))
-        for coords in gen_coord_vectors
-    ]
-
-    def coordinates(xc):
-        # lift xc into the kernel as the relations were lifted (a
-        # non-cocycle has no lift); y = U (kernel coordinates) then gives
-        # the class as y_row modulo d_row on pivot rows, y_row on free rows
-        d = xc.coboundary_values()
-        if any(map(mod, d, repeat(n))) if n else any(d):
-            return None
-        lift = xc.values + tuple(-(v // n) for v in d) if n else xc.values
-        y = wsolver.row_transform(ksolver.free_coordinates(lift))
-        return chain_coordinates(chain, y) + [y[r] for r in free_rows]
-
-    return pres, basis, orders, coordinates
 
 
 class ScanOpLogSolver(_OpLogSolver):

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import supercoh
 from supercoh.cli import main
+from supercoh.dsv import JSON_MAX_DIM
 
 
 def run(capsys, *argv):
@@ -72,6 +78,17 @@ class TestCohomologyVerb:
         assert time.perf_counter() - start < 1
         assert code == 2 and not out
         assert "exceeds" in err
+
+    @pytest.mark.parametrize("vertex", [1.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize(
+        "argv", [("cohomology", "--deg", "0"), ("group", "--variant", "ko")], ids=["cohomology", "group"]
+    )
+    def test_non_int_vertex_is_parse_error(self, capsys, tmp_path, vertex, argv):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"vertex_count": 3, "maximal_simplices": [[0, vertex]]}))
+        code, out, err = run(capsys, *argv, "--complex", str(p))
+        assert code == 2 and not out
+        assert "not an int" in err
 
     @pytest.mark.parametrize("deg", ["0", "1"])
     def test_modulus_one_is_the_trivial_group(self, capsys, deg):
@@ -158,6 +175,39 @@ class TestOtherVerbs:
         code, out, _ = run(capsys, "dsv", "--input", str(p))
         assert code == 0
         assert "homology (0|0)" in out
+
+    @pytest.mark.parametrize("dims", [(JSON_MAX_DIM + 1, 0), (-1, 0), (-(10**5), 10**5 + 10)])
+    def test_dsv_dims_out_of_bound_are_parse_errors(self, capsys, tmp_path, dims):
+        p = tmp_path / "v.json"
+        p.write_text(json.dumps({"field": "F5", "dim0": dims[0], "dim1": dims[1], "d0": [], "d1": []}))
+        code, out, err = run(capsys, "dsv", "--input", str(p))
+        assert code == 2 and not out
+        assert f"at most {JSON_MAX_DIM}" in err
+
+    def test_one_sided_dsv_is_refused_at_once(self, tmp_path):
+        # before the bound this built a 10^5 x 10^5 zero product and hung, so
+        # it runs in a subprocess that a timeout can stop
+        p = tmp_path / "v.json"
+        p.write_text(json.dumps({"field": "F5", "dim0": 10**5, "dim1": 0, "d0": [], "d1": []}))
+        env = {**os.environ, "PYTHONPATH": str(Path(supercoh.__file__).parents[1])}
+        argv = [sys.executable, "-m", "supercoh", "dsv", "--input", str(p)]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
+        assert done.returncode == 2 and not done.stdout
+        assert f"at most {JSON_MAX_DIM}" in done.stderr
+
+    def test_dsv_tensor_bound(self, capsys, tmp_path):
+        # (4|4) (x) (4|4) has dimension 64, the bound; (4|4) (x) (4|5) has 72
+        paths = []
+        for dim1 in (4, 5):
+            p = tmp_path / f"v{dim1}.json"
+            zero = {"d0": [[0] * 4] * dim1, "d1": [[0] * dim1] * 4}
+            p.write_text(json.dumps({"field": "F5", "dim0": 4, "dim1": dim1, **zero}))
+            paths.append(str(p))
+        code, out, _ = run(capsys, "dsv", "--input", paths[0], "--tensor", paths[0])
+        assert code == 0 and "dims (32|32)" in out
+        code, out, err = run(capsys, "dsv", "--input", paths[0], "--tensor", paths[1])
+        assert code == 2 and not out
+        assert f"dimension 72, above {JSON_MAX_DIM}" in err
 
     def test_unknown_verb_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
