@@ -104,7 +104,7 @@ def test_reduced_records_match_the_unreduced_path(name):
     reads back as that class, and the other way round.  For n > 0 the
     unreduced path factors the [delta_q | n I] stack of X itself."""
     x = _complex(name)
-    for n in (0, 2, 3, 4, 5, 6, 8, 12, 30):
+    for n in (0, 2, 3, 4, 6):
         for q in range(x.dim + 1):
             pres, basis = cohomology(x, q, n)
             orders = generator_orders(x, q, n)

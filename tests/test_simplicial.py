@@ -10,7 +10,7 @@ from oracles import (
     class_coordinates_solve,
     coboundary_loop,
     cohomology_integral_dense,
-    cohomology_stack,
+    cohomology_unreduced,
     cup_value_on,
     is_cohomologous_solve,
 )
@@ -51,6 +51,14 @@ def test_bad_simplices_rejected():
         SimplicialComplex(2, [(0, 5)])
     with pytest.raises(ValueError):
         SimplicialComplex(8, [tuple(range(8))])  # above the dimension cap
+
+
+@pytest.mark.parametrize("vertex", [1.5, 1.0, True], ids=["float", "integral_float", "bool"])
+def test_non_int_vertex_rejected(vertex):
+    with pytest.raises(ValueError, match="not an int"):
+        SimplicialComplex(3, [(0, vertex)])
+    with pytest.raises(ValueError, match="not an int"):
+        SimplicialComplex.from_json_dict({"vertex_count": 3, "maximal_simplices": [[0, vertex]]})
 
 
 def test_components(s1, rp2):
@@ -139,7 +147,7 @@ def test_degree_beyond_dimension(rp2):
 def test_sparse_path_agrees_with_dense(all_surfaces):
     for x in all_surfaces.values():
         for q in range(1, x.dim + 1):
-            for n in (0, 3, 4, 5, 6, 8):
+            for n in (0, 2, 3, 4, 5, 6, 8):
                 dense = cohomology_integral_dense(x, q, n)
                 pres, basis = cohomology(x, q, n)
                 orders = generator_orders(x, q, n)
@@ -220,16 +228,17 @@ def test_universal_coefficients(name):
 
 @pytest.mark.parametrize("name", corpus.CORPUS_NAMES + ("rp2xs1", "kleinxs1"))
 def test_mod_n_record_matches_the_stack(name):
-    """The universal-coefficient record of H^q(X; Z/n) has the presentation
-    and generator orders of the [delta_q | n I] stack, each basis class reads
-    back as e_k, and the two bases name the same classes: the new basis in
-    the stack's coordinates, summed over the stack basis, reads back as e_k."""
+    """The record of H^q(X; Z/n), built on the model, has the presentation
+    and generator orders of the [delta_q | n I] stack of X itself, each basis
+    class reads back as e_k, and the two bases name the same classes: the
+    model basis in the stack's coordinates, summed over the stack basis,
+    reads back as e_k."""
     x = _product_with_s1(name[: -len("xs1")]) if name.endswith("xs1") else corpus.complex_by_name(name)
     for n in (2, 3, 4, 5, 6, 8, 12, 30):
         for q in range(x.dim + 1):
             pres, basis = cohomology(x, q, n)
             orders = generator_orders(x, q, n)
-            stack_pres, stack_basis, stack_orders, stack_coordinates = cohomology_stack(x, q, n)
+            stack_pres, stack_basis, stack_orders, stack_coordinates = cohomology_unreduced(x, q, n)
             assert (pres, orders) == (stack_pres, stack_orders), (q, n)
             for k, cls in enumerate(basis):
                 unit = [int(i == k) for i in range(len(basis))]
