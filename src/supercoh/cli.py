@@ -201,7 +201,10 @@ def _load_dsv(path: str) -> dsv.DSV:
     data = _load_json(path)
     try:
         field = _parse_field(data["field"])
-        dim0, dim1 = int(data["dim0"]), int(data["dim1"])
+        dim0, dim1 = data["dim0"], data["dim1"]
+        # exactly int, as a vertex must be: int() would read 1.7 as 1 and true as 1
+        if type(dim0) is not int or type(dim1) is not int:
+            raise ValueError(f"dims ({dim0!r}|{dim1!r}) must be integers")
         if min(dim0, dim1) < 0 or dim0 + dim1 > dsv.JSON_MAX_DIM:
             raise ValueError(f"dims ({dim0}|{dim1}) must be >= 0 and sum to at most {dsv.JSON_MAX_DIM}")
         conv = (lambda s: int(s)) if field.char else (lambda s: __import__("fractions").Fraction(s))

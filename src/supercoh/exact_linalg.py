@@ -5,8 +5,9 @@ engine: a sparse Markowitz-pivoted diagonalization that logs its row and
 column operations.  It gives linear system solving modulo n for every n
 (n = 0 means "over Z") and, with the invariant-factor chain of its pivots,
 cokernel presentations of finitely generated abelian groups.  Beside it
-are the F2 bitset echelon and one dense Gauss-Jordan `rref` over F_p or,
-for p = 0, over Q.  All functions are pure and deterministic.  A
+are the F2 bitset echelon and one Gauss-Jordan `rref` over F_p or, for
+p = 0, over Q, on dense rows: each elimination updates only the nonzero
+columns of the pivot row.  All functions are pure and deterministic.  A
 SparseMatrix keeps its own factorization, so repeated solves against it
 reuse that.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd, prod
 
 
@@ -712,7 +714,10 @@ def rref(rows, ncols: int, p: int) -> tuple[list[list], list[int]]:
 
     Pivots are sought only in the first ncols columns; later columns are
     carried along (an augmented right-hand side or identity).  Returns all
-    rows, pivot rows first, and the pivot columns ascending.
+    rows, pivot rows first, and the pivot columns ascending.  The pivot of
+    column c is the first row at or below the last pivot row with a nonzero
+    there; each elimination touches only the nonzero columns of the pivot
+    row, so a step costs O(nnz(pivot row)) per row it clears.
     """
     rows = [[x % p for x in row] if p else [Fraction(x) for x in row] for row in rows]
     pivots = []
@@ -720,19 +725,27 @@ def rref(rows, ncols: int, p: int) -> tuple[list[list], list[int]]:
         r = len(pivots)
         if r == len(rows):
             break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
+        for pr in range(r, len(rows)):
+            if rows[pr][c]:
+                break
+        else:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], -1, p) if p else 1 / rows[r][c]
-        pivot = rows[r] = [x * inv % p for x in rows[r]] if p else [x * inv for x in rows[r]]
+        pivot = rows[r]
+        inv = pow(pivot[c], -1, p) if p else 1 / pivot[c]
+        support = list(compress(range(len(pivot)), pivot))
+        for j in support:
+            pivot[j] = pivot[j] * inv % p if p else pivot[j] * inv
+        entries = [(j, pivot[j]) for j in support]
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
-                rows[i] = (
-                    [(x - f * y) % p for x, y in zip(row, pivot)] if p
-                    else [x - f * y for x, y in zip(row, pivot)]
-                )
+                if p:
+                    for j, y in entries:
+                        row[j] = (row[j] - f * y) % p
+                else:
+                    for j, y in entries:
+                        row[j] -= f * y
         pivots.append(c)
     return rows, pivots
 

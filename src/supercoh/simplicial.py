@@ -247,7 +247,10 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
-        vertex_count = int(data["vertex_count"])
+        vertex_count = data["vertex_count"]
+        # exactly int, as a vertex must be: int() would read 3.7 as 3 and true as 1
+        if type(vertex_count) is not int:
+            raise ValueError(f"vertex_count {vertex_count!r} is not an int")
         maximal = [tuple(s) for s in data["maximal_simplices"]]
         bound = sum((1 << len(s)) - 1 for s in maximal)
         if bound > JSON_MAX_SIMPLICES:

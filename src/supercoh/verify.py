@@ -310,7 +310,7 @@ def _random_dsv_map(f, v, w, rng):
     """Random DSV map: a random point of the commuting-constraint solution space."""
     n_f0 = w.dim0 * v.dim0
     total = n_f0 + w.dim1 * v.dim1
-    basis = dsv.kernel_basis(f, dsv.block(f, dsv.chain_map_system(v, w)), total)
+    basis = dsv.kernel_basis(f, dsv.chain_map_system(v, w), total)
     vec = [f.zero()] * total
     for bvec in basis:
         c = f.of(rng.randint(0, 4))

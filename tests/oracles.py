@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from supercoh.exact_linalg import (
     AbelianGroupPresentation,
@@ -27,7 +29,7 @@ from supercoh.exact_linalg import (
     solve_mod,
 )
 from supercoh import brauer, dsv, simplicial
-from supercoh.dsv import DSV, DSVMap, Field, _shape, homology, kernel_basis, rank, solve, sum_mul, tensor
+from supercoh.dsv import DSV, DSVMap, Field, _shape, _transpose, homology, identity, kernel_basis, rank, solve, sum_mul, tensor, zeros
 from supercoh.simplicial import (
     Cochain,
     CohomologyClass,
@@ -1015,6 +1017,128 @@ def _random_dsv_map(f, v, w, rng):
         tuple(vec[var_f1(i, j)] for j in range(v.dim1)) for i in range(w.dim1)
     )
     return dsv.DSVMap(v, w, f0, f1)
+
+
+# ---------------------------------------------------------------------------
+# The dense DSV matrix layer, as written before the row-sparse kernels: every
+# product entry one sum over the whole inner dimension, tensor, cone and
+# chain-map matrices built from Kronecker products with identities and glued
+# block by block, and a Gauss-Jordan elimination that rewrites every column
+# of each row it clears.
+
+
+def product_dense(f: Field, a, b, rows: int, cols: int):
+    """a @ b as a rows x cols matrix, the inner dimension being len(b); each
+    entry one plain sum, reduced once."""
+    bcols = _transpose(b, cols)
+    if f.char:
+        p = f.char
+        return tuple(tuple(sum(map(mul, a[i], col)) % p for col in bcols) for i in range(rows))
+    zero = f.zero()
+    return tuple(tuple(sum(map(mul, a[i], col), zero) for col in bcols) for i in range(rows))
+
+
+def neg_dense(f: Field, a):
+    """-a, every entry multiplied by -1 and reduced."""
+    c = f.neg(f.one())
+    if f.char:
+        p = f.char
+        return tuple(tuple(c * x % p for x in row) for row in a)
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def kron(f: Field, a, b):
+    """Kronecker product; basis e_i (x) e_j ordered with index i*cols(b)+j."""
+    if f.char:
+        p = f.char
+        return tuple(tuple(x * y % p for x in ra for y in rb) for ra in a for rb in b)
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def block(f: Field, grid):
+    """Assemble a block matrix from a 2D grid of blocks (shapes must agree)."""
+    out = []
+    for brow in grid:
+        height = len(brow[0])
+        for i in range(height):
+            row = []
+            for blk in brow:
+                row.extend(blk[i])
+            out.append(tuple(row))
+    return tuple(out)
+
+
+def tensor_dense(v: DSV, w: DSV) -> DSV:
+    """Tensor product with Koszul-signed differential, from eight Kronecker
+    products."""
+    f = v.field
+    i_v0, i_v1 = identity(f, v.dim0), identity(f, v.dim1)
+    i_w0, i_w1 = identity(f, w.dim0), identity(f, w.dim1)
+    # degree 0 basis: [V0W0 | V1W1]; degree 1 basis: [V1W0 | V0W1]
+    d0 = block(f, [
+        [kron(f, v.d0, i_w0), neg_dense(f, kron(f, i_v1, w.d1))],
+        [kron(f, i_v0, w.d0), kron(f, v.d1, i_w1)],
+    ])
+    d1 = block(f, [
+        [kron(f, v.d1, i_w0), kron(f, i_v0, w.d1)],
+        [neg_dense(f, kron(f, i_v1, w.d0)), kron(f, v.d0, i_w1)],
+    ])
+    dim0 = v.dim0 * w.dim0 + v.dim1 * w.dim1
+    dim1 = v.dim1 * w.dim0 + v.dim0 * w.dim1
+    return DSV(f, dim0, dim1, d0, d1)
+
+
+def mapping_cone_dense(fmap: DSVMap) -> DSV:
+    """Cone W + V[1] of f: V -> W, d_k = [[w.d_k, f_(1-k)], [0, -v.d_(1-k)]]."""
+    f = fmap.source.field
+    v, w = fmap.source, fmap.target
+    d0 = block(f, [[w.d0, fmap.f1], [zeros(f, v.dim0, w.dim0), neg_dense(f, v.d1)]])
+    d1 = block(f, [[w.d1, fmap.f0], [zeros(f, v.dim1, w.dim1), neg_dense(f, v.d0)]])
+    return DSV(f, w.dim0 + v.dim1, w.dim1 + v.dim0, d0, d1)
+
+
+def chain_map_system_dense(src: DSV, tgt: DSV):
+    """The chain-map conditions tgt.d0 m0 - m1 src.d0 = 0 and
+    tgt.d1 m1 - m0 src.d1 = 0 over (m0, m1) vectorized row-major:
+    vec(a X) = (a (x) I) vec X, vec(X b) = (I (x) b^T) vec X."""
+    f = src.field
+
+    def vec_left(a, cols):
+        return kron(f, a, identity(f, cols))
+
+    def vec_right(b, rows, cols):
+        return kron(f, identity(f, rows), _transpose(b, cols))
+
+    return block(f, [
+        [vec_left(tgt.d0, src.dim0), vec_right(neg_dense(f, src.d0), tgt.dim1, src.dim0)],
+        [vec_right(neg_dense(f, src.d1), tgt.dim0, src.dim1), vec_left(tgt.d1, src.dim1)],
+    ])
+
+
+def rref_dense(rows, ncols: int, p: int) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over F_p (Q when p = 0), the same pivot rule
+    as exact_linalg.rref, each cleared row rebuilt in full."""
+    rows = [[x % p for x in row] if p else [Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][c], -1, p) if p else 1 / rows[r][c]
+        pivot = rows[r] = [x * inv % p for x in rows[r]] if p else [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = (
+                    [(x - f * y) % p for x, y in zip(row, pivot)] if p
+                    else [x - f * y for x, y in zip(row, pivot)]
+                )
+        pivots.append(c)
+    return rows, pivots
 
 
 # ---------------------------------------------------------------------------

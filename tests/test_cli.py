@@ -1,8 +1,10 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,45 @@ import pytest
 import supercoh
 from supercoh.cli import main
 from supercoh.dsv import JSON_MAX_DIM
+
+
+def _dense_q_dsv(rng, h: int, dim: int) -> dict:
+    """JSON of a (dim|dim) DSV over Q with homology (h|h): the normal form
+    with h even and h odd lines, a pieces d0 = 1 and b pieces d1 = 1, in a
+    random basis change built from elementary operations with fraction
+    multipliers, so the entries are dense fractions."""
+    one, zero = Fraction(1), Fraction(0)
+    a = (dim - h + 1) // 2
+    d0 = [[zero] * dim for _ in range(dim)]
+    d1 = [[zero] * dim for _ in range(dim)]
+    for i in range(a):
+        d0[h + i][h + i] = one
+    for i in range(a, dim - h):
+        d1[h + i][h + i] = one
+
+    def basis_change():
+        p = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+        inv = [row[:] for row in p]
+        for _ in range(6 * dim):
+            i, j = rng.sample(range(dim), 2)
+            s = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+            # p <- (I + s e_ij) p and inv <- inv (I - s e_ij)
+            p[i] = [x + s * y for x, y in zip(p[i], p[j])]
+            for row in inv:
+                row[j] -= s * row[i]
+        return p, inv
+
+    def mul(x, y):
+        return [[sum(u * v for u, v in zip(row, col)) for col in zip(*y)] for row in x]
+
+    (p0, p0_inv), (p1, p1_inv) = basis_change(), basis_change()
+    return {
+        "field": "Q",
+        "dim0": dim,
+        "dim1": dim,
+        "d0": [[str(x) for x in row] for row in mul(mul(p1, d0), p0_inv)],
+        "d1": [[str(x) for x in row] for row in mul(mul(p0, d1), p1_inv)],
+    }
 
 
 def run(capsys, *argv):
@@ -89,6 +130,14 @@ class TestCohomologyVerb:
         code, out, err = run(capsys, *argv, "--complex", str(p))
         assert code == 2 and not out
         assert "not an int" in err
+
+    @pytest.mark.parametrize("count", [3.7, 3.0, True, "3"], ids=["float", "integral_float", "bool", "string"])
+    def test_non_int_vertex_count_is_parse_error(self, capsys, tmp_path, count):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"vertex_count": count, "maximal_simplices": [[0, 1]]}))
+        code, out, err = run(capsys, "cohomology", "--complex", str(p), "--deg", "0")
+        assert code == 2 and not out
+        assert "is not an int" in err
 
     @pytest.mark.parametrize("deg", ["0", "1"])
     def test_modulus_one_is_the_trivial_group(self, capsys, deg):
@@ -194,6 +243,48 @@ class TestOtherVerbs:
         done = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
         assert done.returncode == 2 and not done.stdout
         assert f"at most {JSON_MAX_DIM}" in done.stderr
+
+    @pytest.mark.parametrize(
+        "dims, d0, d1",
+        [((2, 0), [[1, 2, 3], [4]], [[7, 7, 7]]), ((2, 0), [], []), ((0, 2), [], [])],
+    )
+    def test_dsv_shapes_are_checked_with_a_zero_dimension(self, capsys, tmp_path, dims, d0, d1):
+        p = tmp_path / "v.json"
+        p.write_text(json.dumps({"field": "F5", "dim0": dims[0], "dim1": dims[1], "d0": d0, "d1": d1}))
+        code, out, err = run(capsys, "dsv", "--input", str(p))
+        assert code == 2 and not out
+        assert "expected a" in err
+
+    def test_dsv_with_a_zero_dimension(self, capsys, tmp_path):
+        p = tmp_path / "v.json"
+        p.write_text(json.dumps({"field": "F5", "dim0": 2, "dim1": 0, "d0": [], "d1": [[], []]}))
+        code, out, _ = run(capsys, "dsv", "--input", str(p))
+        assert code == 0 and "dims (2|0)  homology (2|0)" in out
+
+    @pytest.mark.parametrize("dim0", [1.7, 1.0, True, "1"], ids=["float", "integral_float", "bool", "string"])
+    def test_non_int_dsv_dims_are_parse_errors(self, capsys, tmp_path, dim0):
+        p = tmp_path / "v.json"
+        p.write_text(json.dumps({"field": "F5", "dim0": dim0, "dim1": 1, "d0": [[0]], "d1": [[0]]}))
+        code, out, err = run(capsys, "dsv", "--input", str(p))
+        assert code == 2 and not out
+        assert "must be integers" in err
+
+    @pytest.mark.parametrize("hv, hw", [(1, 2), (0, 2), (2, 2)])
+    def test_dsv_tensor_at_the_size_limit_over_q(self, capsys, tmp_path, hv, hw):
+        # two (4|4) Q DSVs with dense fraction entries, homology (h|h) by
+        # construction; their (32|32) tensor product must have the homology
+        # Kunneth gives: h0 = h0 h0' + h1 h1', h1 = h0 h1' + h1 h0'
+        rng = random.Random(f"{hv} {hw}")
+        paths = []
+        for k, h in enumerate((hv, hw)):
+            p = tmp_path / f"v{k}.json"
+            p.write_text(json.dumps(_dense_q_dsv(rng, h, 4)))
+            paths.append(str(p))
+        code, out, _ = run(capsys, "dsv", "--input", paths[0], "--tensor", paths[1], "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["dim0"], report["dim1"]) == (32, 32)
+        assert report["homology"] == [hv * hw + hv * hw, hv * hw + hv * hw]
 
     def test_dsv_tensor_bound(self, capsys, tmp_path):
         # (4|4) (x) (4|4) has dimension 64, the bound; (4|4) (x) (4|5) has 72

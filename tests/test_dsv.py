@@ -1,17 +1,20 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supercoh import dsv
 from supercoh.dsv import (
     QQ,
     BoundedChainComplex,
     DSV,
     DSVMap,
     Field,
+    chain_map_system,
     direct_sum,
     epsilon,
     euler_char,
@@ -22,6 +25,7 @@ from supercoh.dsv import (
     is_invertible,
     is_quasi_iso,
     kernel_basis,
+    mapping_cone,
     mat_mul,
     rank,
     solve,
@@ -31,6 +35,7 @@ from supercoh.dsv import (
     unit_virtual_dim,
     zeros,
 )
+from supercoh.exact_linalg import rref
 from supercoh.verify import _random_bounded_complex, _random_dsv, _random_dsv_map
 
 F5 = Field(5)
@@ -61,6 +66,25 @@ class TestConstruction:
         u = DSV.unit(QQ)
         assert (u.dim0, u.dim1) == (1, 0)
         assert homology(u) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "dims, d0, d1",
+        [
+            ((2, 0), [[1, 2, 3], [4]], [[7, 7, 7]]),
+            ((2, 0), [], []),
+            ((2, 0), [[]], [[], []]),
+            ((0, 2), [[], []], [[1]]),
+            ((0, 0), [[1]], []),
+        ],
+    )
+    def test_make_checks_shapes_with_a_zero_dimension(self, dims, d0, d1):
+        with pytest.raises(ValueError, match="expected a"):
+            DSV.make(F5, *dims, d0, d1)
+
+    def test_make_with_a_zero_dimension(self):
+        v = DSV.make(F5, 2, 0, [], [[], []])
+        assert (v.d0, v.d1, homology(v)) == ((), ((), ()), (2, 0))
+        assert homology(DSV.make(QQ, 0, 2, [[], []], [])) == (0, 2)
 
 
 @st.composite
@@ -116,6 +140,132 @@ class TestFieldElimination:
         assert (inv is None) == (rank(f, a) < n)
         if inv is not None:
             assert mat_mul(f, a, inv) == identity(f, n)
+
+
+FIELDS = (Field(2), F5, Field(2**61 - 1), QQ)
+
+
+def _entries(f):
+    """Zero-heavy field elements, with large ones over F_(2^61-1) and
+    fractions over Q."""
+    if f.char == 0:
+        values = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-7, 3), Fraction(22, 7))
+    else:
+        values = (0, 0, 0, 1, -1, 2, 3, 2**40 + 3, 2**60)
+    return st.sampled_from(values).map(f.of)
+
+
+@st.composite
+def sparse_matrices(draw, f, rows, cols):
+    """rows x cols; each row is zero, a unit vector or zero-heavy random."""
+    out = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("zero", "unit", "random", "random")))
+        if kind == "zero" or not cols:
+            out.append((f.zero(),) * cols)
+        elif kind == "unit":
+            j = draw(st.integers(0, cols - 1))
+            out.append(tuple(f.one() if c == j else f.zero() for c in range(cols)))
+        else:
+            out.append(tuple(draw(_entries(f)) for _ in range(cols)))
+    return tuple(out)
+
+
+@st.composite
+def kronecker_sparse(draw, f, rows, cols, n):
+    """A sparse_matrices draw, or for n > 1 its Kronecker product with I_n
+    on either side (rows * n x cols * n), as in tensor products and
+    chain-map systems."""
+    m = draw(sparse_matrices(f, rows, cols))
+    if n == 1:
+        return m
+    ident = identity(f, n)
+    return oracles.kron(f, m, ident) if draw(st.booleans()) else oracles.kron(f, ident, m)
+
+
+@st.composite
+def dsv_maps(draw):
+    """A random DSV map over one of FIELDS; V and W may have a zero
+    dimension, and W = V half the time so that quasi-isomorphisms occur."""
+    f = draw(st.sampled_from(FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = [DSV(f, 0, 0, (), ()), DSV.unit(f), DSV.odd_line(f), DSV.make(f, 2, 0, [], [[], []])]
+    v = rng.choice(pool) if rng.random() < 0.2 else _random_dsv(f, rng)
+    w = v if rng.random() < 0.5 else (rng.choice(pool) if rng.random() < 0.2 else _random_dsv(f, rng))
+    return _random_dsv_map(f, v, w, rng)
+
+
+def _with_dense_kernels():
+    """The dense product, negation, cone assembly and rref of
+    tests/oracles.py in place of dsv's row-sparse ones."""
+    return mock.patch.multiple(
+        dsv,
+        _product=oracles.product_dense,
+        _neg=oracles.neg_dense,
+        rref=oracles.rref_dense,
+        mapping_cone=oracles.mapping_cone_dense,
+    )
+
+
+class TestSparseKernelsAgainstDenseOracles:
+    """The row-sparse kernels give the dense ones' results entry for entry,
+    with the entries' types, over F2, F5, F_(2^61-1) and Q."""
+
+    @given(st.sampled_from(FIELDS), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_product(self, f, data):
+        n = data.draw(st.sampled_from((1, 1, 2, 3)))
+        rows, inner, cols = (data.draw(st.integers(0, 4)) for _ in range(3))
+        a = data.draw(kronecker_sparse(f, rows, inner, n))
+        b = data.draw(kronecker_sparse(f, inner, cols, n))
+        got = dsv._product(f, a, b, rows * n, cols * n)
+        assert _typed(got) == _typed(oracles.product_dense(f, a, b, rows * n, cols * n))
+        assert dsv.is_zero_matrix(got) == all(x == 0 for row in got for x in row)
+
+    @given(st.sampled_from(FIELDS), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rref_and_invert(self, f, data):
+        n = data.draw(st.sampled_from((1, 1, 2, 3)))
+        rows, ncols, extra = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4)), data.draw(st.integers(0, 2))
+        m = data.draw(kronecker_sparse(f, rows, ncols + extra, n))
+        got, ref = rref(m, ncols * n, f.char), oracles.rref_dense(m, ncols * n, f.char)
+        assert (_typed(got[0]), got[1]) == (_typed(ref[0]), ref[1])
+        square = data.draw(kronecker_sparse(f, ncols, ncols, n))
+        inverse = invert(f, square)
+        with _with_dense_kernels():
+            expected = invert(f, square)
+        assert (inverse is None) == (expected is None)
+        if inverse is not None:
+            assert _typed(inverse) == _typed(expected)
+            assert mat_mul(f, square, inverse) == identity(f, ncols * n)
+
+    @given(dsv_maps())
+    @settings(max_examples=150, deadline=None)
+    def test_assembled_matrices(self, fmap):
+        f, v, w = fmap.source.field, fmap.source, fmap.target
+        for new, old in (
+            (tensor(v, w), oracles.tensor_dense(v, w)),
+            (mapping_cone(fmap), oracles.mapping_cone_dense(fmap)),
+        ):
+            assert (new.dim0, new.dim1) == (old.dim0, old.dim1)
+            assert (_typed(new.d0), _typed(new.d1)) == (_typed(old.d0), _typed(old.d1))
+        assert _typed(chain_map_system(v, w)) == _typed(oracles.chain_map_system_dense(v, w))
+        s = direct_sum(v, w)
+        block = oracles.block
+        assert _typed(s.d0) == _typed(block(f, [[v.d0, zeros(f, v.dim1, w.dim0)], [zeros(f, w.dim1, v.dim0), w.d0]]))
+        assert _typed(s.d1) == _typed(block(f, [[v.d1, zeros(f, v.dim0, w.dim1)], [zeros(f, w.dim0, v.dim1), w.d1]]))
+
+    @given(dsv_maps())
+    @settings(max_examples=150, deadline=None)
+    def test_quasi_iso_and_homotopy_witness(self, fmap):
+        new = (is_quasi_iso(fmap), homotopy_inverse(fmap))
+        with _with_dense_kernels():
+            old = (is_quasi_iso(fmap), homotopy_inverse(fmap))
+        assert new[0] == old[0] == (new[1] is not None) == (old[1] is not None)
+        if new[1] is not None:
+            (g, *hs), (g_old, *hs_old) = new[1], old[1]
+            assert [_typed(m) for m in (g.f0, g.f1, *hs)] == [_typed(m) for m in (g_old.f0, g_old.f1, *hs_old)]
+            _check_homotopy_witness(fmap, new[1])
 
 
 class TestTensor:
@@ -362,6 +512,17 @@ class TestEpsilon:
     def test_boundary_condition_enforced(self):
         with pytest.raises(ValueError):
             BoundedChainComplex.make(QQ, 0, (1, 1, 1), [[[1]], [[1]]])
+
+    def test_homology_folds_the_complex(self):
+        # H_0 of the fold is the homology of the even degrees, H_1 of the odd
+        rng = random.Random(11)
+        for f in (QQ, F5):
+            for _ in range(40):
+                e = _random_bounded_complex(f, rng)
+                ranks = [0] + [rank(f, b) for b in e.boundaries] + [0]  # ranks[i + 1]: i + 1 -> i
+                h = [d - ranks[i] - ranks[i + 1] for i, d in enumerate(e.dims)]
+                even = sum(x for i, x in enumerate(h) if (e.lowest + i) % 2 == 0)
+                assert homology(epsilon(e)) == (even, sum(h) - even)
 
 
 class TestSwap:
