@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from fractions import Fraction
 
 from . import brauer, corpus, dsv, operations, simplicial, stable2type, superline, verify
 from .exact_linalg import AbelianGroupPresentation
@@ -197,6 +199,18 @@ def _parse_field(tag: str) -> dsv.Field:
     raise ParseError(f"unknown field {tag!r} (use Q or Fp)")
 
 
+# the forms DSV.to_json_dict writes a rational in: n or n/m
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _rational(v) -> Fraction:
+    """A Q entry: a JSON int, or a string n or n/m.  Anything else is refused
+    before a Fraction is built: Fraction("1e30000000") computes 10^30000000."""
+    if type(v) is not int and not (isinstance(v, str) and _RATIONAL.fullmatch(v)):
+        raise ValueError(f"Q entry {v!r} is neither an integer nor a string n or n/m")
+    return Fraction(v)
+
+
 def _load_dsv(path: str) -> dsv.DSV:
     data = _load_json(path)
     try:
@@ -207,11 +221,11 @@ def _load_dsv(path: str) -> dsv.DSV:
             raise ValueError(f"dims ({dim0!r}|{dim1!r}) must be integers")
         if min(dim0, dim1) < 0 or dim0 + dim1 > dsv.JSON_MAX_DIM:
             raise ValueError(f"dims ({dim0}|{dim1}) must be >= 0 and sum to at most {dsv.JSON_MAX_DIM}")
-        conv = (lambda s: int(s)) if field.char else (lambda s: __import__("fractions").Fraction(s))
-        d0 = [[conv(str(v)) for v in row] for row in data["d0"]]
-        d1 = [[conv(str(v)) for v in row] for row in data["d1"]]
+        conv = (lambda v: int(str(v))) if field.char else _rational
+        d0 = [[conv(v) for v in row] for row in data["d0"]]
+        d1 = [[conv(v) for v in row] for row in data["d1"]]
         return dsv.DSV.make(field, dim0, dim1, d0, d1)
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise ParseError(f"bad DSV JSON: {e}") from e
 
 

@@ -4,10 +4,11 @@ Everything here is arbitrary-precision.  Every integer elimination is one
 engine: a sparse Markowitz-pivoted diagonalization that logs its row and
 column operations.  It gives linear system solving modulo n for every n
 (n = 0 means "over Z") and, with the invariant-factor chain of its pivots,
-cokernel presentations of finitely generated abelian groups.  Beside it
-are the F2 bitset echelon and one Gauss-Jordan `rref` over F_p or, for
-p = 0, over Q, on dense rows: each elimination updates only the nonzero
-columns of the pivot row.  All functions are pure and deterministic.  A
+cokernel presentations of finitely generated abelian groups.  Every
+elimination over a field is the other engine: one Gauss-Jordan `rref` over
+F_p or, for p = 0, over Q, on dense rows, where each elimination updates
+only the nonzero columns of the pivot row; F2 bitmask rows are unpacked
+for it (f2_kernel).  All functions are pure and deterministic.  A
 SparseMatrix keeps its own factorization, so repeated solves against it
 reuse that.
 """
@@ -645,67 +646,6 @@ def cokernel(a, n: int) -> AbelianGroupPresentation:
 
 
 # ---------------------------------------------------------------------------
-# F_2 bitsets: rows packed into Python ints, bit j = column j
-
-
-class F2Echelon:
-    """Row echelon over F2 keyed by pivot, the lowest set bit of each row.
-
-    A row is reduced by looking up the row whose pivot is its lowest set bit,
-    until that bit is no pivot, so rows that cannot apply are never scanned
-    (Zomorodian and Carlsson, "Computing persistent homology", DCG 2005).
-    """
-
-    def __init__(self):
-        self.pivots: dict[int, int] = {}  # 1 << pivot column -> row
-
-    def reduce(self, row: int) -> int:
-        pivots = self.pivots
-        while row and (prow := pivots.get(row & -row)):
-            row ^= prow
-        return row
-
-    def insert(self, row: int) -> bool:
-        """Add row to the span; True when the rank grew."""
-        row = self.reduce(row)
-        if row:
-            self.pivots[row & -row] = row
-            return True
-        return False
-
-    def back_substitute(self):
-        """Clear from every row the pivots of the other rows (reduced echelon form)."""
-        pivots = self.pivots
-        done = 0
-        for p in sorted(pivots, reverse=True):
-            row = pivots[p]
-            hits = row & done
-            while hits:
-                q = hits & -hits
-                row ^= pivots[q]
-                hits ^= q
-            pivots[p] = row
-            done |= p
-
-
-def f2_kernel(rows: list[int], ncols: int) -> list[int]:
-    """Null-space basis over F2 as bitmasks, one per free column, ascending:
-    the free bit plus the pivot bits whose reduced rows contain it."""
-    echelon = F2Echelon()
-    for row in rows:
-        echelon.insert(row)
-    echelon.back_substitute()
-    basis = {f: f for f in (1 << j for j in range(ncols)) if f not in echelon.pivots}
-    for p, row in echelon.pivots.items():
-        free = row ^ p
-        while free:
-            f = free & -free
-            basis[f] |= p
-            free ^= f
-    return list(basis.values())
-
-
-# ---------------------------------------------------------------------------
 # Dense Gauss-Jordan over a field: F_p, or Q (Fraction entries) when p = 0
 
 
@@ -766,3 +706,10 @@ def kernel_mod_p(rows, ncols: int, p: int) -> list[list]:
             vec[c] = -row[free] % p if p else -row[free]
         basis.append(vec)
     return basis
+
+
+def f2_kernel(rows: list[int], ncols: int) -> list[int]:
+    """Null-space basis over F2 as bitmasks (bit j = column j), one per free
+    column, ascending: kernel_mod_p of the unpacked rows, packed again."""
+    unpacked = [[row >> j & 1 for j in range(ncols)] for row in rows]
+    return [sum(x << j for j, x in enumerate(vec)) for vec in kernel_mod_p(unpacked, ncols, 2)]

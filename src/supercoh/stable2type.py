@@ -33,16 +33,16 @@ module's group laws, which are insensitive to the remaining ambiguity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf
 
 from .exact_linalg import (
     AbelianGroupPresentation,
-    F2Echelon,
     IntMatrix,
     chain_coordinates,
     chain_generators,
     invariant_factor_chain,
+    rref,
 )
 
 DEFAULT_ENUM_CAP = 4096
@@ -84,14 +84,7 @@ def _orders(g: AbelianGroupPresentation) -> list[int]:
 
 
 def _canonical_element(g: AbelianGroupPresentation, coords) -> tuple[int, ...]:
-    nt = len(g.invariant_factors)
-    out = []
-    for i, c in enumerate(coords):
-        if i < nt:
-            out.append(c % g.invariant_factors[i])
-        else:
-            out.append(c)
-    return tuple(out)
+    return tuple(c % d if d else c for c, d in zip(coords, _orders(g)))
 
 
 @dataclass(frozen=True)
@@ -101,6 +94,8 @@ class Stable2TypeData:
     pi0: AbelianGroupPresentation
     pi1: AbelianGroupPresentation
     q: tuple  # columns: element coordinates in pi1 for each mod-2 generator
+    # the corner ranks of q, computed on the first equivalence query
+    _ranks: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = len(_mod2_generator_indices(self.pi0))
@@ -212,20 +207,22 @@ def _q_on_generators(data: Stable2TypeData) -> list[tuple[int, ...]]:
 def _corner_ranks(data: Stable2TypeData) -> tuple[int, ...]:
     """F2 ranks of q on the columns of 2-exponent <= k and the rows of
     2-exponent < l, for each exponent k of pi0 and each exponent l of pi1
-    or infinity.  An exponent is kept as the 2-part d & -d of an order d,
-    infinite for a free generator; q columns are 2-torsion, so only even
-    torsion rows carry bits."""
-    pi0, pi1 = data.pi0, data.pi1
-    col_exps = [d & -d for d in pi0.invariant_factors if d % 2 == 0] + [inf] * pi0.free_rank
-    row_exps = [d & -d for d in pi1.invariant_factors]
-    cols = [sum(1 << i for i, c in enumerate(col) if c) for col in data.q]
-    ranks = []
-    for k in sorted(set(col_exps)):
-        for l in (*sorted(set(row_exps)), inf):
-            rows = sum(1 << i for i, e in enumerate(row_exps) if e < l)
-            echelon = F2Echelon()
-            ranks.append(sum(echelon.insert(c & rows) for c, e in zip(cols, col_exps) if e <= k))
-    return tuple(ranks)
+    or infinity; computed once and kept on data.  An exponent is kept as
+    the 2-part d & -d of an order d, infinite for a free generator; q
+    columns are 2-torsion, so only even torsion rows carry bits."""
+    if data._ranks is None:
+        pi0, pi1 = data.pi0, data.pi1
+        col_exps = [d & -d for d in pi0.invariant_factors if d % 2 == 0] + [inf] * pi0.free_rank
+        row_exps = [d & -d for d in pi1.invariant_factors]
+        bits = [[1 if c else 0 for c in col[: len(row_exps)]] for col in data.q]
+        ranks = []
+        for k in sorted(set(col_exps)):
+            for l in (*sorted(set(row_exps)), inf):
+                keep = [i for i, e in enumerate(row_exps) if e < l]
+                rows = [[col[i] for i in keep] for col, e in zip(bits, col_exps) if e <= k]
+                ranks.append(len(rref(rows, len(keep), 2)[1]))
+        object.__setattr__(data, "_ranks", tuple(ranks))
+    return data._ranks
 
 
 def equivalent(d1: Stable2TypeData, d2: Stable2TypeData) -> bool:

@@ -107,11 +107,10 @@ def symmetry_sign(l: SuperLine, m: SuperLine, component: int) -> int:
 
 def iso_class_group(x: SimplicialComplex, flavor: str) -> AbelianGroupPresentation:
     """Group of iso classes: H^0(X; Z/2) x H^1(X; Z/2) (real) or
-    H^0(X; Z/2) x H^2(X; Z) (complex)."""
-    parity_part, _ = simplicial.cohomology(x, 0, 2)
+    H^0(X; Z/2) x H^2(X; Z) (complex), read off the cohomology records with
+    no representative built."""
     deg, mod = _LINE_CLASS_SHAPE[flavor]
-    line_part, _ = simplicial.cohomology(x, deg, mod)
-    return direct_sum(parity_part, line_part)
+    return direct_sum(simplicial.presentation(x, 0, 2), simplicial.presentation(x, deg, mod))
 
 
 def classification_data(flavor: str) -> Stable2TypeData:

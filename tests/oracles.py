@@ -635,22 +635,6 @@ def f2_rows(m) -> list[int]:
     return [sum(1 << j for j, x in row.items() if x & 1) for row in m.data]
 
 
-class F2Span:
-    """Incremental F2 row span; insert() reports whether the rank grew."""
-
-    def __init__(self):
-        self.echelon: list[tuple[int, int]] = []
-
-    def insert(self, row: int) -> bool:
-        for pcol, prow in self.echelon:
-            if (row >> pcol) & 1:
-                row ^= prow
-        if not row:
-            return False
-        self.echelon.append(((row & -row).bit_length() - 1, row))
-        return True
-
-
 class F2Solver:
     """Row echelon of [A | I] over F2 with bitmask rows, for repeated solves."""
 

@@ -244,6 +244,29 @@ class TestOtherVerbs:
         assert done.returncode == 2 and not done.stdout
         assert f"at most {JSON_MAX_DIM}" in done.stderr
 
+    def test_q_entry_with_a_huge_exponent_is_refused_at_once(self, tmp_path):
+        # Fraction("1e30000000") computes 10^30000000 and ran for about a
+        # minute, so the file runs in a subprocess that a timeout can stop
+        p = tmp_path / "v.json"
+        p.write_text(json.dumps({"field": "Q", "dim0": 1, "dim1": 1, "d0": [["1e30000000"]], "d1": [["0"]]}))
+        env = {**os.environ, "PYTHONPATH": str(Path(supercoh.__file__).parents[1])}
+        argv = [sys.executable, "-m", "supercoh", "dsv", "--input", str(p)]
+        start = time.perf_counter()
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
+        assert time.perf_counter() - start < 1
+        assert done.returncode == 2 and not done.stdout
+        assert "'1e30000000'" in done.stderr
+
+    @pytest.mark.parametrize(
+        "entry", ["1e5", "0.5", 0.5, 1.0, True, None, "1/0", " 1", "1/-2", "+1", "٣"], ids=repr
+    )
+    def test_q_entries_other_than_n_or_n_over_m_are_parse_errors(self, capsys, tmp_path, entry):
+        p = tmp_path / "v.json"
+        p.write_text(json.dumps({"field": "Q", "dim0": 1, "dim1": 1, "d0": [[entry]], "d1": [["0"]]}))
+        code, out, err = run(capsys, "dsv", "--input", str(p))
+        assert code == 2 and not out
+        assert "bad DSV JSON" in err
+
     @pytest.mark.parametrize(
         "dims, d0, d1",
         [((2, 0), [[1, 2, 3], [4]], [[7, 7, 7]]), ((2, 0), [], []), ((0, 2), [], [])],

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import itertools
 import re
 import subprocess
@@ -9,6 +11,7 @@ from supercoh.exact_linalg import AbelianGroupPresentation as G
 from supercoh.exact_linalg import normalize_factors
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
 def run_script(name, *args):
@@ -72,3 +75,19 @@ def test_corpus_report_runs():
     assert "rp2xrp2" in out.stdout
     # the mixed degree-2 generator of the product carries a nonzero square
     assert "Sq2!=0" in out.stdout
+
+
+def test_benchmark_traced_names_resolve():
+    """Every function the benchmark's traced run wraps (perfbench/tracing.py,
+    read only) is defined where TRACED says, so removing or renaming one
+    fails here and not only in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for label, (module, path) in tracing.TRACED.items():
+        owner = importlib.import_module(f"supercoh.{module}")
+        *outer, attr = path.split(".")
+        for name in outer:
+            owner = getattr(owner, name)
+        assert callable(owner.__dict__.get(attr)), label

@@ -1,11 +1,11 @@
 import itertools
 import time
-from math import gcd
+from math import gcd, inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import _is_torsion_automorphism, cokernel_dense, is_torsion_automorphism_brute
+from oracles import _is_torsion_automorphism, cokernel_dense, f2_rref, is_torsion_automorphism_brute
 from oracles import equivalent as equivalent_nested
 
 from supercoh import stable2type as s2t
@@ -168,6 +168,63 @@ class TestEquivalenceAgainstNestedSearch:
         labels = _class_labels(pool, s2t.equivalent)
         assert max(labels) + 1 == 7
         assert labels == _class_labels(pool, equivalent_nested)
+
+
+def _exponent(d):
+    """The 2-exponent v2(d) of an order d, infinite for a free generator."""
+    return (d & -d).bit_length() - 1 if d else inf
+
+
+@given(
+    st.lists(st.sampled_from([0, 2, 4, 8, 16]), max_size=4),
+    st.lists(st.sampled_from([2, 4, 8, 3, 6]), max_size=4),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_corner_ranks_match_the_scanning_echelon(orders0, factors1, free1, rng):
+    """Each corner rank is the F2 rank, by the oracle's bitmask echelon, of
+    the q bits on the columns of exponent <= k and the rows of exponent < l."""
+    pi0 = G(orders0.count(0), normalize_factors(d for d in orders0 if d))
+    pi1 = G(free1, normalize_factors(factors1))
+    col_exps = [_exponent(d) for d in pi0.invariant_factors + (0,) * pi0.free_rank if d % 2 == 0]
+    row_exps = [_exponent(d) for d in pi1.invariant_factors]
+    q = [
+        tuple(rng.choice((0, d // 2)) if d % 2 == 0 else 0 for d in pi1.invariant_factors) + (0,) * free1
+        for _ in col_exps
+    ]
+    ranks = []
+    for k in sorted(set(col_exps)):
+        for l in sorted(set(row_exps)) + [inf]:
+            rows = [
+                sum(1 << i for i, (c, e) in enumerate(zip(col, row_exps)) if c and e < l)
+                for col, e in zip(q, col_exps)
+                if e <= k
+            ]
+            ranks.append(len(f2_rref(rows)[1]))
+    assert s2t._corner_ranks(s2t.Stable2TypeData(pi0, pi1, tuple(q))) == tuple(ranks)
+
+
+def test_corner_ranks_are_computed_once_per_structure(monkeypatch):
+    """Repeated equivalence queries on the same structures eliminate only on
+    the first query of each, one rref per corner; equal structures built
+    afresh give the same answers."""
+    calls, rref = [], s2t.rref
+
+    def counted(rows, ncols, p):
+        calls.append(ncols)
+        return rref(rows, ncols, p)
+
+    monkeypatch.setattr(s2t, "rref", counted)
+    pool = s2t.enumerate_symmetric_structures(G(1, (2, 4)), G(0, (2, 4)))
+    # exponents 1, 2, inf of pi0 by 1, 2, inf of pi1: nine corners
+    corners = 9
+    rounds = [[s2t.equivalent(a, b) for a, b in itertools.product(pool, repeat=2)] for _ in range(3)]
+    assert len(calls) == corners * len(pool)
+    assert rounds[0] == rounds[1] == rounds[2]
+    fresh = [s2t.Stable2TypeData(d.pi0, d.pi1, d.q) for d in pool]
+    assert rounds[0] == [s2t.equivalent(a, b) for a, b in itertools.product(fresh, repeat=2)]
+    assert len(calls) == 2 * corners * len(pool)
 
 
 def _class_labels(pool, equivalent):

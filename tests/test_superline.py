@@ -151,6 +151,30 @@ def test_iso_class_group_matches_brauer_sectors(rp2):
     assert g == direct_sum(h0, h1)
 
 
+def test_group_builds_no_representative(monkeypatch):
+    """iso_class_group reads the cohomology records only: no basis class is
+    extended to X, and the groups are those of cohomology()."""
+    from supercoh import corpus, simplicial
+    from supercoh.exact_linalg import direct_sum
+
+    klein = corpus.complex_by_name("klein")
+    fresh = simplicial.SimplicialComplex(klein.vertex_count, klein.maximal_simplices)
+    extend = simplicial.MorseComplex.extend
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return extend(*args)
+
+    monkeypatch.setattr(simplicial.MorseComplex, "extend", counted)
+    groups = {flavor: iso_class_group(fresh, flavor) for flavor in ("real", "complex")}
+    assert calls == []
+    assert groups == {"real": G(0, (2, 2, 2)), "complex": G(0, (2, 2))}
+    h0 = cohomology(fresh, 0, 2)[0]
+    assert groups["real"] == direct_sum(h0, cohomology(fresh, 1, 2)[0])
+    assert groups["complex"] == direct_sum(h0, cohomology(fresh, 2)[0])
+
+
 def test_per_component_parity():
     from supercoh.simplicial import SimplicialComplex
 
