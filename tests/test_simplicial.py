@@ -10,6 +10,7 @@ from oracles import (
     class_coordinates_solve,
     coboundary_loop,
     cohomology_integral_dense,
+    cohomology_unreduced,
     cup_value_on,
     is_cohomologous_solve,
 )
@@ -223,6 +224,29 @@ def test_universal_coefficients(name):
     for n in (3, 4, 5, 6, 7, 8, 9):
         for q in range(x.dim + 1):
             assert cohomology(x, q, n)[0] == _universal_coefficients(x, q, n), (q, n)
+
+
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES + ("rp2xs1", "kleinxs1"))
+def test_mod_n_record_matches_the_stack(name):
+    """The record of H^q(X; Z/n), built on the model, has the presentation
+    and generator orders of the [delta_q | n I] stack of X itself, each basis
+    class reads back as e_k, and the two bases name the same classes: the
+    model basis in the stack's coordinates, summed over the stack basis,
+    reads back as e_k."""
+    x = _product_with_s1(name[: -len("xs1")]) if name.endswith("xs1") else corpus.complex_by_name(name)
+    for n in (2, 3, 4, 5, 6, 8, 12, 30):
+        for q in range(x.dim + 1):
+            pres, basis = cohomology(x, q, n)
+            orders = generator_orders(x, q, n)
+            stack_pres, stack_basis, stack_orders, stack_coordinates = cohomology_unreduced(x, q, n)
+            assert (pres, orders) == (stack_pres, stack_orders), (q, n)
+            for k, cls in enumerate(basis):
+                unit = [int(i == k) for i in range(len(basis))]
+                assert class_coordinates(cls.cochain) == unit, (q, n, k)
+                back = Cochain.zero(x, q, n)
+                for c, stack_cls in zip(stack_coordinates(cls.cochain), stack_basis):
+                    back = back + stack_cls.cochain.scale(c)
+                assert class_coordinates(back) == unit, (q, n, k)
 
 
 def test_cohomology_adds_no_attributes_to_the_complex():
