@@ -199,16 +199,18 @@ def _parse_field(tag: str) -> dsv.Field:
     raise ParseError(f"unknown field {tag!r} (use Q or Fp)")
 
 
-# the forms DSV.to_json_dict writes a rational in: n or n/m
+# the forms DSV.to_json_dict writes an entry in: n over F_p, n or n/m over Q
+_INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _rational(v) -> Fraction:
-    """A Q entry: a JSON int, or a string n or n/m.  Anything else is refused
-    before a Fraction is built: Fraction("1e30000000") computes 10^30000000."""
-    if type(v) is not int and not (isinstance(v, str) and _RATIONAL.fullmatch(v)):
-        raise ValueError(f"Q entry {v!r} is neither an integer nor a string n or n/m")
-    return Fraction(v)
+def _entry(v, form: re.Pattern):
+    """A DSV entry: a JSON int, or a string of this form.  Anything else is
+    refused before it is read: Fraction("1e30000000") computes 10^30000000,
+    and int() reads "1_000", " 0 " and non-ASCII digits."""
+    if type(v) is not int and not (isinstance(v, str) and form.fullmatch(v)):
+        raise ValueError(f"entry {v!r} is neither an integer nor a string {form.pattern}")
+    return v
 
 
 def _load_dsv(path: str) -> dsv.DSV:
@@ -221,9 +223,9 @@ def _load_dsv(path: str) -> dsv.DSV:
             raise ValueError(f"dims ({dim0!r}|{dim1!r}) must be integers")
         if min(dim0, dim1) < 0 or dim0 + dim1 > dsv.JSON_MAX_DIM:
             raise ValueError(f"dims ({dim0}|{dim1}) must be >= 0 and sum to at most {dsv.JSON_MAX_DIM}")
-        conv = (lambda v: int(str(v))) if field.char else _rational
-        d0 = [[conv(v) for v in row] for row in data["d0"]]
-        d1 = [[conv(v) for v in row] for row in data["d1"]]
+        conv, form = (int, _INTEGER) if field.char else (Fraction, _RATIONAL)
+        d0 = [[conv(_entry(v, form)) for v in row] for row in data["d0"]]
+        d1 = [[conv(_entry(v, form)) for v in row] for row in data["d1"]]
         return dsv.DSV.make(field, dim0, dim1, d0, d1)
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise ParseError(f"bad DSV JSON: {e}") from e

@@ -33,7 +33,7 @@ module's group laws, which are insensitive to the remaining ambiguity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 
 from .exact_linalg import (
@@ -42,7 +42,6 @@ from .exact_linalg import (
     chain_coordinates,
     chain_generators,
     invariant_factor_chain,
-    rref,
 )
 
 DEFAULT_ENUM_CAP = 4096
@@ -60,22 +59,13 @@ def _mod2_generator_indices(g: AbelianGroupPresentation) -> list[int]:
     Generator order convention: torsion generators first (invariant factor
     order), then free generators, matching cohomology bases elsewhere.
     """
-    nt = len(g.invariant_factors)
-    surviving = [i for i, d in enumerate(g.invariant_factors) if d % 2 == 0]
-    surviving.extend(range(nt, nt + g.free_rank))
-    return surviving
+    return [i for i, d in enumerate(_orders(g)) if d % 2 == 0]  # a free one has order 0
 
 
 def _two_torsion_elements(g: AbelianGroupPresentation) -> list[tuple[int, ...]]:
     """All 2-torsion elements, as coordinate tuples over the generators."""
-    nt = len(g.invariant_factors)
-    choices = []
-    for d in g.invariant_factors:
-        choices.append((0, d // 2) if d % 2 == 0 else (0,))
-    out = []
-    for combo in itertools.product(*choices) if nt else [()]:
-        out.append(tuple(combo) + (0,) * g.free_rank)
-    return out
+    choices = [(0, d // 2) if d % 2 == 0 else (0,) for d in g.invariant_factors]
+    return [(*combo, *(0,) * g.free_rank) for combo in itertools.product(*choices)]
 
 
 def _orders(g: AbelianGroupPresentation) -> list[int]:
@@ -94,8 +84,6 @@ class Stable2TypeData:
     pi0: AbelianGroupPresentation
     pi1: AbelianGroupPresentation
     q: tuple  # columns: element coordinates in pi1 for each mod-2 generator
-    # the corner ranks of q, computed on the first equivalence query
-    _ranks: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = len(_mod2_generator_indices(self.pi0))
@@ -204,25 +192,34 @@ def _q_on_generators(data: Stable2TypeData) -> list[tuple[int, ...]]:
 # Equivalence
 
 
+def _f2_rank(vectors) -> int:
+    """Rank over F2 of bitmask vectors: each is reduced by the kept vectors
+    of its leading bit until that bit is new or the vector vanishes."""
+    leading = {}
+    for v in vectors:
+        while v and v.bit_length() in leading:
+            v ^= leading[v.bit_length()]
+        if v:
+            leading[v.bit_length()] = v
+    return len(leading)
+
+
 def _corner_ranks(data: Stable2TypeData) -> tuple[int, ...]:
     """F2 ranks of q on the columns of 2-exponent <= k and the rows of
     2-exponent < l, for each exponent k of pi0 and each exponent l of pi1
-    or infinity; computed once and kept on data.  An exponent is kept as
-    the 2-part d & -d of an order d, infinite for a free generator; q
-    columns are 2-torsion, so only even torsion rows carry bits."""
-    if data._ranks is None:
-        pi0, pi1 = data.pi0, data.pi1
-        col_exps = [d & -d for d in pi0.invariant_factors if d % 2 == 0] + [inf] * pi0.free_rank
-        row_exps = [d & -d for d in pi1.invariant_factors]
-        bits = [[1 if c else 0 for c in col[: len(row_exps)]] for col in data.q]
-        ranks = []
-        for k in sorted(set(col_exps)):
-            for l in (*sorted(set(row_exps)), inf):
-                keep = [i for i, e in enumerate(row_exps) if e < l]
-                rows = [[col[i] for i in keep] for col, e in zip(bits, col_exps) if e <= k]
-                ranks.append(len(rref(rows, len(keep), 2)[1]))
-        object.__setattr__(data, "_ranks", tuple(ranks))
-    return data._ranks
+    or infinity.  An exponent is kept as the 2-part d & -d of an order d,
+    infinite for a free generator; q columns are 2-torsion, so only even
+    torsion rows carry bits."""
+    pi0, pi1 = data.pi0, data.pi1
+    col_exps = [d & -d for d in pi0.invariant_factors if d % 2 == 0] + [inf] * pi0.free_rank
+    row_exps = [d & -d for d in pi1.invariant_factors]
+    cols = [sum(1 << i for i, c in enumerate(col) if c) for col in data.q]
+    ranks = []
+    for k in sorted(set(col_exps)):
+        for l in (*sorted(set(row_exps)), inf):
+            rows = sum(1 << i for i, e in enumerate(row_exps) if e < l)
+            ranks.append(_f2_rank(c & rows for c, e in zip(cols, col_exps) if e <= k))
+    return tuple(ranks)
 
 
 def equivalent(d1: Stable2TypeData, d2: Stable2TypeData) -> bool:

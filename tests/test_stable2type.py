@@ -205,28 +205,6 @@ def test_corner_ranks_match_the_scanning_echelon(orders0, factors1, free1, rng):
     assert s2t._corner_ranks(s2t.Stable2TypeData(pi0, pi1, tuple(q))) == tuple(ranks)
 
 
-def test_corner_ranks_are_computed_once_per_structure(monkeypatch):
-    """Repeated equivalence queries on the same structures eliminate only on
-    the first query of each, one rref per corner; equal structures built
-    afresh give the same answers."""
-    calls, rref = [], s2t.rref
-
-    def counted(rows, ncols, p):
-        calls.append(ncols)
-        return rref(rows, ncols, p)
-
-    monkeypatch.setattr(s2t, "rref", counted)
-    pool = s2t.enumerate_symmetric_structures(G(1, (2, 4)), G(0, (2, 4)))
-    # exponents 1, 2, inf of pi0 by 1, 2, inf of pi1: nine corners
-    corners = 9
-    rounds = [[s2t.equivalent(a, b) for a, b in itertools.product(pool, repeat=2)] for _ in range(3)]
-    assert len(calls) == corners * len(pool)
-    assert rounds[0] == rounds[1] == rounds[2]
-    fresh = [s2t.Stable2TypeData(d.pi0, d.pi1, d.q) for d in pool]
-    assert rounds[0] == [s2t.equivalent(a, b) for a, b in itertools.product(fresh, repeat=2)]
-    assert len(calls) == 2 * corners * len(pool)
-
-
 def _class_labels(pool, equivalent):
     """Class of each structure, numbered by first appearance: each one is
     compared with one representative of each class found so far."""
