@@ -6,8 +6,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from supercoh import corpus, operations, simplicial
-from supercoh.simplicial import Cochain, cohomology, is_cohomologous
+from supercoh import corpus, operations
+from supercoh.simplicial import class_coordinates, cohomology
 
 
 def main():
@@ -20,16 +20,12 @@ def main():
             mod2, basis2 = cohomology(x, q, 2)
             print(f"  H^{q}:  Z-coefficients {str(integral):12s}  mod 2 {mod2}")
             for i, cls in enumerate(basis2):
-                sq1 = operations.sq(1, cls)
-                sq2 = operations.sq(2, cls)
-                tags = []
-                if not is_cohomologous(sq1.cochain, Cochain.zero(x, sq1.degree, 2)):
-                    tags.append("Sq1!=0")
-                if not is_cohomologous(sq2.cochain, Cochain.zero(x, sq2.degree, 2)):
-                    tags.append("Sq2!=0")
-                beta = operations.bockstein(cls)
-                if not is_cohomologous(beta.cochain, Cochain.zero(x, beta.degree, 0)):
-                    tags.append("beta!=0")
+                images = (
+                    ("Sq1!=0", operations.sq(1, cls)),
+                    ("Sq2!=0", operations.sq(2, cls)),
+                    ("beta!=0", operations.bockstein(cls)),
+                )
+                tags = [tag for tag, image in images if any(class_coordinates(image.cochain))]
                 if tags:
                     print(f"        gen {q}.{i}: {', '.join(tags)}")
 

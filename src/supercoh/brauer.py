@@ -8,10 +8,11 @@ Elements are triples (a, b, c) of cocycles with the twisted addition
 over the coefficient layout a: H^0 (mod 2 for ku, mod 8 for ko),
 b: H^1 mod 2, c: H^3 integral (ku) or H^2 mod 2 (ko).  Element arithmetic
 is cochain-level and equality is class-level, so no canonical
-representatives are ever chosen.  Group extraction builds no cochain:
-abstract_group and twist_subgroup read their relations off the cohomology
-records of the Morse complex, or of the tensor model of a product (see
-_twist_group).
+representatives are ever chosen.  element is the one constructor from raw
+values: identity_element and BrauerElement.from_json_dict go through it.
+Group extraction builds no cochain: twist_subgroup reads its relations off
+the cohomology records of the Morse complex, or of the tensor model of a
+product, and abstract_group adds the a slot to it.
 """
 
 from __future__ import annotations
@@ -75,33 +76,20 @@ class BrauerElement:
 
     @classmethod
     def from_json_dict(cls, data: dict, base: SimplicialComplex) -> "BrauerElement":
-        variant = data["variant"]
-        (da, ma), (db, mb), (dc, mc) = variant_layout(variant)
-        return cls(
-            variant,
-            Cochain(base, da, ma, tuple(data["a"])),
-            Cochain(base, db, mb, tuple(data["b"])),
-            Cochain(base, dc, mc, tuple(data["c"])),
-        )
+        return element(base, data["variant"], data["a"], data["b"], data["c"])
 
 
 def identity_element(x: SimplicialComplex, variant: str) -> BrauerElement:
-    (da, ma), (db, mb), (dc, mc) = variant_layout(variant)
-    return BrauerElement(
-        variant,
-        Cochain.zero(x, da, ma),
-        Cochain.zero(x, db, mb),
-        Cochain.zero(x, dc, mc),
-    )
+    return element(x, variant)
 
 
 def element(x: SimplicialComplex, variant: str, a=None, b=None, c=None) -> BrauerElement:
     """Element from raw value vectors; omitted components are zero."""
-    (da, ma), (db, mb), (dc, mc) = variant_layout(variant)
-    mk = lambda vals, d, m: (
+    slots = (
         Cochain.zero(x, d, m) if vals is None else Cochain(x, d, m, tuple(vals))
+        for vals, (d, m) in zip((a, b, c), variant_layout(variant))
     )
-    return BrauerElement(variant, mk(a, da, ma), mk(b, db, mb), mk(c, dc, mc))
+    return BrauerElement(variant, *slots)
 
 
 def _require_same_context(x: BrauerElement, y: BrauerElement):
@@ -183,9 +171,16 @@ def _class_order(c: Cochain):
 # Abstract group extraction
 
 
-def _twist_group(x: SimplicialComplex, variant: str) -> AbelianGroupPresentation:
-    """The group T of elements (0, b, c), on the basis classes of the b and
-    c sectors.
+def abstract_group(x: SimplicialComplex, variant: str) -> AbelianGroupPresentation:
+    """Abstract group structure of the full twisted cohomology group of X:
+    H^0(X; Z/m_a) + T, since the a slot never enters the twist."""
+    da, ma = variant_layout(variant)[0]
+    return direct_sum(simplicial.presentation(x, da, ma), twist_subgroup(x, variant))
+
+
+def twist_subgroup(x: SimplicialComplex, variant: str) -> AbelianGroupPresentation:
+    """The twist sector: the subgroup T of elements (0, b, c), on the basis
+    classes of the b and c sectors.
 
     n*(0, 0, c) = (0, 0, n*c), so a c generator of order o gives the
     relation o*e_c.  A b generator g = (0, b, 0) has order 2 in H^1, and
@@ -213,18 +208,6 @@ def _twist_group(x: SimplicialComplex, variant: str) -> AbelianGroupPresentation
         if order:
             rows[nb + j][nb + j] = order
     return cokernel(SparseMatrix(len(rows), len(rows), rows), 0)
-
-
-def abstract_group(x: SimplicialComplex, variant: str) -> AbelianGroupPresentation:
-    """Abstract group structure of the full twisted cohomology group of X:
-    H^0(X; Z/m_a) + T, since the a slot never enters the twist."""
-    da, ma = variant_layout(variant)[0]
-    return direct_sum(simplicial.presentation(x, da, ma), _twist_group(x, variant))
-
-
-def twist_subgroup(x: SimplicialComplex, variant: str) -> AbelianGroupPresentation:
-    """Subgroup of elements with trivial degree-0 component (the twist sector)."""
-    return _twist_group(x, variant)
 
 
 # ---------------------------------------------------------------------------

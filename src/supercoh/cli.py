@@ -16,11 +16,10 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import brauer, corpus, dsv, operations, simplicial, stable2type, superline, verify
 from .exact_linalg import AbelianGroupPresentation
-from .simplicial import Cochain, SimplicialComplex
+from .simplicial import SimplicialComplex
 
 
 class DomainError(Exception):
@@ -102,18 +101,12 @@ def cmd_operations(args):
         lines.append(f"H^{q}(X;Z/2) = {pres}")
         for i, cls in enumerate(basis):
             entry = {"degree": q, "index": i}
-            sq1 = operations.sq(1, cls)
-            sq2 = operations.sq(2, cls)
-            beta = operations.bockstein(cls)
-            entry["sq1_nonzero"] = not simplicial.is_cohomologous(
-                sq1.cochain, Cochain.zero(x, sq1.degree, 2)
-            )
-            entry["sq2_nonzero"] = not simplicial.is_cohomologous(
-                sq2.cochain, Cochain.zero(x, sq2.degree, 2)
-            )
-            entry["bockstein_nonzero"] = not simplicial.is_cohomologous(
-                beta.cochain, Cochain.zero(x, beta.degree, 0)
-            )
+            for key, image in (
+                ("sq1_nonzero", operations.sq(1, cls)),
+                ("sq2_nonzero", operations.sq(2, cls)),
+                ("bockstein_nonzero", operations.bockstein(cls)),
+            ):
+                entry[key] = any(simplicial.class_coordinates(image.cochain))
             table.append(entry)
             lines.append(
                 f"  gen {q}.{i}: Sq1 {'nonzero' if entry['sq1_nonzero'] else 'zero'}, "
@@ -140,22 +133,19 @@ def _load_element(x, variant, path) -> brauer.BrauerElement:
         raise ParseError(f"bad element JSON: {e}") from e
 
 
-def _brauer_like(args, op: str):
+def cmd_brauer(args):
     x = _load_complex(args.complex)
-    variant = args.variant
-    if op == "group":
-        g = brauer.abstract_group(x, variant)
-        _emit(args, {"op": "group", "variant": variant, "group": _group_dict(g)}, [str(g)])
-    elif op == "twist":
-        g = brauer.twist_subgroup(x, variant)
-        _emit(args, {"op": "twist", "variant": variant, "group": _group_dict(g)}, [str(g)])
+    op, variant = args.op, args.variant
+    if op in ("group", "twist"):
+        g = (brauer.abstract_group if op == "group" else brauer.twist_subgroup)(x, variant)
+        _emit(args, {"op": op, "variant": variant, "group": _group_dict(g)}, [str(g)])
     elif op == "order":
         if not args.element:
             raise ParseError("--element FILE is required for order")
         el = _load_element(x, variant, args.element)
         order = brauer.element_order(el)
         _emit(args, {"op": "order", "variant": variant, "order": order}, [str(order)])
-    elif op in ("add", "equals"):
+    else:
         if not (args.element and args.other):
             raise ParseError(f"--element and --other are required for {op}")
         e1 = _load_element(x, variant, args.element)
@@ -170,25 +160,7 @@ def _brauer_like(args, op: str):
         else:
             eq = brauer.equals(e1, e2)
             _emit(args, {"op": "equals", "variant": variant, "equal": eq}, [str(eq).lower()])
-    else:
-        raise ParseError(f"unknown brauer op {op!r}")
     return 0
-
-
-def cmd_brauer(args):
-    return _brauer_like(args, args.op)
-
-
-def cmd_group(args):
-    return _brauer_like(args, "group")
-
-
-def cmd_twist(args):
-    return _brauer_like(args, "twist")
-
-
-def cmd_order(args):
-    return _brauer_like(args, "order")
 
 
 def _parse_field(tag: str) -> dsv.Field:
@@ -213,6 +185,14 @@ def _entry(v, form: re.Pattern):
     return v
 
 
+def _q_entry(v):
+    """A Q entry of at most dsv.JSON_MAX_Q_ENTRY characters, left for
+    DSV.make to read as a Fraction once every entry has passed."""
+    if len(str(v)) > dsv.JSON_MAX_Q_ENTRY:
+        raise ValueError(f"a Q entry of {len(str(v))} characters is longer than {dsv.JSON_MAX_Q_ENTRY}")
+    return v
+
+
 def _load_dsv(path: str) -> dsv.DSV:
     data = _load_json(path)
     try:
@@ -223,7 +203,7 @@ def _load_dsv(path: str) -> dsv.DSV:
             raise ValueError(f"dims ({dim0!r}|{dim1!r}) must be integers")
         if min(dim0, dim1) < 0 or dim0 + dim1 > dsv.JSON_MAX_DIM:
             raise ValueError(f"dims ({dim0}|{dim1}) must be >= 0 and sum to at most {dsv.JSON_MAX_DIM}")
-        conv, form = (int, _INTEGER) if field.char else (Fraction, _RATIONAL)
+        conv, form = (int, _INTEGER) if field.char else (_q_entry, _RATIONAL)
         d0 = [[conv(_entry(v, form)) for v in row] for row in data["d0"]]
         d1 = [[conv(_entry(v, form)) for v in row] for row in data["d1"]]
         return dsv.DSV.make(field, dim0, dim1, d0, d1)
@@ -392,10 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("brauer", help="graded Brauer group computations")
     add_brauer_args(b, True)
     b.set_defaults(func=cmd_brauer)
-    for verb, fn in (("group", cmd_group), ("twist", cmd_twist), ("order", cmd_order)):
+    for verb in ("group", "twist", "order"):
         sp = sub.add_parser(verb, help=f"shortcut for brauer --op {verb}")
         add_brauer_args(sp, False)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=cmd_brauer, op=verb)
 
     d = sub.add_parser("dsv", help="differential super vector space report")
     d.add_argument("--input", required=True)

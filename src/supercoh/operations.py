@@ -10,7 +10,7 @@ coboundary by m, landing in integral cochains.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import add, floordiv, mod, mul
+from operator import add, floordiv, mul
 
 from .simplicial import Cochain, CohomologyClass
 
@@ -83,8 +83,6 @@ def bockstein(b: CohomologyClass) -> CohomologyClass:
     if m <= 0:
         raise ValueError("bockstein needs a finite modulus")
     d = b.cochain.coboundary_values()  # of the lift, kept from the check of b
-    if any(map(mod, d, repeat(m))):
-        raise ValueError("input is not a mod-m cocycle")
     return CohomologyClass(Cochain(b.complex, b.degree + 1, 0, tuple(map(floordiv, d, repeat(m)))))
 
 

@@ -56,9 +56,6 @@ class SuperLine:
             CohomologyClass(Cochain.zero(base, deg, mod)),
         )
 
-    def parity_on_component(self, component: int) -> int:
-        return self.parity[component]
-
     def to_json_dict(self) -> dict:
         return {
             "flavor": self.flavor,
@@ -100,9 +97,7 @@ def is_isomorphic(l: SuperLine, m: SuperLine) -> bool:
 def symmetry_sign(l: SuperLine, m: SuperLine, component: int) -> int:
     """Sign of the braiding on the given component: (-1)^{n m}."""
     _require_compatible(l, m)
-    n = l.parity_on_component(component)
-    mm = m.parity_on_component(component)
-    return -1 if (n * mm) % 2 else 1
+    return -1 if (l.parity[component] * m.parity[component]) % 2 else 1
 
 
 def iso_class_group(x: SimplicialComplex, flavor: str) -> AbelianGroupPresentation:

@@ -242,12 +242,12 @@ def suite_naturality():
     return out
 
 
-def suite_dsv(trials: int = 60):
+def suite_dsv():
     rng = Random(17)
     f5 = dsv.Field(5)
     out = []
     mismatches = 0
-    for _ in range(trials):
+    for _ in range(60):
         v = _random_dsv(f5, rng)
         w = v if rng.random() < 0.5 else _random_dsv(f5, rng)
         fmap = _random_dsv_map(f5, v, w, rng)
@@ -378,7 +378,7 @@ def suite_stable2type():
     return out
 
 
-def suite_brauer(trials: int = 12):
+def suite_brauer():
     rng = Random(23)
     out = []
     ok = True
@@ -386,7 +386,7 @@ def suite_brauer(trials: int = 12):
         x = corpus.complex_by_name(name)
         for variant in ("ku", "ko"):
             ident = brauer.identity_element(x, variant)
-            for _ in range(trials):
+            for _ in range(12):
                 a = brauer.random_element(x, variant, rng)
                 b = brauer.random_element(x, variant, rng)
                 c = brauer.random_element(x, variant, rng)
@@ -437,17 +437,17 @@ def suite_brauer(trials: int = 12):
     return out
 
 
-def suite_euler(trials: int = 100):
+def suite_euler():
     rng = Random(31)
     f = dsv.QQ
     ok = True
-    for _ in range(trials):
+    for _ in range(100):
         e = _random_bounded_complex(f, rng)
         v = dsv.epsilon(e)
         if dsv.euler_char(v) != e.euler_characteristic():
             ok = False
     ok2 = True
-    for _ in range(trials):
+    for _ in range(100):
         v = _random_dsv(f, rng)
         w = _random_dsv(f, rng)
         if dsv.euler_char(dsv.tensor(v, w)) != dsv.euler_char(v) * dsv.euler_char(w):

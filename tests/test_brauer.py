@@ -389,3 +389,14 @@ def test_json_roundtrip(rp2):
     data = x.to_json_dict()
     again = BrauerElement.from_json_dict(data, rp2)
     assert equals(x, again)
+
+
+@pytest.mark.parametrize("variant", ["ku", "ko"])
+@pytest.mark.parametrize("name", ["rp2", "klein", "rp2xrp2"])
+def test_json_roundtrip_on_the_nose(name, variant):
+    # from_json_dict goes through element, which rebuilds every slot
+    x = corpus.complex_by_name(name)
+    rng = random.Random(f"{name} {variant}")
+    for _ in range(5):
+        e = brauer.random_element(x, variant, rng)
+        assert BrauerElement.from_json_dict(e.to_json_dict(), x) == e

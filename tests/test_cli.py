@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import supercoh
+from supercoh import brauer, corpus, operations, simplicial
 from supercoh.cli import main
-from supercoh.dsv import JSON_MAX_DIM
+from supercoh.dsv import JSON_MAX_DIM, JSON_MAX_Q_ENTRY
+from supercoh.simplicial import Cochain, is_cohomologous
 
 
 def _dense_q_dsv(rng, h: int, dim: int) -> dict:
@@ -195,6 +197,44 @@ class TestBrauerVerbs:
         assert "bad element JSON" in err
 
 
+class TestOneBrauerHandler:
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("variant", ["ku", "ko"])
+    @pytest.mark.parametrize("name", ["rp2", "klein", "rp2xrp2"])
+    @pytest.mark.parametrize("verb", ["group", "twist", "order"])
+    def test_shortcut_is_brauer_op(self, capsys, tmp_path, verb, name, variant, as_json):
+        el = tmp_path / "el.json"
+        x = corpus.complex_by_name(name)
+        el.write_text(json.dumps(brauer.random_element(x, variant, random.Random(name)).to_json_dict()))
+        argv = ["--complex", "@" + name, "--variant", variant, "--element", str(el)] + ["--json"] * as_json
+        short = run(capsys, verb, *argv)
+        assert short[0] == 0 and short[1]
+        assert run(capsys, "brauer", "--op", verb, *argv) == short
+
+
+class TestOperationsVerb:
+    @pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
+    def test_flags_are_those_of_is_cohomologous(self, capsys, name):
+        # the report reads class coordinates; each flag here asks whether the
+        # image is cohomologous to the zero cochain
+        code, out, _ = run(capsys, "operations", "--complex", "@" + name, "--json")
+        assert code == 0
+        x = corpus.complex_by_name(name)
+        expected = []
+        for q in range(x.dim + 1):
+            for i, cls in enumerate(simplicial.cohomology(x, q, 2)[1]):
+                entry = {"degree": q, "index": i}
+                for key, image in (
+                    ("sq1_nonzero", operations.sq(1, cls)),
+                    ("sq2_nonzero", operations.sq(2, cls)),
+                    ("bockstein_nonzero", operations.bockstein(cls)),
+                ):
+                    c = image.cochain
+                    entry[key] = not is_cohomologous(c, Cochain.zero(x, c.degree, c.modulus))
+                expected.append(entry)
+        assert json.loads(out)["table"] == expected
+
+
 class TestOtherVerbs:
     def test_superline_group(self, capsys):
         code, out, _ = run(capsys, "superline", "--complex", "@s1", "--flavor", "real", "--op", "group")
@@ -257,6 +297,45 @@ class TestOtherVerbs:
         assert time.perf_counter() - start < 5
         assert done.returncode == 2 and not done.stdout
         assert "'1e30000000'" in done.stderr
+
+    @pytest.mark.parametrize("form", [str, int], ids=["string", "int"])
+    def test_long_q_entries_are_refused_at_once(self, tmp_path, form):
+        # a (16|16) file with d0 = 0 and 4000-digit integers in d1 is in the
+        # written form, but rref over Q had not finished it after 120 s, so
+        # it runs in a subprocess that a timeout can stop
+        rng = random.Random(4000)
+        d1 = [[form(rng.randrange(10**3999, 10**4000)) for _ in range(16)] for _ in range(16)]
+        p = tmp_path / "v.json"
+        p.write_text(json.dumps({"field": "Q", "dim0": 16, "dim1": 16, "d0": [["0"] * 16] * 16, "d1": d1}))
+        env = {**os.environ, "PYTHONPATH": str(Path(supercoh.__file__).parents[1])}
+        argv = [sys.executable, "-m", "supercoh", "dsv", "--input", str(p)]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
+        assert done.returncode == 2 and not done.stdout
+        assert f"4000 characters is longer than {JSON_MAX_Q_ENTRY}" in done.stderr
+
+    @pytest.mark.parametrize("length", [JSON_MAX_Q_ENTRY, JSON_MAX_Q_ENTRY + 1])
+    @pytest.mark.parametrize("entry", ["-9", "9/9", 9], ids=["negative", "fraction", "int"])
+    def test_q_entry_length_bound(self, capsys, tmp_path, length, entry):
+        # the bound counts the characters of an entry as written, its sign
+        # and slash included
+        pad = "9" * (length - len(str(entry)))
+        entry = int(pad + "9") if type(entry) is int else entry[0] + pad + entry[1:]
+        p = tmp_path / "v.json"
+        p.write_text(json.dumps({"field": "Q", "dim0": 1, "dim1": 1, "d0": [[entry]], "d1": [["0"]]}))
+        code, out, err = run(capsys, "dsv", "--input", str(p))
+        if length > JSON_MAX_Q_ENTRY:
+            assert code == 2 and not out
+            assert f"{length} characters is longer than {JSON_MAX_Q_ENTRY}" in err
+        else:
+            assert code == 0 and "homology (0|0)" in out
+
+    def test_fp_entries_have_no_length_bound(self, capsys, tmp_path):
+        # an F_p entry is reduced mod p as it is read
+        p = tmp_path / "v.json"
+        entry = "9" * (4 * JSON_MAX_Q_ENTRY)
+        p.write_text(json.dumps({"field": "F5", "dim0": 1, "dim1": 1, "d0": [[entry]], "d1": [["0"]]}))
+        code, out, _ = run(capsys, "dsv", "--input", str(p))
+        assert code == 0 and "homology (0|0)" in out
 
     @pytest.mark.parametrize(
         "field, entry",

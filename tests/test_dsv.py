@@ -417,6 +417,20 @@ class TestAgainstOracles:
         assert 0 < quasi_isos < 160  # both answers are exercised
 
 
+class TestCone:
+    def test_cone_of_a_checked_map_has_square_zero(self):
+        # is_quasi_iso and homotopy_inverse read the cone's blocks without
+        # re-proving d^2 = 0: it must follow from the checks of V, W and f
+        rng = random.Random(48)
+        for f in (Field(2), Field(3), F5, QQ):
+            for _ in range(25):
+                v = _random_dsv(f, rng)
+                w = v if rng.random() < 0.4 else _random_dsv(f, rng)
+                c = mapping_cone(_random_dsv_map(f, v, w, rng))
+                assert all(x == 0 for row in _product(f, c.d1, c.d0, c.dim0) for x in row)
+                assert all(x == 0 for row in _product(f, c.d0, c.d1, c.dim1) for x in row)
+
+
 def _product(f, a, b, n):
     """n x n product a @ b, summed directly (independent of dsv.mat_mul)."""
     return [[f.of(sum(a[i][k] * b[k][j] for k in range(len(b)))) for j in range(n)] for i in range(n)]
