@@ -408,8 +408,7 @@ def _cone(fmap: DSVMap):
     """(dim0, dim1, d0, d1) of the cone W + V[1] of f: V -> W: degree 0 is
     W_0 + V_1, degree 1 is W_1 + V_0, and d_k = [[w.d_k, f_(1-k)], [0, -v.d_(1-k)]].
     d^2 = 0 follows from the checks of V, W and f, so it is not re-proved."""
-    f = fmap.source.field
-    v, w = fmap.source, fmap.target
+    f, v, w = fmap.source.field, fmap.source, fmap.target
     dim0, dim1 = w.dim0 + v.dim1, w.dim1 + v.dim0
     d0 = _assemble(f, dim1, dim0, [(0, 0, w.d0, 1, 1, 1), (0, w.dim0, fmap.f1, 1, 1, 1), (w.dim1, w.dim0, v.d1, 1, 1, -1)])
     d1 = _assemble(f, dim0, dim1, [(0, 0, w.d1, 1, 1, 1), (0, w.dim1, fmap.f0, 1, 1, 1), (w.dim0, w.dim1, v.d0, 1, 1, -1)])
@@ -446,8 +445,7 @@ def chain_map_system(src: DSV, tgt: DSV):
 
 def _contraction(f: Field, dim0: int, dim1: int, d0, d1):
     """(s0, s1), s0: C_0 -> C_1 and s1: C_1 -> C_0, with d1 s0 + s1 d0 = 1
-    and d0 s1 + s0 d1 = 1, for the DSV C with these blocks; None unless C
-    is acyclic.
+    and d0 s1 + s0 d1 = 1 on the DSV C with these blocks; None unless acyclic.
 
     The pivot columns P_k of d_k span a complement of ker d_k, so when C is
     acyclic (then dim C_0 = dim C_1) the columns d_(1-k) e_j (j in P_(1-k))
@@ -474,11 +472,10 @@ def homotopy_inverse(fmap: DSVMap):
     the blocks of a contraction s are the witness: on W_0 + V_1 -> W_1 + V_0,
     s0 = [[-t0, *], [g0, u1]]; on W_1 + V_0 -> W_0 + V_1, s1 = [[-t1, *], [g1, u0]].
     """
-    f = fmap.source.field
-    s = _contraction(f, *_cone(fmap))
+    s = _contraction(fmap.source.field, *_cone(fmap))
     if s is None:
         return None
-    s0, s1 = s
+    (s0, s1), f = s, fmap.source.field
     w0, w1 = fmap.target.dim0, fmap.target.dim1
     g = DSVMap(fmap.target, fmap.source, tuple(r[:w0] for r in s0[w1:]), tuple(r[:w1] for r in s1[w0:]))
     t0 = _neg(f, tuple(r[:w0] for r in s0[:w1]))
