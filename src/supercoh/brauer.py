@@ -17,7 +17,9 @@ product, and abstract_group adds the a slot to it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import islice, repeat
 from math import gcd, lcm
 from random import Random
 
@@ -260,15 +262,25 @@ def random_element(x: SimplicialComplex, variant: str, rng: Random) -> BrauerEle
 
 
 def _random_cocycle(x: SimplicialComplex, deg: int, mod: int, rng: Random) -> Cochain:
+    """A random coboundary plus a random combination of the basis classes,
+    summed and reduced in one pass."""
     _, basis = simplicial.cohomology(x, deg, mod)
-    out = _random_coboundary(x, deg, mod, rng)
-    for cls, k in zip(basis, rng.choices(range(mod or 5), k=len(basis))):
-        out = out + cls.cochain.scale(k)
-    return out
+    acc = _random_coboundary(x, deg, mod, rng).values
+    for cls, k in zip(basis, _draws(rng, mod or 5, len(basis))):
+        acc = map(operator.add, acc, map(operator.mul, repeat(k), cls.cochain.values))
+    if mod:
+        acc = map(operator.mod, acc, repeat(mod))
+    return Cochain._reduced(x, deg, mod, tuple(acc))
 
 
 def _random_coboundary(x: SimplicialComplex, deg: int, mod: int, rng: Random) -> Cochain:
     if deg == 0:
         return Cochain.zero(x, 0, mod)
-    values = rng.choices(range(mod or 7), k=x.simplex_count(deg - 1))
-    return Cochain(x, deg - 1, mod, tuple(values)).coboundary()
+    values = _draws(rng, mod or 7, x.simplex_count(deg - 1))
+    return Cochain._reduced(x, deg - 1, mod, tuple(values)).coboundary()
+
+
+def _draws(rng: Random, m: int, k: int):
+    """k draws from range(m), the values and the rng state of
+    rng.choices(range(m), k=k): CPython's choices takes floor(random() * m)."""
+    return map(int, map(operator.mul, islice(iter(rng.random, 2.0), k), repeat(float(m))))

@@ -225,7 +225,7 @@ def cmd_dsv(args):
         "dim1": v.dim1,
         "homology": [h0, h1],
         "euler_characteristic": dsv.euler_char(v),
-        "invertible": dsv.is_invertible(v),
+        "invertible": h0 + h1 == 1,  # dsv.is_invertible, without ranking again
         "unit_virtual_dim": dsv.unit_virtual_dim(v),
     }
     _emit(
@@ -244,7 +244,7 @@ def cmd_superline(args):
     if args.op == "group":
         g = superline.iso_class_group(x, args.flavor)
         _emit(args, {"op": "group", "flavor": args.flavor, "group": _group_dict(g)}, [str(g)])
-    elif args.op == "classify":
+    else:  # classify
         data = superline.classification_data(args.flavor)
         report = data.to_json_dict()
         report["k_invariant_nontrivial"] = not stable2type.is_trivial(data)
@@ -256,8 +256,6 @@ def cmd_superline(args):
                 + ("nonzero" if report["k_invariant_nontrivial"] else "zero")
             ],
         )
-    else:
-        raise ParseError(f"unknown superline op {args.op!r}")
     return 0
 
 

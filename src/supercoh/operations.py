@@ -10,7 +10,7 @@ coboundary by m, landing in integral cochains.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import add, floordiv, mul
+from operator import floordiv, mod, mul, xor
 
 from .simplicial import Cochain, CohomologyClass
 
@@ -21,7 +21,11 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
         raise ValueError("cup product needs a common complex and modulus")
     x = a.complex
     ((front, back),) = x.cup_i_table(0, a.degree, b.degree)
-    return Cochain(x, a.degree + b.degree, a.modulus, tuple(map(mul, front(a.values), back(b.values))))
+    n = a.modulus
+    values = map(mul, front(a.values), back(b.values))
+    if n > 2:  # a product of values in {0, 1} is reduced mod 2
+        values = map(mod, values, repeat(n))
+    return Cochain._reduced(x, a.degree + b.degree, n, tuple(values))
 
 
 def cup_i(i: int, a: Cochain, b: Cochain) -> Cochain:
@@ -47,8 +51,8 @@ def cup_i(i: int, a: Cochain, b: Cochain) -> Cochain:
         return Cochain.zero(x, deg, 2)
     acc = repeat(0, x.simplex_count(deg))
     for even, odd in x.cup_i_table(i, a.degree, b.degree):
-        acc = map(add, acc, map(mul, even(a.values), odd(b.values)))
-    return Cochain(x, deg, 2, tuple(acc))
+        acc = map(xor, acc, map(mul, even(a.values), odd(b.values)))
+    return Cochain._reduced(x, deg, 2, tuple(acc))
 
 
 def sq(k: int, x: CohomologyClass) -> CohomologyClass:
@@ -69,7 +73,7 @@ def reduce_mod(x: Cochain, n: int) -> Cochain:
         raise ValueError("target modulus must be positive")
     if x.modulus and x.modulus % n:
         raise ValueError(f"{n} does not divide the source modulus {x.modulus}")
-    return Cochain(x.complex, x.degree, n, tuple(v % n for v in x.values))
+    return Cochain._reduced(x.complex, x.degree, n, tuple(map(mod, x.values, repeat(n))))
 
 
 def bockstein(b: CohomologyClass) -> CohomologyClass:
@@ -83,7 +87,7 @@ def bockstein(b: CohomologyClass) -> CohomologyClass:
     if m <= 0:
         raise ValueError("bockstein needs a finite modulus")
     d = b.cochain.coboundary_values()  # of the lift, kept from the check of b
-    return CohomologyClass(Cochain(b.complex, b.degree + 1, 0, tuple(map(floordiv, d, repeat(m)))))
+    return CohomologyClass(Cochain._reduced(b.complex, b.degree + 1, 0, tuple(map(floordiv, d, repeat(m)))))
 
 
 def sq1_via_bockstein(b: CohomologyClass) -> CohomologyClass:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, cycle, repeat
-from operator import add, floordiv, itemgetter, mod, mul, neg, sub
+from operator import add, floordiv, itemgetter, mod, mul, neg, sub, xor
 
 from .exact_linalg import (
     AbelianGroupPresentation,
@@ -267,6 +267,13 @@ class Cochain:
     its coboundary and its cocycle verdict are computed on first use and
     kept on it (outside equality, hashing and repr).  Every cocycle check
     still runs, once per cochain.
+
+    Cochain(...) checks the degree, the length and the modulus and reduces
+    the values.  The kernels (+, -, negation, scale, coboundary, cup, cup_i,
+    bockstein, reduce_mod) build their values reduced, in one pass, and go
+    through _reduced, which makes the same checks and skips the reduction.
+    Mod 2 the signs of delta vanish, so a mod-2 cochain whose delta is not
+    kept reads its cocycle verdict off the xor of its values on the faces.
     """
 
     complex: SimplicialComplex
@@ -278,6 +285,11 @@ class Cochain:
     _cocycle: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._check()
+        values = tuple(map(mod, self.values, repeat(self.modulus))) if self.modulus else tuple(self.values)
+        object.__setattr__(self, "values", values)
+
+    def _check(self):
         if self.degree < 0:
             raise ValueError(f"cochain degree must be >= 0, got {self.degree}")
         expected = self.complex.simplex_count(self.degree)
@@ -287,8 +299,23 @@ class Cochain:
             )
         if self.modulus < 0:
             raise ValueError("modulus must be >= 0")
-        values = tuple(map(mod, self.values, repeat(self.modulus))) if self.modulus else tuple(self.values)
-        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _reduced(cls, complex: SimplicialComplex, degree: int, modulus: int, values: tuple) -> "Cochain":
+        """Cochain from a tuple of values already reduced to [0, modulus),
+        or of any integers for modulus 0."""
+        c = object.__new__(cls)
+        c.__dict__.update(complex=complex, degree=degree, modulus=modulus, values=values, _delta=None, _cocycle=None)
+        c._check()
+        return c
+
+    def _like(self, values) -> "Cochain":
+        """A cochain of the same context from an iterator of values reduced
+        mod 2 or integral, reducing them for any other modulus."""
+        n = self.modulus
+        if n > 2:
+            values = map(mod, values, repeat(n))
+        return Cochain._reduced(self.complex, self.degree, n, tuple(values))
 
     @classmethod
     def zero(cls, complex: SimplicialComplex, degree: int, modulus: int) -> "Cochain":
@@ -307,27 +334,19 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._require_context(other)
-        return Cochain(
-            self.complex,
-            self.degree,
-            self.modulus,
-            tuple(map(add, self.values, other.values)),
-        )
+        return self._like(map(xor if self.modulus == 2 else add, self.values, other.values))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         self._require_context(other)
-        return Cochain(
-            self.complex,
-            self.degree,
-            self.modulus,
-            tuple(map(sub, self.values, other.values)),
-        )
+        return self._like(map(xor if self.modulus == 2 else sub, self.values, other.values))
 
     def __neg__(self) -> "Cochain":
-        return Cochain(self.complex, self.degree, self.modulus, tuple(map(neg, self.values)))
+        return self if self.modulus == 2 else self._like(map(neg, self.values))
 
     def scale(self, k: int) -> "Cochain":
-        return Cochain(self.complex, self.degree, self.modulus, tuple(map(mul, repeat(k), self.values)))
+        if self.modulus == 2:
+            k &= 1
+        return self._like(map(mul, repeat(k), self.values))
 
     def is_zero(self) -> bool:
         return not any(self.values)
@@ -341,23 +360,33 @@ class Cochain:
         once per cochain."""
         d = self._delta
         if d is None:
-            first, *rest = self.complex.face_table(self.degree)[1]
-            values = self.values
-            acc = first(values)
-            for gather, op in zip(rest, cycle((sub, add))):
-                acc = map(op, acc, gather(values))
-            d = tuple(acc)
+            d = tuple(self._fold_faces(cycle((sub, add))))
             object.__setattr__(self, "_delta", d)
         return d
 
+    def _fold_faces(self, ops):
+        """The values gathered on face 0 of every (q+1)-simplex, folded with
+        those on faces 1, 2, ... by the successive ops, as one lazy pass."""
+        first, *rest = self.complex.face_table(self.degree)[1]
+        values = self.values
+        acc = first(values)
+        for gather, op in zip(rest, ops):
+            acc = map(op, acc, gather(values))
+        return acc
+
     def coboundary(self) -> "Cochain":
-        return Cochain(self.complex, self.degree + 1, self.modulus, self.coboundary_values())
+        d, n = self.coboundary_values(), self.modulus
+        return Cochain._reduced(self.complex, self.degree + 1, n, tuple(map(mod, d, repeat(n))) if n else d)
 
     def is_cocycle(self) -> bool:
         verdict = self._cocycle
         if verdict is None:
-            d = self.coboundary_values()
-            verdict = not any(map(mod, d, repeat(self.modulus)) if self.modulus else d)
+            n = self.modulus
+            if n == 2 and self._delta is None:
+                verdict = not any(self._fold_faces(repeat(xor)))
+            else:
+                d = self.coboundary_values()
+                verdict = not any(map(mod, d, repeat(n)) if n else d)
             object.__setattr__(self, "_cocycle", verdict)
         return verdict
 
@@ -369,6 +398,8 @@ class CohomologyClass:
     cochain: Cochain
 
     def __post_init__(self):
+        # the exact delta, not the mod-2 parity, since bockstein reads it
+        self.cochain.coboundary_values()
         if not self.cochain.is_cocycle():
             raise ValueError("representative is not a cocycle")
 

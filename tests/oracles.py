@@ -6,10 +6,11 @@ pivot search of the op-log factorization, the per-simplex loops of the
 cochain coboundary, cup and cup-i products, the scanning F2 echelons, class
 coordinates by a solve against [delta | basis], is_cohomologous by a solve
 against delta, the Brauer group presentation and element orders by repeated
-twisted addition, the DSV quasi-isomorphism test on homology quotients, the
-entry-by-entry homotopy system and braiding, and the nested stable 2-type
-equivalence search over both automorphism groups with its two bijectivity
-checks, on the socles and over the whole group."""
+twisted addition, random Brauer elements drawn by rng.choices, the DSV
+quasi-isomorphism test on homology quotients, the entry-by-entry homotopy
+system and braiding, and the nested stable 2-type equivalence search over
+both automorphism groups with its two bijectivity checks, on the socles and
+over the whole group."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from operator import mul
+from random import Random
 
 from supercoh.exact_linalg import (
     AbelianGroupPresentation,
@@ -29,6 +31,7 @@ from supercoh.exact_linalg import (
     solve_mod,
 )
 from supercoh import brauer, dsv, simplicial
+from supercoh.brauer import KU, BrauerElement, _twist, variant_layout
 from supercoh.dsv import DSV, DSVMap, Field, _shape, _transpose, homology, identity, kernel_basis, rank, solve, sum_mul, tensor, zeros
 from supercoh.simplicial import (
     Cochain,
@@ -109,6 +112,40 @@ def group_from_sectors_loop(x: SimplicialComplex, variant: str, include_a: bool)
     else:
         rel = IntMatrix(len(gens), 0, ())
     return cokernel_dense(rel, 0)
+
+
+# Random Brauer elements drawn by rng.choices, with one cochain + per basis
+# class: brauer.random_element must give the same elements and leave the rng
+# in the same state.
+
+
+def random_element(x: SimplicialComplex, variant: str, rng: Random) -> BrauerElement:
+    """Random element: random classes plus random coboundaries in each slot;
+    for ku, c also gets beta(u cup v) for random u, v half of the time."""
+    (da, ma), (db, mb), (dc, mc) = variant_layout(variant)
+    a = _random_cocycle(x, da, ma, rng)
+    b = _random_cocycle(x, db, mb, rng)
+    c = _random_cocycle(x, dc, mc, rng)
+    if variant == KU:
+        u = _random_cocycle(x, db, mb, rng)
+        v = _random_cocycle(x, db, mb, rng)
+        c = c + _twist(KU, u, v).scale(rng.randrange(2))
+    return BrauerElement(variant, a, b, c)
+
+
+def _random_cocycle(x: SimplicialComplex, deg: int, mod: int, rng: Random) -> Cochain:
+    _, basis = simplicial.cohomology(x, deg, mod)
+    out = _random_coboundary(x, deg, mod, rng)
+    for cls, k in zip(basis, rng.choices(range(mod or 5), k=len(basis))):
+        out = out + cls.cochain.scale(k)
+    return out
+
+
+def _random_coboundary(x: SimplicialComplex, deg: int, mod: int, rng: Random) -> Cochain:
+    if deg == 0:
+        return Cochain.zero(x, 0, mod)
+    values = rng.choices(range(mod or 7), k=x.simplex_count(deg - 1))
+    return Cochain(x, deg - 1, mod, tuple(values)).coboundary()
 
 
 # ---------------------------------------------------------------------------
