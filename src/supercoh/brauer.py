@@ -18,13 +18,12 @@ product, and abstract_group adds the a slot to it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import islice, repeat
 from math import gcd, lcm
 from random import Random
 
 from . import operations, simplicial
-from .exact_linalg import AbelianGroupPresentation, SparseMatrix, cokernel, direct_sum
+from .exact_linalg import AbelianGroupPresentation, Record, SparseMatrix, cokernel, direct_sum
 from .simplicial import Cochain, SimplicialComplex
 
 KU = "ku"
@@ -43,8 +42,7 @@ def variant_layout(variant: str):
     return _LAYOUT[variant]
 
 
-@dataclass(frozen=True)
-class BrauerElement:
+class BrauerElement(Record):
     variant: str
     a: Cochain
     b: Cochain

@@ -9,12 +9,11 @@ A homotopy inverse is read off a contraction of that cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import add, mul
 
-from .exact_linalg import is_prime, kernel_mod_p, rref
+from .exact_linalg import Record, is_prime, kernel_mod_p, rref
 
 # the dimension dim0 + dim1 of a DSV read from JSON, and of the tensor product
 # of two such, checked before a matrix is built.  The products that validate
@@ -34,8 +33,7 @@ JSON_MAX_DIM = 64
 JSON_MAX_Q_ENTRY = 64
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record):
     """Exact field tag: characteristic 0 (Q) or a prime p."""
 
     char: int
@@ -222,8 +220,7 @@ def solve(f: Field, a, b, ncols: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DSV:
+class DSV(Record):
     """Differential super vector space (V_0 + V_1, d0, d1) with d0d1 = d1d0 = 0."""
 
     field: Field
@@ -268,8 +265,7 @@ class DSV:
         }
 
 
-@dataclass(frozen=True)
-class DSVMap:
+class DSVMap(Record):
     """Graded map commuting with both differentials exactly."""
 
     source: DSV
@@ -306,8 +302,7 @@ class DSVMap:
         return cls(v, v, identity(v.field, v.dim0), identity(v.field, v.dim1))
 
 
-@dataclass(frozen=True)
-class BoundedChainComplex:
+class BoundedChainComplex(Record):
     """Finite chain complex: dims[i] is the dimension in degree lowest+i."""
 
     field: Field

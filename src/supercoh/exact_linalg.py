@@ -10,20 +10,70 @@ F_p or, for p = 0, over Q, on dense rows, where each elimination updates
 only the nonzero columns of the pivot row; F2 bitmask rows are unpacked
 for it (f2_kernel).  All functions are pure and deterministic.  A
 SparseMatrix keeps its own factorization, so repeated solves against it
-reuse that.
+reuse that.  Record is the base of every value class of the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, prod
+from operator import attrgetter
+
+_setattr = object.__setattr__
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class Record:
+    """Base of the frozen value classes: a record of the fields annotated on
+    the subclass, in order, built with no dataclasses import.
+
+    Cls(*values) or Cls(name=value, ...) sets the fields and then runs the
+    subclass's __post_init__, which checks them and may replace one with
+    object.__setattr__.  == holds only between instances of one class with
+    equal fields, equal records hash equal, repr is Cls(name=value, ...),
+    assignment raises AttributeError and pickle restores the instance dict.
+    A class attribute that is not annotated is no field.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = names = tuple(cls.__annotations__)
+        cls._key = attrgetter(*names)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args += tuple(kwargs.pop(n) for n in names[len(args):] if n in kwargs)
+            if kwargs or len(args) != len(names):
+                raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
+        # not __dict__.update: object.__setattr__ keeps the values inline in
+        # the instance, where CPython 3.11 and 3.12 read them about twice as fast
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__qualname__}")
+
+    __delattr__ = __setattr__
+
+
+class IntMatrix(Record):
     """Dense integer matrix, row-major entries."""
 
     rows: int
@@ -117,8 +167,7 @@ class IntMatrix:
         return all(x == 0 for x in self.entries)
 
 
-@dataclass(frozen=True)
-class AbelianGroupPresentation:
+class AbelianGroupPresentation(Record):
     """Invariant-factor presentation Z^free_rank + Z/d1 + ... with d1 | d2 | ...
 
     Factors of 1 are excluded.  The trivial group is (0, ()).

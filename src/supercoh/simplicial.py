@@ -13,7 +13,6 @@ generators are extended to X when cohomology() is asked for them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, cycle, repeat
@@ -22,6 +21,7 @@ from operator import add, floordiv, itemgetter, mod, mul, neg, sub, xor
 from .exact_linalg import (
     AbelianGroupPresentation,
     IntMatrix,
+    Record,
     SparseMatrix,
     _OpLogSolver,
     chain_coordinates,
@@ -258,8 +258,7 @@ class SimplicialComplex:
         return cls(vertex_count, maximal)
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Record):
     """q-cochain with integer values indexed by the fixed q-simplex order.
 
     modulus 0 means integer coefficients; otherwise values are reduced to
@@ -280,9 +279,10 @@ class Cochain:
     degree: int
     modulus: int
     values: tuple[int, ...]
-    # delta of the values as integers, and the verdict of is_cocycle
-    _delta: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    _cocycle: bool | None = field(default=None, init=False, repr=False, compare=False)
+    # delta of the values as integers, and the verdict of is_cocycle: kept
+    # on the instance on first use; not annotated, so not fields
+    _delta = None
+    _cocycle = None
 
     def __post_init__(self):
         self._check()
@@ -305,7 +305,7 @@ class Cochain:
         """Cochain from a tuple of values already reduced to [0, modulus),
         or of any integers for modulus 0."""
         c = object.__new__(cls)
-        c.__dict__.update(complex=complex, degree=degree, modulus=modulus, values=values, _delta=None, _cocycle=None)
+        c.__dict__.update(complex=complex, degree=degree, modulus=modulus, values=values)
         c._check()
         return c
 
@@ -391,8 +391,7 @@ class Cochain:
         return verdict
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(Record):
     """A cochain together with its checked cocycle certificate."""
 
     cochain: Cochain

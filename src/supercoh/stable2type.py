@@ -33,12 +33,12 @@ module's group laws, which are insensitive to the remaining ambiguity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import inf
 
 from .exact_linalg import (
     AbelianGroupPresentation,
     IntMatrix,
+    Record,
     chain_coordinates,
     chain_generators,
     invariant_factor_chain,
@@ -77,8 +77,7 @@ def _canonical_element(g: AbelianGroupPresentation, coords) -> tuple[int, ...]:
     return tuple(c % d if d else c for c, d in zip(coords, _orders(g)))
 
 
-@dataclass(frozen=True)
-class Stable2TypeData:
+class Stable2TypeData(Record):
     """(pi0, pi1, q) with q given column-per-mod-2-generator of pi0."""
 
     pi0: AbelianGroupPresentation

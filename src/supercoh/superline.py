@@ -10,10 +10,8 @@ the sign (-1)^{n m}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import simplicial
-from .exact_linalg import AbelianGroupPresentation, direct_sum
+from .exact_linalg import AbelianGroupPresentation, Record, direct_sum
 from .simplicial import Cochain, CohomologyClass, SimplicialComplex
 from .stable2type import Stable2TypeData
 
@@ -23,8 +21,7 @@ COMPLEX = "complex"
 _LINE_CLASS_SHAPE = {REAL: (1, 2), COMPLEX: (2, 0)}  # flavor -> (degree, modulus)
 
 
-@dataclass(frozen=True)
-class SuperLine:
+class SuperLine(Record):
     """(line bundle, parity): parity is one Z/2 value per connected component."""
 
     flavor: str
