@@ -126,18 +126,25 @@ class SimplicialComplex:
             raise KeyError(simplex)
         return self._index[q][simplex]
 
+    def _columns(self, q: int) -> list:
+        """The vertex columns of the q-simplices: column t holds vertex t of
+        each, in their order; q + 1 empty columns when there are none."""
+        return list(zip(*self.simplices(q))) or [()] * (q + 1)
+
     def face_table(self, q: int) -> tuple:
         """(indices, gathers) for delta_q, q >= 0.  indices holds q + 2 vectors:
         entry i of vector k is the index of the k-th face of the i-th
-        (q+1)-simplex.  gathers[k] maps a q-cochain's values to their tuple
-        on those faces."""
+        (q+1)-simplex, looked up from the vertex columns of the
+        (q+1)-simplices with column k left out.  gathers[k] maps a
+        q-cochain's values to their tuple on those faces."""
         key = ("faces", q)
         table = self._face_tables.get(key)
         if table is None:
-            upper = self.simplices(q + 1)
-            index = self._index[q] if upper else {}  # q may be past the top degree
-            others = [tuple(p for p in range(q + 2) if p != k) for k in range(q + 2)]
-            indices = tuple(tuple(map(index.__getitem__, map(_gather(o), upper))) for o in others)
+            columns = self._columns(q + 1)
+            index = self._index[q] if columns[0] else {}  # q may be past the top degree
+            indices = tuple(
+                tuple(map(index.__getitem__, zip(*columns[:k], *columns[k + 1 :]))) for k in range(q + 2)
+            )
             table = self._face_tables[key] = (indices, tuple(map(_gather, indices)))
         return table
 
@@ -145,17 +152,18 @@ class SimplicialComplex:
         """(even, odd) gathers for the cup-i product of a p- and a q-cochain,
         one pair per cut sequence 0 <= j_0 < ... < j_i <= p + q - i whose
         even blocks hold p + 1 vertices and odd blocks q + 1: the values on
-        those faces of every (p+q-i)-simplex.  For i = 0 the one pair is the
-        front p-face and the back q-face of the cup product."""
+        those faces of every (p+q-i)-simplex, looked up from the vertex
+        columns of the block positions.  For i = 0 the one pair is the front
+        p-face and the back q-face of the cup product."""
         key = ("cup_i", i, p, q)
         table = self._face_tables.get(key)
         if table is None:
             m = p + q - i
-            top = self.simplices(m)
+            columns = self._columns(m)
 
             def gather(d, positions):
-                pick = _gather(tuple(positions))
-                return _gather(tuple(self._index[d][pick(s)] for s in top))
+                index = self._index[d] if columns[0] else {}  # d may be past the top degree
+                return _gather(tuple(map(index.__getitem__, zip(*map(columns.__getitem__, positions)))))
 
             table = []
             for cuts in combinations(range(m + 1), i + 1):
@@ -756,33 +764,32 @@ class TensorModel(_CochainModel):
 
     def _cross(self, q: int, p: int):
         """The gather that reads the cross product of a p-cochain on K and a
-        (q-p)-cochain on L off their table of products, indexed
-        a * (number of L-simplices) + b for a K-simplex a and an L-simplex b,
-        with a trailing 0 that the degenerate projections read.  The gathers
-        of every p are built at once, from one pass that projects the
-        q-simplices of X."""
+        (q-p)-cochain on L off their table of products: (kcount + 1) rows of
+        lcount + 1 entries, entry a * (lcount + 1) + b for the a-th K-simplex
+        and the b-th L-simplex, whose last row and last column hold 0.  A
+        degenerate projected face repeats a vertex, so no index holds it: it
+        reads as index kcount of the front or lcount of the back, and so
+        reads 0.  The gathers of every p are built at once, from the vertex
+        columns of the q-simplices of X projected to K and to L."""
         gathers = self._extensions.get(q)
         if gathers is None:
             kx, lx = self._k.complex, self._l.complex
-            width = repeat(lx.vertex_count)
-            simplices = self.complex.simplices(q)
-            ks = [tuple(map(floordiv, s, width)) for s in simplices]
-            ls = [tuple(map(mod, s, width)) for s in simplices]
+            width = lx.vertex_count
+            columns = self.complex._columns(q)
+            kcolumns = [tuple(map(floordiv, c, repeat(width))) for c in columns]
+            lcolumns = [tuple(map(mod, c, repeat(width))) for c in columns]
             gathers = self._extensions[q] = {}
             for d in range(max(0, q - lx.dim), min(q, kx.dim) + 1):
-                lcount = lx.simplex_count(q - d)
-                degenerate = kx.simplex_count(d) * lcount
-                # a degenerate face repeats a vertex, so no index holds it
-                fronts = map(kx._index[d].get, map(itemgetter(slice(d + 1)), ks))
-                backs = map(lx._index[q - d].get, map(itemgetter(slice(d, None)), ls))
-                gathers[d] = _gather(
-                    tuple(degenerate if a is None or b is None else a * lcount + b for a, b in zip(fronts, backs))
-                )
+                kcount, lcount = kx.simplex_count(d), lx.simplex_count(q - d)
+                fronts = map(kx._index[d].get, zip(*kcolumns[: d + 1]), repeat(kcount))
+                backs = map(lx._index[q - d].get, zip(*lcolumns[d:]), repeat(lcount))
+                gathers[d] = _gather(tuple(map(add, map(mul, fronts, repeat(lcount + 1)), backs)))
         return gathers[p]
 
     def extend(self, q: int, vec) -> tuple[int, ...]:
         """The values on X of e(m) for a vector m of the model in degree q:
-        sum over cells (p, i, j) of m_(p,i,j) e_K(i) x e_L(j)."""
+        sum over cells (p, i, j) of m_(p,i,j) e_K(i) x e_L(j), each block p
+        summed into the table of products in the layout _cross reads."""
         k, l = self._k, self._l
         values = [0] * self.complex.simplex_count(q)
         offsets = self._offsets[q]
@@ -791,8 +798,8 @@ class TensorModel(_CochainModel):
             if not any(block):
                 continue
             ksize, lsize = k.size(p), l.size(q - p)
-            lcount = l.complex.simplex_count(q - p)
-            products = [0] * (k.complex.simplex_count(p) * lcount + 1)
+            stride = l.complex.simplex_count(q - p) + 1
+            products = [0] * ((k.complex.simplex_count(p) + 1) * stride)
             for i in range(ksize):
                 row = block[i * lsize : (i + 1) * lsize]
                 if not any(row):
@@ -800,7 +807,7 @@ class TensorModel(_CochainModel):
                 lvalues = l.extend(q - p, row)
                 for a, kv in enumerate(k.extend(p, [int(t == i) for t in range(ksize)])):
                     if kv:
-                        cut = slice(a * lcount, (a + 1) * lcount)
+                        cut = slice(a * stride, (a + 1) * stride - 1)
                         products[cut] = map(add, products[cut], map(mul, repeat(kv), lvalues))
             values = list(map(add, values, self._cross(q, p)(products)))
         return tuple(values)
@@ -996,16 +1003,23 @@ class SimplicialMap:
             reduced = tuple(sorted(set(image)))
             if not target.contains(reduced):
                 raise ValueError(f"image of simplex {s} is not a simplex of the target")
+        # degree -> the gather of pullback; holds closures, so no pickle keeps it
+        self._pullbacks: dict = {}
+
+    def __reduce__(self):
+        return type(self), (self.source, self.target, self.vertex_map)
 
     def pullback(self, cochain: Cochain) -> Cochain:
+        """f* of a cochain on the target by one gather per degree: the image of
+        each source q-simplex, mapped column-wise, is looked up in the target's
+        index, and an image that repeats a vertex reads the 0 appended."""
         if cochain.complex != self.target:
             raise ValueError("cochain does not live on the target complex")
         q = cochain.degree
-        out = []
-        for s in self.source.simplices(q):
-            image = tuple(self.vertex_map[v] for v in s)
-            if any(a >= b for a, b in zip(image, image[1:])):
-                out.append(0)
-            else:
-                out.append(cochain.value_on(image))
-        return Cochain(self.source, q, cochain.modulus, tuple(out))
+        gather = self._pullbacks.get(q)
+        if gather is None:
+            count = self.target.simplex_count(q)
+            index = self.target._index[q] if count else {}
+            images = (map(self.vertex_map.__getitem__, c) for c in self.source._columns(q))
+            gather = self._pullbacks[q] = _gather(tuple(map(index.get, zip(*images), repeat(count))))
+        return Cochain._reduced(self.source, q, cochain.modulus, gather(cochain.values + (0,)))

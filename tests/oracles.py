@@ -3,7 +3,9 @@ oracles: the dense Smith normal form with unimodular transforms and the
 cokernel and dense cohomology paths built on it, the cohomology records
 built on X's own coboundaries instead of its Morse complex, the scan-based
 pivot search of the op-log factorization, the per-simplex loops of the
-cochain coboundary, cup and cup-i products, the scanning F2 echelons, class
+cochain coboundary, cup and cup-i products, the per-simplex builders of
+the face, cup-i, cross-product and pullback index tables, the scanning F2
+echelons, class
 coordinates by a solve against [delta | basis], is_cohomologous by a solve
 against delta, the Brauer group presentation and element orders by repeated
 twisted addition, random Brauer elements drawn by rng.choices, the DSV
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import mul
+from operator import floordiv, itemgetter, mod, mul
 from random import Random
 
 from supercoh.exact_linalg import (
@@ -37,6 +39,8 @@ from supercoh.simplicial import (
     Cochain,
     CohomologyClass,
     SimplicialComplex,
+    SimplicialMap,
+    TensorModel,
     _coboundary,
     _cohomology_record,
     coboundary_matrix,
@@ -404,6 +408,69 @@ def cup_i_loop(i: int, a: Cochain, b: Cochain) -> Cochain:
             acc += a.value_on(even) * b.value_on(odd)
         out.append(acc & 1)
     return Cochain(x, m, 2, tuple(out))
+
+
+def face_table_loop(x: SimplicialComplex, q: int) -> tuple:
+    """The index vectors of SimplicialComplex.face_table, one itemgetter call
+    per (q+1)-simplex and face."""
+    upper = x.simplices(q + 1)
+    index = x._index[q] if upper else {}
+    others = [tuple(p for p in range(q + 2) if p != k) for k in range(q + 2)]
+    return tuple(tuple(map(index.__getitem__, map(simplicial._gather(o), upper))) for o in others)
+
+
+def cup_i_table_loop(x: SimplicialComplex, i: int, p: int, q: int) -> tuple:
+    """SimplicialComplex.cup_i_table with one face lookup per simplex, as
+    (even, odd) index vectors."""
+    m = p + q - i
+    top = x.simplices(m)
+
+    def indices(d, positions):
+        pick = simplicial._gather(tuple(positions))
+        return tuple(x._index[d][pick(s)] for s in top)
+
+    table = []
+    for cuts in combinations(range(m + 1), i + 1):
+        ends = (0, *cuts, m)
+        blocks = [range(ends[k], ends[k + 1] + 1) for k in range(i + 2)]
+        even = [v for block in blocks[0::2] for v in block]
+        odd = [v for block in blocks[1::2] for v in block]
+        if len(even) == p + 1 and len(odd) == q + 1:
+            table.append((indices(p, even), indices(q, odd)))
+    return tuple(table)
+
+
+def cross_loop(model: TensorModel, q: int) -> dict:
+    """The index vectors of TensorModel._cross in degree q, keyed by p, in the
+    flat layout a * lcount + b with one trailing 0 at kcount * lcount that
+    every degenerate projected face reads, one None test per simplex."""
+    kx, lx = model._k.complex, model._l.complex
+    width = itertools.repeat(lx.vertex_count)
+    simplices = model.complex.simplices(q)
+    ks = [tuple(map(floordiv, s, width)) for s in simplices]
+    ls = [tuple(map(mod, s, width)) for s in simplices]
+    out = {}
+    for d in range(max(0, q - lx.dim), min(q, kx.dim) + 1):
+        lcount = lx.simplex_count(q - d)
+        degenerate = kx.simplex_count(d) * lcount
+        fronts = map(kx._index[d].get, map(itemgetter(slice(d + 1)), ks))
+        backs = map(lx._index[q - d].get, map(itemgetter(slice(d, None)), ls))
+        out[d] = tuple(degenerate if a is None or b is None else a * lcount + b for a, b in zip(fronts, backs))
+    return out
+
+
+def pullback_loop(f: SimplicialMap, cochain: Cochain) -> Cochain:
+    """SimplicialMap.pullback as a loop over the source simplices, with a
+    value_on lookup of every image that repeats no vertex."""
+    q = cochain.degree
+    out = []
+    for s in f.source.simplices(q):
+        image = tuple(f.vertex_map[v] for v in s)
+        if any(a >= b for a, b in zip(image, image[1:])):
+            out.append(0)
+        else:
+            out.append(cochain.value_on(image))
+    return Cochain(f.source, q, cochain.modulus, tuple(out))
 
 
 class Unreduced:

@@ -1,7 +1,9 @@
 """The one-pass cochain kernels: what they build is what the public
 constructor builds, mod-2 cocycle verdicts by face parity agree with the
-exact delta, Brauer addition checks each new cochain once, and random
-Brauer elements are the ones rng.choices drew."""
+exact delta, Brauer addition checks each new cochain once, random Brauer
+elements are the ones rng.choices drew, and the face, cup-i, cross-product
+and pullback index tables built from vertex columns are the ones built one
+simplex at a time."""
 
 import pickle
 import random
@@ -10,12 +12,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import coboundary_loop
+from oracles import coboundary_loop, cross_loop, cup_i_table_loop, face_table_loop, pullback_loop
 from oracles import random_element as random_element_choices
 
 from supercoh import brauer, corpus
 from supercoh.operations import bockstein, cup
-from supercoh.simplicial import Cochain, CohomologyClass, SimplicialComplex
+from supercoh.simplicial import Cochain, CohomologyClass, SimplicialComplex, SimplicialMap
 
 MODULI = (0, 2, 3, 4, 8)
 
@@ -127,3 +129,66 @@ def test_draws_equal_choices(m):
         rng, old = random.Random(f"{m} {k}"), random.Random(f"{m} {k}")
         assert list(brauer._draws(rng, m, k)) == old.choices(range(m), k=k)
         assert rng.getstate() == old.getstate()
+
+
+def _with_maps(x, *maps):
+    """x, its identity, its map to a point, and the given maps from x."""
+    point = corpus.complex_by_name("point")
+    n = x.vertex_count
+    return x, (SimplicialMap(x, x, range(n)), SimplicialMap(x, point, [0] * n), *maps)
+
+
+def _product(k, l):
+    x, p1, p2 = corpus.product(k, l)
+    return _with_maps(x, p1, p2)
+
+
+TABLE_COMPLEXES = {
+    **{name: lambda name=name: _with_maps(corpus.complex_by_name(name)) for name in corpus.CORPUS_NAMES},
+    "rp2xs1": lambda: _product(corpus.complex_by_name("rp2"), corpus.complex_by_name("s1")),
+    "kleinxs1": lambda: _product(corpus.complex_by_name("klein"), corpus.complex_by_name("s1")),
+    "(s1xs1)xs1": lambda: _product(corpus.complex_by_name("s1xs1"), corpus.complex_by_name("s1")),
+    "empty": lambda: _with_maps(SimplicialComplex(0, [])),
+    # vertex 3 of the first factor is isolated and spans a copy of rp2
+    "isolated": lambda: _product(SimplicialComplex(4, [(0, 1), (1, 2), (0, 2)]), corpus.complex_by_name("rp2")),
+}
+
+
+def _indices(gather, count):
+    """The indices a gather reads, from values that are their own index."""
+    return gather(tuple(range(count)))
+
+
+@pytest.mark.parametrize("name", TABLE_COMPLEXES)
+def test_index_tables_equal_the_per_simplex_builders(name):
+    x, maps = TABLE_COMPLEXES[name]()
+    top = x.dim + 1
+    for q in range(top + 1):
+        assert x.face_table(q)[0] == face_table_loop(x, q), q
+    for i in range(3):
+        for p in range(top + i + 1):
+            for q in range(top + i - p + 1):
+                got = tuple(
+                    (_indices(even, x.simplex_count(p)), _indices(odd, x.simplex_count(q)))
+                    for even, odd in x.cup_i_table(i, p, q)
+                )
+                assert got == cup_i_table_loop(x, i, p, q), (i, p, q)
+    if x._factors:
+        model = x.morse_complex()
+        kx, lx = model._k.complex, model._l.complex
+        for q in range(x.dim + 1):
+            for p, old in cross_loop(model, q).items():
+                # entry a * lcount + b + 1 of the product table, 0 where a face is degenerate
+                kcount, lcount = kx.simplex_count(p), lx.simplex_count(q - p)
+                flat = (*range(1, kcount * lcount + 1), 0)
+                table = [
+                    a * lcount + b + 1 if a < kcount and b < lcount else 0
+                    for a in range(kcount + 1)
+                    for b in range(lcount + 1)
+                ]
+                assert model._cross(q, p)(table) == tuple(flat[j] for j in old), (q, p)
+    for f in maps:
+        for q in range(f.target.dim + 2):
+            c = Cochain(f.target, q, 0, tuple(range(1, f.target.simplex_count(q) + 1)))
+            assert f.pullback(c) == pullback_loop(f, c), (f.vertex_map, q)
+            assert pickle.loads(pickle.dumps(f)).pullback(c) == f.pullback(c)

@@ -6,6 +6,7 @@ X itself.  On a product, the tensor model gives the groups of X's own
 Morse complex and of the Kunneth formula, and the group verbs never touch
 X."""
 
+import hashlib
 import json
 import pickle
 import random
@@ -34,6 +35,12 @@ from supercoh.simplicial import (
 NAMES = corpus.CORPUS_NAMES + ("rp2xs1", "kleinxs1")
 # every product below computes on its TensorModel; rp2xrp2xs1 nests one
 PRODUCTS = ("s1xs1", "rp2xrp2", "rp2xs1", "kleinxs1", "t2xs1", "s2xs1", "rp2xrp2xs1")
+
+
+# SHA-256 of the generator values of every cohomology(x, q, n) below, as
+# test_representatives_are_pinned takes it.  A change that alters the
+# representatives on purpose updates it and says so.
+REPRESENTATIVES_SHA256 = "32bef3e6bb31e4aa74cb908fd1e9596c799b973335062188a57297e54363ee5a"
 
 
 def _complex(name):
@@ -119,6 +126,19 @@ def test_reduced_records_match_the_unreduced_path(name):
                 unit = [int(i == k) for i in range(len(u_basis))]
                 back = _combination(x, q, n, class_coordinates(cls.cochain), basis)
                 assert u_coordinates(back) == unit, (q, n, k)
+
+
+def test_representatives_are_pinned():
+    """The representatives of H^q(X; Z/n) on NAMES, q <= dim and
+    n in {0, 2, 3, 4}, are the ones the digest was taken of."""
+    digest = hashlib.sha256()
+    for name in NAMES:
+        x = _complex(name)
+        for q in range(x.dim + 1):
+            for n in (0, 2, 3, 4):
+                values = [c.cochain.values for c in cohomology(x, q, n)[1]]
+                digest.update(json.dumps([name, q, n, values]).encode())
+    assert digest.hexdigest() == REPRESENTATIVES_SHA256
 
 
 def test_rp2xrp2xs1():
