@@ -133,10 +133,6 @@ def equals(x: BrauerElement, y: BrauerElement) -> bool:
     )
 
 
-def is_identity(x: BrauerElement) -> bool:
-    return equals(x, identity_element(x.base, x.variant))
-
-
 def element_order(x: BrauerElement):
     """Order of x, or "infinite", read off class coordinates.
 

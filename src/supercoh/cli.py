@@ -36,19 +36,21 @@ def _load_complex(source: str) -> SimplicialComplex:
             return corpus.complex_by_name(source)
         except KeyError as e:
             raise ParseError(str(e)) from e
+    data = _load_json(source)
     try:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
         return SimplicialComplex.from_json_dict(data)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"cannot read complex from {source}: {e}") from e
 
 
 def _load_json(path: str) -> dict:
+    """The JSON value in a file.  ValueError covers every file that cannot
+    be decoded: bad UTF-8, bad JSON, and an integer literal longer than
+    sys.get_int_max_str_digits()."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise ParseError(f"cannot read JSON from {path}: {e}") from e
 
 
@@ -163,12 +165,19 @@ def cmd_brauer(args):
     return 0
 
 
-def _parse_field(tag: str) -> dsv.Field:
+# the field tags DSV.to_json_dict writes: Q, or F and a prime in ASCII digits
+_FP = re.compile(r"F([0-9]+)")
+
+
+def _parse_field(tag) -> dsv.Field:
+    """The field of a "field" tag, read as strictly as the entries: int()
+    would read "F 5" and "F٥" as F5, and F0 is Q's characteristic."""
     if tag == "Q":
         return dsv.QQ
-    if tag.startswith("F"):
-        return dsv.Field(int(tag[1:]))
-    raise ParseError(f"unknown field {tag!r} (use Q or Fp)")
+    match = _FP.fullmatch(tag) if isinstance(tag, str) else None
+    if match is None or int(match[1]) < 2:
+        raise ParseError(f"unknown field {tag!r} (use Q or F and a prime)")
+    return dsv.Field(int(match[1]))
 
 
 # the forms DSV.to_json_dict writes an entry in: n over F_p, n or n/m over Q

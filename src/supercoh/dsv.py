@@ -34,44 +34,23 @@ JSON_MAX_Q_ENTRY = 64
 
 
 class Field(Record):
-    """Exact field tag: characteristic 0 (Q) or a prime p."""
+    """Exact field tag: characteristic 0 (Q) or a prime p.  The arithmetic
+    is in the matrix kernels below and in exact_linalg, which read p."""
 
     char: int
 
     def __post_init__(self):
-        if self.char == 0:
-            return
-        if not is_prime(self.char):
+        if self.char and not is_prime(self.char):
             raise ValueError("field characteristic must be 0 or a prime")
 
     def of(self, x):
         return Fraction(x) if self.char == 0 else x % self.char
-
-    def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
-
-    def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
-
-    def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
-
-    def inv(self, a):
-        if self.char == 0:
-            return Fraction(1) / a
-        return pow(a, -1, self.char)
-
-    def neg(self, a):
-        return -a if self.char == 0 else (-a) % self.char
 
     def zero(self):
         return Fraction(0) if self.char == 0 else 0
 
     def one(self):
         return Fraction(1) if self.char == 0 else 1
-
-    def is_zero(self, a):
-        return a == 0
 
     def __str__(self):
         return "Q" if self.char == 0 else f"F{self.char}"
@@ -203,18 +182,6 @@ def invert(f: Field, a):
     if len(pivots) < n:
         return None
     return tuple(tuple(row[n:]) for row in rows)
-
-
-def solve(f: Field, a, b, ncols: int | None = None):
-    """One solution x of a*x = b over the field, or None (free vars 0)."""
-    nc = _shape(a)[1] if ncols is None else ncols
-    rows, pivots = rref([list(ra) + [bv] for ra, bv in zip(a, b)], nc, f.char)
-    if any(row[nc] for row in rows[len(pivots) :]):
-        return None
-    x = [f.zero()] * nc
-    for row, c in zip(rows, pivots):
-        x[c] = row[nc]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +357,6 @@ def is_invertible(v: DSV) -> bool:
 
 
 unit_virtual_dim = euler_char
-
-
-def sum_mul(f: Field, row, vec):
-    acc = f.zero()
-    for a, b in zip(row, vec):
-        acc = f.add(acc, f.mul(a, b))
-    return acc
 
 
 def _cone(fmap: DSVMap):

@@ -23,7 +23,6 @@ from .exact_linalg import (
     IntMatrix,
     Record,
     SparseMatrix,
-    _OpLogSolver,
     chain_coordinates,
     chain_generators,
     invariant_factor_chain,
@@ -216,12 +215,6 @@ class SimplicialComplex:
                 groups.setdefault(find(v), []).append(v)
             self._components = tuple(tuple(groups[r]) for r in sorted(groups))
         return self._components
-
-    def component_of(self, vertex: int) -> int:
-        for i, comp in enumerate(self.components()):
-            if vertex in comp:
-                return i
-        raise KeyError(vertex)
 
     def __eq__(self, other):
         return self is other or (
@@ -438,14 +431,11 @@ def _coboundary(x: SimplicialComplex, q: int) -> SparseMatrix:
     return m
 
 
-def coboundary_matrix(x: SimplicialComplex, q: int, n: int = 0) -> IntMatrix:
-    """Matrix of delta_q: C^q -> C^{q+1}; entries reduced to [0, n) when n > 0."""
+def coboundary_matrix(x: SimplicialComplex, q: int) -> IntMatrix:
+    """Dense integral matrix of delta_q: C^q -> C^{q+1}."""
     if q < 0 or q > x.dim:
         raise ValueError(f"degree {q} out of range for complex of dimension {x.dim}")
-    m = _coboundary(x, q).to_dense()
-    if n:
-        return IntMatrix(m.rows, m.cols, tuple(v % n for v in m.entries))
-    return m
+    return _coboundary(x, q).to_dense()
 
 
 class _CochainModel:
@@ -847,7 +837,7 @@ def _cohomology_record(c, q: int, n: int):
     coord_rows = ksolver.free_coordinate_rows(relations)
     if coord_rows is None:
         raise ArithmeticError("vector not in kernel lattice")
-    wsolver = _OpLogSolver(SparseMatrix(k, len(relations), coord_rows))
+    wsolver = SparseMatrix(k, len(relations), coord_rows).solver()
     # a part of order power of the pivot row of order d_row is d_row // power
     # times its U^-1 column
     chain = invariant_factor_chain([(abs(d), row) for row, _, d in wsolver.pivots])

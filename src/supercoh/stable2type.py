@@ -37,7 +37,6 @@ from math import inf
 
 from .exact_linalg import (
     AbelianGroupPresentation,
-    IntMatrix,
     Record,
     chain_coordinates,
     chain_generators,
@@ -45,12 +44,6 @@ from .exact_linalg import (
 )
 
 DEFAULT_ENUM_CAP = 4096
-
-
-def tensor_mod2(g: AbelianGroupPresentation) -> AbelianGroupPresentation:
-    """G (x) Z/2: one Z/2 for each free generator and each even factor."""
-    k = g.free_rank + sum(1 for d in g.invariant_factors if d % 2 == 0)
-    return AbelianGroupPresentation(0, (2,) * k) if k else AbelianGroupPresentation.trivial()
 
 
 def _mod2_generator_indices(g: AbelianGroupPresentation) -> list[int]:
@@ -257,23 +250,19 @@ def catalog() -> dict[str, Stable2TypeData]:
     }
 
 
-def unit_map_matrix(name: str) -> IntMatrix:
-    """Generator matrix of the unit-induced surjection pi0(sphere) -> pi0."""
-    if name == "ku":
-        return IntMatrix.from_rows([[1]])  # Z -> Z/2
-    if name == "ko":
-        return IntMatrix.from_rows([[1]])  # Z -> Z/8
-    raise KeyError(name)
+def unit_map_matrix(name: str) -> list[list[int]]:
+    """Generator matrix, as rows, of the unit-induced surjection
+    pi0(sphere) = Z -> pi0: Z -> Z/2 for ku, Z -> Z/8 for ko."""
+    if name not in ("ku", "ko"):
+        raise KeyError(name)
+    return [[1]]
 
 
-def mod2_induced_map(hom: IntMatrix, src: AbelianGroupPresentation, dst: AbelianGroupPresentation):
-    """Matrix of hom (x) Z/2 on the surviving mod-2 generators."""
+def mod2_induced_map(hom, src: AbelianGroupPresentation, dst: AbelianGroupPresentation):
+    """Matrix of hom (x) Z/2 on the surviving mod-2 generators; hom is
+    given as rows."""
     src_idx = _mod2_generator_indices(src)
-    dst_idx = _mod2_generator_indices(dst)
-    out = []
-    for r in dst_idx:
-        out.append([hom.at(r, c) % 2 for c in src_idx])
-    return out
+    return [[hom[r][c] % 2 for c in src_idx] for r in _mod2_generator_indices(dst)]
 
 
 def compose_q_with_mod2(data: Stable2TypeData, induced) -> tuple:

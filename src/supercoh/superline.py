@@ -53,23 +53,6 @@ class SuperLine(Record):
             CohomologyClass(Cochain.zero(base, deg, mod)),
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "flavor": self.flavor,
-            "base": self.base.to_json_dict(),
-            "parity": list(self.parity),
-            "line_class": list(self.line_class.cochain.values),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict, base: SimplicialComplex | None = None) -> "SuperLine":
-        if base is None:
-            base = SimplicialComplex.from_json_dict(data["base"])
-        flavor = data["flavor"]
-        deg, mod = _LINE_CLASS_SHAPE[flavor]
-        cochain = Cochain(base, deg, mod, tuple(data["line_class"]))
-        return cls(flavor, base, tuple(data["parity"]), CohomologyClass(cochain))
-
 
 def _require_compatible(l: SuperLine, m: SuperLine):
     if l.flavor != m.flavor or l.base != m.base:

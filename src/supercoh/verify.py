@@ -311,10 +311,8 @@ def _random_dsv_map(f, v, w, rng):
     n_f0 = w.dim0 * v.dim0
     total = n_f0 + w.dim1 * v.dim1
     basis = dsv.kernel_basis(f, dsv.chain_map_system(v, w), total)
-    vec = [f.zero()] * total
-    for bvec in basis:
-        c = f.of(rng.randint(0, 4))
-        vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, bvec)]
+    coeffs = [f.of(rng.randint(0, 4)) for _ in basis]
+    vec = dsv._product(f, (coeffs,), basis, 1, total)[0]
     f0 = tuple(tuple(vec[i * v.dim0 : (i + 1) * v.dim0]) for i in range(w.dim0))
     f1 = tuple(tuple(vec[n_f0 + i * v.dim1 : n_f0 + (i + 1) * v.dim1]) for i in range(w.dim1))
     return dsv.DSVMap(v, w, f0, f1)
@@ -469,22 +467,14 @@ def _random_bounded_complex(f, rng):
     prev = None
     for i in range(length - 1):
         rows, cols = dims[i], dims[i + 1]
-        m = [[f.zero()] * cols for _ in range(rows)]
         if prev is None:
-            for r in range(rows):
-                for c in range(cols):
-                    m[r][c] = f.of(rng.randint(-2, 2))
+            m = tuple(tuple(f.of(rng.randint(-2, 2)) for _ in range(cols)) for _ in range(rows))
         else:
-            # choose columns in the kernel of the previous boundary
+            # columns in the kernel of the previous boundary: column c is
+            # sum_k coeffs[c][k] basis[k]
             basis = dsv.kernel_basis(f, prev, rows)
-            for c in range(cols):
-                vec = [f.zero()] * rows
-                for bvec in basis:
-                    k = f.of(rng.randint(-2, 2))
-                    vec = [f.add(xx, f.mul(k, yy)) for xx, yy in zip(vec, bvec)]
-                for r in range(rows):
-                    m[r][c] = vec[r]
-        m = tuple(tuple(row) for row in m)
+            coeffs = [[f.of(rng.randint(-2, 2)) for _ in basis] for _ in range(cols)]
+            m = dsv._transpose(dsv._product(f, coeffs, basis, cols, rows), rows)
         boundaries.append(m)
         prev = m
     return dsv.BoundedChainComplex(f, lowest, tuple(dims), tuple(boundaries))

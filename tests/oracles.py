@@ -34,7 +34,7 @@ from supercoh.exact_linalg import (
 )
 from supercoh import brauer, dsv, simplicial
 from supercoh.brauer import KU, BrauerElement, _twist, variant_layout
-from supercoh.dsv import DSV, DSVMap, Field, _shape, _transpose, homology, identity, kernel_basis, rank, solve, sum_mul, tensor, zeros
+from supercoh.dsv import DSV, DSVMap, Field, _shape, _transpose, homology, identity, kernel_basis, rank, tensor, zeros
 from supercoh.simplicial import (
     Cochain,
     CohomologyClass,
@@ -63,7 +63,7 @@ def element_order_loop(x: brauer.BrauerElement, cap: int = 64):
             return "infinite"
     acc = x
     for k in range(1, cap + 1):
-        if brauer.is_identity(acc):
+        if brauer.equals(acc, brauer.identity_element(acc.base, acc.variant)):
             return k
         acc = brauer.add(acc, x)
     return None
@@ -839,7 +839,32 @@ def is_cohomologous_solve(a: Cochain, b: Cochain) -> bool:
 
 # ---------------------------------------------------------------------------
 # DSV quasi-isomorphisms, homotopy inverses and braidings, as written before
-# the mapping-cone test and the Kronecker-built homotopy system
+# the mapping-cone test and the Kronecker-built homotopy system, with their
+# own field arithmetic: an entry is a Fraction over Q and an int in [0, p)
+# over F_p
+
+
+def in_field(f: Field, x):
+    """x as an entry of the field f: reduced mod p over F_p."""
+    return x % f.char if f.char else x
+
+
+def apply(f: Field, m, vec):
+    """m @ vec for a matrix m given as rows."""
+    return [in_field(f, sum(map(mul, row, vec), f.zero())) for row in m]
+
+
+def solve(f: Field, a, b, ncols: int | None = None):
+    """One solution x of a x = b, its free variables 0, or None; read off
+    rref_dense of [a | b]."""
+    nc = _shape(a)[1] if ncols is None else ncols
+    rows, pivots = rref_dense([[*ra, bv] for ra, bv in zip(a, b)], nc, f.char)
+    if any(row[nc] for row in rows[len(pivots) :]):
+        return None
+    x = [f.zero()] * nc
+    for row, c in zip(rows, pivots):
+        x[c] = row[nc]
+    return x
 
 
 def _quotient_map_iso(f, fmat, ker_src, im_tgt, h_src, h_tgt) -> bool:
@@ -856,8 +881,7 @@ def _quotient_map_iso(f, fmat, ker_src, im_tgt, h_src, h_tgt) -> bool:
     cols = [list(col) for col in im_tgt]
     base_rank = _col_rank(f, cols)
     for vec in ker_src:
-        img = [sum_mul(f, row, vec) for row in fmat]
-        cols.append(img)
+        cols.append(apply(f, fmat, vec))
     return _col_rank(f, cols) - base_rank == h_src
 
 
@@ -944,29 +968,29 @@ def homotopy_inverse(fmap: DSVMap):
 
     def term_left(mat_, name, sign=1):
         # contributes sign * (mat_ @ X_name)[i][j] => coef on X[name][s][j]
-        s_coef = f.one() if sign > 0 else f.neg(f.one())
+        s_coef = f.of(sign)
 
         def fn(row, i, j):
             r, c = shape_by_name[name]
             for s in range(r):
                 coef = mat_[i][s]
-                if not f.is_zero(coef):
+                if coef:
                     idx = var(name, s, j)
-                    row[idx] = f.add(row[idx], f.mul(s_coef, coef))
+                    row[idx] = in_field(f, row[idx] + s_coef * coef)
 
         return fn
 
     def term_right(name, mat_, sign=1):
         # contributes sign * (X_name @ mat_)[i][j] => coef on X[name][i][t]
-        s_coef = f.one() if sign > 0 else f.neg(f.one())
+        s_coef = f.of(sign)
 
         def fn(row, i, j):
             r, c = shape_by_name[name]
             for t in range(c):
                 coef = mat_[t][j]
-                if not f.is_zero(coef):
+                if coef:
                     idx = var(name, i, t)
-                    row[idx] = f.add(row[idx], f.mul(s_coef, coef))
+                    row[idx] = in_field(f, row[idx] + s_coef * coef)
 
         return fn
 
@@ -1026,7 +1050,7 @@ def swap_map(v: DSV, w: DSV) -> DSVMap:
     def transposition(rows_a, cols_b, sign):
         # matrix of a (x) b -> b (x) a on basis e_i (x) e_j -> e_j (x) e_i
         m = [[f.zero()] * (rows_a * cols_b) for _ in range(rows_a * cols_b)]
-        s = f.one() if sign > 0 else f.neg(f.one())
+        s = f.of(sign)
         for i in range(rows_a):
             for j in range(cols_b):
                 m[j * rows_a + i][i * cols_b + j] = s
@@ -1075,17 +1099,17 @@ def _random_dsv_map(f, v, w, rng):
         for j in range(v.dim0):
             row = [f.zero()] * total
             for s in range(w.dim0):
-                row[var_f0(s, j)] = f.add(row[var_f0(s, j)], w.d0[i][s])
+                row[var_f0(s, j)] = in_field(f, row[var_f0(s, j)] + w.d0[i][s])
             for t in range(v.dim1):
-                row[var_f1(i, t)] = f.sub(row[var_f1(i, t)], v.d0[t][j])
+                row[var_f1(i, t)] = in_field(f, row[var_f1(i, t)] - v.d0[t][j])
             rows.append(row)
     for i in range(w.dim0):
         for j in range(v.dim1):
             row = [f.zero()] * total
             for s in range(w.dim1):
-                row[var_f1(s, j)] = f.add(row[var_f1(s, j)], w.d1[i][s])
+                row[var_f1(s, j)] = in_field(f, row[var_f1(s, j)] + w.d1[i][s])
             for t in range(v.dim0):
-                row[var_f0(i, t)] = f.sub(row[var_f0(i, t)], v.d1[t][j])
+                row[var_f0(i, t)] = in_field(f, row[var_f0(i, t)] - v.d1[t][j])
             rows.append(row)
     if rows:
         basis = dsv.kernel_basis(f, tuple(tuple(r) for r in rows), total)
@@ -1097,7 +1121,7 @@ def _random_dsv_map(f, v, w, rng):
     vec = [f.zero()] * total
     for bvec in basis:
         c = f.of(rng.randint(0, 4))
-        vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, bvec)]
+        vec = [in_field(f, x + c * y) for x, y in zip(vec, bvec)]
     f0 = tuple(
         tuple(vec[var_f0(i, j)] for j in range(v.dim0)) for i in range(w.dim0)
     )
@@ -1128,7 +1152,7 @@ def product_dense(f: Field, a, b, rows: int, cols: int):
 
 def neg_dense(f: Field, a):
     """-a, every entry multiplied by -1 and reduced."""
-    c = f.neg(f.one())
+    c = f.of(-1)
     if f.char:
         p = f.char
         return tuple(tuple(c * x % p for x in row) for row in a)

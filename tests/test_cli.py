@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -10,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import supercoh
-from supercoh import brauer, corpus, operations, simplicial
+from supercoh import brauer, corpus, dsv, operations, simplicial, stable2type
 from supercoh.cli import main
 from supercoh.dsv import JSON_MAX_DIM, JSON_MAX_Q_ENTRY
 from supercoh.simplicial import Cochain, is_cohomologous
+from supercoh.verify import _random_dsv
 
 
 def _dense_q_dsv(rng, h: int, dim: int) -> dict:
@@ -450,6 +452,73 @@ class TestCapVariable:
         assert "SUPERCOH_CAP='x' is not an integer" in err
 
 
+# the runs that read a file: the complex, an element and a DSV
+_FILE_ARGVS = {
+    "complex": ("cohomology", "--deg", "0", "--complex"),
+    "element": ("order", "--complex", "@rp2", "--variant", "ko", "--element"),
+    "dsv": ("dsv", "--input"),
+}
+
+
+class TestUndecodableFiles:
+    """Every file the CLI cannot decode is a parse error, exit 2, whichever
+    option names it."""
+
+    @pytest.mark.parametrize("option", _FILE_ARGVS)
+    def test_non_utf8_byte(self, capsys, tmp_path, option):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"field": "Q\xff"}')
+        code, out, err = run(capsys, *_FILE_ARGVS[option], str(p))
+        assert code == 2 and not out
+        assert err.startswith("error: cannot read JSON") and "Traceback" not in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int digits")
+    @pytest.mark.parametrize("option", _FILE_ARGVS)
+    def test_integer_literal_over_the_digit_limit(self, capsys, tmp_path, option):
+        if sys.get_int_max_str_digits() == 0:
+            pytest.skip("the int digit limit is switched off")
+        digits = "7" * (sys.get_int_max_str_digits() + 1)
+        text = {
+            "complex": f'{{"vertex_count": {digits}, "maximal_simplices": [[0]]}}',
+            "element": f'{{"a": [{digits}], "b": [], "c": []}}',
+            "dsv": f'{{"field": "F5", "dim0": 1, "dim1": 0, "d0": [], "d1": [[{digits}]]}}',
+        }[option]
+        p = tmp_path / "long.json"
+        p.write_text(text)
+        code, out, err = run(capsys, *_FILE_ARGVS[option], str(p))
+        assert code == 2 and not out
+        assert err.startswith("error: cannot read JSON") and "Traceback" not in err
+
+
+class TestFieldTag:
+    """The "field" tag of a DSV file is Q, or F and a prime p >= 2 in ASCII
+    digits; anything else is a parse error."""
+
+    @pytest.mark.parametrize("tag", ["F0", "F1", "F 5", "F٥", "F5 ", "f5", "F", "FQ", "q", 5, None, ["F5"]], ids=repr)
+    def test_other_tags_are_parse_errors(self, capsys, tmp_path, tag):
+        # the entry 1/2 is no F_p entry: F0 was read as Q, and exited 0
+        p = tmp_path / "v.json"
+        p.write_text(json.dumps({"field": tag, "dim0": 1, "dim1": 1, "d0": [["1/2"]], "d1": [["0"]]}))
+        code, out, err = run(capsys, "dsv", "--input", str(p))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "field" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tag", ["F4", "F1000000007000000009"])
+    def test_composite_characteristic_is_a_parse_error(self, capsys, tmp_path, tag):
+        p = tmp_path / "v.json"
+        p.write_text(json.dumps({"field": tag, "dim0": 1, "dim1": 1, "d0": [["1"]], "d1": [["0"]]}))
+        code, out, err = run(capsys, "dsv", "--input", str(p))
+        assert code == 2 and not out
+        assert "prime" in err
+
+    @pytest.mark.parametrize("tag", ["Q", "F2", "F1000000007"])
+    def test_written_tags(self, capsys, tmp_path, tag):
+        p = tmp_path / "v.json"
+        p.write_text(json.dumps({"field": tag, "dim0": 1, "dim1": 1, "d0": [["1"]], "d1": [["0"]]}))
+        code, out, _ = run(capsys, "dsv", "--input", str(p))
+        assert code == 0 and "dims (1|1)  homology (0|0)" in out
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         _, out1, _ = run(capsys, "brauer", "--complex", "@klein", "--variant", "ko", "--op", "group", "--json")
@@ -482,3 +551,49 @@ class TestVerifyVerb:
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
+
+
+# SHA-256 of (argv, exit code, stdout) of every run of _pinned_runs, as
+# test_successful_output_is_pinned takes it.  A change that alters the CLI's
+# output on purpose updates it and says so.
+CLI_OUTPUT_SHA256 = "c1f65413c3380cda403dfc4e0ef50add9fe0168f88b405da79d647384616f503"
+
+
+def _pinned_runs():
+    """The argv lists of test_successful_output_is_pinned; the DSV runs read
+    the files that test writes into the working directory."""
+    for name in corpus.CORPUS_NAMES:
+        x = "@" + name
+        dim = corpus.complex_by_name(name).dim
+        for q in range(dim + 2):
+            for n in (0, 2, 3, 4):
+                yield ["cohomology", "--complex", x, "--deg", str(q), "--mod", str(n), "--json"]
+        yield ["operations", "--complex", x, "--json"]
+        for verb in ("group", "twist"):
+            for variant in ("ku", "ko"):
+                yield [verb, "--complex", x, "--variant", variant]
+        for flavor in ("real", "complex"):
+            yield ["superline", "--complex", x, "--flavor", flavor]
+    for entry in sorted(stable2type.catalog()):
+        yield ["classify", "--name", entry, "--json"]
+    yield ["classify", "--enumerate", "Z/8;Z/2", "--json"]
+    for field in ("F5", "Q"):
+        for i in range(4):
+            yield ["dsv", "--input", f"{field}-{i}.json", "--json"]
+            yield ["dsv", "--input", f"{field}-{i}.json", "--tensor", f"{field}-{(i + 1) % 4}.json", "--json"]
+    yield ["verify", "--suite", "all", "--json"]
+
+
+def test_successful_output_is_pinned(capsys, tmp_path, monkeypatch):
+    """Every run of _pinned_runs exits 0 and prints what the digest was taken of."""
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(25)
+    for field in (dsv.Field(5), dsv.QQ):
+        for i in range(4):
+            (tmp_path / f"{field}-{i}.json").write_text(json.dumps(_random_dsv(field, rng).to_json_dict()))
+    digest = hashlib.sha256()
+    for argv in _pinned_runs():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        digest.update(json.dumps([argv, code, out]).encode())
+    assert digest.hexdigest() == CLI_OUTPUT_SHA256

@@ -28,8 +28,6 @@ from supercoh.dsv import (
     mapping_cone,
     mat_mul,
     rank,
-    solve,
-    sum_mul,
     swap_map,
     tensor,
     unit_virtual_dim,
@@ -58,7 +56,7 @@ class TestConstruction:
         # a primality test by trial division took minutes at this size
         p = 1_000_000_007
         f = Field(p)
-        assert f.mul(f.inv(f.of(2)), 2) == 1
+        assert invert(f, ((f.of(2),),)) == (((p + 1) // 2,),)
         with pytest.raises(ValueError):
             Field(p * 1_000_000_009)
 
@@ -100,12 +98,9 @@ def field_matrices(draw, square=False):
     return f, rows, cols, m
 
 
-def _apply(f, m, vec):
-    return [sum_mul(f, row, vec) for row in m]
-
-
 class TestFieldElimination:
-    """rank, kernel_basis, solve and invert, all built on exact_linalg.rref."""
+    """rank, kernel_basis and invert, all built on exact_linalg.rref, and
+    the dense oracles' solve, built on rref_dense."""
 
     @given(field_matrices())
     @settings(max_examples=150, deadline=None)
@@ -114,7 +109,7 @@ class TestFieldElimination:
         basis = kernel_basis(f, a, cols)
         assert len(basis) == cols - rank(f, a)
         for v in basis:
-            assert _apply(f, a, v) == [f.zero()] * rows
+            assert oracles.apply(f, a, v) == [f.zero()] * rows
         assert rank(f, tuple(map(tuple, basis))) == len(basis)
 
     @given(field_matrices(), st.data())
@@ -123,14 +118,14 @@ class TestFieldElimination:
         f, rows, cols, a = case
         values = st.integers(-3, 3).map(f.of)
         if data.draw(st.booleans()):
-            b = _apply(f, a, [data.draw(values) for _ in range(cols)])
+            b = oracles.apply(f, a, [data.draw(values) for _ in range(cols)])
         else:
             b = [data.draw(values) for _ in range(rows)]
-        x = solve(f, a, b, cols)
+        x = oracles.solve(f, a, b, cols)
         augmented = tuple(row + (bv,) for row, bv in zip(a, b))
         assert (x is None) == (rank(f, augmented) > rank(f, a))
         if x is not None:
-            assert len(x) == cols and _apply(f, a, x) == b
+            assert len(x) == cols and oracles.apply(f, a, x) == b
 
     @given(field_matrices(square=True))
     @settings(max_examples=150, deadline=None)

@@ -25,15 +25,6 @@ Z4 = G(0, (4,))
 Z8 = G(0, (8,))
 
 
-class TestTensorMod2:
-    def test_values(self):
-        assert s2t.tensor_mod2(Z) == Z2
-        assert s2t.tensor_mod2(Z8) == Z2
-        assert s2t.tensor_mod2(Z3) == G.trivial()
-        assert s2t.tensor_mod2(G(2, (6, 12))) == G(0, (2, 2, 2, 2))
-        assert s2t.tensor_mod2(G(1, (3, 3))) == G(0, (2,))
-
-
 class TestEnumeration:
     @pytest.mark.parametrize(
         "pi0,pi1,count",
@@ -51,8 +42,9 @@ class TestEnumeration:
                 for x in itertools.product(*(range(d) for d in pi1.invariant_factors))
                 if all((2 * c) % d == 0 for c, d in zip(x, pi1.invariant_factors))
             ]
-            s = s2t.tensor_mod2(pi0)
-            expected = len(tor2) ** len(s.invariant_factors)
+            # pi0 (x) Z/2 has one Z/2 per free generator and per even factor
+            s = pi0.free_rank + sum(1 for d in pi0.invariant_factors if d % 2 == 0)
+            expected = len(tor2) ** s
             got = len(s2t.enumerate_symmetric_structures(pi0, pi1))
             assert got == expected, (pi0, pi1)
 

@@ -186,11 +186,3 @@ def test_per_component_parity():
     assert iso_class_group(two, "real") == G(0, (2, 2))
     with pytest.raises(ValueError):
         SuperLine("real", two, (1,), l.line_class)  # one parity per component
-
-
-def test_json_roundtrip(rp2):
-    _, basis = cohomology(rp2, 1, 2)
-    l = real_line(rp2, (1,), basis[0].cochain.values)
-    data = l.to_json_dict()
-    again = SuperLine.from_json_dict(data)
-    assert superline.is_isomorphic(again, l)
