@@ -171,13 +171,20 @@ _FP = re.compile(r"F([0-9]+)")
 
 def _parse_field(tag) -> dsv.Field:
     """The field of a "field" tag, read as strictly as the entries: int()
-    would read "F 5" and "F٥" as F5, and F0 is Q's characteristic."""
+    would read "F 5" and "F٥" as F5, and F0 is Q's characteristic.  A
+    characteristic of more digits than dsv.JSON_MAX_CHAR is refused before
+    int() reads it."""
     if tag == "Q":
         return dsv.QQ
     match = _FP.fullmatch(tag) if isinstance(tag, str) else None
-    if match is None or int(match[1]) < 2:
+    digits = match[1].lstrip("0") if match else ""
+    bound = dsv.JSON_MAX_CHAR
+    p = int(digits or 0) if len(digits) <= len(str(bound)) else bound
+    if p >= bound:
+        raise ParseError(f"a field characteristic of {len(digits)} digits is not below 2^{bound.bit_length() - 1}")
+    if p < 2:
         raise ParseError(f"unknown field {tag!r} (use Q or F and a prime)")
-    return dsv.Field(int(match[1]))
+    return dsv.Field(p)
 
 
 # the forms DSV.to_json_dict writes an entry in: n over F_p, n or n/m over Q
@@ -234,8 +241,9 @@ def cmd_dsv(args):
         "dim1": v.dim1,
         "homology": [h0, h1],
         "euler_characteristic": dsv.euler_char(v),
-        "invertible": h0 + h1 == 1,  # dsv.is_invertible, without ranking again
-        "unit_virtual_dim": dsv.unit_virtual_dim(v),
+        # tensor-invertible up to equivalence: total homology dimension 1
+        "invertible": h0 + h1 == 1,
+        "unit_virtual_dim": dsv.euler_char(v),
     }
     _emit(
         args,

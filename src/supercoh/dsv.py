@@ -32,6 +32,13 @@ JSON_MAX_DIM = 64
 # characters (same host as above)
 JSON_MAX_Q_ENTRY = 64
 
+# the field characteristic of a DSV read from JSON is below this bound, which
+# is checked on the length of its digit string before int() reads it.  The
+# 13 Miller-Rabin rounds of is_prime are exact below 3.3e24, so each accepted
+# characteristic is proven prime; with no bound a 1332-digit prime took 3.8 s
+# (same host as above)
+JSON_MAX_CHAR = 2**64
+
 
 class Field(Record):
     """Exact field tag: characteristic 0 (Q) or a prime p.  The arithmetic
@@ -350,15 +357,6 @@ def euler_char(v: DSV) -> int:
     return v.dim0 - v.dim1
 
 
-def is_invertible(v: DSV) -> bool:
-    """Tensor-invertibility up to equivalence: total homology dimension 1."""
-    h0, h1 = homology(v)
-    return h0 + h1 == 1
-
-
-unit_virtual_dim = euler_char
-
-
 def _cone(fmap: DSVMap):
     """(dim0, dim1, d0, d1) of the cone W + V[1] of f: V -> W: degree 0 is
     W_0 + V_1, degree 1 is W_1 + V_0, and d_k = [[w.d_k, f_(1-k)], [0, -v.d_(1-k)]].
@@ -368,11 +366,6 @@ def _cone(fmap: DSVMap):
     d0 = _assemble(f, dim1, dim0, [(0, 0, w.d0, 1, 1, 1), (0, w.dim0, fmap.f1, 1, 1, 1), (w.dim1, w.dim0, v.d1, 1, 1, -1)])
     d1 = _assemble(f, dim0, dim1, [(0, 0, w.d1, 1, 1, 1), (0, w.dim1, fmap.f0, 1, 1, 1), (w.dim0, w.dim1, v.d0, 1, 1, -1)])
     return dim0, dim1, d0, d1
-
-
-def mapping_cone(fmap: DSVMap) -> DSV:
-    """The cone of f as a checked DSV (see _cone)."""
-    return DSV(fmap.source.field, *_cone(fmap))
 
 
 def is_quasi_iso(fmap: DSVMap) -> bool:

@@ -35,13 +35,7 @@ from __future__ import annotations
 import itertools
 from math import inf
 
-from .exact_linalg import (
-    AbelianGroupPresentation,
-    Record,
-    chain_coordinates,
-    chain_generators,
-    invariant_factor_chain,
-)
+from .exact_linalg import AbelianGroupPresentation, Record
 
 DEFAULT_ENUM_CAP = 4096
 
@@ -127,59 +121,6 @@ def enumerate_symmetric_structures(
     return out
 
 
-def product(d1: Stable2TypeData, d2: Stable2TypeData) -> Stable2TypeData:
-    """Product of Picard groupoid data: direct sums with block q.
-
-    The direct sums are renormalized to invariant-factor form (see
-    _normalized_sum), the generators of d1 before those of d2.  A new
-    torsion generator of pi0 is the sum over its chain parts (d, part, key)
-    of d // part times an old generator, so q on it is that sum of the old
-    q columns (chain_generators), each first carried into the new pi1 by
-    chain_coordinates; q on a free generator is its old column, carried.
-    """
-    pi0, chain0, free0 = _normalized_sum(d1.pi0, d2.pi0)
-    pi1, chain1, free1 = _normalized_sum(d1.pi1, d2.pi1)
-    pad1, pad2 = (0,) * len(_orders(d1.pi1)), (0,) * len(_orders(d2.pi1))
-    # q on every old generator of pi0, in the old generators of pi1
-    old = [(*col, *pad2) for col in _q_on_generators(d1)]
-    old += [(*pad1, *col) for col in _q_on_generators(d2)]
-    moved = [_in_normalized_sum(chain1, free1, col) for col in old]
-    torsion = chain_generators(chain0, lambda key: moved[-key[1]], len(_orders(pi1)))
-    cols = [col for col, (f, _) in zip(torsion, chain0) if f % 2 == 0] + [moved[j] for j in free0]
-    return Stable2TypeData(pi0, pi1, tuple(cols))
-
-
-def _normalized_sum(a: AbelianGroupPresentation, b: AbelianGroupPresentation):
-    """(a + b in invariant-factor form, the chain of its torsion, the indices
-    of the old free generators).
-
-    The old generators are those of a, then those of b.  Old generator j of
-    order d enters invariant_factor_chain keyed (d, -j); the chain deals a
-    tie to the larger key first, so a summand already in invariant-factor
-    form keeps its generators.  The new generators are the chain's, then
-    the old free ones.
-    """
-    orders = _orders(a) + _orders(b)
-    chain = invariant_factor_chain((d, (d, -j)) for j, d in enumerate(orders))
-    free = [j for j, d in enumerate(orders) if d == 0]
-    return AbelianGroupPresentation(len(free), tuple(f for f, _ in chain)), chain, free
-
-
-def _in_normalized_sum(chain, free, coords) -> list[int]:
-    """New coordinates of the element with coordinates coords on the old
-    generators of a _normalized_sum with this chain and free indices."""
-    y = {key: coords[-key[1]] for _, parts in chain for _, _, key in parts}
-    return chain_coordinates(chain, y) + [coords[j] for j in free]
-
-
-def _q_on_generators(data: Stable2TypeData) -> list[tuple[int, ...]]:
-    """q on every generator of pi0: its column, or zero on a generator of
-    odd order, which vanishes in pi0 (x) Z/2."""
-    cols = dict(zip(_mod2_generator_indices(data.pi0), data.q))
-    zero = (0,) * len(_orders(data.pi1))
-    return [cols.get(j, zero) for j in range(len(_orders(data.pi0)))]
-
-
 # ---------------------------------------------------------------------------
 # Equivalence
 
@@ -249,32 +190,3 @@ def catalog() -> dict[str, Stable2TypeData]:
         "calg_r": ko,
     }
 
-
-def unit_map_matrix(name: str) -> list[list[int]]:
-    """Generator matrix, as rows, of the unit-induced surjection
-    pi0(sphere) = Z -> pi0: Z -> Z/2 for ku, Z -> Z/8 for ko."""
-    if name not in ("ku", "ko"):
-        raise KeyError(name)
-    return [[1]]
-
-
-def mod2_induced_map(hom, src: AbelianGroupPresentation, dst: AbelianGroupPresentation):
-    """Matrix of hom (x) Z/2 on the surviving mod-2 generators; hom is
-    given as rows."""
-    src_idx = _mod2_generator_indices(src)
-    return [[hom[r][c] % 2 for c in src_idx] for r in _mod2_generator_indices(dst)]
-
-
-def compose_q_with_mod2(data: Stable2TypeData, induced) -> tuple:
-    """Columns of q composed with an induced mod-2 matrix (columns = source
-    gens): column j sums the q columns i with induced[i][j] odd, canonical
-    in pi1."""
-    n1 = len(_orders(data.pi1))
-    cols = []
-    for j in range(len(induced[0]) if induced else 0):
-        acc = [0] * n1
-        for col, row in zip(data.q, induced):
-            if row[j] % 2:
-                acc = [x + y for x, y in zip(acc, col)]
-        cols.append(_canonical_element(data.pi1, tuple(acc)))
-    return tuple(cols)

@@ -59,21 +59,6 @@ def _require_compatible(l: SuperLine, m: SuperLine):
         raise ValueError("superlines live on different bases or flavors")
 
 
-def tensor(l: SuperLine, m: SuperLine) -> SuperLine:
-    """Tensor product: parities add mod 2, characteristic classes add."""
-    _require_compatible(l, m)
-    parity = tuple((a + b) % 2 for a, b in zip(l.parity, m.parity))
-    cls = CohomologyClass(l.line_class.cochain + m.line_class.cochain)
-    return SuperLine(l.flavor, l.base, parity, cls)
-
-
-def is_isomorphic(l: SuperLine, m: SuperLine) -> bool:
-    _require_compatible(l, m)
-    return l.parity == m.parity and simplicial.is_cohomologous(
-        l.line_class.cochain, m.line_class.cochain
-    )
-
-
 def symmetry_sign(l: SuperLine, m: SuperLine, component: int) -> int:
     """Sign of the braiding on the given component: (-1)^{n m}."""
     _require_compatible(l, m)

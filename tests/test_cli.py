@@ -267,6 +267,20 @@ class TestOtherVerbs:
         assert code == 0
         assert "homology (0|0)" in out
 
+    @pytest.mark.parametrize(
+        "dims,d0,d1,invertible,virtual_dim",
+        [((1, 0), [], [[]], True, 1), ((0, 1), [[]], [], True, -1), ((1, 1), [[1]], [[0]], False, 0)],
+        ids=["unit", "odd line", "acyclic"],
+    )
+    def test_dsv_invertible_and_virtual_dim(self, capsys, tmp_path, dims, d0, d1, invertible, virtual_dim):
+        # invertible up to equivalence: total homology dimension 1
+        p = tmp_path / "v.json"
+        p.write_text(json.dumps({"field": "Q", "dim0": dims[0], "dim1": dims[1], "d0": d0, "d1": d1}))
+        code, out, _ = run(capsys, "dsv", "--input", str(p), "--json")
+        report = json.loads(out)
+        assert code == 0
+        assert (report["invertible"], report["unit_virtual_dim"]) == (invertible, virtual_dim)
+
     @pytest.mark.parametrize("dims", [(JSON_MAX_DIM + 1, 0), (-1, 0), (-(10**5), 10**5 + 10)])
     def test_dsv_dims_out_of_bound_are_parse_errors(self, capsys, tmp_path, dims):
         p = tmp_path / "v.json"
@@ -511,12 +525,25 @@ class TestFieldTag:
         assert code == 2 and not out
         assert "prime" in err
 
-    @pytest.mark.parametrize("tag", ["Q", "F2", "F1000000007"])
+    # 2^61 - 1 and 2^64 - 59, the largest prime below the bound
+    @pytest.mark.parametrize("tag", ["Q", "F2", "F1000000007", "F2305843009213693951", "F18446744073709551557"])
     def test_written_tags(self, capsys, tmp_path, tag):
         p = tmp_path / "v.json"
         p.write_text(json.dumps({"field": tag, "dim0": 1, "dim1": 1, "d0": [["1"]], "d1": [["0"]]}))
         code, out, _ = run(capsys, "dsv", "--input", str(p))
         assert code == 0 and "dims (1|1)  homology (0|0)" in out
+
+    @pytest.mark.parametrize("p", [2**64, 10**4299 + 7], ids=["2^64", "4300 digits"])
+    def test_characteristic_at_or_above_the_bound_is_refused_at_once(self, capsys, tmp_path, p):
+        # 10^4299 + 7 has no prime factor up to 41, so with no bound one
+        # Miller-Rabin round on it took about 9 s
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"field": f"F{p}", "dim0": 1, "dim1": 1, "d0": [["1"]], "d1": [["0"]]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dsv", "--input", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and not out
+        assert "not below 2^64" in err
 
 
 class TestDeterminism:

@@ -1,65 +1,9 @@
 import pytest
 
-from supercoh import stable2type, superline
+from supercoh import stable2type
 from supercoh.exact_linalg import AbelianGroupPresentation as G
-from supercoh.simplicial import Cochain, CohomologyClass, cohomology, is_cohomologous
-from supercoh.superline import SuperLine, classification_data, iso_class_group, symmetry_sign, tensor
-
-
-def real_line(base, parity, values=None):
-    c = (
-        CohomologyClass(Cochain.zero(base, 1, 2))
-        if values is None
-        else CohomologyClass(Cochain(base, 1, 2, tuple(values)))
-    )
-    return SuperLine("real", base, parity, c)
-
-
-class TestTensor:
-    def test_trivial_is_unit(self, rp2):
-        t = SuperLine.trivial("real", rp2)
-        _, basis = cohomology(rp2, 1, 2)
-        l = real_line(rp2, (1,), basis[0].cochain.values)
-        out = tensor(t, l)
-        assert superline.is_isomorphic(out, l)
-
-    def test_odd_tensor_odd_is_even(self, point):
-        odd = SuperLine.trivial("real", point)
-        odd = SuperLine("real", point, (1,), odd.line_class)
-        sq = tensor(odd, odd)
-        assert sq.parity == (0,)
-
-    def test_rp2_twisted_square(self, rp2):
-        _, basis = cohomology(rp2, 1, 2)
-        w = basis[0].cochain
-        l = real_line(rp2, (1,), w.values)
-        sq = tensor(l, l)
-        assert sq.parity == (0,)
-        # 2w reduces to the zero mod-2 cochain exactly
-        assert is_cohomologous(sq.line_class.cochain, Cochain.zero(rp2, 1, 2))
-
-    def test_flavor_mismatch(self, rp2):
-        a = SuperLine.trivial("real", rp2)
-        b = SuperLine.trivial("complex", rp2)
-        with pytest.raises(ValueError):
-            tensor(a, b)
-
-    def test_commutative_associative_on_iso_classes(self, rp2):
-        _, basis = cohomology(rp2, 1, 2)
-        w = basis[0].cochain
-        lines = [
-            SuperLine.trivial("real", rp2),
-            real_line(rp2, (1,)),
-            real_line(rp2, (0,), w.values),
-            real_line(rp2, (1,), w.values),
-        ]
-        for l in lines:
-            for m in lines:
-                assert superline.is_isomorphic(tensor(l, m), tensor(m, l))
-                for n in lines:
-                    assert superline.is_isomorphic(
-                        tensor(tensor(l, m), n), tensor(l, tensor(m, n))
-                    )
+from supercoh.simplicial import cohomology
+from supercoh.superline import SuperLine, classification_data, iso_class_group, symmetry_sign
 
 
 class TestSymmetrySign:
@@ -77,13 +21,19 @@ class TestSymmetrySign:
         for l in (even, odd):
             for m in (even, odd):
                 assert symmetry_sign(l, m, 0) == symmetry_sign(m, l, 0)
-        # sign(l1 (x) l2, m) = sign(l1, m) * sign(l2, m)
+        # sign(l1 (x) l2, m) = sign(l1, m) * sign(l2, m), where the parity
+        # of l1 (x) l2 is the sum of theirs
         for l1 in (even, odd):
             for l2 in (even, odd):
+                l12 = SuperLine("real", point, (l1.parity[0] + l2.parity[0],), even.line_class)
                 for m in (even, odd):
-                    assert symmetry_sign(tensor(l1, l2), m, 0) == symmetry_sign(
-                        l1, m, 0
-                    ) * symmetry_sign(l2, m, 0)
+                    assert symmetry_sign(l12, m, 0) == symmetry_sign(l1, m, 0) * symmetry_sign(l2, m, 0)
+
+    def test_flavor_mismatch(self, rp2):
+        a = SuperLine.trivial("real", rp2)
+        b = SuperLine.trivial("complex", rp2)
+        with pytest.raises(ValueError):
+            symmetry_sign(a, b, 0)
 
     def test_unknown_component(self, point):
         even = SuperLine.trivial("real", point)
@@ -124,19 +74,10 @@ class TestClassificationData:
         assert data.q == ((1,),)
 
     def test_no_product_decomposition(self):
-        # q != 0 distinguishes the superline 2-type from every product 2-type
+        # q != 0 distinguishes the superline 2-type from the one with zero q
         data = classification_data("real")
         zero = stable2type.Stable2TypeData(data.pi0, data.pi1, ((0,),))
         assert not stable2type.equivalent(data, zero)
-        # products of trivial-symmetry data stay trivial, hence inequivalent
-        G2 = data.pi0
-        half = stable2type.Stable2TypeData(G2, stable2type.AbelianGroupPresentation.trivial(), ((),))
-        other = stable2type.Stable2TypeData(
-            stable2type.AbelianGroupPresentation.trivial(), data.pi1, ()
-        )
-        prod = stable2type.product(half, other)
-        assert stable2type.is_trivial(prod)
-        assert not stable2type.equivalent(data, prod)
 
 
 def test_iso_class_group_matches_brauer_sectors(rp2):
