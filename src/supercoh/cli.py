@@ -122,9 +122,8 @@ def cmd_operations(args):
 
 def _load_element(x, variant, path) -> brauer.BrauerElement:
     data = _load_json(path)
-    if not isinstance(data, dict) or not all(
-        isinstance(data.get(slot), list) and all(type(v) is int for v in data[slot]) for slot in "abc"
-    ):
+    # Cochain refuses a value that is not exactly an int
+    if not isinstance(data, dict) or not all(isinstance(data.get(slot), list) for slot in "abc"):
         raise ParseError("bad element JSON: need an object whose a, b and c are lists of integers")
     data.setdefault("variant", variant)
     if data["variant"] != variant:

@@ -10,7 +10,7 @@ coboundary by m, landing in integral cochains.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import floordiv, mod, mul, xor
+from operator import floordiv, mod, mul
 
 from .simplicial import Cochain, CohomologyClass
 
@@ -22,8 +22,10 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
     x = a.complex
     ((front, back),) = x.cup_i_table(0, a.degree, b.degree)
     n = a.modulus
+    if n == 2:
+        return Cochain._from_bits(x, a.degree + b.degree, a._bits(front) & b._bits(back))
     values = map(mul, front(a.values), back(b.values))
-    if n > 2:  # a product of values in {0, 1} is reduced mod 2
+    if n:
         values = map(mod, values, repeat(n))
     return Cochain._reduced(x, a.degree + b.degree, n, tuple(values))
 
@@ -47,12 +49,10 @@ def cup_i(i: int, a: Cochain, b: Cochain) -> Cochain:
     deg = a.degree + b.degree - i
     if deg < 0:
         raise ValueError("cup_i target degree is negative")
-    if deg > x.dim:
-        return Cochain.zero(x, deg, 2)
-    acc = repeat(0, x.simplex_count(deg))
+    acc = 0
     for even, odd in x.cup_i_table(i, a.degree, b.degree):
-        acc = map(xor, acc, map(mul, even(a.values), odd(b.values)))
-    return Cochain._reduced(x, deg, 2, tuple(acc))
+        acc ^= a._bits(even) & b._bits(odd)
+    return Cochain._from_bits(x, deg, acc)
 
 
 def sq(k: int, x: CohomologyClass) -> CohomologyClass:

@@ -13,7 +13,7 @@ generators are extended to X when cohomology() is asked for them.
 from __future__ import annotations
 
 from collections import deque
-from functools import cache
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations, cycle, repeat
 from operator import add, floordiv, itemgetter, mod, mul, neg, sub, xor
@@ -268,27 +268,36 @@ class Cochain(Record):
     kept on it (outside equality, hashing and repr).  Every cocycle check
     still runs, once per cochain.
 
-    Cochain(...) checks the degree, the length and the modulus and reduces
-    the values.  The kernels (+, -, negation, scale, coboundary, cup, cup_i,
-    bockstein, reduce_mod) build their values reduced, in one pass, and go
-    through _reduced, which makes the same checks and skips the reduction.
-    Mod 2 the signs of delta vanish, so a mod-2 cochain whose delta is not
-    kept reads its cocycle verdict off the xor of its values on the faces.
+    Cochain(...) checks the degree, the length, the modulus and that each
+    value is exactly an int, and reduces the values.  The kernels (+, -,
+    negation, scale, coboundary, cup, cup_i, bockstein, reduce_mod) build
+    their values reduced, in one pass, and go through _reduced, which makes
+    the other checks and skips the reduction.  A mod-2 cochain also keeps
+    its values packed, one byte each, in _packed (kept as _delta is).  Mod
+    2 the signs of delta vanish, so its kernels take no Python step per
+    value on those bytes read as ints (_bits): + and - xor, coboundary and
+    the cocycle verdict xor the face gathers, cup ands the front and back
+    gathers, and cup_i xors those ands.
     """
 
     complex: SimplicialComplex
     degree: int
     modulus: int
     values: tuple[int, ...]
-    # delta of the values as integers, and the verdict of is_cocycle: kept
-    # on the instance on first use; not annotated, so not fields
+    # delta of the values as integers, the verdict of is_cocycle, and the
+    # packed values of a mod-2 cochain: not annotated, so not fields
     _delta = None
     _cocycle = None
+    _packed = None
 
     def __post_init__(self):
         self._check()
-        values = tuple(map(mod, self.values, repeat(self.modulus))) if self.modulus else tuple(self.values)
+        if not set(map(type, self.values)) <= {int}:
+            raise ValueError("cochain values must be exactly ints: no float, bool or str is a residue")
+        n = self.modulus
+        values = tuple(map(mod, self.values, repeat(n))) if n else tuple(self.values)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_packed", bytes(values) if n == 2 else None)
 
     def _check(self):
         if self.degree < 0:
@@ -302,25 +311,40 @@ class Cochain(Record):
             raise ValueError("modulus must be >= 0")
 
     @classmethod
-    def _reduced(cls, complex: SimplicialComplex, degree: int, modulus: int, values: tuple) -> "Cochain":
+    def _reduced(cls, complex: SimplicialComplex, degree: int, modulus: int, values: tuple, packed=None) -> "Cochain":
         """Cochain from a tuple of values already reduced to [0, modulus),
-        or of any integers for modulus 0."""
+        or of any integers for modulus 0; mod 2, packed may hold their bytes."""
         c = object.__new__(cls)
         c.__dict__.update(complex=complex, degree=degree, modulus=modulus, values=values)
+        if modulus == 2:
+            c.__dict__["_packed"] = bytes(values) if packed is None else packed
         c._check()
         return c
 
+    @classmethod
+    def _from_bits(cls, complex: SimplicialComplex, degree: int, bits: int) -> "Cochain":
+        """The mod-2 cochain whose packed values are the bytes of bits."""
+        packed = bits.to_bytes(complex.simplex_count(degree), "little")
+        return cls._reduced(complex, degree, 2, tuple(packed), packed)
+
+    def _bits(self, gather=None) -> int:
+        """The packed values as an int: all, or those gather reads off their latin-1 str."""
+        packed = self._packed
+        if gather:
+            packed = "".join(gather(packed.decode("latin-1"))).encode("latin-1")
+        return int.from_bytes(packed, "little")
+
     def _like(self, values) -> "Cochain":
-        """A cochain of the same context from an iterator of values reduced
-        mod 2 or integral, reducing them for any other modulus."""
+        """A cochain of the same context from an iterator of integers,
+        reduced here for a nonzero modulus."""
         n = self.modulus
-        if n > 2:
+        if n:
             values = map(mod, values, repeat(n))
         return Cochain._reduced(self.complex, self.degree, n, tuple(values))
 
     @classmethod
     def zero(cls, complex: SimplicialComplex, degree: int, modulus: int) -> "Cochain":
-        return cls(complex, degree, modulus, (0,) * complex.simplex_count(degree))
+        return cls._reduced(complex, degree, modulus, (0,) * complex.simplex_count(degree))
 
     def same_context(self, other: "Cochain") -> bool:
         return (
@@ -335,18 +359,22 @@ class Cochain(Record):
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._require_context(other)
-        return self._like(map(xor if self.modulus == 2 else add, self.values, other.values))
+        if self.modulus == 2:
+            return Cochain._from_bits(self.complex, self.degree, self._bits() ^ other._bits())
+        return self._like(map(add, self.values, other.values))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
+        if self.modulus == 2:
+            return self + other
         self._require_context(other)
-        return self._like(map(xor if self.modulus == 2 else sub, self.values, other.values))
+        return self._like(map(sub, self.values, other.values))
 
     def __neg__(self) -> "Cochain":
         return self if self.modulus == 2 else self._like(map(neg, self.values))
 
     def scale(self, k: int) -> "Cochain":
         if self.modulus == 2:
-            k &= 1
+            return self if k & 1 else Cochain.zero(self.complex, self.degree, 2)
         return self._like(map(mul, repeat(k), self.values))
 
     def is_zero(self) -> bool:
@@ -359,24 +387,23 @@ class Cochain(Record):
         """Values of delta on the (q+1)-simplices as integers, not reduced:
         the alternating sum of the values gathered on each face.  Computed
         once per cochain."""
-        d = self._delta
-        if d is None:
-            d = tuple(self._fold_faces(cycle((sub, add))))
-            object.__setattr__(self, "_delta", d)
-        return d
+        if self._delta is None:
+            first, *rest = self.complex.face_table(self.degree)[1]
+            d = first(self.values)
+            for gather, op in zip(rest, cycle((sub, add))):
+                d = map(op, d, gather(self.values))
+            object.__setattr__(self, "_delta", tuple(d))
+        return self._delta
 
-    def _fold_faces(self, ops):
-        """The values gathered on face 0 of every (q+1)-simplex, folded with
-        those on faces 1, 2, ... by the successive ops, as one lazy pass."""
-        first, *rest = self.complex.face_table(self.degree)[1]
-        values = self.values
-        acc = first(values)
-        for gather, op in zip(rest, ops):
-            acc = map(op, acc, gather(values))
-        return acc
+    def _parity(self) -> int:
+        """delta mod 2 as packed bits: the xor of the values on each face."""
+        return reduce(xor, map(self._bits, self.complex.face_table(self.degree)[1]), 0)
 
     def coboundary(self) -> "Cochain":
-        d, n = self.coboundary_values(), self.modulus
+        n = self.modulus
+        if n == 2:
+            return Cochain._from_bits(self.complex, self.degree + 1, self._parity())
+        d = self.coboundary_values()
         return Cochain._reduced(self.complex, self.degree + 1, n, tuple(map(mod, d, repeat(n))) if n else d)
 
     def is_cocycle(self) -> bool:
@@ -384,7 +411,7 @@ class Cochain(Record):
         if verdict is None:
             n = self.modulus
             if n == 2 and self._delta is None:
-                verdict = not any(self._fold_faces(repeat(xor)))
+                verdict = not self._parity()
             else:
                 d = self.coboundary_values()
                 verdict = not any(map(mod, d, repeat(n)) if n else d)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -400,3 +402,36 @@ def test_json_roundtrip_on_the_nose(name, variant):
     for _ in range(5):
         e = brauer.random_element(x, variant, rng)
         assert BrauerElement.from_json_dict(e.to_json_dict(), x) == e
+
+
+# SHA-256 of the Brauer arithmetic of test_arithmetic_is_pinned, taken before
+# the mod-2 kernels ran on packed bytes.  A change that alters a result of
+# add, negate, equals, element_order, the certificates or the random
+# elements on purpose updates it and says so.
+ARITHMETIC_SHA256 = "3aa82a3155e1ce9a789f6700a04daf15b6ae0ca59e1059d4467c8e5389daff3f"
+
+
+def test_arithmetic_is_pinned():
+    """Seeded random elements of ku and ko on rp2, klein and rp2xrp2, with
+    their sums, negatives, equality verdicts, orders, commutativity
+    certificates and the rng state after them, are the ones the digest was
+    taken of."""
+    digest = hashlib.sha256()
+    for name in ("rp2", "klein", "rp2xrp2"):
+        x = corpus.complex_by_name(name)
+        for variant in ("ku", "ko"):
+            rng = random.Random(f"pinned {name} {variant}")
+            xs = [brauer.random_element(x, variant, rng) for _ in range(3)]
+            sums = [add(a, b) for a in xs for b in xs]
+            negatives = [negate(a) for a in xs]
+            record = {
+                "elements": [e.to_json_dict() for e in xs],
+                "add": [e.to_json_dict() for e in sums],
+                "negate": [e.to_json_dict() for e in negatives],
+                "equals": [equals(a, b) for a in xs + sums for b in xs + negatives],
+                "order": [str(element_order(e)) for e in xs + sums],
+                "certificate": [list(commutativity_certificate(a, b).values) for a in xs for b in xs],
+                "rng": rng.getstate(),
+            }
+            digest.update(json.dumps([name, variant, record]).encode())
+    assert digest.hexdigest() == ARITHMETIC_SHA256

@@ -188,8 +188,15 @@ class TestBrauerVerbs:
 
     @pytest.mark.parametrize(
         "data",
-        [[0, 1], {"a": 5, "b": [0], "c": [0]}, {"a": "010", "b": [0], "c": [0]}],
-        ids=["list", "slot_not_a_list", "slot_a_string"],
+        [
+            [0, 1],
+            {"a": 5, "b": [0], "c": [0]},
+            {"a": "010", "b": [0], "c": [0]},
+            # rp2 has 6 vertices, 15 edges and 10 triangles; Cochain refuses these
+            {"a": [0.0] * 6, "b": [0] * 15, "c": [0] * 10},
+            {"a": [0] * 6, "b": [True] + [0] * 14, "c": [0] * 10},
+        ],
+        ids=["list", "slot_not_a_list", "slot_a_string", "float_value", "bool_value"],
     )
     def test_malformed_element_is_parse_error(self, capsys, tmp_path, data):
         p = tmp_path / "el.json"

@@ -1,9 +1,10 @@
 """The one-pass cochain kernels: what they build is what the public
-constructor builds, mod-2 cocycle verdicts by face parity agree with the
-exact delta, Brauer addition checks each new cochain once, random Brauer
-elements are the ones rng.choices drew, and the face, cup-i, cross-product
-and pullback index tables built from vertex columns are the ones built one
-simplex at a time."""
+constructor builds, which refuses values that are not ints, mod-2 cocycle
+verdicts by face parity agree with the exact delta, the packed mod-2
+kernels agree with the per-element oracles, Brauer addition checks each
+new cochain once, random Brauer elements are the ones rng.choices drew,
+and the face, cup-i, cross-product and pullback index tables built from
+vertex columns are the ones built one simplex at a time."""
 
 import pickle
 import random
@@ -12,11 +13,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import coboundary_loop, cross_loop, cup_i_table_loop, face_table_loop, pullback_loop
+from oracles import coboundary_loop, cross_loop, cup_i_loop, cup_i_table_loop, cup_value_on, face_table_loop
+from oracles import pullback_loop
 from oracles import random_element as random_element_choices
 
 from supercoh import brauer, corpus
-from supercoh.operations import bockstein, cup
+from supercoh.operations import bockstein, cup, cup_i
 from supercoh.simplicial import Cochain, CohomologyClass, SimplicialComplex, SimplicialMap
 
 MODULI = (0, 2, 3, 4, 8)
@@ -26,14 +28,18 @@ def _random_cochain(x, q, n, rng):
     return Cochain(x, q, n, tuple(rng.randrange(-9, 10) for _ in range(x.simplex_count(q))))
 
 
-def _assert_public(c: Cochain):
-    """c is indistinguishable from the cochain Cochain(...) builds from its
-    values: equal, with the same hash and repr, also after a pickle."""
-    public = Cochain(c.complex, c.degree, c.modulus, c.values)
-    assert c == public and hash(c) == hash(public) and repr(c) == repr(public)
-    assert isinstance(c.values, tuple)
-    back = pickle.loads(pickle.dumps(c))
-    assert back == public and hash(back) == hash(public) and repr(back) == repr(public)
+def _assert_public(*cochains: Cochain):
+    """Each cochain is indistinguishable from the cochain Cochain(...) builds
+    from its values: equal, with the same hash and repr, also after a pickle
+    (of all of them at once, which rebuilds their complex once), and a
+    mod-2 cochain holds its values packed one byte each."""
+    for c, back in zip(cochains, pickle.loads(pickle.dumps(cochains))):
+        public = Cochain(c.complex, c.degree, c.modulus, c.values)
+        assert c == public and hash(c) == hash(public) and repr(c) == repr(public)
+        assert isinstance(c.values, tuple)
+        assert back == public and hash(back) == hash(public) and repr(back) == repr(public)
+        for packed in (c._packed, public._packed, back._packed):
+            assert packed == (bytes(c.values) if c.modulus == 2 else None)
 
 
 def _reduce(values, n):
@@ -72,6 +78,22 @@ def test_kernels_build_what_the_constructor_builds(name, n, seed):
         z = brauer._random_cocycle(x, q, n, rng)
         _assert_public(z)
         _assert_public(bockstein(CohomologyClass(z)).cochain)
+
+
+@pytest.mark.parametrize(
+    "degree, modulus, value",
+    [(0, 0, 1.5), (1, 2, 0.5), (1, 2, "1"), (2, 2, True), (0, 8, False), (2, 0, None), (1, 3, 2**70 + 0.0)],
+)
+def test_constructor_refuses_values_that_are_not_ints(rp2, degree, modulus, value):
+    """Exactly int, as a vertex must be: a float would be accepted and
+    reduced, a bool would stand for 0 or 1, and a str would fail in %."""
+    values = (0,) * (rp2.simplex_count(degree) - 1) + (value,)
+    with pytest.raises(ValueError, match="exactly ints"):
+        Cochain(rp2, degree, modulus, values)
+    slot = "abc"[degree]  # the ko layout holds a, b and c in degrees 0, 1 and 2
+    with pytest.raises(ValueError, match="exactly ints"):
+        brauer.element(rp2, "ko", **{slot: values})
+    assert Cochain(rp2, degree, modulus, values[:-1] + (3,)).values[-1] == (3 % modulus if modulus else 3)
 
 
 @pytest.mark.parametrize("name", ["rp2", "klein", "rp2xrp2"])
@@ -192,3 +214,61 @@ def test_index_tables_equal_the_per_simplex_builders(name):
             c = Cochain(f.target, q, 0, tuple(range(1, f.target.simplex_count(q) + 1)))
             assert f.pullback(c) == pullback_loop(f, c), (f.vertex_map, q)
             assert pickle.loads(pickle.dumps(f)).pullback(c) == f.pullback(c)
+
+
+def _mod2_cochain(x, q, rng):
+    return Cochain(x, q, 2, tuple(rng.randrange(2) for _ in range(x.simplex_count(q))))
+
+
+PACKED_COMPLEXES = {
+    **{name: TABLE_COMPLEXES[name] for name in (*corpus.CORPUS_NAMES, "rp2xs1", "empty", "isolated")},
+    # one edge: every face gather of delta_0 reads one value, as a 1-tuple
+    "edge": lambda: _with_maps(SimplicialComplex(2, [(0, 1)])),
+}
+
+
+@pytest.mark.parametrize("name", PACKED_COMPLEXES)
+def test_packed_kernels_match_the_per_element_oracles(name):
+    """Mod 2, +, -, negation, scale, coboundary, the parity verdict, cup,
+    cup_i and the random cocycles of brauer, which run on packed bytes,
+    give what the per-element loops give, in every degree up to one past
+    the top, where every gather is empty."""
+    x = PACKED_COMPLEXES[name]()[0]
+    rng = random.Random(name)
+    degrees = range(x.dim + 2)
+    cochains, results = {}, []
+    for q in degrees:
+        a, b = _mod2_cochain(x, q, rng), _mod2_cochain(x, q, rng)
+        z = brauer._random_cocycle(x, q, 2, rng)
+        cochains[q] = (a, b, z)
+        expected = tuple(u ^ v for u, v in zip(a.values, b.values))
+        for got, values in [(a + b, expected), (a - b, expected), (-a, a.values), (z + z, (0,) * len(z.values))]:
+            assert got.values == values, q
+            results.append(got)
+        for k in (0, 1, 3, -2):
+            assert a.scale(k).values == tuple(k * v % 2 for v in a.values), (q, k)
+            results.append(a.scale(k))
+        for c in (a, b, z):
+            d = c.coboundary()
+            assert d == coboundary_loop(c), q
+            results.append(d)
+            fresh = Cochain(x, q, 2, c.values)
+            assert fresh.is_cocycle() == d.is_zero() and fresh._delta is None, q
+        assert z.is_cocycle(), q
+        results.append(z)
+    for p in degrees:
+        for q in degrees:
+            # one of the random cochains or the cocycle on each side
+            a, b = cochains[p][(p + q) % 3], cochains[q][(p + 2 * q + 1) % 3]
+            results.append(cup(a, b))
+            assert results[-1] == cup_value_on(a, b), (p, q)
+            for i in range(min(p + q, 2) + 1):
+                results.append(cup_i(i, a, b))
+                assert results[-1] == cup_i_loop(i, a, b), (i, p, q)
+    if x.vertex_count:
+        for variant in ("ku", "ko"):
+            rng, old = random.Random(f"{name} {variant}"), random.Random(f"{name} {variant}")
+            e = brauer.random_element(x, variant, rng)
+            assert e == random_element_choices(x, variant, old) and rng.getstate() == old.getstate()
+            results += [e.a, e.b, e.c]
+    _assert_public(*results)

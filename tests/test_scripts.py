@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import itertools
@@ -5,6 +6,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from supercoh import corpus, verify
 from supercoh.exact_linalg import AbelianGroupPresentation as G
@@ -108,3 +111,51 @@ def test_reach_kept_names_resolve():
             owner = getattr(owner, part)
         assert attr in owner.__dict__ and callable(getattr(owner, attr)), name
         assert reason.strip(), name
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ([], "required"),
+        (["--parent", "nowhere"], "no checkout"),
+        (["--workload", "nonsense"], "unknown workload 'nonsense'"),
+        (["--pairs", "0"], "0 is not positive"),
+        (["--pairs", "two"], "invalid positive int value: 'two'"),
+        (["--seconds", "-1"], "-1 is not positive"),
+    ],
+    ids=["nothing", "no_checkout", "workload", "no_pairs", "pairs_not_int", "seconds"],
+)
+def test_pairs_refuses_bad_arguments(args, message):
+    """scripts/pairs.py exits 2 with a message and runs no benchmark when an
+    argument is bad; here args override a valid A/A command line."""
+    root = str(SCRIPTS.parent)
+    valid = {"--parent": root, "--change": root, "--workload": "algebra_small", "--pairs": "1", "--seconds": "1"}
+    given = dict(zip(args[::2], args[1::2]))
+    argv = [] if not args else [t for k, v in {**valid, **given}.items() for t in (k, v)]
+    out = run_script("pairs.py", *argv)
+    assert out.returncode == 2 and not out.stdout
+    assert message in out.stderr
+
+
+def test_every_oracle_is_reached():
+    """Every top-level def of tests/oracles.py is reached from a test module
+    or a script: imported from oracles or read as oracles.name there, or
+    named in the body of an oracle so reached."""
+    tests = Path(__file__).resolve().parent
+    tree = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defs
+    todo = []
+    for path in [*tests.glob("test_*.py"), *SCRIPTS.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                todo += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "oracles":
+                todo.append(node.attr)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name)]
+    assert sorted(set(defs) - reached) == []
