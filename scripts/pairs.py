@@ -12,10 +12,14 @@ loads bytecode compiled by an earlier one.  Each run uses the perfbench/
 of its own checkout and changes nothing in it but perfbench/results/.
 
 Printed: one line per pair with each end-to-end metric of the parent and
-of the change, then the medians of both and the number of pairs in which
-the change was better, in the direction BENCHMARK.json of the change
-gives.  Exit status 1 when a run fails or answers incorrectly, 2 on bad
-arguments.
+of the change, then per metric the medians of both, the number of pairs in
+which the change was better, in the direction BENCHMARK.json of the change
+gives, and the quartiles [q1, q3] of the parent's runs.  A metric is
+flagged `worse` when the change's median is worse than the parent's by
+more than the metric's bound in BENCHMARK.json, and `unresolved` when the
+parent's own spread (q3 - q1) / median is wider than that bound, unless
+every run of the change reads better than every run of the parent.  Exit
+status 1 when a run fails or answers incorrectly, 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ def _parse_args(argv):
     if args.workload not in workloads:
         p.error(f"unknown workload {args.workload!r}; expected one of {', '.join(workloads)}")
     args.better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    args.bound = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     return args
 
 
@@ -76,6 +81,38 @@ def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if not line["correct"] or line["failed"]:
         raise SystemExit(f"{root}: seed {seed} answered incorrectly or failed {line['failed']} operations")
     return {name: m["value"] for name, m in line["metrics"].items()}
+
+
+def _quartiles(values) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def summary(results, better: dict, bound: dict) -> list[str]:
+    """One line per metric of results = [(seed, parent, change), ...]: the
+    medians, the pairs the change won and the parent's quartiles, flagged
+    as the module docstring says."""
+    lines = []
+    for name in better:
+        before, after = [p[name] for _, p, _ in results], [c[name] for _, _, c in results]
+        b, a = statistics.median(before), statistics.median(after)
+        q1, q3 = _quartiles(before)
+        sign = 1 if better[name] == "higher" else -1
+        won = sum(sign * (c - p) > 0 for p, c in zip(before, after))
+        flags = []
+        if b and sign * (a - b) / b < -bound[name]:
+            flags.append("worse")
+        separated = all(sign * (c - p) > 0 for c in after for p in before)
+        if b and (q3 - q1) / b > bound[name] and not separated:
+            flags.append("unresolved")
+        delta = f" ({(a - b) / b:+.1%})" if b else ""
+        flagged = f": {', '.join(flags)}" if flags else ""
+        lines.append(
+            f"  {name}: {b:.4g} -> {a:.4g}{delta}, won {won}/{len(results)}, parent [{q1:.4g}, {q3:.4g}]{flagged}"
+        )
+    return lines
 
 
 def main(argv=None) -> int:
@@ -97,14 +134,9 @@ def main(argv=None) -> int:
             parent = _run(args.parent, args.workload, seed, args.seconds)
         results.append((seed, parent, change))
         print(f"{seed:<4}  " + "  ".join(f"{parent[n]:.4g} -> {change[n]:.4g}" for n in names), flush=True)
-    print("median and pairs the change won:")
-    for name in names:
-        before = statistics.median(p[name] for _, p, _ in results)
-        after = statistics.median(c[name] for _, _, c in results)
-        sign = 1 if args.better[name] == "higher" else -1
-        won = sum(sign * (c[name] - p[name]) > 0 for _, p, c in results)
-        delta = f" ({(after - before) / before:+.1%})" if before else ""
-        print(f"  {name}: {before:.4g} -> {after:.4g}{delta}, won {won}/{len(results)}")
+    print("median, pairs the change won and the parent's quartiles:")
+    for line in summary(results, args.better, args.bound):
+        print(line)
     return 0
 
 

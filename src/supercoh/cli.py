@@ -283,9 +283,14 @@ def _parse_group(text: str) -> AbelianGroupPresentation:
         if part == "Z":
             free += 1
         elif part.startswith("Z/"):
-            if not part[2:].isdecimal() or int(part[2:]) < 1:
+            digits = part[2:]
+            try:
+                order = int(digits) if digits.isascii() and digits.isdigit() else 0
+            except ValueError:  # more digits than int() reads
+                raise ParseError(f"a cyclic order of {len(digits)} digits is too long") from None
+            if order < 1:
                 raise ParseError(f"cyclic order in {part!r} must be an integer >= 1")
-            factors.append(int(part[2:]))
+            factors.append(order)
         elif part in ("0", "1", "triv"):
             continue
         else:

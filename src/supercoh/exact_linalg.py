@@ -2,8 +2,8 @@
 
 Everything here is arbitrary-precision.  Every integer elimination is one
 engine: a sparse Markowitz-pivoted diagonalization that logs its row and
-column operations.  It gives linear system solving modulo n for every n
-(n = 0 means "over Z") and, with the invariant-factor chain of its pivots,
+column operations and ends in Smith normal form.  It gives linear system
+solving modulo n for every n (n = 0 means "over Z") and, from its pivots,
 cokernel presentations of finitely generated abelian groups.  Every
 elimination over a field is the other engine: one Gauss-Jordan `rref` over
 F_p or, for p = 0, over Q, on dense rows, where each elimination updates
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from math import gcd, prod
+from math import gcd
 from operator import attrgetter
 
 _setattr = object.__setattr__
@@ -240,92 +240,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def coprime_base(values) -> list[int]:
-    """Pairwise coprime integers > 1 such that every value > 1 is a product of
-    their powers.  Built by gcd refinement, so no value is ever factored."""
-    base: list[int] = []
-    todo = [abs(v) for v in values]
-    while todo:
-        a = todo.pop()
-        if a < 2:
-            continue
-        for i, b in enumerate(base):
-            g = gcd(a, b)
-            if g > 1:
-                # a and b are products of g, a // g and b // g; refine those
-                del base[i]
-                todo += (g, a // g, b // g)
-                break
-        else:
-            base.append(a)
-    return base
-
-
-def invariant_factor_chain(orders) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    """Invariant factors of the sum of Z/d over orders = [(d, key), ...], each
-    with the cyclic parts it combines, ascending by factor.
-
-    A coprime base of the orders splits Z/d into the Z/part for one part per
-    base element b: the largest power of b dividing d.  Per b the parts are
-    dealt largest first, ties to the larger key, and factor t is the product
-    of the t-th parts.  Returns [(factor, [(d, part, key), ...]), ...]; orders
-    below 2 contribute nothing."""
-    orders = [(d, key) for d, key in orders if d > 1]
-    slots: dict[int, list[tuple[int, int, int]]] = {}
-    for b in coprime_base(d for d, _ in orders):
-        for d, key in orders:
-            part = 1
-            while d % (part * b) == 0:
-                part *= b
-            if part > 1:
-                slots.setdefault(b, []).append((part, key, d))
-    for dealt in slots.values():
-        dealt.sort(reverse=True)
-    depth = max(map(len, slots.values()), default=0)
-    chain = []
-    for t in range(depth):
-        parts = [dealt[t] for dealt in slots.values() if t < len(dealt)]
-        chain.append((prod(part for part, _, _ in parts), [(d, part, key) for part, key, d in parts]))
-    chain.sort(key=lambda fp: fp[0])
-    return chain
-
-
-def chain_generators(chain, vector, length: int) -> list[list[int]]:
-    """One generator per factor of chain = invariant_factor_chain(orders):
-    the sum over its parts (d, part, key) of d // part times vector(key), the
-    generator of Z/d scaled to order part."""
-    gens = []
-    for _, parts in chain:
-        acc = [0] * length
-        for d, part, key in parts:
-            scale = d // part
-            for i, v in enumerate(vector(key)):
-                if v:
-                    acc[i] += scale * v
-        gens.append(acc)
-    return gens
-
-
-def chain_coordinates(chain, y) -> list[int]:
-    """Coordinates on the generators of chain = invariant_factor_chain(orders)
-    of the element with coordinate y[key] on the Z/d of each (d, key).
-
-    The generator of a factor is d // part times the generator of Z/d on
-    each of its parts (d, part, key), so its coordinate is y[key] / (d // part)
-    modulo each part, joined by CRT."""
-    out = []
-    for factor, parts in chain:
-        c = 0
-        for d, part, key in parts:
-            rest = factor // part
-            c += y[key] * pow(d // part, -1, part) * rest * pow(rest, -1, part)
-        out.append(c % factor)
-    return out
-
-
 def normalize_factors(factors) -> tuple[int, ...]:
-    """Rewrite an arbitrary list of cyclic orders as an invariant-factor chain."""
-    return tuple(f for f, _ in invariant_factor_chain([(d, i) for i, d in enumerate(factors)]))
+    """Rewrite an arbitrary list of cyclic orders as an invariant-factor
+    chain: the cokernel of their diagonal matrix."""
+    orders = [d for d in factors if d > 1]
+    diagonal = SparseMatrix(len(orders), len(orders), [{i: d} for i, d in enumerate(orders)])
+    return cokernel(diagonal, 0).invariant_factors
 
 
 def direct_sum(*groups: AbelianGroupPresentation) -> AbelianGroupPresentation:
@@ -405,7 +325,7 @@ def _add_scaled(dst: dict, src: dict, q: int):
 
 
 class _OpLogSolver:
-    """Sparse integer diagonalization U*A*V = D with replayable op logs.
+    """Sparse integer Smith normal form U*A*V = D with replayable op logs.
 
     Solves A*x = b (mod n) for any n >= 0 after a single factorization.  Row
     ops replay on the right-hand side in O(1) per op; column ops replay on
@@ -424,6 +344,7 @@ class _OpLogSolver:
         self.row_ops: list[tuple] = []
         self.col_ops: list[tuple] = []
         self._factor(rows, col_index)
+        self._chain()
 
     def _factor(self, rows, col_index):
         """Eliminate with the pivot of least (|x|, Markowitz cost, i, j), the
@@ -533,6 +454,36 @@ class _OpLogSolver:
         self.pivots = pivots
         self.zero_rows = sorted(active_rows)
         self.free_cols = sorted(active_cols)
+
+    def _chain(self):
+        """Bring D to Smith normal form (Cohen, A Course in Computational
+        Algebraic Number Theory, 2.4.4): sort the pivots by (value, -row),
+        then turn the 2x2 block of each pair a before b with a not dividing b
+        into (gcd, lcm) by logged ops.  Sorted powers of one prime already
+        form a chain and log nothing."""
+        row_ops, col_ops = self.row_ops, self.col_ops
+        order = lambda pivot: (pivot[2], -pivot[0])
+        pivots = sorted(self.pivots, key=order)
+        units = sum(d == 1 for _, _, d in pivots)
+        for t in range(units, len(pivots)):
+            for s in range(t + 1, len(pivots)):
+                (i, j, a), (k, l, b) = pivots[t], pivots[s]
+                if b % a == 0:
+                    continue
+                # row i += row k; (x, y) is then row i and (u, w) row k on the columns (j, l)
+                row_ops.append(("axpy", k, i, -1))
+                x, y, u, w = a, b, 0, b
+                while y:  # a column Euclid on row i leaves gcd(a, b) at x
+                    q = x // y
+                    if q:
+                        col_ops.append((l, j, q))
+                    x, y, u, w, j, l = y, x - q * y, w, u - q * w, l, j
+                # clear row k, which leaves lcm(a, b) up to sign
+                row_ops.append(("axpy", i, k, u // x))
+                if w < 0:
+                    row_ops.append(("neg", k, 0, 0))
+                pivots[t], pivots[s] = (i, j, x), (k, l, abs(w))
+        self.pivots = sorted(pivots, key=order)
 
     def row_transform(self, b) -> list[int]:
         """U b: the row ops replayed on a copy of b."""
@@ -646,10 +597,11 @@ def smith_decomposition(m) -> _OpLogSolver:
     """The op-log factorization U*M*V = D of an IntMatrix or SparseMatrix,
     kept on a SparseMatrix.
 
-    D is zero but for one positive entry d per pivot (i, j, d) in .pivots.
-    It is not in divisibility-chain form: invariant_factor_chain of the
-    pivot values gives the invariant factors.  U and V are the logged row
-    and column ops (row_transform, col_transform, u_inverse_column).
+    D is the Smith normal form up to the order of rows and columns: it is
+    zero but for one positive entry d per pivot (i, j, d) in .pivots, and
+    the pivots are sorted by (d, -i), each d dividing the next.  U and V
+    are the logged row and column ops (row_transform, col_transform,
+    u_inverse_column).
     """
     return _as_sparse(m).solver()
 
@@ -684,14 +636,12 @@ def cokernel(a, n: int) -> AbelianGroupPresentation:
     """Presentation of (Z/n)^rows / column-span(A); n = 0 gives Z^rows / span.
 
     The factored matrix is modulus_stack(A, n): free generators are the rows
-    without a pivot, and the invariant factors are the chain of the pivot
-    values."""
+    without a pivot, and the invariant factors are the pivot values above 1."""
     if n < 0:
         raise ValueError("modulus must be >= 0")
     m = modulus_stack(_as_sparse(a), n)
     pivots = smith_decomposition(m).pivots
-    chain = invariant_factor_chain([(d, i) for i, _, d in pivots])
-    return AbelianGroupPresentation(m.rows - len(pivots), tuple(f for f, _ in chain))
+    return AbelianGroupPresentation(m.rows - len(pivots), tuple(d for _, _, d in pivots if d > 1))
 
 
 # ---------------------------------------------------------------------------

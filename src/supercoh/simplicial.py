@@ -23,9 +23,6 @@ from .exact_linalg import (
     IntMatrix,
     Record,
     SparseMatrix,
-    chain_coordinates,
-    chain_generators,
-    invariant_factor_chain,
     modulus_stack,
 )
 
@@ -848,9 +845,13 @@ def _cohomology_record(c, q: int, n: int):
     stack [delta_q | n I], cut to its first c.size(q) coordinates: v is a
     cocycle mod n iff (v, -delta_q v / n) is in that kernel.  The relations
     are the columns of delta_{q-1} and, for n > 0, n e_i, lifted to
-    (n e_i, -delta_q e_i).  One op-log factorization of their coordinates in
-    the kernel basis gives the group and, through logged transforms, the
-    generators and the coordinates of a class.
+    (n e_i, -delta_q e_i).  The op-log factorization of their coordinates
+    in the kernel basis ends in Smith normal form U W V = D.  Its pivot
+    values above 1 are the invariant factors.  The generators are the
+    columns of U^-1 at the pivot rows above 1, ascending by order with ties
+    to the larger row, then at the free rows.  A class whose kernel
+    coordinates are x has coordinate y_row mod d on the generator of a pivot
+    row of order d and y_row on a free row, where y = U x.
     """
     m0, dq = c.size(q), c.delta(q)
     ksolver = modulus_stack(dq, n).solver()
@@ -865,19 +866,13 @@ def _cohomology_record(c, q: int, n: int):
     if coord_rows is None:
         raise ArithmeticError("vector not in kernel lattice")
     wsolver = SparseMatrix(k, len(relations), coord_rows).solver()
-    # a part of order power of the pivot row of order d_row is d_row // power
-    # times its U^-1 column
-    chain = invariant_factor_chain([(abs(d), row) for row, _, d in wsolver.pivots])
-    free_rows = wsolver.zero_rows
-    uinv = cache(wsolver.u_inverse_column)
-    gen_coord_vectors = chain_generators(chain, uinv, k) + [uinv(r) for r in free_rows]
-    orders = [f for f, _ in chain] + [0] * len(free_rows)
-    pres = AbelianGroupPresentation(len(free_rows), tuple(f for f, _ in chain))
+    rows = [row for row, _, d in wsolver.pivots if d > 1] + wsolver.zero_rows
+    orders = [d for _, _, d in wsolver.pivots if d > 1] + [0] * len(wsolver.zero_rows)
+    pres = AbelianGroupPresentation(len(wsolver.zero_rows), tuple(d for d in orders if d))
 
     def coordinates(vec):
         # lift vec into the kernel as the relations were lifted (a
-        # non-cocycle has no lift); y = U (kernel coordinates) then gives
-        # the class as y_row modulo d_row on pivot rows, y_row on free rows
+        # non-cocycle has no lift)
         if n:
             d = dq.mul_vector(vec)
             if any(map(mod, d, repeat(n))):
@@ -887,9 +882,10 @@ def _cohomology_record(c, q: int, n: int):
         if kernel_coords is None:
             return None
         y = wsolver.row_transform(kernel_coords)
-        return chain_coordinates(chain, y) + [y[r] for r in free_rows]
+        return [y[r] % d if d else y[r] for r, d in zip(rows, orders)]
 
-    return pres, [ksolver.kernel_combination(v)[:m0] for v in gen_coord_vectors], orders, coordinates
+    gens = [ksolver.kernel_combination(wsolver.u_inverse_column(r))[:m0] for r in rows]
+    return pres, gens, orders, coordinates
 
 
 def _record(x: SimplicialComplex, q: int, n: int):

@@ -43,9 +43,12 @@ def suite_linalg():
     rng = Random(2024)
     out = []
     ok = True
+    matrices = [IntMatrix.diagonal([2, 3])]  # coprime pivots, which the gcd/lcm pass combines
     for _ in range(40):
         r, c = rng.randint(0, 4), rng.randint(0, 4)
-        m = IntMatrix(r, c, tuple(rng.randint(-9, 9) for _ in range(r * c)))
+        matrices.append(IntMatrix(r, c, tuple(rng.randint(-9, 9) for _ in range(r * c))))
+    for m in matrices:
+        r, c = m.rows, m.cols
         dec = smith_decomposition(m)
         # U, V and U^-1 column by column from the logged ops; D holds the pivots
         u = _from_columns([dec.row_transform(e) for e in IntMatrix.identity(r).to_rows()], r)
@@ -56,7 +59,8 @@ def suite_linalg():
             d[i * c + j] = x
         if u.mul(m).mul(v).entries != tuple(d) or u.mul(u_inv) != IntMatrix.identity(r):
             ok = False
-        if any(x <= 0 for _, _, x in dec.pivots):
+        values = [x for _, _, x in dec.pivots]
+        if any(x <= 0 for x in values) or any(b % a for a, b in zip(values, values[1:])):
             ok = False
     out.append(_result("oplog-factorization", ok))
     ok = True

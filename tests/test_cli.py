@@ -258,7 +258,8 @@ class TestOtherVerbs:
         assert code == 0 and out.strip().startswith("2 ")
 
     def test_classify_bad_cyclic_order_is_parse_error(self, capsys):
-        for text in ("Z/-3;Z/2", "Z/0;Z/2", "Z/4;Z/x"):
+        # Arabic-Indic digits, and more digits than int() reads
+        for text in ("Z/-3;Z/2", "Z/0;Z/2", "Z/4;Z/x", "Z/٨;Z/٢", "Z/1" + "0" * 4400 + ";Z/2"):
             code, out, err = run(capsys, "classify", "--enumerate", text)
             assert code == 2 and not out
             assert "cyclic order" in err

@@ -1,6 +1,5 @@
-from itertools import combinations
 from itertools import product as iproduct
-from math import gcd, prod
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -16,19 +15,15 @@ from oracles import (
 )
 from oracles import f2_kernel as f2_kernel_scan
 
-from supercoh import corpus
+from supercoh import corpus, exact_linalg
 from supercoh.exact_linalg import (
     AbelianGroupPresentation,
     IntMatrix,
     SparseMatrix,
     _OpLogSolver,
-    chain_coordinates,
-    chain_generators,
-    coprime_base,
     cokernel,
     direct_sum,
     f2_kernel,
-    invariant_factor_chain,
     is_prime,
     normalize_factors,
     solve_mod,
@@ -193,6 +188,26 @@ class TestOpLogFactorization:
         in_kernel = m.mul_vector(vec) == [0] * m.rows
         assert (coords is not None) == in_kernel
 
+    @given(st.one_of(small_matrices, sparse_matrices))
+    @settings(max_examples=200, deadline=None)
+    def test_ends_in_smith_normal_form(self, m):
+        dec = exact_linalg.smith_decomposition(m)
+        values = [d for _, _, d in dec.pivots]
+        # positive, each dividing the next, so ascending too
+        assert all(d > 0 for d in values)
+        assert all(b % a == 0 for a, b in zip(values, values[1:]))
+        # U, V and U^-1 column by column from the logged ops, then U*M*V = D
+        columns = lambda vecs, n: IntMatrix(n, n, tuple(v[i] for i in range(n) for v in vecs))
+        unit = lambda n: IntMatrix.identity(n).to_rows()
+        u = columns([dec.row_transform(e) for e in unit(m.rows)], m.rows)
+        v = columns([dec.col_transform(e) for e in unit(m.cols)], m.cols)
+        u_inv = columns([dec.u_inverse_column(i) for i in range(m.rows)], m.rows)
+        d = [0] * (m.rows * m.cols)
+        for i, j, x in dec.pivots:
+            d[i * m.cols + j] = x
+        assert u.mul(m).mul(v).entries == tuple(d)
+        assert u.mul(u_inv) == IntMatrix.identity(m.rows)
+
     def test_big_entry_stress(self):
         import random
 
@@ -315,22 +330,6 @@ class TestPrimes:
         for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
             assert not is_prime(n)
 
-    def test_coprime_base(self):
-        p, q = 2**61 - 1, 2**61 - 31  # two 61-bit primes
-        cases = ([360], [12, 18], [6, 10, 15], [2, 4, 8], [(2**31 - 1) * p, p], [p * q], [8 * p**2, 12])
-        for values in cases:
-            base = coprime_base(values)
-            assert all(b > 1 for b in base)
-            assert all(gcd(a, b) == 1 for a, b in combinations(base, 2))
-            for v in values:
-                for b in base:
-                    while v % b == 0:
-                        v //= b
-                assert v == 1
-        assert sorted(coprime_base([12, 18])) == [2, 3]
-        assert coprime_base([p * q]) == [p * q]  # never factored
-        assert coprime_base([0, 1, -1]) == []
-
 
 class TestCokernel:
     def test_z2(self):
@@ -396,6 +395,7 @@ class TestSympySmithOracle:
 
         expected = invariant_factors(m)
         assert [x for x in smith_decomposition(m).diagonal() if x] == expected
+        assert [d for _, _, d in exact_linalg.smith_decomposition(m).pivots] == expected
         if n:
             expected = invariant_factors(m.hstack(IntMatrix.diagonal([n] * m.rows)))
         assert cokernel(m, n) == AbelianGroupPresentation(
@@ -429,18 +429,6 @@ class TestPresentations:
             prod(sorted(v, reverse=True)[t] for v in powers.values() if t < len(v)) for t in range(depth)
         ]
         assert normalize_factors(orders) == tuple(sorted(chain))
-
-    @given(st.lists(st.integers(1, 360), max_size=6))
-    @settings(max_examples=100, deadline=None)
-    def test_chain_coordinates_invert_chain_generators(self, orders):
-        # generator t of the chain, written on the cyclic summands, has
-        # coordinates e_t on the chain's generators
-        chain = invariant_factor_chain([(d, key) for key, d in enumerate(orders)])
-        unit = lambda key: [int(i == key) for i in range(len(orders))]
-        factors = [f for f, _ in chain]
-        for t, gen in enumerate(chain_generators(chain, unit, len(orders))):
-            coords = chain_coordinates(chain, gen)
-            assert [c % f for c, f in zip(coords, factors)] == [int(s == t) for s in range(len(factors))]
 
     def test_direct_sum(self):
         a = AbelianGroupPresentation(1, (2,))

@@ -137,6 +137,27 @@ def test_pairs_refuses_bad_arguments(args, message):
     assert message in out.stderr
 
 
+def test_pairs_summary_flags_worse_and_unresolved():
+    """scripts/pairs.py on fixed numbers: a median worse by more than the
+    bound is `worse`; a parent spread (q3 - q1) / median wider than the
+    bound is `unresolved`, unless every change run beats every parent run."""
+    spec = importlib.util.spec_from_file_location("pairs", SCRIPTS / "pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    spread = [10, 20, 30, 40, 50]
+    parent = {"ops": [100, 101, 102, 103, 104], "setup": [0.05] * 5, "p50": spread, "rss": spread}
+    change = {"ops": [105, 106, 107, 108, 109], "setup": [0.07] * 5, "p50": [30] * 5, "rss": [5] * 5}
+    results = [(k, {n: v[k] for n, v in parent.items()}, {n: v[k] for n, v in change.items()}) for k in range(5)]
+    better = {"ops": "higher", "setup": "lower", "p50": "lower", "rss": "lower"}
+    lines = pairs.summary(results, better, dict.fromkeys(better, 0.25))
+    assert lines == [
+        "  ops: 102 -> 107 (+4.9%), won 5/5, parent [100.5, 103.5]",
+        "  setup: 0.05 -> 0.07 (+40.0%), won 0/5, parent [0.05, 0.05]: worse",
+        "  p50: 30 -> 30 (+0.0%), won 2/5, parent [15, 45]: unresolved",
+        "  rss: 30 -> 5 (-83.3%), won 5/5, parent [15, 45]",
+    ]
+
+
 def test_every_oracle_is_reached():
     """Every top-level def of tests/oracles.py is reached from a test module
     or a script: imported from oracles or read as oracles.name there, or

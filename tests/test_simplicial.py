@@ -17,7 +17,7 @@ from oracles import (
 
 from supercoh import brauer, corpus
 from supercoh.exact_linalg import AbelianGroupPresentation as G
-from supercoh.exact_linalg import normalize_factors
+from supercoh.exact_linalg import SparseMatrix, normalize_factors
 from supercoh.operations import bockstein, cup, cup_i
 from supercoh.simplicial import (
     Cochain,
@@ -25,6 +25,7 @@ from supercoh.simplicial import (
     SimplicialComplex,
     SimplicialMap,
     _coboundary,
+    _cohomology_record,
     class_coordinates,
     coboundary_matrix,
     cohomology,
@@ -271,6 +272,31 @@ def test_mod_n_record_matches_the_stack(name):
                 for c, stack_cls in zip(stack_coordinates(cls.cochain), stack_basis):
                     back = back + stack_cls.cochain.scale(c)
                 assert class_coordinates(back) == unit, (q, n, k)
+
+
+class CoprimeTorsion:
+    """The based cochain complex Z^2 -> Z^2 in degrees 1 and 2 with
+    delta_1 = diag(2, 3), zero elsewhere: its torsion has two primes."""
+
+    def size(self, q: int) -> int:
+        return 2 if q in (1, 2) else 0
+
+    def delta(self, q: int) -> SparseMatrix:
+        rows = [{0: 2}, {1: 3}] if q == 1 else [{} for _ in range(self.size(q + 1))]
+        return SparseMatrix(self.size(q + 1), self.size(q), rows)
+
+
+@pytest.mark.parametrize("q, n", [(2, 0), (1, 6), (2, 6), (1, 12), (2, 12)])
+def test_record_on_coprime_torsion(q, n):
+    """Z/2 + Z/3 comes out as Z/6, with a generator of order 6 that reads
+    back as e_k and whose multiple d reads 0 iff 6 divides d."""
+    pres, gens, orders, read = _cohomology_record(CoprimeTorsion(), q, n)
+    assert pres == G(0, (6,))
+    assert orders == [6]
+    for k, gen in enumerate(gens):
+        assert read(gen) == [int(t == k) for t in range(len(gens))]
+        for d in range(1, 3 * orders[k] + 1):
+            assert (read([d * x for x in gen]) == [0] * len(gens)) == (d % orders[k] == 0), d
 
 
 def test_cohomology_adds_no_attributes_to_the_complex():
