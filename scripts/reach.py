@@ -19,8 +19,8 @@ printed, with its reason when KEPT names it.
     python scripts/reach.py           # print the unreached functions
     python scripts/reach.py --check   # exit 1 unless KEPT accounts for them
 
---check fails when an unreached function is not in KEPT, or when a KEPT
-name is no function of src/supercoh.
+--check fails when an unreached function is not in KEPT, when a KEPT name
+is no function of src/supercoh, or when a user path reaches a KEPT name.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ KEPT = {
     "simplicial.SimplicialComplex.from_json_dict": _JSON,
     "simplicial.SimplicialComplex.to_json_dict": _JSON,
     "exact_linalg.f2_kernel": _DENSE,
-    "exact_linalg.IntMatrix.zeros": _DENSE,
-    "exact_linalg.IntMatrix.diagonal": _DENSE,
-    "exact_linalg.IntMatrix.at": _DENSE,
-    "exact_linalg.IntMatrix.transpose": _DENSE,
     "exact_linalg.IntMatrix.hstack": _DENSE,
     "exact_linalg.AbelianGroupPresentation.order": _TEST,
     "simplicial.SimplicialComplex.index_of": _TEST,
@@ -180,22 +176,32 @@ def reached() -> set[tuple[str, int, str]]:
     return {(c.co_filename, c.co_firstlineno, c.co_name) for c in called}
 
 
+def audit(every: dict, hit: set, kept: dict) -> tuple[list[str], list[str]]:
+    """(the unreached names, what --check fails on) for the functions
+    {key: name} of functions(), the keys hit of reached() and the names kept
+    with a reason: an unreached name not kept, a kept name that is no
+    function, and a kept name that a user path reaches."""
+    unreached = sorted(name for key, name in every.items() if key not in hit)
+    names = set(every.values())
+    faults = [f"{name} is reached by no user path and not in KEPT" for name in unreached if name not in kept]
+    faults += [f"KEPT names {name}, which is no function of src/supercoh" for name in sorted(set(kept) - names)]
+    faults += [f"KEPT names {name}, which a user path reaches" for name in sorted(set(kept) & names - set(unreached))]
+    return unreached, faults
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--check", action="store_true", help="exit 1 unless KEPT accounts for every unreached function")
     args = p.parse_args(argv)
     sys.path.insert(0, str(PACKAGE.parent))
     every = functions()
-    hit = reached()
-    unreached = sorted(name for key, name in every.items() if key not in hit)
+    unreached, faults = audit(every, reached(), KEPT)
     print(f"{len(unreached)} of {len(every)} functions in src/supercoh are reached by no user path")
     for name in unreached:
         print(f"  {name}" + (f"  ({KEPT[name]})" if name in KEPT else "  (NOT KEPT)"))
-    missing = sorted(set(KEPT) - set(every.values()))
-    for name in missing:
-        print(f"KEPT names {name}, which is no function of src/supercoh")
-    unkept = [name for name in unreached if name not in KEPT]
-    return 1 if args.check and (unkept or missing) else 0
+    for fault in faults:
+        print(fault)
+    return 1 if args.check and faults else 0
 
 
 if __name__ == "__main__":

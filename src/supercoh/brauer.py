@@ -115,12 +115,9 @@ def add(x: BrauerElement, y: BrauerElement) -> BrauerElement:
 
 
 def negate(x: BrauerElement) -> BrauerElement:
-    """Inverse for the twisted law: ku (a, b, -c - beta(b cup b)),
-    ko (-a, b, c + b cup b)."""
-    t = _twist(x.variant, x.b, x.b)
-    if x.variant == KU:
-        return BrauerElement(x.variant, x.a, x.b, -x.c - t)
-    return BrauerElement(x.variant, -x.a, x.b, x.c + t)
+    """Inverse for the twisted law: (-a, b, -c - twist(b, b)).  Mod 2, -x is
+    x and - is +, so ku's is (a, b, -c - beta(b cup b)), ko's (-a, b, c + b cup b)."""
+    return BrauerElement(x.variant, -x.a, x.b, -x.c - _twist(x.variant, x.b, x.b))
 
 
 def equals(x: BrauerElement, y: BrauerElement) -> bool:

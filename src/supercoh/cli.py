@@ -5,15 +5,14 @@ classify, verify.  Complexes are JSON files
 {"vertex_count": n, "maximal_simplices": [[...], ...]} or built-in corpus
 names prefixed with @ (e.g. @rp2).  Reports are deterministic; --json emits
 a machine-readable report.  Exit codes: 0 success, 1 domain error, 2 parse
-error.  The environment variable SUPERCOH_CAP overrides the cap of
-classify --enumerate; element orders are exact and have no cap.
+error.  classify --enumerate exits 1 when the structures outnumber
+stable2type.DEFAULT_ENUM_CAP; element orders are exact and have no cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -52,16 +51,6 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except (OSError, ValueError) as e:
         raise ParseError(f"cannot read JSON from {path}: {e}") from e
-
-
-def _cap(default: int) -> int:
-    env = os.environ.get("SUPERCOH_CAP")
-    if env is None:
-        return default
-    try:
-        return int(env)
-    except ValueError:
-        raise ParseError(f"SUPERCOH_CAP={env!r} is not an integer")
 
 
 def _group_dict(g: AbelianGroupPresentation) -> dict:
@@ -321,9 +310,7 @@ def cmd_classify(args):
             raise ParseError("--enumerate expects 'PI0;PI1', e.g. 'Z/8;Z/2'")
         pi0 = _parse_group(pi0_text)
         pi1 = _parse_group(pi1_text)
-        structures = stable2type.enumerate_symmetric_structures(
-            pi0, pi1, cap=_cap(stable2type.DEFAULT_ENUM_CAP)
-        )
+        structures = stable2type.enumerate_symmetric_structures(pi0, pi1)
         report = {
             "pi0": _group_dict(pi0),
             "pi1": _group_dict(pi1),

@@ -96,10 +96,6 @@ class IntMatrix(Record):
         return cls(rows, cols, tuple(x for row in data for x in row))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
@@ -113,21 +109,11 @@ class IntMatrix(Record):
             m[i][i] = d
         return cls.from_rows(m) if rows else cls(rows, cols, ())
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -464,6 +450,10 @@ class _OpLogSolver:
         row_ops, col_ops = self.row_ops, self.col_ops
         order = lambda pivot: (pivot[2], -pivot[0])
         pivots = sorted(self.pivots, key=order)
+        # divisibility is transitive, so adjacent pivots show a chain
+        if all(b % a == 0 for (_, _, a), (_, _, b) in zip(pivots, pivots[1:])):
+            self.pivots = pivots
+            return
         units = sum(d == 1 for _, _, d in pivots)
         for t in range(units, len(pivots)):
             for s in range(t + 1, len(pivots)):

@@ -716,7 +716,7 @@ class TensorModel(_CochainModel):
         self._deltas: dict[int, SparseMatrix] = {}
         self._chains: dict[int, list] = {}
         self._restrictions: dict[int, list] = {}
-        # n -> {p: the gather of the cross-product table}; see _cross
+        # n -> {p: the gathers (front, back) of the cross product}; see _cross
         self._extensions: dict = {}
         self.records: dict = {}
 
@@ -777,14 +777,12 @@ class TensorModel(_CochainModel):
         return chains
 
     def _cross(self, q: int, p: int):
-        """The gather that reads the cross product of a p-cochain on K and a
-        (q-p)-cochain on L off their table of products: (kcount + 1) rows of
-        lcount + 1 entries, entry a * (lcount + 1) + b for the a-th K-simplex
-        and the b-th L-simplex, whose last row and last column hold 0.  A
-        degenerate projected face repeats a vertex, so no index holds it: it
-        reads as index kcount of the front or lcount of the back, and so
-        reads 0.  The gathers of every p are built at once, from the vertex
-        columns of the q-simplices of X projected to K and to L."""
+        """The gathers (front, back) of the cross product of a p-cochain on K
+        and a (q-p)-cochain on L, each fed its values with one 0 appended:
+        front reads the front p-face of the projection to K of each q-simplex
+        of X, back the back (q-p)-face of its projection to L, and a
+        degenerate face, which no index holds, reads the 0.  The gathers of
+        every p are built at once, from the vertex columns of X's q-simplices."""
         gathers = self._extensions.get(q)
         if gathers is None:
             kx, lx = self._k.complex, self._l.complex
@@ -794,16 +792,15 @@ class TensorModel(_CochainModel):
             lcolumns = [tuple(map(mod, c, repeat(width))) for c in columns]
             gathers = self._extensions[q] = {}
             for d in range(max(0, q - lx.dim), min(q, kx.dim) + 1):
-                kcount, lcount = kx.simplex_count(d), lx.simplex_count(q - d)
-                fronts = map(kx._index[d].get, zip(*kcolumns[: d + 1]), repeat(kcount))
-                backs = map(lx._index[q - d].get, zip(*lcolumns[d:]), repeat(lcount))
-                gathers[d] = _gather(tuple(map(add, map(mul, fronts, repeat(lcount + 1)), backs)))
+                fronts = map(kx._index[d].get, zip(*kcolumns[: d + 1]), repeat(kx.simplex_count(d)))
+                backs = map(lx._index[q - d].get, zip(*lcolumns[d:]), repeat(lx.simplex_count(q - d)))
+                gathers[d] = (_gather(tuple(fronts)), _gather(tuple(backs)))
         return gathers[p]
 
     def extend(self, q: int, vec) -> tuple[int, ...]:
         """The values on X of e(m) for a vector m of the model in degree q:
-        sum over cells (p, i, j) of m_(p,i,j) e_K(i) x e_L(j), each block p
-        summed into the table of products in the layout _cross reads."""
+        sum over cells (p, i, j) of m_(p,i,j) e_K(i) x e_L(j), one cross
+        product per nonzero row i of each block p."""
         k, l = self._k, self._l
         values = [0] * self.complex.simplex_count(q)
         offsets = self._offsets[q]
@@ -811,19 +808,14 @@ class TensorModel(_CochainModel):
             block = vec[offsets[p] : offsets[p + 1]]
             if not any(block):
                 continue
+            front, back = self._cross(q, p)
             ksize, lsize = k.size(p), l.size(q - p)
-            stride = l.complex.simplex_count(q - p) + 1
-            products = [0] * ((k.complex.simplex_count(p) + 1) * stride)
             for i in range(ksize):
                 row = block[i * lsize : (i + 1) * lsize]
-                if not any(row):
-                    continue
-                lvalues = l.extend(q - p, row)
-                for a, kv in enumerate(k.extend(p, [int(t == i) for t in range(ksize)])):
-                    if kv:
-                        cut = slice(a * stride, (a + 1) * stride - 1)
-                        products[cut] = map(add, products[cut], map(mul, repeat(kv), lvalues))
-            values = list(map(add, values, self._cross(q, p)(products)))
+                if any(row):
+                    kvalues = front(k.extend(p, [int(t == i) for t in range(ksize)]) + (0,))
+                    lvalues = back(l.extend(q - p, row) + (0,))
+                    values = list(map(add, values, map(mul, kvalues, lvalues)))
         return tuple(values)
 
 

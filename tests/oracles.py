@@ -170,7 +170,7 @@ class SmithDecomposition:
     v_inv: IntMatrix
 
     def diagonal(self) -> list[int]:
-        return [self.d.at(i, i) for i in range(min(self.d.rows, self.d.cols))]
+        return [self.d.row(i)[i] for i in range(min(self.d.rows, self.d.cols))]
 
     def rank(self) -> int:
         return sum(1 for x in self.diagonal() if x)
@@ -441,9 +441,10 @@ def cup_i_table_loop(x: SimplicialComplex, i: int, p: int, q: int) -> tuple:
 
 
 def cross_loop(model: TensorModel, q: int) -> dict:
-    """The index vectors of TensorModel._cross in degree q, keyed by p, in the
-    flat layout a * lcount + b with one trailing 0 at kcount * lcount that
-    every degenerate projected face reads, one None test per simplex."""
+    """The index vectors (fronts, backs) of TensorModel._cross in degree q,
+    keyed by p: the index of the front p-face of the projection to K of each
+    q-simplex of X and of the back face of its projection to L, kcount or
+    lcount where that face is degenerate, one None test per simplex."""
     kx, lx = model._k.complex, model._l.complex
     width = itertools.repeat(lx.vertex_count)
     simplices = model.complex.simplices(q)
@@ -451,11 +452,13 @@ def cross_loop(model: TensorModel, q: int) -> dict:
     ls = [tuple(map(mod, s, width)) for s in simplices]
     out = {}
     for d in range(max(0, q - lx.dim), min(q, kx.dim) + 1):
-        lcount = lx.simplex_count(q - d)
-        degenerate = kx.simplex_count(d) * lcount
+        kcount, lcount = kx.simplex_count(d), lx.simplex_count(q - d)
         fronts = map(kx._index[d].get, map(itemgetter(slice(d + 1)), ks))
         backs = map(lx._index[q - d].get, map(itemgetter(slice(d, None)), ls))
-        out[d] = tuple(degenerate if a is None or b is None else a * lcount + b for a, b in zip(fronts, backs))
+        out[d] = (
+            tuple(kcount if a is None else a for a in fronts),
+            tuple(lcount if b is None else b for b in backs),
+        )
     return out
 
 
@@ -549,7 +552,7 @@ def _kernel_lattice(x: SimplicialComplex, q: int, n: int) -> IntMatrix:
     rank = dec.rank()
     cols = []
     for j in range(rank, width):
-        col = [dec.v.at(i, j) for i in range(width)]
+        col = [dec.v.row(i)[j] for i in range(width)]
         cols.append(col[:m0])
     if not cols:
         return IntMatrix(m0, 0, ())
@@ -584,7 +587,7 @@ def cohomology_integral_dense(x: SimplicialComplex, q: int, n: int):
 
     relation_cols = []
     for j in range(dprev.cols):
-        col = [dprev.at(i, j) for i in range(dprev.rows)]
+        col = [dprev.row(i)[j] for i in range(dprev.rows)]
         relation_cols.append(in_kernel_coords(col))
     if n:
         for i in range(m0):
@@ -610,7 +613,7 @@ def cohomology_integral_dense(x: SimplicialComplex, q: int, n: int):
     pres = AbelianGroupPresentation(len(free_positions), tuple(factors))
     basis = []
     for i in gens + free_positions:
-        coords = [wdec.u_inv.at(r, i) for r in range(k)]
+        coords = [wdec.u_inv.row(r)[i] for r in range(k)]
         vec = kernel.mul_vector(coords)
         basis.append(CohomologyClass(Cochain(x, q, n, tuple(vec))))
     orders = orders + [0] * len(free_positions)

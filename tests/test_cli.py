@@ -446,18 +446,14 @@ class TestOtherVerbs:
 
 
 class TestCapVariable:
-    """SUPERCOH_CAP caps only classify --enumerate; element orders are exact."""
+    """classify --enumerate refuses more than stable2type.DEFAULT_ENUM_CAP
+    (4096) structures; element orders are exact."""
 
-    def test_order_ignores_the_cap(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SUPERCOH_CAP", "1")
-        code, out, _ = run_rp2_order(capsys, tmp_path)
-        assert code == 0 and out.strip() == "4"
-
-    def test_enumeration_over_the_cap_is_domain_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUPERCOH_CAP", "1")
-        code, out, err = run(capsys, "classify", "--enumerate", "Z/8;Z/2")
+    def test_enumeration_over_the_cap_is_domain_error(self, capsys):
+        # pi1[2] has 2^13 elements, one more doubling than the cap admits
+        code, out, err = run(capsys, "classify", "--enumerate", "Z/2;" + "+".join(["Z/2"] * 13))
         assert code == 1 and not out
-        assert "enumeration of 2^1 structures exceeds cap 1" in err
+        assert "enumeration of 2^13 structures exceeds cap 4096" in err
 
     def test_enumeration_count_is_checked_first(self, capsys):
         # pi1[2] has 2^40 elements; the default cap refuses before listing one
@@ -466,12 +462,6 @@ class TestCapVariable:
         assert time.perf_counter() - start < 1
         assert code == 1 and not out
         assert "exceeds cap" in err
-
-    def test_non_integer_cap_is_parse_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUPERCOH_CAP", "x")
-        code, out, err = run(capsys, "classify", "--enumerate", "Z/8;Z/2")
-        assert code == 2 and not out
-        assert "SUPERCOH_CAP='x' is not an integer" in err
 
 
 # the runs that read a file: the complex, an element and a DSV

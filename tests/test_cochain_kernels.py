@@ -200,15 +200,10 @@ def test_index_tables_equal_the_per_simplex_builders(name):
         kx, lx = model._k.complex, model._l.complex
         for q in range(x.dim + 1):
             for p, old in cross_loop(model, q).items():
-                # entry a * lcount + b + 1 of the product table, 0 where a face is degenerate
-                kcount, lcount = kx.simplex_count(p), lx.simplex_count(q - p)
-                flat = (*range(1, kcount * lcount + 1), 0)
-                table = [
-                    a * lcount + b + 1 if a < kcount and b < lcount else 0
-                    for a in range(kcount + 1)
-                    for b in range(lcount + 1)
-                ]
-                assert model._cross(q, p)(table) == tuple(flat[j] for j in old), (q, p)
+                # each gather is fed its values with the 0 of a degenerate face appended
+                front, back = model._cross(q, p)
+                got = (_indices(front, kx.simplex_count(p) + 1), _indices(back, lx.simplex_count(q - p) + 1))
+                assert got == old, (q, p)
     for f in maps:
         for q in range(f.target.dim + 2):
             c = Cochain(f.target, q, 0, tuple(range(1, f.target.simplex_count(q) + 1)))

@@ -28,7 +28,7 @@ from supercoh.exact_linalg import (
     normalize_factors,
     solve_mod,
 )
-from supercoh.simplicial import coboundary_matrix
+from supercoh.simplicial import _coboundary, coboundary_matrix
 
 
 def mat(rows):
@@ -58,7 +58,7 @@ COKERNEL_MODULI = (0, 2, 3, 4, 6, 12)
 
 class TestSmithNormalForm:
     def test_zero_matrix(self):
-        u, d, v = smith_normal_form(IntMatrix.zeros(2, 2))
+        u, d, v = smith_normal_form(mat([[0, 0], [0, 0]]))
         assert d.is_zero()
 
     def test_identity(self):
@@ -68,7 +68,7 @@ class TestSmithNormalForm:
     def test_diag_2_3(self):
         m = mat([[2, 0], [0, 3]])
         u, d, v = smith_normal_form(m)
-        assert [d.at(0, 0), d.at(1, 1)] == [1, 6]
+        assert d.to_rows() == [[1, 0], [0, 6]]
         assert u.mul(m).mul(v).entries == d.entries
 
     def test_empty(self):
@@ -87,7 +87,7 @@ class TestSmithNormalForm:
         for i in range(dec.d.rows):
             for j in range(dec.d.cols):
                 if i != j:
-                    assert dec.d.at(i, j) == 0
+                    assert dec.d.row(i)[j] == 0
         diag = [x for x in dec.diagonal() if x]
         assert all(x > 0 for x in diag)
         assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
@@ -259,13 +259,27 @@ class TestHeapPivoting:
             self.assert_same_factorization(d.hstack(IntMatrix.diagonal([4] * d.rows)))
 
 
+def test_a_chain_of_pivots_logs_no_smith_op(monkeypatch):
+    """The unreduced [delta^1 | 2I] of rp2xrp2 has 902 pivots of value 2, a
+    chain already, so the Smith pass adds no op to the elimination's logs."""
+    stack = exact_linalg.modulus_stack(_coboundary(corpus.complex_by_name("rp2xrp2"), 1), 2)
+    monkeypatch.setattr(_OpLogSolver, "_chain", lambda self: None)
+    solver = _OpLogSolver(stack)
+    monkeypatch.undo()
+    assert [d for _, _, d in solver.pivots].count(2) == 902
+    logs = (list(solver.row_ops), list(solver.col_ops))
+    solver._chain()
+    assert (solver.row_ops, solver.col_ops) == logs
+
+
 class TestSparseMatrix:
     @given(small_matrices)
     @settings(max_examples=40, deadline=None)
     def test_dense_roundtrip_and_transpose(self, m):
         s = SparseMatrix.from_dense(m)
         assert s.to_dense() == m
-        assert s.transpose().to_dense() == m.transpose()
+        columns = tuple(x for j in range(m.cols) for x in m.entries[j :: m.cols])
+        assert s.transpose().to_dense() == IntMatrix(m.cols, m.rows, columns)
 
     @given(small_matrices, st.data())
     @settings(max_examples=60, deadline=None)

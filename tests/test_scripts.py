@@ -17,6 +17,14 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
+def _module(name, path):
+    """The module of a script, loaded from its path."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def run_script(name, *args):
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
@@ -100,9 +108,7 @@ def test_reach_kept_names_resolve():
     """Every function that scripts/reach.py keeps although no user path
     calls it is defined in src/supercoh, with a reason; the full audit runs
     the user paths and is a CI step, not a tier-1 test."""
-    spec = importlib.util.spec_from_file_location("reach", SCRIPTS / "reach.py")
-    reach = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(reach)
+    reach = _module("reach", SCRIPTS / "reach.py")
     assert reach.KEPT
     for name, reason in reach.KEPT.items():
         module, *outer, attr = name.split(".")
@@ -111,6 +117,35 @@ def test_reach_kept_names_resolve():
             owner = getattr(owner, part)
         assert attr in owner.__dict__ and callable(getattr(owner, attr)), name
         assert reason.strip(), name
+
+
+def test_reach_check_fails_on_each_fault():
+    """The verdict of scripts/reach.py --check on a fixed set: a kept name
+    that a user path reaches is stale, as are an unreached name that is not
+    kept and a kept name that is no function."""
+    reach = _module("reach", SCRIPTS / "reach.py")
+    every = {("m.py", line, name): f"m.{name}" for line, name in enumerate(["kept", "stale", "used", "loose"])}
+    hit = {key for key in every if key[2] in ("stale", "used")}
+    kept = {"m.kept": "a reason", "m.stale": "a reason", "m.gone": "a reason"}
+    assert reach.audit(every, hit, kept) == (
+        ["m.kept", "m.loose"],
+        [
+            "m.loose is reached by no user path and not in KEPT",
+            "KEPT names m.gone, which is no function of src/supercoh",
+            "KEPT names m.stale, which a user path reaches",
+        ],
+    )
+    assert reach.audit(every, hit, {"m.kept": "a reason", "m.loose": "a reason"}) == (["m.kept", "m.loose"], [])
+
+
+def test_find_small_klein_regenerates_klein8():
+    """scripts/find_small_klein.py prints the facet list of corpus.klein8."""
+    pytest.importorskip("sympy")
+    result = run_script("find_small_klein.py")
+    assert result.returncode == 0, result.stderr
+    # the lines after "facets:" are "(a, b, c)," each: a tuple literal once wrapped
+    facets = ast.literal_eval("(" + result.stdout.split("facets:", 1)[1] + ")")
+    assert facets == corpus.klein8().maximal_simplices
 
 
 @pytest.mark.parametrize(
@@ -141,9 +176,7 @@ def test_pairs_summary_flags_worse_and_unresolved():
     """scripts/pairs.py on fixed numbers: a median worse by more than the
     bound is `worse`; a parent spread (q3 - q1) / median wider than the
     bound is `unresolved`, unless every change run beats every parent run."""
-    spec = importlib.util.spec_from_file_location("pairs", SCRIPTS / "pairs.py")
-    pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pairs)
+    pairs = _module("pairs", SCRIPTS / "pairs.py")
     spread = [10, 20, 30, 40, 50]
     parent = {"ops": [100, 101, 102, 103, 104], "setup": [0.05] * 5, "p50": spread, "rss": spread}
     change = {"ops": [105, 106, 107, 108, 109], "setup": [0.07] * 5, "p50": [30] * 5, "rss": [5] * 5}
