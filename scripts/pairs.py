@@ -18,8 +18,11 @@ gives, and the quartiles [q1, q3] of the parent's runs.  A metric is
 flagged `worse` when the change's median is worse than the parent's by
 more than the metric's bound in BENCHMARK.json, and `unresolved` when the
 parent's own spread (q3 - q1) / median is wider than that bound, unless
-every run of the change reads better than every run of the parent.  Exit
-status 1 when a run fails or answers incorrectly, 2 on bad arguments.
+every run of the change reads better than every run of the parent.  It is
+flagged `gain` when at least ten pairs ran, the change won at least 9/10
+of them (a tie counts for neither side) and the change's median is better
+than the parent's by more than the parent's spread q3 - q1.  Exit status 1
+when a run fails or answers incorrectly, 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -107,6 +110,8 @@ def summary(results, better: dict, bound: dict) -> list[str]:
         separated = all(sign * (c - p) > 0 for c in after for p in before)
         if b and (q3 - q1) / b > bound[name] and not separated:
             flags.append("unresolved")
+        if len(results) >= 10 and 10 * won >= 9 * len(results) and sign * (a - b) > q3 - q1:
+            flags.append("gain")
         delta = f" ({(a - b) / b:+.1%})" if b else ""
         flagged = f": {', '.join(flags)}" if flags else ""
         lines.append(

@@ -43,7 +43,7 @@ PACKAGE = ROOT / "src" / "supercoh"
 _REPR = "contract: the printed form of a value, for a reader at the REPL or in a traceback"
 _HASH = "contract: a value that defines == is hashable, so it can be a dict key or a set member"
 _FROZEN = "contract: assignment to a field of a frozen record raises"
-_PICKLE = "contract: pickling keeps the defining data (and a product's factors) and drops the caches"
+_PICKLE = "contract: pickling keeps the defining data (and a complex's closed levels and a product's factors) and drops the caches"
 _JSON = "contract: the complex JSON form, which --complex FILE reads; the audit names complexes with @"
 _DENSE = "dense path: leaves with IntMatrix (ROADMAP direction 10) once perfbench/tracing.py stops naming it"
 _TEST = "test helper: tests read results through it, and moving it into tests/ would not shorten the code"
@@ -54,7 +54,8 @@ KEPT = {
     "exact_linalg.Record.__repr__": _REPR,
     "exact_linalg.Record.__setattr__": _FROZEN,
     "simplicial.SimplicialComplex.__hash__": _HASH,
-    "simplicial.SimplicialComplex.__reduce__": _PICKLE,
+    "simplicial.SimplicialComplex.__getstate__": _PICKLE,
+    "simplicial.SimplicialComplex.__setstate__": _PICKLE,
     "simplicial.SimplicialComplex.__repr__": _REPR,
     "simplicial.SimplicialMap.__reduce__": _PICKLE,
     "simplicial.SimplicialComplex.from_json_dict": _JSON,

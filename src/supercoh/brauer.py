@@ -116,7 +116,10 @@ def add(x: BrauerElement, y: BrauerElement) -> BrauerElement:
 
 def negate(x: BrauerElement) -> BrauerElement:
     """Inverse for the twisted law: (-a, b, -c - twist(b, b)).  Mod 2, -x is
-    x and - is +, so ku's is (a, b, -c - beta(b cup b)), ko's (-a, b, c + b cup b)."""
+    x and - is +, so ku's is (a, b, -c - beta(b cup b)), ko's (-a, b, c + b cup b).
+    For a mod-2 1-cocycle b, beta(b cup b) is the zero cochain, not only a
+    coboundary; ku's twist is still computed, so that its cup and its
+    Bockstein are checked here as in add."""
     return BrauerElement(x.variant, -x.a, x.b, -x.c - _twist(x.variant, x.b, x.b))
 
 

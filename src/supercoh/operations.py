@@ -81,13 +81,17 @@ def bockstein(b: CohomologyClass) -> CohomologyClass:
 
     The representative lifts values to [0, m); the integer coboundary of the
     lift is divisible by m and the quotient is the output cocycle.  Its
-    class is independent of the lift.
+    class is independent of the lift.  Mod 2 it halves the fold of the
+    lift's delta that the check of b kept (Cochain._half_delta).
     """
     m = b.modulus
     if m <= 0:
         raise ValueError("bockstein needs a finite modulus")
-    d = b.cochain.coboundary_values()  # of the lift, kept from the check of b
-    return CohomologyClass(Cochain._reduced(b.complex, b.degree + 1, 0, tuple(map(floordiv, d, repeat(m)))))
+    if m == 2:
+        values = b.cochain._half_delta()
+    else:
+        values = map(floordiv, b.cochain.coboundary_values(), repeat(m))
+    return CohomologyClass(Cochain._reduced(b.complex, b.degree + 1, 0, tuple(values)))
 
 
 def sq1_via_bockstein(b: CohomologyClass) -> CohomologyClass:

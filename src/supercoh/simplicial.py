@@ -13,10 +13,10 @@ generators are extended to X when cohomology() is asked for them.
 from __future__ import annotations
 
 from collections import deque
-from functools import cache, reduce
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, cycle, repeat
-from operator import add, floordiv, itemgetter, mod, mul, neg, sub, xor
+from operator import add, floordiv, itemgetter, mod, mul, neg, sub
 
 from .exact_linalg import (
     AbelianGroupPresentation,
@@ -35,6 +35,7 @@ JSON_MAX_SIMPLICES = 500_000
 # the same bound for any complex, checked before a face is built; it admits
 # rp2 x rp2 x rp2 (90 000 six-simplices, bound 11.43M)
 MAX_SIMPLICES = 16_000_000
+_HALF = bytes(d // 2 for d in range(256))  # byte d -> d // 2, for _half_delta
 
 
 def _gather(indices: tuple):
@@ -83,10 +84,12 @@ class SimplicialComplex:
             for k in range(1, len(s) + 1):
                 for face in combinations(s, k):
                     by_dim.setdefault(k - 1, set()).add(face)
-        self.dim = max(by_dim) if by_dim else -1
-        self._simplices = tuple(
-            tuple(sorted(by_dim.get(q, ()))) for q in range(self.dim + 1)
-        )
+        self._indexed(tuple(tuple(sorted(by_dim[q])) for q in range(len(by_dim))))
+
+    def _indexed(self, simplices: tuple, factors=None):
+        """Set the closed levels, their indices and the empty caches."""
+        self.dim = len(simplices) - 1
+        self._simplices = simplices
         self._index = [
             {s: i for i, s in enumerate(level)} for level in self._simplices
         ]
@@ -101,7 +104,7 @@ class SimplicialComplex:
         # the basis classes on X that cohomology() extends from them, keyed
         # (q, n)
         self._face_tables: dict = {}
-        self._factors = None
+        self._factors = factors
         self._morse = None
         self._coboundaries: dict[int, SparseMatrix] = {}
         self._bases: dict = {}
@@ -223,13 +226,14 @@ class SimplicialComplex:
     def __hash__(self):
         return hash((self.vertex_count, self.maximal_simplices))
 
-    def __reduce__(self):
-        # pickle the defining data and the factors of a product only: the
-        # caches hold closures and are rebuilt on use
-        args = (self.vertex_count, self.maximal_simplices, self.dim)
-        if self._factors:
-            return type(self), args, {"_factors": self._factors}
-        return type(self), args
+    def __getstate__(self):
+        # the defining data, the closed levels and the factors of a product,
+        # so a load runs no closure; the caches hold closures, rebuilt on use
+        return self.vertex_count, self.maximal_simplices, self._simplices, self._factors
+
+    def __setstate__(self, state):
+        self.vertex_count, self.maximal_simplices, simplices, factors = state
+        self._indexed(simplices, factors)
 
     def __repr__(self):
         return (
@@ -270,11 +274,11 @@ class Cochain(Record):
     negation, scale, coboundary, cup, cup_i, bockstein, reduce_mod) build
     their values reduced, in one pass, and go through _reduced, which makes
     the other checks and skips the reduction.  A mod-2 cochain also keeps
-    its values packed, one byte each, in _packed (kept as _delta is).  Mod
-    2 the signs of delta vanish, so its kernels take no Python step per
-    value on those bytes read as ints (_bits): + and - xor, coboundary and
-    the cocycle verdict xor the face gathers, cup ands the front and back
-    gathers, and cup_i xors those ands.
+    its values packed, one byte each, in _packed (kept as _delta is), and
+    its kernels take no Python step per value on those bytes read as ints
+    (_bits): + and - xor, cup ands the front and back gathers, cup_i xors
+    those ands, and _parity folds the face gathers into delta mod 2 and
+    the lift's exact delta, which bockstein halves (_half_delta).
     """
 
     complex: SimplicialComplex
@@ -282,10 +286,11 @@ class Cochain(Record):
     modulus: int
     values: tuple[int, ...]
     # delta of the values as integers, the verdict of is_cocycle, and the
-    # packed values of a mod-2 cochain: not annotated, so not fields
+    # packed values and _parity's fold of a mod-2 cochain: not fields
     _delta = None
     _cocycle = None
     _packed = None
+    _fold = None
 
     def __post_init__(self):
         self._check()
@@ -393,8 +398,22 @@ class Cochain(Record):
         return self._delta
 
     def _parity(self) -> int:
-        """delta mod 2 as packed bits: the xor of the values on each face."""
-        return reduce(xor, map(self._bits, self.complex.face_table(self.degree)[1]), 0)
+        """Mod 2: delta as packed bits.  E and O sum the values on the even and
+        odd faces of each (q+1)-simplex, a byte each (MAX_SIMPLICES caps a
+        simplex at 23 faces, so none carries).  The low bits of E + O are delta
+        mod 2; _fold keeps D = E - O + (q + 2) // 2, the lift's delta made >= 0."""
+        gathers = self.complex.face_table(self.degree)[1]
+        even, odd = sum(map(self._bits, gathers[0::2])), sum(map(self._bits, gathers[1::2]))
+        n = self.complex.simplex_count(self.degree + 1)
+        ones = int.from_bytes(b"\1" * n, "little")
+        object.__setattr__(self, "_fold", (even - odd + (self.degree + 2) // 2 * ones).to_bytes(n, "little"))
+        return (even + odd) & ones
+
+    def _half_delta(self):
+        """Mod 2, of a checked cocycle: delta / 2 of the lift, off _fold.  Each
+        byte of D = delta + off, off = (q + 2) // 2, has the parity of off, so
+        delta / 2 = D // 2 - off // 2 for either parity."""
+        return map(sub, self._fold.translate(_HALF), repeat((self.degree + 2) // 4))
 
     def coboundary(self) -> "Cochain":
         n = self.modulus
@@ -407,7 +426,7 @@ class Cochain(Record):
         verdict = self._cocycle
         if verdict is None:
             n = self.modulus
-            if n == 2 and self._delta is None:
+            if n == 2:
                 verdict = not self._parity()
             else:
                 d = self.coboundary_values()
@@ -422,8 +441,7 @@ class CohomologyClass(Record):
     cochain: Cochain
 
     def __post_init__(self):
-        # the exact delta, not the mod-2 parity, since bockstein reads it
-        self.cochain.coboundary_values()
+        # mod 2 the verdict keeps the fold that bockstein halves
         if not self.cochain.is_cocycle():
             raise ValueError("representative is not a cocycle")
 

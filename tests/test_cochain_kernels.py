@@ -1,7 +1,8 @@
 """The one-pass cochain kernels: what they build is what the public
 constructor builds, which refuses values that are not ints, mod-2 cocycle
 verdicts by face parity agree with the exact delta, the packed mod-2
-kernels agree with the per-element oracles, Brauer addition checks each
+kernels agree with the per-element oracles, the mod-2 face fold gives the
+exact delta and Bockstein of the 0/1 lift, beta(b cup b) is zero, Brauer addition checks each
 new cochain once, random Brauer elements are the ones rng.choices drew,
 and the face, cup-i, cross-product and pullback index tables built from
 vertex columns are the ones built one simplex at a time."""
@@ -9,6 +10,7 @@ vertex columns are the ones built one simplex at a time."""
 import pickle
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -107,9 +109,8 @@ def test_mod2_parity_verdict_matches_the_exact_delta(name):
                 fresh = Cochain(x, q, 2, c.values)
                 verdict = fresh.is_cocycle()
                 assert fresh._delta is None  # read off the face parity
-                exact = Cochain(x, q, 2, c.values)
-                exact.coboundary_values()
-                assert verdict == exact.is_cocycle() == coboundary_loop(exact).is_zero()
+                lift = Cochain(x, q, 0, c.values).coboundary_values()
+                assert verdict == (not any(v % 2 for v in lift)) == coboundary_loop(fresh).is_zero()
                 seen.add(verdict)
     assert seen == {True, False}
 
@@ -267,3 +268,59 @@ def test_packed_kernels_match_the_per_element_oracles(name):
             assert e == random_element_choices(x, variant, old) and rng.getstate() == old.getstate()
             results += [e.a, e.b, e.c]
     _assert_public(*results)
+
+
+FOLD_COMPLEXES = {
+    **{name: TABLE_COMPLEXES[name] for name in (*corpus.CORPUS_NAMES, "rp2xs1")},
+    # the boundary of the 7-simplex: 7 faces per top simplex at q = 5, so
+    # off = (q + 2) // 2 is odd at q = 0, 1, 4, 5 and even at q = 2, 3, 6
+    "boundary7": lambda: _with_maps(SimplicialComplex(8, combinations(range(8), 7))),
+}
+
+
+@pytest.mark.parametrize("name", FOLD_COMPLEXES)
+def test_mod2_fold_gives_the_exact_delta_and_bockstein_of_the_lift(name):
+    """Mod 2, one fold of the face gathers gives the cocycle verdict and the
+    coboundary, and bockstein halves the 0/1 lift's delta kept in that
+    fold: each against the loop oracle on the integral lift, as is
+    coboundary_values, for random 0/1 cochains and random cocycles in
+    every degree up to one past the top."""
+    x = FOLD_COMPLEXES[name]()[0]
+    rng = random.Random(name)
+    verdicts, betas = set(), set()
+    for q in range(x.dim + 2):
+        cochains = [_mod2_cochain(x, q, rng) for _ in range(3)]
+        for c in cochains + [brauer._random_cocycle(x, q, 2, rng) for _ in range(3)]:
+            lift = coboundary_loop(Cochain(x, q, 0, c.values)).values
+            fresh = Cochain(x, q, 2, c.values)
+            verdict = not any(v % 2 for v in lift)
+            assert fresh.is_cocycle() == verdict and fresh._delta is None, q
+            assert fresh.coboundary() == Cochain(x, q + 1, 2, lift), q
+            assert fresh.coboundary_values() == lift, q
+            verdicts.add(verdict)
+            if verdict:
+                beta = bockstein(CohomologyClass(Cochain(x, q, 2, c.values))).cochain
+                assert beta == Cochain(x, q + 1, 0, tuple(v // 2 for v in lift)), q
+                betas.update((q, v) for v in beta.values)
+    # on a point every cochain is a cocycle
+    assert verdicts == {True, False} or x.dim == 0
+    if name == "boundary7":
+        # beta is negative and positive under an even off (q = 2) and an odd one (q = 4, 5)
+        assert {(q, v) for q in (2, 4, 5) for v in (-1, 1)} <= betas
+
+
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES + ("rp2xs1", "kleinxs1"))
+def test_beta_of_b_cup_b_is_the_zero_cochain(name):
+    """For a mod-2 1-cocycle b, beta(b cup b) is the zero cochain, not only
+    a coboundary: the twist of brauer.negate adds nothing, yet negate still
+    computes and checks it."""
+    x = TABLE_COMPLEXES[name]()[0]
+    rng = random.Random(name)
+    squares = set()
+    for _ in range(10):
+        b = brauer._random_cocycle(x, 1, 2, rng)
+        square = cup(b, b)
+        assert bockstein(CohomologyClass(square)).cochain.is_zero()
+        squares.add(square.is_zero())
+    # b cup b itself is not the zero cochain, where it has simplices to live on
+    assert False in squares or x.dim < 2

@@ -172,22 +172,51 @@ def test_pairs_refuses_bad_arguments(args, message):
     assert message in out.stderr
 
 
+def _summary(pairs, parent: dict, change: dict, better: dict) -> list[str]:
+    """pairs.summary of the runs parent[name][k] and change[name][k], every
+    bound 0.25."""
+    count = len(next(iter(parent.values())))
+    results = [(k, {n: v[k] for n, v in parent.items()}, {n: v[k] for n, v in change.items()}) for k in range(count)]
+    return pairs.summary(results, better, dict.fromkeys(better, 0.25))
+
+
 def test_pairs_summary_flags_worse_and_unresolved():
     """scripts/pairs.py on fixed numbers: a median worse by more than the
     bound is `worse`; a parent spread (q3 - q1) / median wider than the
-    bound is `unresolved`, unless every change run beats every parent run."""
+    bound is `unresolved`, unless every change run beats every parent run;
+    a `gain` needs ten pairs or more, 9/10 of them won and medians further
+    apart than the parent's spread."""
     pairs = _module("pairs", SCRIPTS / "pairs.py")
     spread = [10, 20, 30, 40, 50]
     parent = {"ops": [100, 101, 102, 103, 104], "setup": [0.05] * 5, "p50": spread, "rss": spread}
     change = {"ops": [105, 106, 107, 108, 109], "setup": [0.07] * 5, "p50": [30] * 5, "rss": [5] * 5}
-    results = [(k, {n: v[k] for n, v in parent.items()}, {n: v[k] for n, v in change.items()}) for k in range(5)]
     better = {"ops": "higher", "setup": "lower", "p50": "lower", "rss": "lower"}
-    lines = pairs.summary(results, better, dict.fromkeys(better, 0.25))
-    assert lines == [
+    assert _summary(pairs, parent, change, better) == [
         "  ops: 102 -> 107 (+4.9%), won 5/5, parent [100.5, 103.5]",
         "  setup: 0.05 -> 0.07 (+40.0%), won 0/5, parent [0.05, 0.05]: worse",
         "  p50: 30 -> 30 (+0.0%), won 2/5, parent [15, 45]: unresolved",
         "  rss: 30 -> 5 (-83.3%), won 5/5, parent [15, 45]",
+    ]
+    ten = list(range(100, 120, 2))
+    parent = {"ten": ten, "eight": ten, "inside": ten, "tied": ten}
+    change = {
+        "ten": [v + 20 for v in ten],
+        # 8 wins of 10, a tie and a loss
+        "eight": [v + 20 for v in ten[:8]] + [ten[8], ten[9] - 1],
+        # every pair won, by less than the parent's spread of 11
+        "inside": [v + 1 for v in ten],
+        # 9 wins and a tie, which counts for neither side
+        "tied": [v + 20 for v in ten[:9]] + [ten[9]],
+    }
+    assert _summary(pairs, parent, change, dict.fromkeys(parent, "higher")) == [
+        "  ten: 109 -> 129 (+18.3%), won 10/10, parent [103.5, 114.5]: gain",
+        "  eight: 109 -> 125 (+14.7%), won 8/10, parent [103.5, 114.5]",
+        "  inside: 109 -> 110 (+0.9%), won 10/10, parent [103.5, 114.5]",
+        "  tied: 109 -> 127 (+16.5%), won 9/10, parent [103.5, 114.5]: gain",
+    ]
+    # nine pairs, all won by far
+    assert _summary(pairs, {"nine": ten[:9]}, {"nine": [v + 20 for v in ten[:9]]}, {"nine": "higher"}) == [
+        "  nine: 108 -> 128 (+18.5%), won 9/9, parent [103, 113]",
     ]
 
 

@@ -649,6 +649,25 @@ class TestCochainMemo:
             assert back == c and hash(back) == hash(c)
             assert back.is_cocycle() and back.coboundary_values() == memoized.coboundary_values()
 
+    def test_a_load_runs_no_closure(self, rp2xrp2, monkeypatch):
+        """Two separately pickled rp2xrp2 cochains load with no call of
+        SimplicialComplex.__init__: the closed levels travel in the pickle,
+        and the caches are rebuilt on use."""
+        rng = random.Random(1)
+        cochains = [brauer._random_cocycle(rp2xrp2, q, 2, rng) for q in (1, 2)]
+        data = [pickle.dumps(c) for c in cochains]
+
+        def closure(*args):
+            raise AssertionError("a load closed X again")
+
+        monkeypatch.setattr(SimplicialComplex, "__init__", closure)
+        backs = [pickle.loads(d) for d in data]
+        for c, back in zip(cochains, backs):
+            x = back.complex
+            assert back == c and x == rp2xrp2 and x._simplices == rp2xrp2._simplices and x._index == rp2xrp2._index
+            assert x._factors == rp2xrp2._factors and (x._face_tables, x._morse, x._bases) == ({}, None, {})
+            assert back.coboundary() == coboundary_loop(back) and class_coordinates(back) == class_coordinates(c)
+
     def test_integral_values_from_a_list_are_kept(self, rp2):
         z = Cochain(rp2, 0, 0, tuple(range(rp2.simplex_count(0)))).coboundary()
         values = list(z.values)
