@@ -6,7 +6,7 @@ classify, verify.  Complexes are JSON files
 names prefixed with @ (e.g. @rp2).  Reports are deterministic; --json emits
 a machine-readable report.  Exit codes: 0 success, 1 domain error, 2 parse
 error.  classify --enumerate exits 1 when the structures outnumber
-stable2type.DEFAULT_ENUM_CAP; element orders are exact and have no cap.
+stable2type.ENUM_CAP (4096); element orders are exact and have no cap.
 """
 
 from __future__ import annotations

@@ -173,12 +173,10 @@ def rank(f: Field, a) -> int:
     return len(rref(a, _shape(a)[1], f.char)[1])
 
 
-def kernel_basis(f: Field, a, ncols: int | None = None):
-    """Columns spanning ker(a), as a list of column vectors.
-
-    ncols must be given when a has no rows (the shape is not recoverable).
-    """
-    return kernel_mod_p(a, _shape(a)[1] if ncols is None else ncols, f.char)
+def kernel_basis(f: Field, a, ncols: int):
+    """Columns spanning ker(a), an (any) x ncols matrix, as a list of column
+    vectors; ncols is given because a matrix with no rows has no width."""
+    return kernel_mod_p(a, ncols, f.char)
 
 
 def invert(f: Field, a):

@@ -100,14 +100,10 @@ class IntMatrix(Record):
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
-    def diagonal(cls, diag, rows=None, cols=None) -> "IntMatrix":
+    def diagonal(cls, diag) -> "IntMatrix":
         diag = list(diag)
-        rows = len(diag) if rows is None else rows
-        cols = len(diag) if cols is None else cols
-        m = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(diag):
-            m[i][i] = d
-        return cls.from_rows(m) if rows else cls(rows, cols, ())
+        n = len(diag)
+        return cls(n, n, tuple(d if i == j else 0 for i in range(n) for j, d in enumerate(diag)))
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]

@@ -26,14 +26,17 @@ from .exact_linalg import (
     modulus_stack,
 )
 
-DEFAULT_DIMENSION_CAP = 6
+# the dimension of any complex: a simplex has at most 7 faces, so the byte
+# sums of Cochain._parity never carry
+DIMENSION_CAP = 6
 # the vertex count of any complex, checked before a vertex is built
 MAX_VERTICES = 100_000
 # the simplex count of the closure of a complex read from JSON, as bounded by
 # its maximal simplices, sum(2^|s| - 1), checked before anything is built
 JSON_MAX_SIMPLICES = 500_000
 # the same bound for any complex, checked before a face is built; it admits
-# rp2 x rp2 x rp2 (90 000 six-simplices, bound 11.43M)
+# rp2 x rp2 x rp2 (90 000 six-simplices, bound 11.43M); it bounds memory,
+# and DIMENSION_CAP alone keeps the packed folds from carrying
 MAX_SIMPLICES = 16_000_000
 _HALF = bytes(d // 2 for d in range(256))  # byte d -> d // 2, for _half_delta
 
@@ -53,13 +56,14 @@ def _gather(indices: tuple):
 class SimplicialComplex:
     """Finite simplicial complex given by maximal simplices, closed eagerly."""
 
-    def __init__(self, vertex_count: int, maximal_simplices, dimension_cap: int = DEFAULT_DIMENSION_CAP):
+    def __init__(self, vertex_count: int, maximal_simplices):
         if vertex_count < 0:
             raise ValueError("vertex_count must be >= 0")
         if vertex_count > MAX_VERTICES:
             raise ValueError(f"vertex_count {vertex_count} exceeds {MAX_VERTICES}")
         self.vertex_count = vertex_count
         normalized = []
+        cap = DIMENSION_CAP
         for s in maximal_simplices:
             s = tuple(s)
             # exactly int: a float would index no cochain, and a bool is an
@@ -70,8 +74,8 @@ class SimplicialComplex:
                 raise ValueError(f"simplex {s} is not strictly increasing")
             if s and (s[0] < 0 or s[-1] >= vertex_count):
                 raise ValueError(f"simplex {s} has out-of-range vertices")
-            if len(s) - 1 > dimension_cap:
-                raise ValueError(f"simplex {s} exceeds dimension cap {dimension_cap}")
+            if len(s) - 1 > cap:
+                raise ValueError(f"simplex {s} exceeds dimension cap {cap}")
             normalized.append(s)
         self.maximal_simplices = tuple(sorted(set(normalized)))
         bound = sum((1 << len(s)) - 1 for s in self.maximal_simplices)
@@ -108,7 +112,6 @@ class SimplicialComplex:
         self._morse = None
         self._coboundaries: dict[int, SparseMatrix] = {}
         self._bases: dict = {}
-        self._components = None
 
     def simplices(self, q: int) -> tuple:
         if 0 <= q <= self.dim:
@@ -194,27 +197,6 @@ class SimplicialComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** q * self.simplex_count(q) for q in range(self.dim + 1))
-
-    def components(self) -> tuple:
-        """Connected components as sorted vertex tuples, ordered by least vertex."""
-        if self._components is None:
-            parent = list(range(self.vertex_count))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for a, b in self.simplices(1):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-            groups: dict[int, list[int]] = {}
-            for v in range(self.vertex_count):
-                groups.setdefault(find(v), []).append(v)
-            self._components = tuple(tuple(groups[r]) for r in sorted(groups))
-        return self._components
 
     def __eq__(self, other):
         return self is other or (
@@ -399,9 +381,9 @@ class Cochain(Record):
 
     def _parity(self) -> int:
         """Mod 2: delta as packed bits.  E and O sum the values on the even and
-        odd faces of each (q+1)-simplex, a byte each (MAX_SIMPLICES caps a
-        simplex at 23 faces, so none carries).  The low bits of E + O are delta
-        mod 2; _fold keeps D = E - O + (q + 2) // 2, the lift's delta made >= 0."""
+        odd faces of each (q+1)-simplex, a byte each (by DIMENSION_CAP a simplex
+        has 7 faces at most: none carries).  The low bits of E + O are delta mod 2;
+        _fold keeps D = E - O + (q + 2) // 2, the lift's delta made >= 0."""
         gathers = self.complex.face_table(self.degree)[1]
         even, odd = sum(map(self._bits, gathers[0::2])), sum(map(self._bits, gathers[1::2]))
         n = self.complex.simplex_count(self.degree + 1)

@@ -37,7 +37,7 @@ from math import inf
 
 from .exact_linalg import AbelianGroupPresentation, Record
 
-DEFAULT_ENUM_CAP = 4096
+ENUM_CAP = 4096
 
 
 def _mod2_generator_indices(g: AbelianGroupPresentation) -> list[int]:
@@ -101,20 +101,16 @@ def is_trivial(data: Stable2TypeData) -> bool:
     return all(not any(col) for col in data.q)
 
 
-def enumerate_symmetric_structures(
-    pi0: AbelianGroupPresentation,
-    pi1: AbelianGroupPresentation,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> list[Stable2TypeData]:
+def enumerate_symmetric_structures(pi0: AbelianGroupPresentation, pi1: AbelianGroupPresentation) -> list[Stable2TypeData]:
     """All symmetric monoidal structures on (pi0, pi1): Hom(pi0 (x) Z/2, pi1[2])."""
     s = len(_mod2_generator_indices(pi0))
     # pi1[2] has 2^e elements for e even invariant factors, so there are
     # 2^k structures, k = e * s; refuse before listing any (and list none when
-    # pi0 (x) Z/2 is zero).  2^k > cap exactly when k >= the bit length of
-    # max(cap, 0), so 2^k itself is never built
+    # pi0 (x) Z/2 is zero).  2^k > ENUM_CAP exactly when k >= the bit length
+    # of ENUM_CAP, so 2^k itself is never built
     k = s * sum(1 for d in pi1.invariant_factors if d % 2 == 0)
-    if k >= max(cap, 0).bit_length():
-        raise ValueError(f"enumeration of 2^{k} structures exceeds cap {cap}")
+    if k >= ENUM_CAP.bit_length():
+        raise ValueError(f"enumeration of 2^{k} structures exceeds cap {ENUM_CAP}")
     out = []
     for combo in itertools.product(_two_torsion_elements(pi1) if s else (), repeat=s):
         out.append(Stable2TypeData(pi0, pi1, tuple(combo)))

@@ -10,7 +10,7 @@ the sign (-1)^{n m}.
 
 from __future__ import annotations
 
-from . import simplicial
+from . import dsv, simplicial
 from .exact_linalg import AbelianGroupPresentation, Record, direct_sum
 from .simplicial import Cochain, CohomologyClass, SimplicialComplex
 from .stable2type import Stable2TypeData
@@ -32,7 +32,7 @@ class SuperLine(Record):
     def __post_init__(self):
         if self.flavor not in (REAL, COMPLEX):
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        ncomp = len(self.base.components())
+        ncomp = simplicial.presentation(self.base, 0, 0).free_rank  # the components
         if len(self.parity) != ncomp:
             raise ValueError(f"need one parity per component ({ncomp})")
         object.__setattr__(self, "parity", tuple(p % 2 for p in self.parity))
@@ -49,7 +49,7 @@ class SuperLine(Record):
         return cls(
             flavor,
             base,
-            (0,) * len(base.components()),
+            (0,) * simplicial.presentation(base, 0, 0).free_rank,
             CohomologyClass(Cochain.zero(base, deg, mod)),
         )
 
@@ -77,10 +77,13 @@ def classification_data(flavor: str) -> Stable2TypeData:
     """Stable 2-type of the superline groupoid over a point.
 
     pi0 = Z/2 (parity), pi1 = the sign subgroup {+-1} of the field's units,
-    and q sends the odd object to the -1 automorphism: the k-invariant is
-    nonzero for both flavors.
+    and q sends the odd object to the sign of its self-braiding, which the
+    Koszul swap of odd (x) odd gives: -1, so the k-invariant is nonzero for
+    both flavors.
     """
     if flavor not in (REAL, COMPLEX):
         raise ValueError(f"unknown flavor {flavor!r}")
     z2 = AbelianGroupPresentation(0, (2,))
-    return Stable2TypeData(z2, z2, ((1,),))
+    odd = dsv.DSV.odd_line(dsv.QQ)
+    (sign,), = dsv.swap_map(odd, odd).f0  # on the even line odd (x) odd
+    return Stable2TypeData(z2, z2, ((int(sign == -1),),))

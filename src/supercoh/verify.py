@@ -400,8 +400,18 @@ def suite_brauer():
                     ok = False
                 if not brauer.equals(brauer.add(a, b), brauer.add(b, a)):
                     ok = False
-                w = brauer.commutativity_certificate(a, b)
-                _ = w  # exact verification happens inside
+                brauer.commutativity_certificate(a, b)  # verified exactly inside
+    # the corpus has no 3-cells, so its ku c slots are 0; the pullbacks of w
+    # to rp2 x rp2 give a pair whose sums' c slots differ, by a nonzero
+    # coboundary, which the witness must be nonzero to meet
+    rp2 = corpus.complex_by_name("rp2")
+    w = cohomology(rp2, 1, 2)[1][0].cochain
+    prod, *projections = corpus.product_with_projections("rp2", "rp2")
+    x, y = (brauer.element(prod, "ku", b=p.pullback(w).values) for p in projections)
+    try:
+        ok = ok and not brauer.commutativity_certificate(x, y).is_zero()
+    except ArithmeticError:
+        ok = False
     out.append(_result("group-axioms-randomized", ok))
     wrong = [
         f"{name} {variant} {query.__name__}"
@@ -410,8 +420,6 @@ def suite_brauer():
         if str(query(corpus.complex_by_name(name), variant)) != cell
     ]
     # the paper's witness: 2(0,w,0) = (0,0,w u w) != 0 on rp2
-    rp2 = corpus.complex_by_name("rp2")
-    w = cohomology(rp2, 1, 2)[1][0].cochain
     if brauer.element_order(brauer.element(rp2, "ko", b=w.values)) != 4:
         wrong.append("rp2 ko order of (0,w,0)")
     out.append(_result("landmark-groups", not wrong, ", ".join(wrong)))

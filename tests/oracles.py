@@ -1,8 +1,9 @@
 """Reference implementations that the library no longer uses, kept as test
 oracles: the dense Smith normal form with unimodular transforms and the
 cokernel and dense cohomology paths built on it, the cohomology records
-built on X's own coboundaries instead of its Morse complex, the scan-based
-pivot search of the op-log factorization, the per-simplex loops of the
+built on X's own coboundaries instead of its Morse complex, the connected
+components by union-find, the scan-based pivot search of the op-log
+factorization, the per-simplex loops of the
 cochain coboundary, cup and cup-i products, the per-simplex builders of
 the face, cup-i, cross-product and pullback index tables, the scanning F2
 echelons, class
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd
 from operator import floordiv, itemgetter, mod, mul
@@ -476,6 +478,27 @@ def pullback_loop(f: SimplicialMap, cochain: Cochain) -> Cochain:
     return Cochain(f.source, q, cochain.modulus, tuple(out))
 
 
+def components(x: SimplicialComplex) -> tuple:
+    """Connected components of X as sorted vertex tuples, ordered by least
+    vertex, by union-find over the edges: the H^0 oracle."""
+    parent = list(range(x.vertex_count))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in x.simplices(1):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[int, list[int]] = {}
+    for v in range(x.vertex_count):
+        groups.setdefault(find(v), []).append(v)
+    return tuple(tuple(groups[r]) for r in sorted(groups))
+
+
 class Unreduced:
     """X's own cochain complex, in the interface of simplicial.MorseComplex
     that the record builder reads."""
@@ -490,12 +513,15 @@ class Unreduced:
         return _coboundary(self.complex, q)
 
 
+@cache
 def cohomology_unreduced(x: SimplicialComplex, q: int, n: int):
     """The record (presentation, basis, orders, coordinate reader) of
     H^q(X; Z/n), q >= 0, built by the builder that cohomology() runs on the
-    Morse complex, fed the coboundaries of X instead."""
+    Morse complex, fed the coboundaries of X instead.  Kept per equal
+    complex, q and n, since factoring the stacks of rp2xrp2 takes seconds
+    and two test modules read the same ones."""
     pres, gens, orders, read = _cohomology_record(Unreduced(x), q, n)
-    basis = [CohomologyClass(Cochain(x, q, n, tuple(g))) for g in gens]
+    basis = tuple(CohomologyClass(Cochain(x, q, n, tuple(g))) for g in gens)
 
     def coordinates(xc):
         return read(list(xc.values)) if xc.is_cocycle() else None

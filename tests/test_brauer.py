@@ -350,6 +350,22 @@ class TestCommutativityCertificate:
         w = commutativity_certificate(x, y)
         assert not w.is_zero()
 
+    def test_verify_runs_a_ku_witness_with_a_nonzero_commutator(self, monkeypatch):
+        """verify's group-axiom check reaches the lift branch of the ku
+        witness: some ku pair it certifies has sums whose c slots differ."""
+        from supercoh import verify
+
+        certify, differing = brauer.commutativity_certificate, []
+
+        def recorded(x, y):
+            if x.variant == "ku" and not (add(x, y).c - add(y, x).c).is_zero():
+                differing.append((x, y))
+            return certify(x, y)
+
+        monkeypatch.setattr(brauer, "commutativity_certificate", recorded)
+        assert verify.suite_brauer()[0] == ("group-axioms-randomized", True, "")
+        assert differing
+
     def test_s1_pairs_trivial_classes(self, s1):
         rng = random.Random(6)
         for variant in ("ku", "ko"):

@@ -446,7 +446,7 @@ class TestOtherVerbs:
 
 
 class TestCapVariable:
-    """classify --enumerate refuses more than stable2type.DEFAULT_ENUM_CAP
+    """classify --enumerate refuses more than stable2type.ENUM_CAP
     (4096) structures; element orders are exact."""
 
     def test_enumeration_over_the_cap_is_domain_error(self, capsys):
@@ -456,7 +456,7 @@ class TestCapVariable:
         assert "enumeration of 2^13 structures exceeds cap 4096" in err
 
     def test_enumeration_count_is_checked_first(self, capsys):
-        # pi1[2] has 2^40 elements; the default cap refuses before listing one
+        # pi1[2] has 2^40 elements; the cap refuses before listing one
         start = time.perf_counter()
         code, out, err = run(capsys, "classify", "--enumerate", "Z/2;" + "+".join(["Z/2"] * 40))
         assert time.perf_counter() - start < 1

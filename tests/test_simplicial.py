@@ -11,6 +11,7 @@ from oracles import (
     coboundary_loop,
     cohomology_integral_dense,
     cohomology_unreduced,
+    components,
     cup_value_on,
     is_cohomologous_solve,
 )
@@ -60,12 +61,6 @@ def test_non_int_vertex_rejected(vertex):
         SimplicialComplex(3, [(0, vertex)])
     with pytest.raises(ValueError, match="not an int"):
         SimplicialComplex.from_json_dict({"vertex_count": 3, "maximal_simplices": [[0, vertex]]})
-
-
-def test_components(s1, rp2):
-    assert len(s1.components()) == 1
-    two = SimplicialComplex(4, [(0, 1), (2, 3)])
-    assert two.components() == ((0, 1), (2, 3))
 
 
 def test_coboundary_point(point):
@@ -527,7 +522,7 @@ class TestRandomComplexes:
         """H^0(X; Z/n) is Z^c or (Z/n)^c for the c components, their
         indicator functions form the basis, and each basis class reads back
         as its unit vector."""
-        comps = x.components()
+        comps = components(x)
         c = len(comps)
         indicators = {tuple(int(v in comp) for v in range(x.vertex_count)) for comp in comps}
         for n in (0, 2, 3, 8):

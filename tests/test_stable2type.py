@@ -44,31 +44,31 @@ class TestEnumeration:
 
     def test_cap(self):
         big = G(0, (2,) * 8)
-        with pytest.raises(ValueError):
-            s2t.enumerate_symmetric_structures(big, big, cap=10)
+        with pytest.raises(ValueError, match=r"2\^64 structures exceeds cap 4096$"):
+            s2t.enumerate_symmetric_structures(big, big)
 
     def test_cap_is_checked_before_listing(self):
         # pi1[2] has 2^40 elements: only their count may be computed
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"enumeration of 2\^40 structures exceeds cap 10"):
-            s2t.enumerate_symmetric_structures(Z2, G(0, (2,) * 40), cap=10)
+        with pytest.raises(ValueError, match=r"enumeration of 2\^40 structures exceeds cap 4096"):
+            s2t.enumerate_symmetric_structures(Z2, G(0, (2,) * 40))
         # pi0 (x) Z/2 = 0: the one structure q = () needs no element of pi1[2]
-        assert len(s2t.enumerate_symmetric_structures(Z3, G(0, (2,) * 40), cap=10)) == 1
+        assert len(s2t.enumerate_symmetric_structures(Z3, G(0, (2,) * 40))) == 1
         assert time.perf_counter() - start < 1
 
     def test_cap_message_for_a_huge_count(self):
         # 2^20000 has over 4300 decimal digits: the message names it as a power
         big = G(0, (2,) * 200)
-        with pytest.raises(ValueError, match=r"enumeration of 2\^20000 structures exceeds cap 10$"):
-            s2t.enumerate_symmetric_structures(G(0, (2,) * 100), big, cap=10)
+        with pytest.raises(ValueError, match=r"enumeration of 2\^20000 structures exceeds cap 4096$"):
+            s2t.enumerate_symmetric_structures(G(0, (2,) * 100), big)
 
     def test_cap_boundary(self):
-        # (Z/2, (Z/2)^2): 4 structures, listed at cap 4 and refused at cap 3 or below
-        z2sq = G(0, (2, 2))
-        assert len(s2t.enumerate_symmetric_structures(Z2, z2sq, cap=4)) == 4
-        for cap in (3, 0, -1):
-            with pytest.raises(ValueError, match=r"2\^2 structures"):
-                s2t.enumerate_symmetric_structures(Z2, z2sq, cap=cap)
+        # (Z/2, (Z/2)^k): 2^k structures, listed up to ENUM_CAP = 2^12 and
+        # refused one doubling above
+        assert s2t.ENUM_CAP == 2**12
+        assert len(s2t.enumerate_symmetric_structures(Z2, G(0, (2,) * 12))) == 2**12
+        with pytest.raises(ValueError, match=r"2\^13 structures"):
+            s2t.enumerate_symmetric_structures(Z2, G(0, (2,) * 13))
 
 
 class TestValidation:
