@@ -337,6 +337,9 @@ class _OpLogSolver:
         row and column whose keys it may have changed; a popped key that no
         longer matches its entry is stale and skipped.  Rows and columns that
         are done hold only their pivot, so live keys only count live entries.
+        The column phase runs once row pi is alone in column pj, so each column
+        op changes rows[pi][j] alone, to its remainder mod p.  Every pivot ends
+        positive.
         """
         nrows, ncols = self.nrows, self.ncols
         row_ops, col_ops = self.row_ops, self.col_ops
@@ -375,25 +378,6 @@ class _OpLogSolver:
             rows[i] = {j: -x for j, x in rows[i].items()}
             row_ops.append(("neg", i, 0, 0))
 
-        def col_axpy(src, dst, q):
-            if not q:
-                return
-            for i in list(col_index[src]):
-                row = rows[i]
-                old = row.get(dst, 0)
-                new = old - q * row[src]
-                if new:
-                    row[dst] = new
-                    if not old:
-                        col_index[dst].add(i)
-                        touched_rows.add(i)
-                else:
-                    del row[dst]
-                    col_index[dst].discard(i)
-                    touched_rows.add(i)
-            touched_cols.add(dst)
-            col_ops.append((src, dst, q))
-
         heap = [key(i, j) for i, row in enumerate(rows) for j in row]
         heapify(heap)
         while heap:
@@ -412,12 +396,22 @@ class _OpLogSolver:
                     # remainders are in [1, p); retarget the pivot row
                     pi = min(rem, key=lambda i: (rows[i][pj], i))
                     continue
-                for j in sorted(j for j in rows[pi] if j != pj):
-                    col_axpy(pj, j, rows[pi][j] // p)
-                rem_cols = [j for j in rows[pi] if j != pj]
+                # the column phase: col_j -= q * col_pj is a remainder step on row pi
+                row = rows[pi]
+                for j in sorted(j for j in row if j != pj):
+                    q, row[j] = divmod(row[j], p)
+                    if q:
+                        col_ops.append((pj, j, q))
+                        touched_cols.add(j)
+                    if not row[j]:
+                        # row pi shrank: if it stays active, its keys moved
+                        del row[j]
+                        col_index[j].discard(pi)
+                        touched_rows.add(pi)
+                rem_cols = [j for j in row if j != pj]
                 if rem_cols:
                     # likewise nonzero remainders strictly below p
-                    pj = min(rem_cols, key=lambda j: (rows[pi][j], j))
+                    pj = min(rem_cols, key=lambda j: (row[j], j))
                     continue
                 break
             pivots.append((pi, pj, rows[pi][pj]))
@@ -561,10 +555,9 @@ class _OpLogSolver:
 
 
 def _solve_scalar(d: int, c: int, n: int):
-    """Smallest nonnegative y with d*y = c (mod n); None when unsolvable."""
+    """Smallest nonnegative y with d*y = c (mod n), for a pivot d > 0; None
+    when unsolvable."""
     if n == 0:
-        if d == 0:
-            return 0 if c == 0 else None
         if c % d:
             return None
         return c // d

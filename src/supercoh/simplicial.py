@@ -133,6 +133,14 @@ class SimplicialComplex:
         each, in their order; q + 1 empty columns when there are none."""
         return list(zip(*self.simplices(q))) or [()] * (q + 1)
 
+    def _indices(self, d: int, columns) -> tuple:
+        """For each position of the vertex columns, the index of the d-simplex
+        they name, or simplex_count(d), the slot of an appended 0, where no
+        d-simplex is named (a repeated vertex, or d past the top degree)."""
+        count = self.simplex_count(d)
+        index = self._index[d] if count else {}
+        return tuple(map(index.get, zip(*columns), repeat(count)))
+
     def face_table(self, q: int) -> tuple:
         """(indices, gathers) for delta_q, q >= 0.  indices holds q + 2 vectors:
         entry i of vector k is the index of the k-th face of the i-th
@@ -143,10 +151,7 @@ class SimplicialComplex:
         table = self._face_tables.get(key)
         if table is None:
             columns = self._columns(q + 1)
-            index = self._index[q] if columns[0] else {}  # q may be past the top degree
-            indices = tuple(
-                tuple(map(index.__getitem__, zip(*columns[:k], *columns[k + 1 :]))) for k in range(q + 2)
-            )
+            indices = tuple(self._indices(q, columns[:k] + columns[k + 1 :]) for k in range(q + 2))
             table = self._face_tables[key] = (indices, tuple(map(_gather, indices)))
         return table
 
@@ -162,11 +167,7 @@ class SimplicialComplex:
         if table is None:
             m = p + q - i
             columns = self._columns(m)
-
-            def gather(d, positions):
-                index = self._index[d] if columns[0] else {}  # d may be past the top degree
-                return _gather(tuple(map(index.__getitem__, zip(*map(columns.__getitem__, positions)))))
-
+            gather = lambda d, positions: _gather(self._indices(d, map(columns.__getitem__, positions)))
             table = []
             for cuts in combinations(range(m + 1), i + 1):
                 # block k runs from cut k - 1 to cut k; neighbours share the cut
@@ -357,8 +358,6 @@ class Cochain(Record):
         return self if self.modulus == 2 else self._like(map(neg, self.values))
 
     def scale(self, k: int) -> "Cochain":
-        if self.modulus == 2:
-            return self if k & 1 else Cochain.zero(self.complex, self.degree, 2)
         return self._like(map(mul, repeat(k), self.values))
 
     def is_zero(self) -> bool:
@@ -792,9 +791,7 @@ class TensorModel(_CochainModel):
             lcolumns = [tuple(map(mod, c, repeat(width))) for c in columns]
             gathers = self._extensions[q] = {}
             for d in range(max(0, q - lx.dim), min(q, kx.dim) + 1):
-                fronts = map(kx._index[d].get, zip(*kcolumns[: d + 1]), repeat(kx.simplex_count(d)))
-                backs = map(lx._index[q - d].get, zip(*lcolumns[d:]), repeat(lx.simplex_count(q - d)))
-                gathers[d] = (_gather(tuple(fronts)), _gather(tuple(backs)))
+                gathers[d] = (_gather(kx._indices(d, kcolumns[: d + 1])), _gather(lx._indices(q - d, lcolumns[d:])))
         return gathers[p]
 
     def extend(self, q: int, vec) -> tuple[int, ...]:
@@ -1023,8 +1020,6 @@ class SimplicialMap:
         q = cochain.degree
         gather = self._pullbacks.get(q)
         if gather is None:
-            count = self.target.simplex_count(q)
-            index = self.target._index[q] if count else {}
             images = (map(self.vertex_map.__getitem__, c) for c in self.source._columns(q))
-            gather = self._pullbacks[q] = _gather(tuple(map(index.get, zip(*images), repeat(count))))
+            gather = self._pullbacks[q] = _gather(self.target._indices(q, images))
         return Cochain._reduced(self.source, q, cochain.modulus, gather(cochain.values + (0,)))

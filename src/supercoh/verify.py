@@ -43,7 +43,8 @@ def suite_linalg():
     rng = Random(2024)
     out = []
     ok = True
-    matrices = [IntMatrix.diagonal([2, 3])]  # coprime pivots, which the gcd/lcm pass combines
+    # coprime pivots, which the gcd/lcm pass combines; a zero row multiplier
+    matrices = [IntMatrix.diagonal([2, 3]), IntMatrix.from_rows([[3, 5], [6, 11]])]
     for _ in range(40):
         r, c = rng.randint(0, 4), rng.randint(0, 4)
         matrices.append(IntMatrix(r, c, tuple(rng.randint(-9, 9) for _ in range(r * c))))

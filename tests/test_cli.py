@@ -14,6 +14,7 @@ import supercoh
 from supercoh import brauer, corpus, dsv, operations, simplicial, stable2type
 from supercoh.cli import main
 from supercoh.dsv import JSON_MAX_DIM, JSON_MAX_Q_ENTRY
+from supercoh.exact_linalg import AbelianGroupPresentation as G
 from supercoh.simplicial import Cochain, is_cohomologous
 from supercoh.verify import _random_dsv
 
@@ -63,8 +64,8 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_rp2_order(capsys, tmp_path):
-    """`supercoh order` on the ko element (0, w, 0) of rp2, w the H^1 generator."""
+def rp2_w_file(tmp_path):
+    """A file holding the ko element (0, w, 0) of rp2, w the H^1 generator."""
     from supercoh import corpus
     from supercoh.simplicial import cohomology
 
@@ -78,7 +79,12 @@ def run_rp2_order(capsys, tmp_path):
     }
     p = tmp_path / "el.json"
     p.write_text(json.dumps(el))
-    return run(capsys, "order", "--complex", "@rp2", "--variant", "ko", "--element", str(p))
+    return p
+
+
+def run_rp2_order(capsys, tmp_path):
+    """`supercoh order` on the ko element (0, w, 0) of rp2."""
+    return run(capsys, "order", "--complex", "@rp2", "--variant", "ko", "--element", str(rp2_w_file(tmp_path)))
 
 
 class TestCohomologyVerb:
@@ -182,6 +188,26 @@ class TestBrauerVerbs:
         )
         assert code == 0 and out.strip() == "true"
 
+    def test_add(self, capsys, tmp_path):
+        p = str(rp2_w_file(tmp_path))
+        code, out, _ = run(
+            capsys, "brauer", "--complex", "@rp2", "--variant", "ko", "--op", "add", "--element", p, "--other", p
+        )
+        w = brauer.BrauerElement.from_json_dict(json.loads(Path(p).read_text()), corpus.complex_by_name("rp2"))
+        assert code == 0 and json.loads(out) == brauer.add(w, w).to_json_dict()
+
+    def test_add_without_other_is_parse_error(self, capsys, tmp_path):
+        p = str(rp2_w_file(tmp_path))
+        code, out, err = run(capsys, "brauer", "--complex", "@rp2", "--variant", "ko", "--op", "add", "--element", p)
+        assert code == 2 and not out
+        assert "--other" in err
+
+    def test_element_of_another_variant_is_domain_error(self, capsys, tmp_path):
+        p = str(rp2_w_file(tmp_path))
+        code, out, err = run(capsys, "order", "--complex", "@rp2", "--variant", "ku", "--element", p)
+        assert code == 1 and not out
+        assert "does not match --variant" in err
+
     def test_missing_element_is_parse_error(self, capsys):
         code, _, err = run(capsys, "order", "--complex", "@rp2", "--variant", "ko")
         assert code == 2
@@ -248,6 +274,37 @@ class TestOtherVerbs:
     def test_superline_group(self, capsys):
         code, out, _ = run(capsys, "superline", "--complex", "@s1", "--flavor", "real", "--op", "group")
         assert code == 0 and out.strip() == "Z/2 ⊕ Z/2"
+
+    @pytest.mark.parametrize("flavor", ["real", "complex"])
+    def test_superline_classify(self, capsys, flavor):
+        argv = ("superline", "--complex", "@s1", "--flavor", flavor, "--op", "classify")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.strip() == "pi0 Z/2, pi1 Z/2, k-invariant nonzero"
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["k_invariant_nontrivial"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [(), ("--enumerate", "Z/8"), ("--name", "nope")],
+        ids=["no_flag", "enumerate_without_semicolon", "unknown_name"],
+    )
+    def test_classify_argument_is_parse_error(self, capsys, argv):
+        code, out, _ = run(capsys, "classify", *argv)
+        assert code == 2 and not out
+
+    @pytest.mark.parametrize(
+        "text,pi0",
+        [("Z+Z/2", G(1, (2,))), ("triv", G.trivial()), ("0", G.trivial()), ("1", G.trivial())],
+    )
+    def test_classify_group_forms(self, capsys, text, pi0):
+        code, out, _ = run(capsys, "classify", "--enumerate", text + ";Z/2", "--json")
+        expected = stable2type.enumerate_symmetric_structures(pi0, G(0, (2,)))
+        assert code == 0 and json.loads(out)["count"] == len(expected)
+
+    def test_classify_unknown_group_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "classify", "--enumerate", "Q;Z/2")
+        assert code == 2 and not out
+        assert "cannot parse group component" in err
 
     def test_classify_name(self, capsys):
         code, out, _ = run(capsys, "classify", "--name", "ku")

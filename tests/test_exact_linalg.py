@@ -250,6 +250,14 @@ class TestHeapPivoting:
     def test_random_dense(self, m):
         self.assert_same_factorization(m)
 
+    def test_zero_row_multiplier_is_skipped(self):
+        """After col_1 -= col_0 leaves row 0 as (3, 2), row 0 retargets to
+        column 1, where row 1's multiplier 1 // 2 is 0: that axpy is skipped,
+        and row 1, (0, 1), becomes the pivot row."""
+        m = IntMatrix.from_rows([[3, 5], [6, 11]])
+        self.assert_same_factorization(m)
+        assert _OpLogSolver(m).pivots == [(1, 1, 1), (0, 0, 3)]
+
     @pytest.mark.parametrize("name", ["s1", "t2", "klein", "rp2", "s1xs1"])
     def test_coboundaries_and_mod_n_stacks(self, name):
         x = corpus.complex_by_name(name)

@@ -6,15 +6,18 @@ from hypothesis import strategies as st
 from oracles import cup_i_loop
 
 from supercoh import corpus
+from supercoh.brauer import BrauerElement
 from supercoh.operations import bockstein, cup, cup_i, reduce_mod, sq, sq1_via_bockstein
 from supercoh.simplicial import (
     Cochain,
     CohomologyClass,
+    SimplicialMap,
     class_coordinates,
     cohomology,
     is_cohomologous,
     sq1_coordinates,
 )
+from supercoh.superline import SuperLine, classification_data
 
 SURFACES = ("s1", "s2", "t2", "klein", "rp2", "s1xs1")
 SQ1_NAMES = corpus.CORPUS_NAMES + ("rp2xs1", "kleinxs1", "t2xs1", "s2xs1")
@@ -351,3 +354,53 @@ class TestNaturality:
             assert proj.pullback(reduce_mod(bb, 2)).values == reduce_mod(
                 proj.pullback(bb), 2
             ).values
+
+
+def _zero(name, q, n):
+    return Cochain.zero(corpus.complex_by_name(name), q, n)
+
+
+def _superline_with_an_integral_line_class():
+    rp2 = corpus.complex_by_name("rp2")
+    return SuperLine("real", rp2, (0,), CohomologyClass(Cochain.zero(rp2, 2, 0)))
+
+
+def _pullback_of_a_foreign_cochain():
+    rp2 = corpus.complex_by_name("rp2")
+    return SimplicialMap(rp2, rp2, range(rp2.vertex_count)).pullback(_zero("s1", 1, 2))
+
+
+# each call fails the argument check that the message names, at the boundary
+# of the module that makes it
+ARGUMENT_CHECKS = {
+    "brauer-two-complexes": (
+        lambda: BrauerElement("ku", _zero("rp2", 0, 2), _zero("s1", 1, 2), _zero("rp2", 3, 0)),
+        "different complexes",
+    ),
+    "brauer-wrong-degree": (
+        lambda: BrauerElement("ko", _zero("rp2", 0, 8), _zero("rp2", 1, 2), _zero("rp2", 1, 2)),
+        "does not match the ko layout",
+    ),
+    "brauer-wrong-modulus": (
+        lambda: BrauerElement("ko", _zero("rp2", 0, 2), _zero("rp2", 1, 2), _zero("rp2", 2, 2)),
+        "does not match the ko layout",
+    ),
+    "cup_i-two-complexes": (lambda: cup_i(0, _zero("rp2", 1, 2), _zero("s1", 1, 2)), "common complex"),
+    "cup_i-negative-index": (lambda: cup_i(-1, _zero("rp2", 1, 2), _zero("rp2", 1, 2)), "index must be >= 0"),
+    "cup_i-negative-degree": (lambda: cup_i(2, _zero("rp2", 0, 2), _zero("rp2", 1, 2)), "target degree is negative"),
+    "sq-negative-k": (lambda: sq(-1, CohomologyClass(_zero("rp2", 1, 2))), "needs k >= 0"),
+    "reduce_mod-zero": (lambda: reduce_mod(_zero("rp2", 1, 0), 0), "must be positive"),
+    "reduce_mod-negative": (lambda: reduce_mod(_zero("rp2", 1, 0), -2), "must be positive"),
+    "bockstein-integral": (lambda: bockstein(CohomologyClass(_zero("rp2", 1, 0))), "finite modulus"),
+    "sq1_via_bockstein-mod-3": (lambda: sq1_via_bockstein(CohomologyClass(_zero("rp2", 1, 3))), "mod-2 class"),
+    "superline-line-class-shape": (_superline_with_an_integral_line_class, "degree-1 cocycle mod 2"),
+    "superline-unknown-flavor": (lambda: classification_data("quaternionic"), "unknown flavor"),
+    "pullback-foreign-cochain": (_pullback_of_a_foreign_cochain, "does not live on the target"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_CHECKS)
+def test_argument_check_raises(case):
+    call, message = ARGUMENT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
