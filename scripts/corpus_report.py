@@ -7,7 +7,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from supercoh import corpus, operations
-from supercoh.simplicial import class_coordinates, cohomology
+from supercoh.simplicial import cohomology
 
 
 def main():
@@ -20,12 +20,8 @@ def main():
             mod2, basis2 = cohomology(x, q, 2)
             print(f"  H^{q}:  Z-coefficients {str(integral):12s}  mod 2 {mod2}")
             for i, cls in enumerate(basis2):
-                images = (
-                    ("Sq1!=0", operations.sq(1, cls)),
-                    ("Sq2!=0", operations.sq(2, cls)),
-                    ("beta!=0", operations.bockstein(cls)),
-                )
-                tags = [tag for tag, image in images if any(class_coordinates(image.cochain))]
+                actions = operations.nonzero_actions(cls)
+                tags = [tag for tag, nonzero in zip(("Sq1!=0", "Sq2!=0", "beta!=0"), actions) if nonzero]
                 if tags:
                     print(f"        gen {q}.{i}: {', '.join(tags)}")
 

@@ -91,19 +91,10 @@ def cmd_operations(args):
         pres, basis = simplicial.cohomology(x, q, 2)
         lines.append(f"H^{q}(X;Z/2) = {pres}")
         for i, cls in enumerate(basis):
-            entry = {"degree": q, "index": i}
-            for key, image in (
-                ("sq1_nonzero", operations.sq(1, cls)),
-                ("sq2_nonzero", operations.sq(2, cls)),
-                ("bockstein_nonzero", operations.bockstein(cls)),
-            ):
-                entry[key] = any(simplicial.class_coordinates(image.cochain))
-            table.append(entry)
-            lines.append(
-                f"  gen {q}.{i}: Sq1 {'nonzero' if entry['sq1_nonzero'] else 'zero'}, "
-                f"Sq2 {'nonzero' if entry['sq2_nonzero'] else 'zero'}, "
-                f"beta {'nonzero' if entry['bockstein_nonzero'] else 'zero'}"
-            )
+            sq1, sq2, beta = operations.nonzero_actions(cls)
+            table.append({"degree": q, "index": i, "sq1_nonzero": sq1, "sq2_nonzero": sq2, "bockstein_nonzero": beta})
+            sq1, sq2, beta = ("nonzero" if v else "zero" for v in (sq1, sq2, beta))
+            lines.append(f"  gen {q}.{i}: Sq1 {sq1}, Sq2 {sq2}, beta {beta}")
     report = {"complex": args.complex, "table": table}
     _emit(args, report, lines)
     return 0
@@ -245,11 +236,12 @@ def cmd_dsv(args):
 
 
 def cmd_superline(args):
-    x = _load_complex(args.complex)
     if args.op == "group":
-        g = superline.iso_class_group(x, args.flavor)
+        if args.complex is None:
+            raise ParseError("superline --op group needs --complex")
+        g = superline.iso_class_group(_load_complex(args.complex), args.flavor)
         _emit(args, {"op": "group", "flavor": args.flavor, "group": _group_dict(g)}, [str(g)])
-    else:  # classify
+    else:  # classify: the data depend on the flavor alone
         data = superline.classification_data(args.flavor)
         report = data.to_json_dict()
         report["k_invariant_nontrivial"] = not stable2type.is_trivial(data)
@@ -390,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_dsv)
 
     s = sub.add_parser("superline", help="superline iso-class groups and classification")
-    s.add_argument("--complex", required=True)
+    s.add_argument("--complex", help="required by --op group; --op classify ignores it")
     s.add_argument("--flavor", required=True, choices=["real", "complex"])
     s.add_argument("--op", default="group", choices=["group", "classify"])
     s.add_argument("--json", action="store_true")

@@ -1,15 +1,16 @@
-"""Built-in test complexes and constructions (cones, staircase products).
+"""Built-in test complexes, cones and the named staircase products.
 
 The corpus is addressable by name, e.g. complex_by_name("rp2") or the CLI
-form "@rp2".  Product complexes come with their two projection maps and
-keep their two factors, whose models give their cohomology.
+form "@rp2".  Products are built by simplicial.product, re-exported here,
+with their two projection maps; they keep their two factors, whose models
+give their cohomology.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .simplicial import SimplicialComplex, SimplicialMap, _shuffles
+from .simplicial import SimplicialComplex, product
 
 
 def point() -> SimplicialComplex:
@@ -91,37 +92,6 @@ def cone(x: SimplicialComplex) -> SimplicialComplex:
     if not maximal:
         maximal = [(apex,)]
     return SimplicialComplex(x.vertex_count + 1, maximal)
-
-
-def _facets(x: SimplicialComplex) -> tuple:
-    """The maximal simplices of x and the vertices that none of them holds:
-    an isolated vertex v of K still gives the copy {v} x |L| of L."""
-    covered = {v for s in x.maximal_simplices for v in s}
-    return x.maximal_simplices + tuple((v,) for v in range(x.vertex_count) if v not in covered)
-
-
-def product(k: SimplicialComplex, l: SimplicialComplex):
-    """Staircase (Eilenberg-Zilber shuffle) triangulation of |K| x |L|.
-
-    Vertex (u, w) gets index u * l.vertex_count + w; returns the product
-    complex and the two projections as SimplicialMaps.  The product keeps
-    K and L as its factors, so its cohomology is computed on the tensor
-    product of their models (simplicial.TensorModel) and no matching runs
-    on it; a copy rebuilt from its simplices, as JSON input is, computes on
-    its own Morse complex and may give other representatives of the same
-    classes.
-    """
-    nl = l.vertex_count
-    maximal = []
-    for sk in _facets(k):
-        for sl in _facets(l):
-            for kpos, lpos, _ in _shuffles(len(sk) - 1, len(sl) - 1):
-                maximal.append(tuple(sk[a] * nl + sl[b] for a, b in zip(kpos, lpos)))
-    prod = SimplicialComplex(k.vertex_count * nl, maximal)
-    prod._factors = (k, l)
-    proj1 = SimplicialMap(prod, k, [v // nl for v in range(prod.vertex_count)])
-    proj2 = SimplicialMap(prod, l, [v % nl for v in range(prod.vertex_count)])
-    return prod, proj1, proj2
 
 
 _BUILDERS = {

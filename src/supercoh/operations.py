@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import repeat
 from operator import floordiv, mod, mul
 
-from .simplicial import Cochain, CohomologyClass
+from .simplicial import Cochain, CohomologyClass, class_coordinates
 
 
 def cup(a: Cochain, b: Cochain) -> Cochain:
@@ -99,3 +99,9 @@ def sq1_via_bockstein(b: CohomologyClass) -> CohomologyClass:
     if b.modulus != 2:
         raise ValueError("expects a mod-2 class")
     return CohomologyClass(reduce_mod(bockstein(b).cochain, 2))
+
+
+def nonzero_actions(cls: CohomologyClass) -> tuple[bool, bool, bool]:
+    """Whether Sq^1, Sq^2 and beta of a mod-2 class are nonzero classes."""
+    images = (sq(1, cls), sq(2, cls), bockstein(cls))
+    return tuple(any(class_coordinates(image.cochain)) for image in images)

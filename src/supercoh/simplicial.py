@@ -5,8 +5,8 @@ simplex is stored as a strictly increasing vertex tuple.  Cochains take
 values in Z (modulus 0) or Z/n, canonically reduced to [0, n).  Cohomology
 is computed exactly on a small integral model of the cochains of X: the
 Morse complex of a coreduction matching of X, or, for a staircase product
-K x L built by corpus.product, the tensor product of the models of K and
-L, with no matching run on X.  The cocycle representatives of its
+K x L built by product(), the tensor product of the models of K and L,
+with no matching run on X.  The cocycle representatives of its
 generators are extended to X when cohomology() is asked for them.
 """
 
@@ -103,7 +103,7 @@ class SimplicialComplex:
         # keyed ("faces", q) and ("cup_i", i, p, q); see face_table and
         # cup_i_table.  _morse is the Morse complex of the coreduction
         # matching, or the TensorModel of the factors when _factors holds the
-        # (K, L) that corpus.product built X from; it is built on the first
+        # (K, L) that product built X from; it is built on the first
         # cohomology query and keeps the cohomology records.  _bases holds
         # the basis classes on X that cohomology() extends from them, keyed
         # (q, n)
@@ -468,6 +468,16 @@ class _CochainModel:
     and the records dict.  r reads a cochain on one integral chain of X per
     cell of M, which chains(q) lists as (simplex indices, coefficients)."""
 
+    def __init__(self, x: SimplicialComplex):
+        self.complex = x
+        # per degree: delta_M, the chains of r, the gathers of r and what
+        # extend builds; the records of H^q(M; Z/n), keyed (q, n), see _record
+        self._deltas: dict[int, SparseMatrix] = {}
+        self._chains: dict[int, list] = {}
+        self._restrictions: dict[int, list] = {}
+        self._extensions: dict = {}
+        self.records: dict = {}
+
     def restrict(self, q: int, values) -> list[int]:
         """r(f) for the values of a q-cochain f on X."""
         program = self._restrictions.get(q)
@@ -509,7 +519,7 @@ class MorseComplex(_CochainModel):
     """
 
     def __init__(self, x: SimplicialComplex):
-        self.complex = x
+        super().__init__(x)
         dim = x.dim
         counts = [x.simplex_count(q) for q in range(dim + 1)]
         # faces[q][a]: the indices of the faces of q-cell a, in face order;
@@ -571,12 +581,6 @@ class MorseComplex(_CochainModel):
         self._pairs = pairs
         self._pair_of = pair_of
         self._signs = tuple((-1) ** k for k in range(dim + 2))
-        self._deltas: dict[int, SparseMatrix] = {}
-        self._chains: dict[int, list] = {}
-        self._restrictions: dict[int, list] = {}
-        self._extensions: dict[int, list] = {}
-        # the records of H^q(M; Z/n), keyed (q, n); see _record
-        self.records: dict = {}
 
     def size(self, q: int) -> int:
         return len(self.critical[q]) if 0 <= q < len(self.critical) else 0
@@ -651,7 +655,6 @@ class MorseComplex(_CochainModel):
         return tuple(values)
 
 
-
 @cache
 def _shuffles(p: int, q: int) -> tuple:
     """The staircase paths from (0, 0) to (p, q) in unit steps, as (K
@@ -672,8 +675,38 @@ def _shuffles(p: int, q: int) -> tuple:
     return tuple(paths)
 
 
+def _facets(x: SimplicialComplex) -> tuple:
+    """The maximal simplices of x and the vertices that none of them holds:
+    an isolated vertex v of K still gives the copy {v} x |L| of L."""
+    covered = {v for s in x.maximal_simplices for v in s}
+    return x.maximal_simplices + tuple((v,) for v in range(x.vertex_count) if v not in covered)
+
+
+def product(k: SimplicialComplex, l: SimplicialComplex):
+    """Staircase (Eilenberg-Zilber shuffle) triangulation of |K| x |L|.
+
+    Vertex (u, w) gets index u * l.vertex_count + w; returns the product
+    complex and the two projections as SimplicialMaps.  The product keeps
+    K and L as its factors, so its cohomology is computed on the tensor
+    product of their models (TensorModel) and no matching runs on it; a
+    copy rebuilt from its simplices, as JSON input is, computes on its own
+    Morse complex and may give other representatives of the same classes.
+    """
+    nl = l.vertex_count
+    maximal = []
+    for sk in _facets(k):
+        for sl in _facets(l):
+            for kpos, lpos, _ in _shuffles(len(sk) - 1, len(sl) - 1):
+                maximal.append(tuple(sk[a] * nl + sl[b] for a, b in zip(kpos, lpos)))
+    prod = SimplicialComplex(k.vertex_count * nl, maximal)
+    prod._factors = (k, l)
+    proj1 = SimplicialMap(prod, k, [v // nl for v in range(prod.vertex_count)])
+    proj2 = SimplicialMap(prod, l, [v % nl for v in range(prod.vertex_count)])
+    return prod, proj1, proj2
+
+
 class TensorModel(_CochainModel):
-    """M_K (x) M_L for the staircase product X of K and L (corpus.product),
+    """M_K (x) M_L for the staircase product X of K and L (see product),
     built from the models of the factors: it stands in for the Morse complex
     of X, so no matching runs on X, and nested products recurse.
 
@@ -704,7 +737,7 @@ class TensorModel(_CochainModel):
     """
 
     def __init__(self, x: SimplicialComplex, k, l):
-        self.complex = x
+        super().__init__(x)
         self._k, self._l = k, l
         # offsets[n][p]: the index of cell (p, 0, 0) among the n-cells; the
         # last entry is the number of n-cells
@@ -712,12 +745,6 @@ class TensorModel(_CochainModel):
         for n in range(x.dim + 1):
             sizes = [k.size(p) * l.size(n - p) for p in range(n + 1)]
             self._offsets.append([sum(sizes[:p]) for p in range(n + 2)])
-        self._deltas: dict[int, SparseMatrix] = {}
-        self._chains: dict[int, list] = {}
-        self._restrictions: dict[int, list] = {}
-        # n -> {p: the gathers (front, back) of the cross product}; see _cross
-        self._extensions: dict = {}
-        self.records: dict = {}
 
     def size(self, q: int) -> int:
         return self._offsets[q][-1] if 0 <= q < len(self._offsets) else 0
@@ -750,29 +777,27 @@ class TensorModel(_CochainModel):
 
     def chains(self, q: int) -> list:
         """The chains nabla(g_K(i) (x) g_L(j)) of the q-cells, in their
-        order, as indices of q-simplices of X and coefficients."""
+        order, as indices of q-simplices of X and coefficients.  A simplex u
+        of g_K(i), a simplex w of g_L(j) and a staircase path give the
+        simplex whose vertex t is u[kpos[t]] * width + w[lpos[t]]."""
         chains = self._chains.get(q)
         if chains is None:
             k, l = self._k, self._l
             width = l.complex.vertex_count
-            index = self.complex._index[q]
             chains = self._chains[q] = []
             for p in range(q + 1):
                 if not k.size(p) * l.size(q - p):
                     continue
                 paths = _shuffles(p, q - p)
+                steps = [[(kpos[t], lpos[t]) for kpos, lpos, _ in paths] for t in range(q + 1)]
                 ksimplices, lsimplices = k.complex.simplices(p), l.complex.simplices(q - p)
                 for ksupport, kcoeffs in k.chains(p):
+                    us = [ksimplices[a] for a in ksupport]
                     for lsupport, lcoeffs in l.chains(q - p):
-                        support, coeffs = [], []
-                        for a, kc in zip(ksupport, kcoeffs):
-                            u = ksimplices[a]
-                            for b, lc in zip(lsupport, lcoeffs):
-                                w = lsimplices[b]
-                                for kpos, lpos, sign in paths:
-                                    support.append(index[tuple(u[s] * width + w[t] for s, t in zip(kpos, lpos))])
-                                    coeffs.append(sign * kc * lc)
-                        chains.append((tuple(support), tuple(coeffs)))
+                        ws = [lsimplices[b] for b in lsupport]
+                        columns = ([u[s] * width + w[t] for u in us for w in ws for s, t in step] for step in steps)
+                        coeffs = tuple(sign * kc * lc for kc in kcoeffs for lc in lcoeffs for *_, sign in paths)
+                        chains.append((self.complex._indices(q, columns), coeffs))
         return chains
 
     def _cross(self, q: int, p: int):
@@ -909,7 +934,7 @@ def cohomology(x: SimplicialComplex, q: int, n: int = 0):
 
     Every degree is computed on the model M of X that morse_complex()
     gives: the Morse complex of its matching (see MorseComplex), or, when X
-    was built by corpus.product, the tensor product of the factors' models
+    was built by product, the tensor product of the factors' models
     (see TensorModel), whose representatives differ from those of the
     matching of X; the groups and classes are the same.  Z is read off the
     factorization of delta_q, and every Z/n off that of the stack

@@ -40,13 +40,11 @@ from .exact_linalg import AbelianGroupPresentation, Record
 ENUM_CAP = 4096
 
 
-def _mod2_generator_indices(g: AbelianGroupPresentation) -> list[int]:
-    """Indices (into [torsion generators..., free generators...]) surviving mod 2.
-
-    Generator order convention: torsion generators first (invariant factor
-    order), then free generators, matching cohomology bases elsewhere.
-    """
-    return [i for i, d in enumerate(_orders(g)) if d % 2 == 0]  # a free one has order 0
+def _mod2_exponents(g: AbelianGroupPresentation) -> list:
+    """The 2-exponents of the generators of g that survive mod 2, in
+    generator order (torsion first, as cohomology bases list them): the
+    2-part d & -d of each even order d, then infinity for each free one."""
+    return [d & -d for d in g.invariant_factors if d % 2 == 0] + [inf] * g.free_rank
 
 
 def _two_torsion_elements(g: AbelianGroupPresentation) -> list[tuple[int, ...]]:
@@ -72,7 +70,7 @@ class Stable2TypeData(Record):
     q: tuple  # columns: element coordinates in pi1 for each mod-2 generator
 
     def __post_init__(self):
-        s = len(_mod2_generator_indices(self.pi0))
+        s = len(_mod2_exponents(self.pi0))
         if len(self.q) != s:
             raise ValueError(f"q needs {s} columns for pi0 (x) Z/2")
         ngen = len(_orders(self.pi1))
@@ -103,7 +101,7 @@ def is_trivial(data: Stable2TypeData) -> bool:
 
 def enumerate_symmetric_structures(pi0: AbelianGroupPresentation, pi1: AbelianGroupPresentation) -> list[Stable2TypeData]:
     """All symmetric monoidal structures on (pi0, pi1): Hom(pi0 (x) Z/2, pi1[2])."""
-    s = len(_mod2_generator_indices(pi0))
+    s = len(_mod2_exponents(pi0))
     # pi1[2] has 2^e elements for e even invariant factors, so there are
     # 2^k structures, k = e * s; refuse before listing any (and list none when
     # pi0 (x) Z/2 is zero).  2^k > ENUM_CAP exactly when k >= the bit length
@@ -136,12 +134,11 @@ def _f2_rank(vectors) -> int:
 def _corner_ranks(data: Stable2TypeData) -> tuple[int, ...]:
     """F2 ranks of q on the columns of 2-exponent <= k and the rows of
     2-exponent < l, for each exponent k of pi0 and each exponent l of pi1
-    or infinity.  An exponent is kept as the 2-part d & -d of an order d,
-    infinite for a free generator; q columns are 2-torsion, so only even
-    torsion rows carry bits."""
-    pi0, pi1 = data.pi0, data.pi1
-    col_exps = [d & -d for d in pi0.invariant_factors if d % 2 == 0] + [inf] * pi0.free_rank
-    row_exps = [d & -d for d in pi1.invariant_factors]
+    or infinity.  An exponent is kept as the 2-part d & -d of an order d
+    (see _mod2_exponents); q columns are 2-torsion, so only even torsion
+    rows carry bits."""
+    col_exps = _mod2_exponents(data.pi0)
+    row_exps = [d & -d for d in data.pi1.invariant_factors]
     cols = [sum(1 << i for i, c in enumerate(col) if c) for col in data.q]
     ranks = []
     for k in sorted(set(col_exps)):

@@ -47,7 +47,7 @@ from supercoh.simplicial import (
     _cohomology_record,
     coboundary_matrix,
 )
-from supercoh.stable2type import Stable2TypeData, _canonical_element, _mod2_generator_indices
+from supercoh.stable2type import Stable2TypeData, _canonical_element
 
 # ---------------------------------------------------------------------------
 # Brauer groups and element orders by repeated twisted addition
@@ -1402,7 +1402,8 @@ def _iter_automorphisms(g: AbelianGroupPresentation, cap):
 
 def _mod2_action(g: AbelianGroupPresentation, d_cols, a_block, c_cols):
     """Induced matrix on the mod-2 generators (rows/cols in mod-2 gen order)."""
-    surv = _mod2_generator_indices(g)
+    # the generators that survive mod 2: even orders, then the free ones
+    surv = [i for i, d in enumerate((*g.invariant_factors, *[0] * g.free_rank)) if d % 2 == 0]
     nt = len(g.invariant_factors)
     mat = []
     for r_pos in surv:

@@ -283,6 +283,18 @@ class TestOtherVerbs:
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0 and json.loads(out)["k_invariant_nontrivial"] is True
 
+    @pytest.mark.parametrize("flavor", ["real", "complex"])
+    def test_superline_classify_reads_no_complex(self, capsys, tmp_path, flavor):
+        # the classification data depend on the flavor alone: no --complex is
+        # needed, and one that names no file is not read
+        for extra in ((), ("--complex", str(tmp_path / "missing.json"))):
+            code, out, _ = run(capsys, "superline", "--flavor", flavor, "--op", "classify", *extra)
+            assert code == 0 and out.strip() == "pi0 Z/2, pi1 Z/2, k-invariant nonzero"
+
+    def test_superline_group_needs_a_complex(self, capsys):
+        code, out, err = run(capsys, "superline", "--flavor", "real")
+        assert code == 2 and not out and "needs --complex" in err
+
     @pytest.mark.parametrize(
         "argv",
         [(), ("--enumerate", "Z/8"), ("--name", "nope")],

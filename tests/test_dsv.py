@@ -82,6 +82,29 @@ class TestConstruction:
         assert homology(DSV.make(QQ, 0, 2, [[], []], [])) == (0, 2)
 
 
+class TestMapMake:
+    # the acyclic (1|1) plus the unit: d0 = [1 0], so a chain map has f0[0] = (f1, 0)
+    @pytest.mark.parametrize("f", [F5, QQ], ids=["F5", "Q"])
+    def test_builds_the_map_from_nested_lists(self, f):
+        v = DSV.make(f, 2, 1, [[1, 0]], [[0], [0]])
+        f0, f1 = [[3, 0], [2, -1]], [[3]]
+        built = DSVMap.make(v, v, f0, f1)
+        assert built == DSVMap(v, v, tuple(tuple(map(f.of, row)) for row in f0), ((f.of(3),),))
+        assert all(type(x) is type(f.zero()) for row in built.f0 + built.f1 for x in row)
+
+    def test_refuses_a_wrong_shape(self):
+        v = DSV.make(F5, 2, 1, [[1, 0]], [[0], [0]])
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            DSVMap.make(v, v, [[3, 0]], [[3]])
+        with pytest.raises(ValueError, match="expected a 1x1 matrix"):
+            DSVMap.make(v, v, [[3, 0], [2, 4]], [])
+
+    def test_refuses_a_map_that_is_not_a_chain_map(self):
+        v = DSV.make(F5, 2, 1, [[1, 0]], [[0], [0]])
+        with pytest.raises(ValueError, match="does not commute with d0"):
+            DSVMap.make(v, v, [[1, 0], [0, 1]], [[2]])
+
+
 @st.composite
 def field_matrices(draw, square=False):
     """(field, rows, cols, matrix) over Q, F2, F3 or F5, at most 6x6, zero-heavy

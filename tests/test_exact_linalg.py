@@ -112,6 +112,10 @@ class TestSolveMod:
         with pytest.raises(ValueError):
             solve_mod(mat([[1, 2]]), [1, 2], 0)
 
+    def test_mod_1_gives_the_zero_vector(self):
+        # every vector solves A x = b mod 1; no factorization runs
+        assert solve_mod(mat([[2, 3]]), [1], 1) == [0, 0]
+
     @given(small_matrices, st.integers(0, 8), st.data())
     @settings(max_examples=120, deadline=None)
     def test_solutions_verify(self, m, n, data):
@@ -187,6 +191,12 @@ class TestOpLogFactorization:
         coords = solver.free_coordinates(vec)
         in_kernel = m.mul_vector(vec) == [0] * m.rows
         assert (coords is not None) == in_kernel
+
+    def test_free_coordinate_rows_refuse_a_pivot_coordinate(self):
+        # [[1, 1]] pivots on column 0 and keeps column 1 free: (-1, 1) spans the kernel
+        solver = SparseMatrix(1, 2, [{0: 1, 1: 1}]).solver()
+        assert solver.free_coordinate_rows([{0: -2, 1: 2}]) == [{0: 2}]
+        assert solver.free_coordinate_rows([{0: -2, 1: 2}, {0: 1}]) is None
 
     @given(st.one_of(small_matrices, sparse_matrices))
     @settings(max_examples=200, deadline=None)
@@ -456,6 +466,10 @@ class TestPresentations:
         a = AbelianGroupPresentation(1, (2,))
         b = AbelianGroupPresentation(0, (3,))
         assert direct_sum(a, b) == AbelianGroupPresentation(1, (6,))
+
+    def test_order(self):
+        assert AbelianGroupPresentation(0, (2, 4)).order() == 8
+        assert AbelianGroupPresentation(1, (2,)).order() is None
 
     def test_chain_validation(self):
         with pytest.raises(ValueError):

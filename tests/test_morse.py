@@ -88,6 +88,20 @@ def test_reduction_on_random_complexes(x):
     _check_reduction(x, random.Random(0))
 
 
+@pytest.mark.parametrize("name", ["klein", "rp2", "t2"])
+def test_restrict_flows_its_own_chains(name):
+    # a fresh model reads a cochain before any delta is built: chains(q) runs
+    # the flow itself, and gives what the flow of delta(q - 1) gives
+    x, rng = _complex(name), random.Random(name)
+    for q in range(x.dim + 1):
+        fresh, flowed = MorseComplex(x), MorseComplex(x)
+        flowed.delta(q - 1)
+        values = tuple(rng.randint(-4, 4) for _ in range(x.simplex_count(q)))
+        assert fresh.restrict(q, values) == flowed.restrict(q, values)
+        assert fresh.chains(q) == flowed.chains(q)
+        assert fresh.restrict(q, fresh.extend(q, [1] * fresh.size(q))) == [1] * fresh.size(q)
+
+
 def test_matching_is_small():
     # every critical cell of a perfect matching is a mod-2 Betti number; the
     # model of rp2xrp2 is the tensor square of the one of rp2, so it is

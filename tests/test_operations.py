@@ -7,17 +7,24 @@ from oracles import cup_i_loop
 
 from supercoh import corpus
 from supercoh.brauer import BrauerElement
+from supercoh.dsv import QQ, DSV, BoundedChainComplex, DSVMap, Field, direct_sum, mat_mul, swap_map
+from supercoh.exact_linalg import AbelianGroupPresentation, SparseMatrix, cokernel, smith_decomposition, solve_mod
 from supercoh.operations import bockstein, cup, cup_i, reduce_mod, sq, sq1_via_bockstein
 from supercoh.simplicial import (
     Cochain,
     CohomologyClass,
+    SimplicialComplex,
     SimplicialMap,
     class_coordinates,
     cohomology,
     is_cohomologous,
+    presentation,
     sq1_coordinates,
 )
+from supercoh.stable2type import Stable2TypeData
 from supercoh.superline import SuperLine, classification_data
+
+F5 = Field(5)
 
 SURFACES = ("s1", "s2", "t2", "klein", "rp2", "s1xs1")
 SQ1_NAMES = corpus.CORPUS_NAMES + ("rp2xs1", "kleinxs1", "t2xs1", "s2xs1")
@@ -370,6 +377,17 @@ def _pullback_of_a_foreign_cochain():
     return SimplicialMap(rp2, rp2, range(rp2.vertex_count)).pullback(_zero("s1", 1, 2))
 
 
+def _edge_onto_two_points():
+    # the image (0, 1) of the edge is monotone, but the target has no edge
+    return SimplicialMap(SimplicialComplex(2, [(0, 1)]), SimplicialComplex(2, [(0,), (1,)]), (0, 1))
+
+
+def _map_breaking_d1():
+    # d1 = 1 on (1|1): f0 d1 = 1, but d1 f1 = 2
+    v = DSV.make(F5, 1, 1, [[0]], [[1]])
+    return DSVMap.make(v, v, [[1]], [[2]])
+
+
 # each call fails the argument check that the message names, at the boundary
 # of the module that makes it
 ARGUMENT_CHECKS = {
@@ -396,6 +414,41 @@ ARGUMENT_CHECKS = {
     "superline-line-class-shape": (_superline_with_an_integral_line_class, "degree-1 cocycle mod 2"),
     "superline-unknown-flavor": (lambda: classification_data("quaternionic"), "unknown flavor"),
     "pullback-foreign-cochain": (_pullback_of_a_foreign_cochain, "does not live on the target"),
+    "pullback-image-not-a-simplex": (_edge_onto_two_points, "is not a simplex of the target"),
+    "complex-negative-vertex-count": (lambda: SimplicialComplex(-1, []), "vertex_count must be >= 0"),
+    "cochain-value-count": (lambda: Cochain(corpus.complex_by_name("s1"), 1, 2, (0, 0)), "needs 3 values, got 2"),
+    "cochain-negative-modulus": (lambda: Cochain(corpus.complex_by_name("s1"), 1, -2, (0, 0, 0)), "modulus must be >= 0"),
+    "cochain-sum-two-degrees": (lambda: _zero("rp2", 1, 0) + _zero("rp2", 2, 0), "context mismatch"),
+    "presentation-negative-degree": (lambda: presentation(corpus.complex_by_name("s1"), -1), "degree must be >= 0"),
+    "stable2type-short-q-column": (
+        lambda: Stable2TypeData(AbelianGroupPresentation(0, (2,)), AbelianGroupPresentation(0, (2,)), ((),)),
+        "wrong length for pi1",
+    ),
+    "solve_mod-negative-modulus": (lambda: solve_mod(SparseMatrix(1, 1, [{0: 2}]), [1], -2), "modulus must be >= 0"),
+    "cokernel-negative-modulus": (lambda: cokernel(SparseMatrix(1, 1, [{0: 2}]), -2), "modulus must be >= 0"),
+    "sparse-matrix-row-count": (lambda: SparseMatrix(2, 1, [{0: 1}]), "row count does not match"),
+    "presentation-negative-free-rank": (lambda: AbelianGroupPresentation(-1, ()), "negative free rank"),
+    "oplog-solve-vector-length": (
+        lambda: smith_decomposition(SparseMatrix(2, 1, [{0: 1}, {}])).solve([1], 0),
+        "dimension mismatch",
+    ),
+    "dsvmap-two-fields": (lambda: DSVMap(DSV.unit(F5), DSV.unit(QQ), ((1,),), ()), "field mismatch"),
+    "dsvmap-f0-shape": (lambda: DSVMap(DSV.unit(F5), DSV.unit(F5), (), ()), "f0 has wrong shape"),
+    "dsvmap-f1-shape": (lambda: DSVMap(DSV.odd_line(F5), DSV.odd_line(F5), (), ()), "f1 has wrong shape"),
+    "dsvmap-not-commuting-with-d1": (_map_breaking_d1, "does not commute with d1"),
+    "bounded-complex-boundary-count": (
+        lambda: BoundedChainComplex(F5, 0, (1, 1), ()),
+        "one boundary map per adjacent degree pair",
+    ),
+    "bounded-complex-boundary-shape": (
+        lambda: BoundedChainComplex(F5, 0, (1, 1), (((1, 0),),)),
+        "boundary 0 has wrong shape",
+    ),
+    "mat_mul-inner-dimension": (lambda: mat_mul(F5, ((1, 2),), ((1,),)), "dimension mismatch"),
+    "direct_sum-two-fields": (lambda: direct_sum(DSV.unit(F5), DSV.unit(QQ)), "field mismatch"),
+    "swap_map-two-fields": (lambda: swap_map(DSV.unit(F5), DSV.unit(QQ)), "field mismatch"),
+    "dsv-d0-shape": (lambda: DSV(F5, 1, 1, (), ((0,),)), "d0 must be dim1 x dim0"),
+    "dsv-d1-shape": (lambda: DSV(F5, 1, 1, ((0,),), ()), "d1 must be dim0 x dim1"),
 }
 
 

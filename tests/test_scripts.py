@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import importlib.util
 import itertools
@@ -80,12 +81,18 @@ def test_brauer_survey_runs():
     assert {name: tuple(map(_group, row)) for name, row in verify.LANDMARKS.items()} == readme
 
 
+# SHA-256 of the stdout of scripts/corpus_report.py, which prints no timing:
+# a change to any group, f-vector or Sq/beta tag of the report shows here
+CORPUS_REPORT_SHA256 = "a4b9a2f4643cd6d48dc15ff0670890d7817a08607d15b839376822e8f98dad6f"
+
+
 def test_corpus_report_runs():
     out = run_script("corpus_report.py")
     assert out.returncode == 0, out.stderr
     assert "rp2xrp2" in out.stdout
     # the mixed degree-2 generator of the product carries a nonzero square
     assert "Sq2!=0" in out.stdout
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == CORPUS_REPORT_SHA256
 
 
 def test_benchmark_traced_names_resolve():

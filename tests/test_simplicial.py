@@ -44,6 +44,8 @@ def test_closure_and_indexing(rp2):
     assert rp2.index_of((0, 1)) >= 0
     assert rp2.contains((0, 1, 3))
     assert not rp2.contains((0, 1, 2))
+    with pytest.raises(KeyError):
+        rp2.index_of(())
 
 
 def test_bad_simplices_rejected():
