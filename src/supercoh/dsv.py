@@ -51,7 +51,13 @@ class Field(Record):
             raise ValueError("field characteristic must be 0 or a prime")
 
     def of(self, x):
-        return Fraction(x) if self.char == 0 else x % self.char
+        """x in the field; over F_p only an int is an entry, so a str, a float
+        or a bool is refused, as the JSON reader refuses it."""
+        if self.char == 0:
+            return Fraction(x)
+        if type(x) is not int:
+            raise ValueError(f"an {self} entry must be exactly an int, got {x!r}")
+        return x % self.char
 
     def zero(self):
         return Fraction(0) if self.char == 0 else 0

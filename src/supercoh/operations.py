@@ -9,10 +9,11 @@ coboundary by m, landing in integral cochains.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import repeat
-from operator import floordiv, mod, mul
+from operator import floordiv, mod, mul, xor
 
-from .simplicial import Cochain, CohomologyClass, class_coordinates
+from .simplicial import Cochain, CohomologyClass, _lanes, class_coordinates
 
 
 def cup(a: Cochain, b: Cochain) -> Cochain:
@@ -20,11 +21,12 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
     if a.complex != b.complex or a.modulus != b.modulus:
         raise ValueError("cup product needs a common complex and modulus")
     x = a.complex
-    ((front, back),) = x.cup_i_table(0, a.degree, b.degree)
     n = a.modulus
     if n == 2:
+        front, back = x.cup_i_planes(0, a.degree, b.degree)
         return Cochain._from_bits(x, a.degree + b.degree, a._bits(front) & b._bits(back))
-    values = map(mul, front(a.values), back(b.values))
+    ((front, back),) = x.cup_i_table(0, a.degree, b.degree)
+    values = map(mul, map(a.values.__getitem__, front), map(b.values.__getitem__, back))
     if n:
         values = map(mod, values, repeat(n))
     return Cochain._reduced(x, a.degree + b.degree, n, tuple(values))
@@ -35,9 +37,10 @@ def cup_i(i: int, a: Cochain, b: Cochain) -> Cochain:
 
     On a simplex [v_0..v_m] the value is the sum over cut sequences
     j_0 < ... < j_i of a(even blocks) * b(odd blocks), where consecutive
-    blocks share their cut vertex.  The complex keeps, per (i, p, q), the
-    gathers of the even and odd faces of every cut sequence with blocks of
-    the right sizes (SimplicialComplex.cup_i_table).
+    blocks share their cut vertex.  The complex keeps, per (i, p, q), one
+    gather of the even and one of the odd faces of all cut sequences with
+    blocks of the right sizes, a lane per sequence
+    (SimplicialComplex.cup_i_planes): their and, lanes xored, is the product.
     """
     if a.modulus != 2 or b.modulus != 2:
         raise ValueError("cup_i products are defined over Z/2 only")
@@ -49,10 +52,9 @@ def cup_i(i: int, a: Cochain, b: Cochain) -> Cochain:
     deg = a.degree + b.degree - i
     if deg < 0:
         raise ValueError("cup_i target degree is negative")
-    acc = 0
-    for even, odd in x.cup_i_table(i, a.degree, b.degree):
-        acc ^= a._bits(even) & b._bits(odd)
-    return Cochain._from_bits(x, deg, acc)
+    even, odd = x.cup_i_planes(i, a.degree, b.degree)
+    lanes = a._bits(even) & b._bits(odd)
+    return Cochain._from_bits(x, deg, reduce(xor, _lanes(lanes, x.simplex_count(deg)), 0))
 
 
 def sq(k: int, x: CohomologyClass) -> CohomologyClass:

@@ -15,8 +15,8 @@ from __future__ import annotations
 from collections import deque
 from functools import cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations, cycle, repeat
-from operator import add, floordiv, itemgetter, mod, mul, neg, sub
+from itertools import chain, combinations, cycle, repeat
+from operator import add, and_, eq, floordiv, itemgetter, lshift, mod, mul, neg, rshift, sub
 
 from .exact_linalg import (
     AbelianGroupPresentation,
@@ -39,6 +39,7 @@ JSON_MAX_SIMPLICES = 500_000
 # and DIMENSION_CAP alone keeps the packed folds from carrying
 MAX_SIMPLICES = 16_000_000
 _HALF = bytes(d // 2 for d in range(256))  # byte d -> d // 2, for _half_delta
+_NONZERO = bytes(map(bool, range(256)))  # byte d -> 1 if d else 0, for Cochain._bits
 
 
 def _gather(indices: tuple):
@@ -51,6 +52,36 @@ def _gather(indices: tuple):
         (i,) = indices
         return lambda values: (values[i],)
     return lambda values: ()
+
+
+def _plane_program(vectors, count: int) -> tuple:
+    """The plane-gather program of index vectors into a level of count cells,
+    read one after another (Cochain._bits).  Per block of output positions:
+    the low bytes of its indices and, for each plane table t that the block
+    reaches, the mask that keeps bit (i >> 8) & 7 of each position whose
+    index i has i >> 11 == t.  One block when one table holds the level, so
+    each extra block pays for itself in tables not reached; else blocks of
+    2048 positions, which reach a few tables each."""
+    indices = lambda: chain.from_iterable(vectors)
+    low = bytes(map(and_, indices(), repeat(255)))
+    select = bytes(map(lshift, repeat(1), map(and_, map(rshift, indices(), repeat(8)), repeat(7))))
+    if count <= 2048:
+        return ((low, [(0, int.from_bytes(select, "little"))] if low else []),)
+    tables = tuple(map(rshift, indices(), repeat(11)))
+    program = []
+    for s in range(0, len(low), 2048):
+        block, bits = tables[s : s + 2048], select[s : s + 2048]
+        masks = [(t, int.from_bytes(bytes(map(mul, bits, map(eq, block, repeat(t)))), "little")) for t in set(block)]
+        program.append((low[s : s + 2048], masks))
+    return tuple(program)
+
+
+def _lanes(bits: int, width: int):
+    """The width-byte lanes of bits, the lowest first, up to the last nonzero one."""
+    mask, shift = (1 << 8 * width) - 1, 8 * width
+    while bits:
+        yield bits & mask
+        bits >>= shift
 
 
 class SimplicialComplex:
@@ -100,8 +131,10 @@ class SimplicialComplex:
         # caches live here, declared up front: attributes added later would
         # turn every attribute load on the complex into a slower lookup.
         # _face_tables holds the face-index vectors of the cochain kernels,
-        # keyed ("faces", q) and ("cup_i", i, p, q); see face_table and
-        # cup_i_table.  _morse is the Morse complex of the coreduction
+        # keyed ("faces", q) and ("cup_i", i, p, q), and the plane-gather
+        # programs of the mod-2 kernels, keyed ("face planes", q) and
+        # ("cup_i planes", i, p, q); see face_table, cup_i_table, face_planes
+        # and cup_i_planes.  _morse is the Morse complex of the coreduction
         # matching, or the TensorModel of the factors when _factors holds the
         # (K, L) that product built X from; it is built on the first
         # cohomology query and keeps the cohomology records.  _bases holds
@@ -155,19 +188,29 @@ class SimplicialComplex:
             table = self._face_tables[key] = (indices, tuple(map(_gather, indices)))
         return table
 
+    def face_planes(self, q: int) -> tuple:
+        """(even, odd): the plane-gather programs of the mod-2 kernels over the
+        even and over the odd face vectors of face_table(q), a lane each."""
+        key = ("face planes", q)
+        table = self._face_tables.get(key)
+        if table is None:
+            vectors, count = self.face_table(q)[0], self.simplex_count(q)
+            table = self._face_tables[key] = (_plane_program(vectors[0::2], count), _plane_program(vectors[1::2], count))
+        return table
+
     def cup_i_table(self, i: int, p: int, q: int) -> tuple:
-        """(even, odd) gathers for the cup-i product of a p- and a q-cochain,
-        one pair per cut sequence 0 <= j_0 < ... < j_i <= p + q - i whose
-        even blocks hold p + 1 vertices and odd blocks q + 1: the values on
-        those faces of every (p+q-i)-simplex, looked up from the vertex
-        columns of the block positions.  For i = 0 the one pair is the front
-        p-face and the back q-face of the cup product."""
+        """(even, odd) index vectors for the cup-i product of a p- and a
+        q-cochain, one pair per cut sequence 0 <= j_0 < ... < j_i <= p + q - i
+        whose even blocks hold p + 1 vertices and odd blocks q + 1: the
+        indices of those faces of every (p+q-i)-simplex, looked up from the
+        vertex columns of the block positions.  For i = 0 the one pair is the
+        front p-face and the back q-face of the cup product."""
         key = ("cup_i", i, p, q)
         table = self._face_tables.get(key)
         if table is None:
             m = p + q - i
             columns = self._columns(m)
-            gather = lambda d, positions: _gather(self._indices(d, map(columns.__getitem__, positions)))
+            indices = lambda d, positions: self._indices(d, map(columns.__getitem__, positions))
             table = []
             for cuts in combinations(range(m + 1), i + 1):
                 # block k runs from cut k - 1 to cut k; neighbours share the cut
@@ -176,8 +219,22 @@ class SimplicialComplex:
                 even = [v for block in blocks[0::2] for v in block]
                 odd = [v for block in blocks[1::2] for v in block]
                 if len(even) == p + 1 and len(odd) == q + 1:
-                    table.append((gather(p, even), gather(q, odd)))
+                    table.append((indices(p, even), indices(q, odd)))
             table = self._face_tables[key] = tuple(table)
+        return table
+
+    def cup_i_planes(self, i: int, p: int, q: int) -> tuple:
+        """(even, odd): the plane-gather programs of the mod-2 kernels over the
+        even and over the odd faces of every cut sequence of
+        cup_i_table(i, p, q), a lane each."""
+        key = ("cup_i planes", i, p, q)
+        table = self._face_tables.get(key)
+        if table is None:
+            pairs = self.cup_i_table(i, p, q)
+            table = self._face_tables[key] = (
+                _plane_program([even for even, _ in pairs], self.simplex_count(p)),
+                _plane_program([odd for _, odd in pairs], self.simplex_count(q)),
+            )
         return table
 
     def morse_complex(self) -> "MorseComplex | TensorModel":
@@ -259,9 +316,11 @@ class Cochain(Record):
     the other checks and skips the reduction.  A mod-2 cochain also keeps
     its values packed, one byte each, in _packed (kept as _delta is), and
     its kernels take no Python step per value on those bytes read as ints
-    (_bits): + and - xor, cup ands the front and back gathers, cup_i xors
-    those ands, and _parity folds the face gathers into delta mod 2 and
-    the lift's exact delta, which bockstein halves (_half_delta).
+    (_bits): + and - xor, cup ands the front and back gathers, cup_i ands
+    the even and odd gathers and xors their lanes, and _parity sums the
+    even and the odd face gathers into delta mod 2 and the lift's exact
+    delta, which bockstein halves (_half_delta).  Each gather translates
+    index bytes through the bit-plane tables of the packed bytes (_planes).
     """
 
     complex: SimplicialComplex
@@ -269,10 +328,12 @@ class Cochain(Record):
     modulus: int
     values: tuple[int, ...]
     # delta of the values as integers, the verdict of is_cocycle, and the
-    # packed values and _parity's fold of a mod-2 cochain: not fields
+    # packed values, their bit-plane tables and _parity's fold of a mod-2
+    # cochain: not fields
     _delta = None
     _cocycle = None
     _packed = None
+    _plane_tables = None
     _fold = None
 
     def __post_init__(self):
@@ -312,12 +373,35 @@ class Cochain(Record):
         packed = bits.to_bytes(complex.simplex_count(degree), "little")
         return cls._reduced(complex, degree, 2, tuple(packed), packed)
 
-    def _bits(self, gather=None) -> int:
-        """The packed values as an int: all, or those gather reads off their latin-1 str."""
-        packed = self._packed
-        if gather:
-            packed = "".join(gather(packed.decode("latin-1"))).encode("latin-1")
-        return int.from_bytes(packed, "little")
+    def _planes(self) -> list:
+        """Mod 2: the packed values as bit-plane tables, built once, one
+        shift and or per 256 cells.  Bit c of byte b of table t holds the
+        value of cell 2048t + 256c + b."""
+        planes = self._plane_tables
+        if planes is None:
+            packed, planes = self._packed, []
+            for start in range(0, len(packed), 2048):
+                table = 0
+                for c, chunk in enumerate(range(start, min(start + 2048, len(packed)), 256)):
+                    table |= int.from_bytes(packed[chunk : chunk + 256], "little") << c
+                planes.append(table.to_bytes(256, "little"))
+            object.__setattr__(self, "_plane_tables", planes)
+        return planes
+
+    def _bits(self, program=None) -> int:
+        """The packed values as an int: all, or those a plane-gather program
+        reads (_plane_program).  Each block translates its low index bytes
+        through every table it reaches and ors in the bits its masks keep;
+        one last translate maps every nonzero byte to 1."""
+        if program is None:
+            return int.from_bytes(self._packed, "little")
+        planes, parts = self._planes(), []
+        for low, masks in program:
+            acc = 0
+            for t, mask in masks:
+                acc |= int.from_bytes(low.translate(planes[t]), "little") & mask
+            parts.append(acc.to_bytes(len(low), "little"))
+        return int.from_bytes(b"".join(parts).translate(_NONZERO), "little")
 
     def _like(self, values) -> "Cochain":
         """A cochain of the same context from an iterator of integers,
@@ -379,15 +463,16 @@ class Cochain(Record):
         return self._delta
 
     def _parity(self) -> int:
-        """Mod 2: delta as packed bits.  E and O sum the values on the even and
-        odd faces of each (q+1)-simplex, a byte each (by DIMENSION_CAP a simplex
-        has 7 faces at most: none carries).  The low bits of E + O are delta mod 2;
-        _fold keeps D = E - O + (q + 2) // 2, the lift's delta made >= 0."""
-        gathers = self.complex.face_table(self.degree)[1]
-        even, odd = sum(map(self._bits, gathers[0::2])), sum(map(self._bits, gathers[1::2]))
-        n = self.complex.simplex_count(self.degree + 1)
+        """Mod 2: delta as packed bits.  E and O sum the lanes of the even and
+        of the odd face gathers, a byte per (q+1)-simplex (by DIMENSION_CAP a
+        simplex has 7 faces at most: none carries).  The low bits of E + O are
+        delta mod 2; _fold keeps D = E - O + (q + 2) // 2, the lift's delta
+        made >= 0."""
+        x, q = self.complex, self.degree
+        n = x.simplex_count(q + 1)
+        even, odd = (sum(_lanes(self._bits(program), n)) for program in x.face_planes(q))
         ones = int.from_bytes(b"\1" * n, "little")
-        object.__setattr__(self, "_fold", (even - odd + (self.degree + 2) // 2 * ones).to_bytes(n, "little"))
+        object.__setattr__(self, "_fold", (even - odd + (q + 2) // 2 * ones).to_bytes(n, "little"))
         return (even + odd) & ones
 
     def _half_delta(self):

@@ -2,7 +2,8 @@
 constructor builds, which refuses values that are not ints, mod-2 cocycle
 verdicts by face parity agree with the exact delta, the packed mod-2
 kernels agree with the per-element oracles, the mod-2 face fold gives the
-exact delta and Bockstein of the 0/1 lift, beta(b cup b) is zero, Brauer addition checks each
+exact delta and Bockstein of the 0/1 lift, also on levels of many bit-plane
+tables, whose plane gathers read what itemgetter reads, beta(b cup b) is zero, Brauer addition checks each
 new cochain once, random Brauer elements are the ones rng.choices drew,
 and the face, cup-i, cross-product and pullback index tables built from
 vertex columns are the ones built one simplex at a time."""
@@ -19,7 +20,7 @@ from oracles import coboundary_loop, cross_loop, cup_i_loop, cup_i_table_loop, c
 from oracles import pullback_loop
 from oracles import random_element as random_element_choices
 
-from supercoh import brauer, corpus
+from supercoh import brauer, corpus, simplicial
 from supercoh.operations import bockstein, cup, cup_i
 from supercoh.simplicial import Cochain, CohomologyClass, SimplicialComplex, SimplicialMap
 
@@ -125,13 +126,17 @@ def test_add_makes_one_delta_pass_per_checked_cochain(rp2xrp2, monkeypatch, vari
     rng = random.Random(variant)
     x, y = (brauer.random_element(rp2xrp2, variant, rng) for _ in range(2))
     degrees = Counter()
-    face_table = SimplicialComplex.face_table
 
-    def counted(self, q):
-        degrees[q] += 1
-        return face_table(self, q)
+    def counted(read):
+        def spy(self, q):
+            degrees[q] += 1
+            return read(self, q)
 
-    monkeypatch.setattr(SimplicialComplex, "face_table", counted)
+        return spy
+
+    # a delta pass reads face_table mod 0 and n > 2, and face_planes mod 2
+    for name in ("face_table", "face_planes"):
+        monkeypatch.setattr(SimplicialComplex, name, counted(getattr(SimplicialComplex, name)))
     brauer.add(x, y)
     assert dict(degrees) == expected
 
@@ -191,11 +196,7 @@ def test_index_tables_equal_the_per_simplex_builders(name):
     for i in range(3):
         for p in range(top + i + 1):
             for q in range(top + i - p + 1):
-                got = tuple(
-                    (_indices(even, x.simplex_count(p)), _indices(odd, x.simplex_count(q)))
-                    for even, odd in x.cup_i_table(i, p, q)
-                )
-                assert got == cup_i_table_loop(x, i, p, q), (i, p, q)
+                assert x.cup_i_table(i, p, q) == cup_i_table_loop(x, i, p, q), (i, p, q)
     if x._factors:
         model = x.morse_complex()
         kx, lx = model._k.complex, model._l.complex
@@ -324,3 +325,47 @@ def test_beta_of_b_cup_b_is_the_zero_cochain(name):
         squares.add(square.is_zero())
     # b cup b itself is not the zero cochain, where it has simplices to live on
     assert False in squares or x.dim < 2
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 2047, 2048, 2049, 5000])
+def test_plane_gathers_equal_itemgetter(n):
+    """A plane-gather program reads, from the bit-plane tables of n packed
+    values, what itemgetter reads from the values: for random and for
+    sorted index vectors, one after another, over one or several tables
+    and blocks of positions."""
+    x = SimplicialComplex(n, [(v,) for v in range(n)])
+    rng = random.Random(n)
+    c = _mod2_cochain(x, 0, rng)
+    lengths = (0, 1, 255, 2047, 2048, 2049, 5000)
+    for k in range(1, 4):
+        vectors = [[rng.randrange(n) for _ in range(rng.choice(lengths))] for _ in range(k)]
+        vectors[-1].sort()  # a face vector's indices grow with its position, mostly
+        expected = b"".join(bytes(simplicial._gather(tuple(v))(c.values)) for v in vectors)
+        program = simplicial._plane_program(vectors, n)
+        assert c._bits(program).to_bytes(len(expected), "little") == expected, (n, k)
+
+
+def test_packed_kernels_on_a_level_of_many_plane_tables():
+    """On the cone over a cycle of 5000 vertices, 10 000 edges read from 5
+    plane tables and 5000 triangles from 3: coboundary, the parity verdict,
+    bockstein, cup and cup_i of random mod-2 cochains against the loop
+    oracles."""
+    n = 5000
+    x = SimplicialComplex(n + 1, [(0, v, v + 1) for v in range(1, n)] + [(0, 1, n)])
+    assert [x.simplex_count(q) for q in range(3)] == [n + 1, 2 * n, n]
+    rng = random.Random(n)
+    cochains = {q: [_mod2_cochain(x, q, rng) for _ in range(2)] for q in range(3)}
+    for q in range(3):
+        for c in cochains[q]:
+            fresh, d = Cochain(x, q, 2, c.values), coboundary_loop(c)
+            assert fresh.is_cocycle() == d.is_zero() == (q == 2) and fresh.coboundary() == d, q
+        if q:
+            z = Cochain(x, q, 2, cochains[q - 1][0].coboundary().values)
+            assert z.is_cocycle(), q
+            lift = coboundary_loop(Cochain(x, q, 0, z.values)).values
+            assert bockstein(CohomologyClass(z)).cochain.values == tuple(v // 2 for v in lift), q
+    for p, q in [(0, 1), (1, 0), (1, 1), (0, 2)]:
+        a, b = cochains[p][0], cochains[q][1]
+        assert cup(a, b) == cup_value_on(a, b), (p, q)
+        for i in range(min(p, q) + 1):
+            assert cup_i(i, a, b) == cup_i_loop(i, a, b), (i, p, q)

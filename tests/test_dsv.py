@@ -99,6 +99,18 @@ class TestMapMake:
         with pytest.raises(ValueError, match="expected a 1x1 matrix"):
             DSVMap.make(v, v, [[3, 0], [2, 4]], [])
 
+    @pytest.mark.parametrize("entry", ["2", 2.5, True])
+    def test_refuses_an_entry_that_is_not_exactly_an_int(self, entry):
+        """Over F_p, a str, a float and a bool are no entries: make names the
+        entry, where it raised a TypeError, refused with a false d0 d1 != 0
+        or read True as 1."""
+        v = DSV.make(F5, 1, 1, [[1]], [[0]])
+        message = f"F5 entry must be exactly an int, got {entry!r}"
+        with pytest.raises(ValueError, match=message):
+            DSV.make(F5, 1, 1, [[entry]], [[0]])
+        with pytest.raises(ValueError, match=message):
+            DSVMap.make(v, v, [[entry]], [[1]])
+
     def test_refuses_a_map_that_is_not_a_chain_map(self):
         v = DSV.make(F5, 2, 1, [[1, 0]], [[0], [0]])
         with pytest.raises(ValueError, match="does not commute with d0"):

@@ -692,13 +692,13 @@ class TestCochainMemo:
         w = cohomology(rp2, 1, 2)[1][0].cochain
         c = Cochain(rp2, 1, 2, w.values)  # fresh: nothing memoized yet
         degrees = []
-        face_table = SimplicialComplex.face_table
+        face_planes = SimplicialComplex.face_planes  # what a mod-2 delta pass reads
 
         def counted(self, q):
             degrees.append(q)
-            return face_table(self, q)
+            return face_planes(self, q)
 
-        monkeypatch.setattr(SimplicialComplex, "face_table", counted)
+        monkeypatch.setattr(SimplicialComplex, "face_planes", counted)
         beta = bockstein(CohomologyClass(c))
         assert degrees.count(1) == 1
         # Sq^1 w = w cup w on rp2, the nonzero class of H^2(rp2; Z/2)
