@@ -3,6 +3,9 @@
 
     python scripts/pairs.py --parent ../before --change . --workload axioms_warm --pairs 6 --seconds 6
 
+--workload all runs the pairs of every workload of BENCHMARK.json in turn,
+each with its own summary block.
+
 Pair k runs perfbench/run.py --trace 0 with seed SEED + k in both
 checkouts, one after the other, the parent first in even pairs and the
 change first in odd ones, so that a drift of the host's speed falls on
@@ -59,15 +62,16 @@ def _parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, type=_checkout)
     p.add_argument("--change", required=True, type=_checkout)
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, help="a workload of BENCHMARK.json, or all")
     p.add_argument("--pairs", required=True, type=_positive(int))
     p.add_argument("--seconds", required=True, type=_positive(float))
     p.add_argument("--seed", type=int, default=1, help="the seed of pair 0 (default 1)")
     args = p.parse_args(argv)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]
-    if args.workload not in workloads:
-        p.error(f"unknown workload {args.workload!r}; expected one of {', '.join(workloads)}")
+    if args.workload not in workloads + ["all"]:
+        p.error(f"unknown workload {args.workload!r}; expected all or one of {', '.join(workloads)}")
+    args.workloads = workloads if args.workload == "all" else [args.workload]
     args.better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     args.bound = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     return args
@@ -120,28 +124,34 @@ def summary(results, better: dict, bound: dict) -> list[str]:
     return lines
 
 
-def main(argv=None) -> int:
-    args = _parse_args(argv)
-    for root in {args.parent, args.change}:
-        for cache in list(root.rglob("__pycache__")):
-            shutil.rmtree(cache)
+def _pairs(args, workload: str) -> None:
+    """The pairs of one workload, each printed as it ends, then the summary."""
     names = list(args.better)
     results = []  # (seed, parent metrics, change metrics)
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, parent {args.parent}, change {args.change}")
+    print(f"{workload}: {args.pairs} pairs of {args.seconds:g} s, parent {args.parent}, change {args.change}")
     print("seed  " + "  ".join(f"{name} parent -> change" for name in names))
     for k in range(args.pairs):
         seed = args.seed + k
         if k % 2 == 0:
-            parent = _run(args.parent, args.workload, seed, args.seconds)
-            change = _run(args.change, args.workload, seed, args.seconds)
+            parent = _run(args.parent, workload, seed, args.seconds)
+            change = _run(args.change, workload, seed, args.seconds)
         else:
-            change = _run(args.change, args.workload, seed, args.seconds)
-            parent = _run(args.parent, args.workload, seed, args.seconds)
+            change = _run(args.change, workload, seed, args.seconds)
+            parent = _run(args.parent, workload, seed, args.seconds)
         results.append((seed, parent, change))
         print(f"{seed:<4}  " + "  ".join(f"{parent[n]:.4g} -> {change[n]:.4g}" for n in names), flush=True)
     print("median, pairs the change won and the parent's quartiles:")
     for line in summary(results, args.better, args.bound):
         print(line)
+
+
+def main(argv=None) -> int:
+    args = _parse_args(argv)
+    for root in {args.parent, args.change}:
+        for cache in list(root.rglob("__pycache__")):
+            shutil.rmtree(cache)
+    for workload in args.workloads:
+        _pairs(args, workload)
     return 0
 
 

@@ -10,18 +10,18 @@ A homotopy inverse is read off a contraction of that cone.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import add, mul
+from operator import itemgetter
 
 from .exact_linalg import Record, is_prime, kernel_mod_p, rref
 
 # the dimension dim0 + dim1 of a DSV read from JSON, and of the tensor product
-# of two such, checked before a matrix is built.  The products that validate
-# a DSV cost O(nnz * dim) field operations, so dim^3 when every entry is
-# nonzero: over Q, `supercoh dsv` on a (32|32) file of dense 44-character
-# fractions takes 0.6-0.9 s, while the (32|32) tensor product of two dense
-# (4|4) files, whose differentials are mostly zero, takes about 0.12 s
-# (2-core x86 host, CPython 3.11.7)
+# of two such, checked before a matrix is built.  Each product that validates
+# a DSV costs O(nnz(a) * nnz per row of b) field operations, so dim^3 when
+# every entry is nonzero: over Q, `supercoh dsv` on a (32|32) file of dense
+# 44-character fractions takes 0.6-0.9 s, while the (32|32) tensor product of
+# two dense (4|4) files, whose differentials are mostly zero, takes 0.02-0.03 s
+# past the CLI's start-up, half of it in its two validating products (2-core
+# x86 host, CPython 3.11.7)
 JSON_MAX_DIM = 64
 
 # the characters of one Q entry read from JSON, checked before any Fraction
@@ -51,9 +51,12 @@ class Field(Record):
             raise ValueError("field characteristic must be 0 or a prime")
 
     def of(self, x):
-        """x in the field; over F_p only an int is an entry, so a str, a float
-        or a bool is refused, as the JSON reader refuses it."""
+        """x in the field; over F_p only an int is an entry, over Q an int, a
+        Fraction or a str (the JSON reader passes checked numerals), so a
+        float or a bool is refused, as the JSON reader refuses it."""
         if self.char == 0:
+            if type(x) not in (int, Fraction, str):
+                raise ValueError(f"a Q entry must be an int, a Fraction or a str, got {x!r}")
             return Fraction(x)
         if type(x) is not int:
             raise ValueError(f"an {self} entry must be exactly an int, got {x!r}")
@@ -107,24 +110,29 @@ def _product(f: Field, a, b, rows: int, cols: int):
     """a @ b as a rows x cols matrix, the inner dimension being len(b).
 
     The outer dimensions are explicit because a matrix with no rows carries
-    no column count.  Row i sums x times row k of b over the nonzeros
-    x = a[i][k] only, one C-level map per nonzero, and is reduced once:
-    O(nnz(a) * cols) field operations.
+    no column count.  Row-wise and sparse in both factors, as Gustavson's
+    product: each row of b is read once as its nonzero (column, value)
+    pairs; for each nonzero x = a[i][k], row i adds x * y into one
+    accumulator at the columns j of the pairs (j, y) of row k only (the
+    first such k writes them), and is reduced once.  A row that nothing
+    reaches is the shared zero row.  O(nnz(a) * nnz per row of b) field
+    operations.
     """
-    p = f.char
-    inner = range(len(b))
-    zero_row = (f.zero(),) * cols
-    out = []
+    p, zero, value = f.char, f.zero(), itemgetter(1)
+    pairs = [[*filter(value, enumerate(row))] for row in b]
+    out = [(zero,) * cols] * rows
     for i in range(rows):
-        ai = a[i]
         acc = None
-        for k in compress(inner, ai):
-            terms = map(mul, repeat(ai[k]), b[k])
-            acc = list(terms) if acc is None else list(map(add, acc, terms))
-        if acc is None:
-            out.append(zero_row)
-        else:
-            out.append(tuple(map(p.__rmod__, acc)) if p else tuple(acc))
+        for k, x in filter(value, enumerate(a[i])):
+            if acc is not None:
+                for j, y in pairs[k]:
+                    acc[j] += x * y
+            elif pairs[k]:
+                acc = [zero] * cols
+                for j, y in pairs[k]:
+                    acc[j] = x * y
+        if acc is not None:
+            out[i] = tuple(map(p.__rmod__, acc)) if p else tuple(acc)
     return tuple(out)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -111,6 +112,29 @@ class TestMapMake:
         with pytest.raises(ValueError, match=message):
             DSVMap.make(v, v, [[entry]], [[1]])
 
+    @pytest.mark.parametrize("entry", [True, 0.1], ids=["bool", "float"])
+    def test_refuses_a_q_entry_that_is_a_bool_or_a_float(self, entry):
+        """Over Q, each constructor names a bool or a float entry, where
+        Fraction read True as 1 and 0.1 as 3602879701896397/36028797018963968."""
+        v = DSV.make(QQ, 1, 1, [[1]], [[0]])
+        message = re.escape(f"a Q entry must be an int, a Fraction or a str, got {entry!r}")
+        with pytest.raises(ValueError, match=message):
+            DSV.make(QQ, 1, 1, [[entry]], [[0]])
+        with pytest.raises(ValueError, match=message):
+            DSVMap.make(v, v, [[entry]], [[1]])
+        with pytest.raises(ValueError, match=message):
+            BoundedChainComplex.make(QQ, 0, (1, 1), [[[entry]]])
+
+    @pytest.mark.parametrize("entry", [-7, Fraction(-7, 3), "-7/3"], ids=["int", "Fraction", "str"])
+    def test_reads_a_q_entry_that_is_an_int_a_fraction_or_a_numeral(self, entry):
+        """An int, a Fraction and a numeral string, as the JSON reader
+        passes it, are Q entries, read as a Fraction by each constructor."""
+        x = ((Fraction(entry),),)
+        v = DSV.make(QQ, 1, 1, [[entry]], [[0]])
+        assert v.d0 == x and type(v.d0[0][0]) is Fraction
+        assert DSVMap.make(v, v, [[entry]], [[entry]]).f0 == x
+        assert BoundedChainComplex.make(QQ, 0, (1, 1), [[[entry]]]).boundaries == (x,)
+
     def test_refuses_a_map_that_is_not_a_chain_map(self):
         v = DSV.make(F5, 2, 1, [[1, 0]], [[0], [0]])
         with pytest.raises(ValueError, match="does not commute with d0"):
@@ -222,6 +246,18 @@ def dsv_maps(draw):
     return _random_dsv_map(f, v, w, rng)
 
 
+def _dense(data, f, rows, cols):
+    """rows x cols with no zero entry."""
+    entry = _entries(f).filter(bool)
+    return tuple(tuple(data.draw(entry) for _ in range(cols)) for _ in range(rows))
+
+
+def _with_zero_rows(data, f, m):
+    """m with a drawn nonempty set of its rows made zero."""
+    zero = data.draw(st.sets(st.integers(0, len(m) - 1), min_size=1))
+    return tuple((f.zero(),) * len(row) if i in zero else row for i, row in enumerate(m))
+
+
 def _with_dense_kernels(cones=None):
     """The dense product, negation, cone assembly and rref of
     tests/oracles.py in place of dsv's row-sparse ones; each map whose cone
@@ -256,6 +292,35 @@ class TestSparseKernelsAgainstDenseOracles:
         got = dsv._product(f, a, b, rows * n, cols * n)
         assert _typed(got) == _typed(oracles.product_dense(f, a, b, rows * n, cols * n))
         assert dsv.is_zero_matrix(got) == all(x == 0 for row in got for x in row)
+
+    @given(st.sampled_from(FIELDS), st.sampled_from(("dense", "zero rows", "no inner")), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_product_of_dense_zero_row_and_empty_operands(self, f, kind, data):
+        """Fully dense operands; operands with zero rows at drawn places of
+        both a and b; and an inner dimension of 0, where only the explicit
+        cols gives the width of the zero result."""
+        rows, inner, cols = (data.draw(st.integers(1, 6)) for _ in range(3))
+        if kind == "no inner":
+            a, b = ((),) * rows, ()
+        else:
+            a, b = _dense(data, f, rows, inner), _dense(data, f, inner, cols)
+            if kind == "zero rows":
+                a, b = (_with_zero_rows(data, f, m) for m in (a, b))
+        got = dsv._product(f, a, b, rows, cols)
+        assert _typed(got) == _typed(oracles.product_dense(f, a, b, rows, cols))
+
+    def test_product_of_64x64_operands(self):
+        """A fully dense F5 pair and a 30%-dense Q pair, the sizes at which
+        the product is timed, against the dense oracle."""
+        rng = random.Random(64)
+        q_values = (1, -1, Fraction(1, 2), Fraction(-7, 3), Fraction(22, 7))
+        for f, density, values in ((F5, 1.0, (1, 2, 3, 4)), (QQ, 0.3, q_values)):
+
+            def entry():
+                return f.of(rng.choice(values)) if rng.random() < density else f.zero()
+
+            a, b = (tuple(tuple(entry() for _ in range(64)) for _ in range(64)) for _ in range(2))
+            assert _typed(dsv._product(f, a, b, 64, 64)) == _typed(oracles.product_dense(f, a, b, 64, 64))
 
     @given(st.sampled_from(FIELDS), st.data())
     @settings(max_examples=300, deadline=None)

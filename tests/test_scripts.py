@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import importlib.util
 import itertools
+import json
 import re
 import subprocess
 import sys
@@ -111,6 +112,22 @@ def test_benchmark_traced_names_resolve():
         assert callable(owner.__dict__.get(attr)), label
 
 
+def test_algebra_small_deck_runs_every_dsv_check(monkeypatch):
+    """Round 0 of the benchmark's algebra_small deck, set up with seed 1,
+    answers correctly and multiplies 1108 matrices in dsv._product: a DSV,
+    map or complex check that were skipped, derived from the checks of its
+    inputs or cached between operations would lower the count."""
+    from supercoh import dsv
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports expected
+    workload = _module("perfbench_workloads", PERFBENCH / "workloads.py").AlgebraSmall()
+    assert workload.setup(1)
+    calls, product = [], dsv._product
+    monkeypatch.setattr(dsv, "_product", lambda *args: calls.append(args) or product(*args))
+    assert all(workload.check(op, workload.run(op)) for op in workload.deck(0))
+    assert len(calls) == 1108
+
+
 def test_reach_kept_names_resolve():
     """Every function that scripts/reach.py keeps although no user path
     calls it is defined in src/supercoh, with a reason; the full audit runs
@@ -177,6 +194,21 @@ def test_pairs_refuses_bad_arguments(args, message):
     out = run_script("pairs.py", *argv)
     assert out.returncode == 2 and not out.stdout
     assert message in out.stderr
+
+
+def test_pairs_reads_all_as_every_workload(capsys):
+    """--workload all names every workload of BENCHMARK.json, in its order;
+    a name that is neither all nor a workload is still refused."""
+    pairs = _module("pairs", SCRIPTS / "pairs.py")
+    root = str(SCRIPTS.parent)
+    argv = ["--parent", root, "--change", root, "--pairs", "1", "--seconds", "1", "--workload"]
+    names = [w["name"] for w in json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["workloads"]]
+    assert pairs._parse_args(argv + ["all"]).workloads == names
+    assert pairs._parse_args(argv + ["axioms_warm"]).workloads == ["axioms_warm"]
+    with pytest.raises(SystemExit) as refused:
+        pairs._parse_args(argv + ["al"])
+    assert refused.value.code == 2
+    assert "unknown workload 'al'; expected all or one of" in capsys.readouterr().err
 
 
 def _summary(pairs, parent: dict, change: dict, better: dict) -> list[str]:
